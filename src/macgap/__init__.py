@@ -2,11 +2,8 @@
 gap intervals for maps between generalized balls."""
 
 from .binom_core import (
-    BinomTable,
-    CapacityError,
     MacaulayRep,
     binom,
-    default_table,
     macaulay_rep,
     op_lower,
     op_minus,
@@ -44,8 +41,6 @@ from .polyspace import (
 )
 
 __all__ = [
-    "BinomTable",
-    "CapacityError",
     "GRat",
     "Hyperplane",
     "MacaulayRep",
@@ -56,7 +51,6 @@ __all__ = [
     "binom",
     "classify_gap",
     "comparison_intervals",
-    "default_table",
     "dim_prop_bounds",
     "exact_rank",
     "format_map",

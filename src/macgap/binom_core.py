@@ -13,8 +13,8 @@ operations act on this expansion:
     upper  A^<n>   : increment top and level.
 
 Throughout, results are read with the convention C(a, b) = 0 whenever b = 0
-or a < b; the raw Pascal table (with C(a, 0) = 1) is kept internally because
-the triangle cannot be built without it.
+or a < b; `binom` is the one place that applies it.  Every value comes from
+`math.comb`, so no top index or value has an upper limit.
 """
 
 from __future__ import annotations
@@ -22,75 +22,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-DEFAULT_BOUND = 256
-
-
-class CapacityError(Exception):
-    """A binomial lookup exceeded the configured table bound."""
-
 
 class BinomTable:
-    """Eagerly built Pascal rectangle C(a, b) for a <= bound, b <= lower_bound.
+    """Empty placeholder; nothing in macgap constructs it.
 
-    The table is immutable after construction, so concurrent readers need no
-    locking.  ``lower_bound`` caps the second argument separately; Macaulay
-    levels stay small even when values A (and hence top indices) are large,
-    which keeps memory proportional to bound * lower_bound.
+    The benchmark's traced pass wraps ``BinomTable.__init__`` to count
+    Pascal-table builds, so the name stays until that layer is dropped from
+    the benchmark.
     """
 
-    def __init__(self, bound: int = DEFAULT_BOUND, lower_bound: int | None = None):
-        if bound < 1:
-            raise ValueError("table bound must be positive")
-        self.bound = bound
-        self.lower_bound = bound if lower_bound is None else lower_bound
-        if not 1 <= self.lower_bound <= bound:
-            raise ValueError("lower_bound must lie in [1, bound]")
-        width = self.lower_bound
-        rows = []
-        prev: list[int] = []
-        for a in range(bound + 1):
-            row = [1] * (min(a, width) + 1)
-            for b in range(1, len(row)):
-                row[b] = prev[b - 1] + (prev[b] if b < len(prev) else 0)
-            rows.append(row)
-            prev = row
-        self._rows = rows
 
-    def pascal(self, a: int, b: int) -> int:
-        """Raw Pascal value: C(a, 0) = 1, C(a, b) = 0 for a < b."""
-        if a < 0 or b < 0:
-            raise ValueError("binomial arguments must be nonnegative")
-        if a > self.bound or b > self.lower_bound:
-            raise CapacityError(
-                f"C({a},{b}) outside table bound ({self.bound},{self.lower_bound})"
-            )
-        if b > a:
-            return 0
-        return self._rows[a][b]
-
-    def binom(self, a: int, b: int) -> int:
-        """Binomial coefficient under the convention C(a,b) = 0 if b = 0 or a < b."""
-        if b == 0:
-            if a < 0 or a > self.bound:
-                raise CapacityError(f"C({a},0) outside table bound {self.bound}")
-            return 0
-        return self.pascal(a, b)
-
-
-_default: BinomTable | None = None
-
-
-def default_table() -> BinomTable:
-    """Shared table at the default bound, built once on first use."""
-    global _default
-    if _default is None:
-        _default = BinomTable()
-    return _default
-
-
-def binom(a: int, b: int, table: BinomTable | None = None) -> int:
+def binom(a: int, b: int) -> int:
     """C(a, b) with the zero convention for b = 0 and a < b."""
-    return (table or default_table()).binom(a, b)
+    if a < 0 or b < 0:
+        raise ValueError("binomial arguments must be nonnegative")
+    if b == 0:
+        return 0
+    return math.comb(a, b)
 
 
 @dataclass(frozen=True)
@@ -101,80 +49,73 @@ class MacaulayRep:
     terms: tuple[tuple[int, int], ...]
 
     def value(self) -> int:
-        """Re-evaluate the sum of binomials (independent of any table)."""
+        """Re-evaluate the sum of binomials."""
         return sum(math.comb(top, lev) for top, lev in self.terms)
 
     def __str__(self) -> str:
         return "+".join(f"C({top},{lev})" for top, lev in self.terms)
 
 
-def _largest_top(rem: int, level: int, table: BinomTable) -> int:
-    # Largest a with C(a, level) <= rem; C(., level) is strictly increasing
-    # for a >= level, so bisection is safe.
-    if level > table.lower_bound or level > table.bound:
-        raise CapacityError(f"level {level} exceeds table bound")
-    if table.pascal(table.bound, level) < rem:
-        raise CapacityError(
-            f"representation of remainder {rem} at level {level} needs tops "
-            f"beyond table bound {table.bound}"
-        )
-    lo, hi = level, table.bound  # C(level, level) = 1 <= rem
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if table.pascal(mid, level) <= rem:
+def _largest_top(rem: int, level: int) -> int:
+    # Largest a with C(a, level) <= rem.  C(., level) is strictly increasing
+    # for a >= level and C(level, level) = 1 <= rem, so gallop up to a
+    # bracket with C(lo, level) <= rem < C(hi, level), then bisect it.
+    lo, step = level, 1
+    while math.comb(lo + step, level) <= rem:
+        lo += step
+        step *= 2
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.comb(mid, level) <= rem:
             lo = mid
         else:
-            hi = mid - 1
+            hi = mid
     return lo
 
 
-def macaulay_rep(A: int, n: int, table: BinomTable | None = None) -> MacaulayRep:
+def macaulay_rep(A: int, n: int, table=None) -> MacaulayRep:
     """Greedy construction of the level-n Macaulay representation of A >= 1.
 
     At each level pick the largest top whose binomial fits the remainder;
-    strict decrease of the tops is automatic.
+    strict decrease of the tops is automatic.  ``table`` is accepted and
+    ignored.
     """
     if A < 1:
         raise ValueError("Macaulay representation is defined for positive integers")
     if n < 1:
         raise ValueError("level must be positive")
-    table = table or default_table()
     terms = []
     rem = A
     level = n
     while rem > 0:
-        top = _largest_top(rem, level, table)
+        top = _largest_top(rem, level)
         terms.append((top, level))
-        rem -= table.pascal(top, level)
+        rem -= math.comb(top, level)
         level -= 1
     return MacaulayRep(level=n, terms=tuple(terms))
 
 
-def op_lower(A: int, n: int, table: BinomTable | None = None) -> int:
+def op_lower(A: int, n: int) -> int:
     """A_<n>: decrement every top index of the level-n representation; 0 maps to 0."""
     if A == 0:
         return 0
-    table = table or default_table()
-    rep = macaulay_rep(A, n, table)
-    return sum(table.binom(top - 1, lev) for top, lev in rep.terms)
+    return sum(binom(top - 1, lev) for top, lev in macaulay_rep(A, n).terms)
 
 
-def op_minus(A: int, n: int, table: BinomTable | None = None) -> int:
-    """A^-<n>: decrement tops and levels; terms reaching level 0 vanish."""
+def op_minus(A: int, n: int, table=None) -> int:
+    """A^-<n>: decrement tops and levels; terms reaching level 0 vanish.
+    ``table`` is accepted and ignored."""
     if A == 0:
         return 0
-    table = table or default_table()
-    rep = macaulay_rep(A, n, table)
-    return sum(table.binom(top - 1, lev - 1) for top, lev in rep.terms)
+    return sum(binom(top - 1, lev - 1) for top, lev in macaulay_rep(A, n).terms)
 
 
-def op_upper(A: int, n: int, table: BinomTable | None = None) -> int:
+def op_upper(A: int, n: int) -> int:
     """A^<n>: increment tops and levels; 0 maps to 0."""
     if A == 0:
         return 0
-    table = table or default_table()
-    rep = macaulay_rep(A, n, table)
-    return sum(table.binom(top + 1, lev + 1) for top, lev in rep.terms)
+    return sum(binom(top + 1, lev + 1) for top, lev in macaulay_rep(A, n).terms)
 
 
 @dataclass
@@ -191,23 +132,32 @@ class LemmaSweepReport:
         return not self.counterexamples
 
 
-def lemma_table(m_max: int, k_max: int) -> BinomTable:
-    """Table sized so every split of C(m+k, k) - 1 can be represented."""
-    top = math.comb(m_max + k_max, min(m_max, k_max))
-    return BinomTable(max(top, DEFAULT_BOUND), max(m_max, k_max) + 1)
+def lemma_table(m_max: int, k_max: int) -> None:
+    """Inert: the sweep needs no table.  Returns None for callers that still
+    pass its result on to `verify_lemma_binom`."""
+    return None
 
 
-def verify_lemma_binom(
-    m_max: int, k_max: int, table: BinomTable | None = None
-) -> LemmaSweepReport:
-    """Check A^-<m> + B_<k> = C(m+k-1, k) - 1 over every split A + B = C(m+k, k) - 1.
+def lemma_checks(m_max: int, k_max: int) -> int:
+    """Number of splits `verify_lemma_binom` checks, in closed form.
 
-    Runs for all 1 <= m <= m_max, 1 <= k <= k_max and all A, B >= 0.  A failing
-    quadruple (m, k, A, B) is recorded, not raised.
+    Sum over 1 <= m <= m_max, 1 <= k <= k_max of C(m+k, k); summing the
+    hockey stick twice gives C(m_max+k_max+2, m_max+1) - m_max - k_max - 2.
     """
     if m_max < 1 or k_max < 1:
         raise ValueError("sweep bounds must be positive")
-    table = table or lemma_table(m_max, k_max)
+    return math.comb(m_max + k_max + 2, m_max + 1) - m_max - k_max - 2
+
+
+def verify_lemma_binom(m_max: int, k_max: int, table=None) -> LemmaSweepReport:
+    """Check A^-<m> + B_<k> = C(m+k-1, k) - 1 over every split A + B = C(m+k, k) - 1.
+
+    Runs for all 1 <= m <= m_max, 1 <= k <= k_max and all A, B >= 0.  A failing
+    quadruple (m, k, A, B) is recorded, not raised.  ``table`` is accepted and
+    ignored.
+    """
+    if m_max < 1 or k_max < 1:
+        raise ValueError("sweep bounds must be positive")
     checks = 0
     bad: list[tuple[int, int, int, int]] = []
     for m in range(1, m_max + 1):
@@ -217,6 +167,6 @@ def verify_lemma_binom(
             for A in range(total + 1):
                 B = total - A
                 checks += 1
-                if op_minus(A, m, table) + op_lower(B, k, table) != target:
+                if op_minus(A, m) + op_lower(B, k) != target:
                     bad.append((m, k, A, B))
     return LemmaSweepReport(m_max=m_max, k_max=k_max, checks=checks, counterexamples=bad)

@@ -14,9 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .binom_core import (
-    BinomTable,
-    CapacityError,
-    lemma_table,
+    lemma_checks,
     macaulay_rep,
     op_lower,
     op_minus,
@@ -52,6 +50,11 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# Largest `macaulay` level: the representation has up to n terms.
+MAX_MACAULAY_LEVEL = 1000
+# Largest `verify lemma3` sweep, in checked splits (m, k <= 10 is 705 410).
+MAX_LEMMA_CHECKS = 10**6
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -64,7 +67,6 @@ class RunConfig:
     seed: int = 0
     trials: int = 20
     machine: bool = False
-    capacity: int | None = None
 
 
 def _u64(text: str) -> int:
@@ -90,7 +92,6 @@ def _config(args) -> RunConfig:
         seed=getattr(args, "seed", 0),
         trials=getattr(args, "trials", 20),
         machine=getattr(args, "json", False),
-        capacity=getattr(args, "capacity", None),
     )
 
 
@@ -112,15 +113,14 @@ def _write_text(path: str | None, text: str) -> None:
 
 def cmd_macaulay(args) -> int:
     cfg = _config(args)
-    if cfg.capacity is not None:
-        table = BinomTable(cfg.capacity, args.n + 2)
-    else:
-        # tops never exceed A+1 and the upper shift needs level n+1
-        table = BinomTable(max(args.A + args.n + 2, 64), args.n + 2)
-    rep = macaulay_rep(args.A, args.n, table)
-    lower = op_lower(args.A, args.n, table)
-    minus = op_minus(args.A, args.n, table)
-    upper = op_upper(args.A, args.n, table)
+    if args.n > MAX_MACAULAY_LEVEL:
+        raise ValueError(
+            f"level {args.n} is above the limit of {MAX_MACAULAY_LEVEL}"
+        )
+    rep = macaulay_rep(args.A, args.n)
+    lower = op_lower(args.A, args.n)
+    minus = op_minus(args.A, args.n)
+    upper = op_upper(args.A, args.n)
     if cfg.machine:
         _emit(
             {
@@ -134,10 +134,8 @@ def cmd_macaulay(args) -> int:
             }
         )
     else:
-        print(f"{args.A} = {rep}")
-        print(f"lower {lower}")
-        print(f"minus {minus}")
-        print(f"upper {upper}")
+        # one print, so an unprintable value leaves no partial output
+        print(f"{args.A} = {rep}\nlower {lower}\nminus {minus}\nupper {upper}")
     return EXIT_OK
 
 
@@ -194,8 +192,13 @@ def cmd_gap(args) -> int:
 def _suite_lemma3(args, cfg: RunConfig):
     max_m = args.max_m or 6
     max_k = args.max_k or 6
-    table = lemma_table(max_m, max_k)
-    report = verify_lemma_binom(max_m, max_k, table)
+    checks = lemma_checks(max_m, max_k)
+    if checks > MAX_LEMMA_CHECKS:
+        raise ValueError(
+            f"lemma3 sweep --max-m {max_m} --max-k {max_k} needs {checks} "
+            f"checks, above the limit of {MAX_LEMMA_CHECKS}"
+        )
+    report = verify_lemma_binom(max_m, max_k)
     records = [
         {
             "cmd": "verify",
@@ -514,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     mac = sub.add_parser("macaulay", help="print the representation and index shifts")
     mac.add_argument("A", type=int, help="value to decompose")
     mac.add_argument("n", type=int, help="top level of the representation")
-    mac.add_argument("--capacity", type=_positive, help="binomial table bound")
     mac.add_argument("--json", action="store_true", help="machine-readable output")
     mac.set_defaults(func=cmd_macaulay)
 
@@ -583,6 +585,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, CapacityError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

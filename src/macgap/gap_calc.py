@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .binom_core import BinomTable, macaulay_rep, op_upper
+from .binom_core import macaulay_rep, op_upper
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,8 @@ class GapVerdict:
 
 def classify_gap(n: int, N: int) -> GapVerdict:
     """Locate N in some nonempty J_k, or report that it misses them all."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     k = 1
     while n > k * (k + 1) and k * n + k <= N:
         if N <= (k + 1) * n - (k * k + 1):
@@ -175,7 +177,8 @@ def verify_gap_argument(n: int, a: int, b: int) -> GapArgumentReport:
         raise ValueError(f"(a,b)=({a},{b}) outside the admissible range at n={n}")
     n1 = (n - 1) // 2
     n2 = n1 if n % 2 == 1 else n1 + 1
-    assert n1 + n2 + 1 == n
+    if n1 + n2 + 1 != n:
+        raise RuntimeError(f"halves {n1} + {n2} + 1 do not split n = {n}")
     case = "I" if b <= n1 - a - 1 else "II"
     bounds = dim_prop_bounds(n, a, b)
     d1, d2 = bounds[n1], bounds[n2]
@@ -222,42 +225,40 @@ def gap_argument_sweep(max_n: int) -> GapSweepReport:
     return report
 
 
-def plane_step(ell: int, ell_prime: int, table: BinomTable | None = None) -> int:
+def plane_step(ell: int, ell_prime: int) -> int:
     """One propagation step: an (ell+1)-plane maps into a
     ((ell'+1)^<ell> - 1)-plane."""
     if ell < 1:
         raise ValueError("need ell >= 1")
     if ell_prime < 0:
         raise ValueError("need ell_prime >= 0")
-    out = op_upper(ell_prime + 1, ell, table) - 1
+    out = op_upper(ell_prime + 1, ell) - 1
     # the two closed-form cases
-    if ell_prime <= ell - 1:
-        assert out == ell_prime
-    if ell <= ell_prime <= 2 * ell - 1:
-        assert out == ell_prime + 1
+    if ell_prime <= 2 * ell - 1:
+        expected = ell_prime if ell_prime <= ell - 1 else ell_prime + 1
+        if out != expected:
+            raise RuntimeError(
+                f"plane_step({ell}, {ell_prime}) = {out}, closed form gives {expected}"
+            )
     return out
 
 
-def plane_chain(
-    ell: int, ell_prime: int, steps: int, table: BinomTable | None = None
-) -> int:
+def plane_chain(ell: int, ell_prime: int, steps: int) -> int:
     """Iterate plane_step with the source level growing by one each time."""
     if steps < 1:
         raise ValueError("need steps >= 1")
     cur = ell_prime
     for i in range(steps):
-        cur = plane_step(ell + i, cur, table)
+        cur = plane_step(ell + i, cur)
     return cur
 
 
-def plane_chain_closed_form(
-    ell: int, ell_prime: int, steps: int, table: BinomTable | None = None
-) -> int:
+def plane_chain_closed_form(ell: int, ell_prime: int, steps: int) -> int:
     """Sum C(lambda_j + steps, j + steps) - 1 over the level-ell terms of
     ell'+1; equals plane_chain by the duality of the index shifts."""
     if ell < 1:
         raise ValueError("need ell >= 1")
     if steps < 1:
         raise ValueError("need steps >= 1")
-    rep = macaulay_rep(ell_prime + 1, ell, table)
+    rep = macaulay_rep(ell_prime + 1, ell)
     return sum(math.comb(top + steps, lev + steps) for top, lev in rep.terms) - 1

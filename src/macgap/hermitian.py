@@ -71,7 +71,8 @@ def classify_point(z, sig: Signature) -> str:
     if not any(z):
         raise ValueError("zero vector is not a projective point")
     norm = inner_product(z, z, sig)
-    assert not norm.im
+    if norm.im:
+        raise RuntimeError(f"Hermitian norm {norm} of a point is not real")
     if norm.re > 0:
         return "positive"
     if norm.re < 0:

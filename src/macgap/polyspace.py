@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .binom_core import BinomTable, op_lower, op_minus
+from .binom_core import op_lower, op_minus
 
 
 class PolyFormatError(ValueError):
@@ -535,7 +535,6 @@ class GreenRecord:
 def verify_green(
     W: PolySubspace,
     H: Hyperplane,
-    table: BinomTable | None = None,
     codim: int | None = None,
 ) -> GreenRecord:
     """Codimension of one restriction against the shifted codimension bound.
@@ -554,7 +553,7 @@ def verify_green(
     restricted = [restrict(p, H) for p in W.basis]
     r_rank = exact_rank(coefficient_rows(restricted, W.n_vars - 1, d))
     c_h = len(monomial_basis(W.n_vars - 1, d)) - r_rank
-    bound = op_lower(c, d, table)
+    bound = op_lower(c, d)
     return GreenRecord(n=n, d=d, c=c, c_h=c_h, bound=bound, holds=c_h <= bound)
 
 
@@ -593,7 +592,6 @@ def green_suite(
     subspaces: int = 200,
     trials: int = 20,
     seed: int = 0,
-    table: BinomTable | None = None,
     keep_records: bool = False,
 ) -> GreenSuiteReport:
     """Sampled check of the restriction codimension bound: for each random
@@ -606,7 +604,7 @@ def green_suite(
                 W = random_subspace(rng, n + 1, d)
                 codim = len(monomial_basis(n + 1, d)) - subspace_rank(W)
                 recs = [
-                    verify_green(W, random_hyperplane(rng, n + 1), table, codim)
+                    verify_green(W, random_hyperplane(rng, n + 1), codim)
                     for _ in range(trials)
                 ]
                 best = min(recs, key=lambda r: r.c_h)
@@ -634,7 +632,6 @@ def verify_restriction_theorem(
     components: list[Poly],
     trials: int = 20,
     seed: int = 0,
-    table: BinomTable | None = None,
 ) -> RestrictionRecord:
     """Sampled check that a general hyperplane section of the image still
     spans at least the minus-shift of the full span dimension."""
@@ -643,7 +640,7 @@ def verify_restriction_theorem(
     N = image_span_dim(components)
     n_vars = components[0].n_vars
     n = n_vars - 1
-    bound = op_minus(N, n, table)
+    bound = op_minus(N, n)
     rng = rng_for(seed, f"restriction|n{n}|d{components[0].degree}")
     dims = []
     for _ in range(trials):
@@ -676,7 +673,6 @@ def veronese_suite(
     max_degree: int = 4,
     trials: int = 3,
     seed: int = 0,
-    table: BinomTable | None = None,
 ) -> VeroneseSuiteReport:
     """Equality case of the span bound: for the full monomial map every
     sampled hyperplane section spans exactly the shifted dimension."""
@@ -685,7 +681,7 @@ def veronese_suite(
         for d in range(1, max_degree + 1):
             comps = veronese_components(n + 1, d)
             N = image_span_dim(comps)
-            expected = op_minus(N, n, table)
+            expected = op_minus(N, n)
             rng = rng_for(seed, f"veronese|n{n}|d{d}")
             for _ in range(trials):
                 H = random_hyperplane(rng, n + 1)

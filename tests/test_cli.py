@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from macgap.cli import main
+from macgap.cli import MAX_LEMMA_CHECKS, MAX_MACAULAY_LEVEL, main
 from macgap.hermitian import format_map, parse_map, sharpness_map
 
 
@@ -45,15 +45,29 @@ class TestMacaulay:
         assert rc == 2
         assert "error:" in err
 
-    def test_capacity_flag(self, capsys):
-        rc, out, _ = run(capsys, "macaulay", "5000", "1", "--capacity", "5002")
+    def test_level_one(self, capsys):
+        rc, out, _ = run(capsys, "macaulay", "5000", "1")
         assert rc == 0
-        assert "C(5000,1)" in out
+        assert "5000 = C(5000,1)" in out
 
-    def test_capacity_too_small(self, capsys):
-        rc, _, err = run(capsys, "macaulay", "5000", "1", "--capacity", "40")
+    def test_large_value(self, capsys):
+        rc, out, _ = run(capsys, "macaulay", "100000000", "2", "--json")
+        assert rc == 0
+        (rec,) = records(out)
+        assert rec["rep"] == "C(14142,2)+C(8989,1)"
+
+    def test_level_limit(self, capsys):
+        rc, out, err = run(capsys, "macaulay", "5", str(MAX_MACAULAY_LEVEL + 1))
         assert rc == 2
-        assert "error:" in err
+        assert out == ""
+        assert f"limit of {MAX_MACAULAY_LEVEL}" in err
+        rc, out, _ = run(capsys, "macaulay", "5", str(MAX_MACAULAY_LEVEL))
+        assert rc == 0
+
+    def test_capacity_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["macaulay", "5", "2", "--capacity", "9"])
+        assert exc.value.code == 2
 
 
 class TestGap:
@@ -92,6 +106,12 @@ class TestGap:
         assert rc == 2
         assert "error:" in err
 
+    def test_small_n_classify_rejected(self, capsys):
+        for argv in (("gap", "1", "5"), ("gap", "0", "3")):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 2
+            assert out == "" and "need n >= 2" in err
+
 
 class TestVerify:
     def test_lemma3(self, capsys):
@@ -99,6 +119,13 @@ class TestVerify:
         assert rc == 0
         (rec,) = records(out)
         assert rec["ok"] and rec["violations"] == 0 and rec["checks"] > 0
+
+    def test_lemma3_limit(self, capsys):
+        rc, out, err = run(capsys, "verify", "lemma3", "--max-m", "14", "--max-k", "14")
+        assert rc == 2
+        assert out == ""
+        assert "155117490 checks" in err
+        assert f"limit of {MAX_LEMMA_CHECKS}" in err
 
     def test_gap_argument(self, capsys):
         rc, out, _ = run(capsys, "verify", "gap-argument", "--max-n", "20", "--json")
@@ -242,3 +269,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "C(4,3)+C(3,2)+C(1,1)" in proc.stdout
+
+
+@pytest.mark.parametrize("suite", ["gap-argument", "sharpness"])
+def test_checks_survive_optimize(suite):
+    # python -O strips assert statements; the suites must still run their
+    # invariant checks and pass
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "macgap", "verify", suite, "--json"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = records(proc.stdout)
+    assert rec["ok"]

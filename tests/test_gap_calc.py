@@ -1,5 +1,6 @@
 import pytest
 
+from macgap import gap_calc
 from macgap.binom_core import macaulay_rep, op_minus
 from macgap.gap_calc import (
     GapInterval,
@@ -47,7 +48,7 @@ class TestNabForm:
         assert nab_value(NabForm(5, 1, 2)) == 13
         assert nab_value(NabForm(10, 1, 2)) == 23
 
-    def test_rep_terms_match_greedy(self, big_table):
+    def test_rep_terms_match_greedy(self):
         # the displayed expansion really is the Macaulay representation
         assert nab_rep_terms(NabForm(5, 1, 2)) == (
             (6, 5), (5, 4), (3, 3), (2, 2),
@@ -55,7 +56,7 @@ class TestNabForm:
         for n in range(1, 13):
             for form in admissible_forms(n):
                 v = nab_value(form)
-                assert nab_rep_terms(form) == macaulay_rep(v, n, big_table).terms
+                assert nab_rep_terms(form) == macaulay_rep(v, n).terms
 
     def test_decompose_examples(self):
         assert nab_decompose(8, 7) == NabForm(7, 0, 0)
@@ -88,7 +89,7 @@ class TestDescent:
         with pytest.raises(ValueError):
             nab_minus(NabForm(3, 2, 0))
 
-    def test_agrees_with_index_shift(self, big_table):
+    def test_agrees_with_index_shift(self):
         # descent on forms = the minus operation on their values
         for n in range(2, 21):
             for form in admissible_forms(n):
@@ -96,7 +97,7 @@ class TestDescent:
                     continue
                 down = nab_minus(form)
                 assert down.n == n - 1
-                assert nab_value(down) == op_minus(nab_value(form), n, big_table)
+                assert nab_value(down) == op_minus(nab_value(form), n)
 
 
 class TestDimPropBounds:
@@ -185,7 +186,8 @@ class TestClassify:
                     assert verdict.k == hits[0] and len(hits) == 1
 
     def test_tiny_n(self):
-        assert not classify_gap(1, 5).in_gap
+        with pytest.raises(ValueError):
+            classify_gap(1, 5)
         assert not classify_gap(2, 3).in_gap
 
 
@@ -253,6 +255,11 @@ class TestPlanePropagation:
                 assert plane_step(ell, ep) == ep
             for ep in range(ell, 2 * ell):
                 assert plane_step(ell, ep) == ep + 1
+
+    def test_step_checks_closed_form(self, monkeypatch):
+        monkeypatch.setattr(gap_calc, "op_upper", lambda A, n: A + 7)
+        with pytest.raises(RuntimeError):
+            plane_step(3, 1)
 
     def test_step_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from macgap import hermitian
 from macgap.binom_core import op_minus
 from macgap.hermitian import (
     MapFormatError,
@@ -93,6 +94,11 @@ class TestClassifyPoint:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             classify_point(g(0, 0), Signature(1, 1))
+
+    def test_non_real_norm_raises(self, monkeypatch):
+        monkeypatch.setattr(hermitian, "inner_product", lambda z, w, sig: GRat(1, 1))
+        with pytest.raises(RuntimeError):
+            classify_point(g(1, 0), Signature(1, 1))
 
 
 class TestPairingPolys:
@@ -241,11 +247,11 @@ class TestSharpnessMap:
             assert cert.verdict
             assert cert.quotient == sharpness_quotient(k, n)
 
-    def test_restricted_span_bound(self, big_table):
+    def test_restricted_span_bound(self):
         f = sharpness_map(2, 3)
         rec = verify_restriction_theorem(f.components, trials=8, seed=2)
         assert rec.N == 7
-        assert rec.bound == op_minus(7, 3, big_table) == 5
+        assert rec.bound == op_minus(7, 3) == 5
         assert rec.holds
 
     def test_suite_small(self):
