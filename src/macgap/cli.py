@@ -2,7 +2,9 @@
 
 Subcommands: `macaulay` (representation and index shifts), `gap` (interval
 tables and membership), `verify` (batch suites), `map` (map file tooling).
-Exit codes: 0 success, 1 violation found, 2 usage or domain error, 3 I/O.
+Exit codes: 0 success, 1 violation found, 2 usage or domain error, 3 I/O,
+4 an internal check failed (a `RuntimeError`, such as a witness search that
+found no witness or a computed value that broke a checked invariant).
 """
 
 from __future__ import annotations
@@ -49,9 +51,13 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 # Largest `macaulay` level: the representation has up to n terms.
 MAX_MACAULAY_LEVEL = 1000
+# Most digits of a `macaulay` value A: the upper shift at level 1 is about
+# A^2/2, which must stay below Python's 4300-digit int-to-str limit.
+MAX_MACAULAY_DIGITS = 2000
 # Largest `verify lemma3` sweep, in checked splits (m, k <= 10 is 705 410).
 MAX_LEMMA_CHECKS = 10**6
 
@@ -116,6 +122,10 @@ def cmd_macaulay(args) -> int:
     if args.n > MAX_MACAULAY_LEVEL:
         raise ValueError(
             f"level {args.n} is above the limit of {MAX_MACAULAY_LEVEL}"
+        )
+    if abs(args.A) >= 10**MAX_MACAULAY_DIGITS:
+        raise ValueError(
+            f"A has more than the limit of {MAX_MACAULAY_DIGITS} digits"
         )
     rep = macaulay_rep(args.A, args.n)
     lower = op_lower(args.A, args.n)
@@ -588,3 +598,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL

@@ -32,6 +32,11 @@ class MapFormatError(ValueError):
     """Malformed map file."""
 
 
+# Largest monomial space C(n_vars-1+d, d) a map file may declare: span and
+# rank build one dense column per monomial.
+MAX_MAP_MONOMIALS = 100_000
+
+
 @dataclass(frozen=True)
 class Signature:
     """Counts (r, s, t) of +1, -1, 0 weights of the diagonal Hermitian form."""
@@ -523,6 +528,19 @@ def _parse_header(lines, idx, key):
     return idx + 1, values
 
 
+def _monomial_count_exceeds(n_vars: int, degree: int, limit: int) -> bool:
+    """Whether C(n_vars-1+degree, degree) > limit, without computing a large
+    binomial: C(a+i, i) grows at least like 2^i for a >= i, so the loop
+    stops after about log2(limit) steps."""
+    a, b = max(n_vars - 1, degree), min(n_vars - 1, degree)
+    count = 1
+    for i in range(1, b + 1):
+        count = count * (a + i) // i
+        if count > limit:
+            return True
+    return False
+
+
 def parse_map(text: str) -> SignedMap:
     """Inverse of format_map; diagnostics carry 1-based line numbers."""
     lines = [(i + 1, raw) for i, raw in enumerate(text.splitlines())]
@@ -536,6 +554,11 @@ def parse_map(text: str) -> SignedMap:
         raise MapFormatError(str(exc)) from None
     if degree < 0:
         raise MapFormatError("degree must be nonnegative")
+    if _monomial_count_exceeds(source.n_vars, degree, MAX_MAP_MONOMIALS):
+        raise MapFormatError(
+            f"{source.n_vars} variables in degree {degree} span more than "
+            f"the limit of {MAX_MAP_MONOMIALS} monomials"
+        )
 
     expected = [("%pos", target.r), ("%neg", target.s), ("%null", target.t)]
     components: list[Poly] = []

@@ -6,11 +6,15 @@ Coefficients are pairs of ``fractions.Fraction`` (real and imaginary part),
 so every rank and every span dimension computed here is an exact integer.
 Hyperplane genericity is handled by sampling: codimension claims take the
 best (minimum) value over sampled hyperplanes, span claims take the maximum.
+The harnesses restrict the linear map once per hyperplane, as one integer
+matrix R_H, and rank the product M_W . R_H on Gaussian-integer pairs;
+`restrict` restricts one polynomial and is the reference for that path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -306,39 +310,35 @@ class Hyperplane:
             raise ValueError("zero pivot coefficient")
 
 
-def restrict(p: Poly, H: Hyperplane) -> Poly:
-    """Substitute z_pivot = -(1/c_pivot) * sum of the other terms; exact,
-    homogeneous of the same degree in n_vars-1 variables."""
-    if p.n_vars != len(H.coeffs):
-        raise ValueError("hyperplane lives in a different variable count")
-    if p.n_vars < 2:
-        raise ValueError("restriction needs at least two variables")
-    piv = H.pivot
-    cp = H.coeffs[piv]
-    m = p.n_vars - 1
-    # denominators are cleared up front so the expansion below runs on
-    # Gaussian-integer pairs; rationals reappear only in the output
-    ratios = {}
-    k = 0
-    for j, c in enumerate(H.coeffs):
-        if j != piv:
-            if c:
-                ratios[k] = -c / cp
-            k += 1
-    t = 1
-    for r in ratios.values():
-        t = math.lcm(t, r.re.denominator, r.im.denominator)
+def _pivot_powers(H: Hyperplane, top: int):
+    """Powers 0..top of the substituted linear form.
+
+    Substituting z_pivot = sum_j r_j z_j with r_j = -c_j/c_pivot is exact on
+    Gaussian-integer pairs once the r_j are scaled by t, the common
+    denominator of their parts: powers[k] maps exponent vectors in the
+    n_vars-1 remaining variables to the pairs of (t * sum_j r_j z_j)^k.
+    Returns (t, powers).
+    """
+    # scaling the form to Gaussian integers keeps the hyperplane; then
+    # r_j = -c_j * conj(c_pivot) / norm, and t = norm / gcd(norm, all parts)
+    coeffs = _clear_row(list(H.coeffs))
+    pa, pb = coeffs.pop(H.pivot)
+    norm = pa * pa + pb * pb
+    m = len(coeffs)
+    nums = {}
+    g = norm
+    for k, (a, b) in enumerate(coeffs):
+        if a or b:
+            nums[k] = (-(a * pa + b * pb), a * pb - b * pa)
+            g = math.gcd(g, *nums[k])
+    t = norm // g
     lin = {}
-    for k, r in ratios.items():
+    for k, (a, b) in nums.items():
         e = [0] * m
         e[k] = 1
-        lin[tuple(e)] = (int(r.re * t), int(r.im * t))
-    dp = 1
-    for c in p.coeffs.values():
-        dp = math.lcm(dp, c.re.denominator, c.im.denominator)
-    max_e = max((e[piv] for e in p.coeffs), default=0)
+        lin[tuple(e)] = (a // g, b // g)
     powers = [{(0,) * m: (1, 0)}]
-    for _ in range(max_e):
+    for _ in range(top):
         nxt: dict[tuple[int, ...], tuple[int, int]] = {}
         for e1, (a1, b1) in powers[-1].items():
             for e2, (a2, b2) in lin.items():
@@ -346,6 +346,31 @@ def restrict(p: Poly, H: Hyperplane) -> Poly:
                 a, b = nxt.get(e, (0, 0))
                 nxt[e] = (a + a1 * a2 - b1 * b2, b + a1 * b2 + b1 * a2)
         powers.append(nxt)
+    return t, powers
+
+
+def _check_restrictable(n_vars: int, H: Hyperplane) -> None:
+    if n_vars != len(H.coeffs):
+        raise ValueError("hyperplane lives in a different variable count")
+    if n_vars < 2:
+        raise ValueError("restriction needs at least two variables")
+
+
+def restrict(p: Poly, H: Hyperplane) -> Poly:
+    """Substitute z_pivot = -(1/c_pivot) * sum of the other terms; exact,
+    homogeneous of the same degree in n_vars-1 variables.
+
+    This is the reference for `restricted_rank`, which restricts a whole
+    subspace at once."""
+    _check_restrictable(p.n_vars, H)
+    piv = H.pivot
+    # denominators are cleared up front so the expansion runs on
+    # Gaussian-integer pairs; rationals reappear only in the output
+    dp = 1
+    for c in p.coeffs.values():
+        dp = math.lcm(dp, c.re.denominator, c.im.denominator)
+    max_e = max((e[piv] for e in p.coeffs), default=0)
+    t, powers = _pivot_powers(H, max_e)
     den = dp * t**max_e
     acc: dict[tuple[int, ...], tuple[int, int]] = {}
     for exps, c in p.coeffs.items():
@@ -363,8 +388,31 @@ def restrict(p: Poly, H: Hyperplane) -> Poly:
         if a or b:
             out[e] = GRat(Fraction(a, den), Fraction(b, den))
     q = Poly.__new__(Poly)
-    q.n_vars, q.degree, q.coeffs = m, p.degree, out
+    q.n_vars, q.degree, q.coeffs = p.n_vars - 1, p.degree, out
     return q
+
+
+def restriction_matrix(H: Hyperplane, degree: int) -> list[list[tuple[int, int]]]:
+    """R_H on Gaussian-integer pairs: row i is the restriction to H of the
+    i-th monomial of monomial_basis(n_vars, degree), over the columns
+    monomial_basis(n_vars - 1, degree), with every row scaled by t**degree
+    (t as in `_pivot_powers`).  One positive scale for all rows keeps
+    rank(M . R_H) equal to the rank of the restricted rows of M."""
+    n_vars = len(H.coeffs)
+    _check_restrictable(n_vars, H)
+    piv = H.pivot
+    t, powers = _pivot_powers(H, degree)
+    cols = {e: j for j, e in enumerate(monomial_basis(n_vars - 1, degree))}
+    R = []
+    for exps in monomial_basis(n_vars, degree):
+        rest = exps[:piv] + exps[piv + 1:]
+        lift = t ** (degree - exps[piv])
+        row = [(0, 0)] * len(cols)
+        # distinct terms of one power land on distinct columns
+        for le, (a, b) in powers[exps[piv]].items():
+            row[cols[tuple(x + y for x, y in zip(le, rest))]] = (a * lift, b * lift)
+        R.append(row)
+    return R
 
 
 def random_hyperplane(rng: random.Random, n_vars: int) -> Hyperplane:
@@ -468,15 +516,19 @@ def _rank_gauss_int(rows: list[list[tuple[int, int]]]) -> int:
     return rank
 
 
-def exact_rank(rows: list[list[GRat]]) -> int:
-    """Rank of a matrix of Gaussian rationals, computed without floats."""
-    rows = [r for r in rows if any(r)]
+def _rank_pairs(rows: list[list[tuple[int, int]]]) -> int:
+    """Rank of Gaussian-integer pair rows, on the integer path when no entry
+    has an imaginary part.  May reorder and overwrite `rows`."""
     if not rows:
         return 0
-    cleared = [_clear_row(r) for r in rows]
-    if all(b == 0 for row in cleared for _, b in row):
-        return _rank_int([[a for a, _ in row] for row in cleared])
-    return _rank_gauss_int(cleared)
+    if all(b == 0 for row in rows for _, b in row):
+        return _rank_int([[a for a, _ in row] for row in rows])
+    return _rank_gauss_int(rows)
+
+
+def exact_rank(rows: list[list[GRat]]) -> int:
+    """Rank of a matrix of Gaussian rationals, computed without floats."""
+    return _rank_pairs([_clear_row(r) for r in rows if any(r)])
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +561,51 @@ def subspace_rank(W: PolySubspace) -> int:
     return exact_rank(coefficient_rows(W.basis, W.n_vars, W.degree))
 
 
+def cleared_rows(polys, n_vars: int, degree: int) -> list[list[tuple[int, int]]]:
+    """The nonzero coefficient rows of `polys`, each scaled to Gaussian-integer
+    pairs: the M_W that `restricted_rank` multiplies by R_H."""
+    return [
+        _clear_row(r) for r in coefficient_rows(polys, n_vars, degree) if any(r)
+    ]
+
+
+def restricted_rank(M: list[list[tuple[int, int]]], H: Hyperplane, degree: int) -> int:
+    """Rank of the restrictions to H of the degree-`degree` polynomials whose
+    cleared rows are M, computed as rank(M . R_H) in integer arithmetic.
+
+    Equal to exact_rank(coefficient_rows([restrict(p, H) ...])), which is the
+    reference; M is not modified, so one M serves many hyperplanes."""
+    if not M:
+        return 0
+    R = restriction_matrix(H, degree)
+    cols = list(zip(*R))
+    if all(b == 0 for row in M for _, b in row) and all(
+        b == 0 for row in R for _, b in row
+    ):
+        re_cols = [[a for a, _ in col] for col in cols]
+        return _rank_int([
+            [sum(map(operator.mul, re, col)) for col in re_cols]
+            for re in ([a for a, _ in row] for row in M)
+        ])
+    product = []
+    for row in M:
+        out = []
+        for col in cols:
+            x = y = 0
+            for (a, b), (c, e) in zip(row, col):
+                x += a * c - b * e
+                y += a * e + b * c
+            out.append((x, y))
+        product.append(out)
+    return _rank_pairs(product)
+
+
+def _codim(M: list[list[tuple[int, int]]], n_vars: int, degree: int) -> int:
+    """Codimension of the span of the cleared rows M in the degree-`degree`
+    space of n_vars variables."""
+    return math.comb(n_vars - 1 + degree, degree) - _rank_pairs([r[:] for r in M])
+
+
 def image_span_dim(components: list[Poly]) -> int:
     """Projective dimension of the linear span of the component list."""
     if not components:
@@ -536,23 +633,21 @@ def verify_green(
     W: PolySubspace,
     H: Hyperplane,
     codim: int | None = None,
+    basis_rows: list[list[tuple[int, int]]] | None = None,
 ) -> GreenRecord:
     """Codimension of one restriction against the shifted codimension bound.
 
     The bound only applies to a general hyperplane; callers sampling several
-    hyperplanes should compare the minimum c_h against it.  `codim` lets a
-    caller checking many hyperplanes against one W skip recomputing its rank.
+    hyperplanes should compare the minimum c_h against it.  `codim` and
+    `basis_rows` (W's `cleared_rows`) let a caller checking many hyperplanes
+    against one W compute them once.
     """
     n = W.n_vars - 1
     d = W.degree
-    if codim is None:
-        rows = coefficient_rows(W.basis, W.n_vars, W.degree)
-        c = len(monomial_basis(W.n_vars, d)) - exact_rank(rows)
-    else:
-        c = codim
-    restricted = [restrict(p, H) for p in W.basis]
-    r_rank = exact_rank(coefficient_rows(restricted, W.n_vars - 1, d))
-    c_h = len(monomial_basis(W.n_vars - 1, d)) - r_rank
+    if basis_rows is None:
+        basis_rows = cleared_rows(W.basis, W.n_vars, d)
+    c = _codim(basis_rows, W.n_vars, d) if codim is None else codim
+    c_h = math.comb(n - 1 + d, d) - restricted_rank(basis_rows, H, d)
     bound = op_lower(c, d)
     return GreenRecord(n=n, d=d, c=c, c_h=c_h, bound=bound, holds=c_h <= bound)
 
@@ -602,9 +697,10 @@ def green_suite(
             for i in range(subspaces):
                 rng = rng_for(seed, f"green|n{n}|d{d}|s{i}")
                 W = random_subspace(rng, n + 1, d)
-                codim = len(monomial_basis(n + 1, d)) - subspace_rank(W)
+                M = cleared_rows(W.basis, n + 1, d)
+                codim = _codim(M, n + 1, d)
                 recs = [
-                    verify_green(W, random_hyperplane(rng, n + 1), codim)
+                    verify_green(W, random_hyperplane(rng, n + 1), codim, M)
                     for _ in range(trials)
                 ]
                 best = min(recs, key=lambda r: r.c_h)
@@ -641,15 +737,13 @@ def verify_restriction_theorem(
     n_vars = components[0].n_vars
     n = n_vars - 1
     bound = op_minus(N, n)
-    rng = rng_for(seed, f"restriction|n{n}|d{components[0].degree}")
-    dims = []
-    for _ in range(trials):
-        H = random_hyperplane(rng, n_vars)
-        restricted = [restrict(p, H) for p in components]
-        rank = exact_rank(
-            coefficient_rows(restricted, n_vars - 1, components[0].degree)
-        )
-        dims.append(rank - 1)
+    d = components[0].degree
+    rng = rng_for(seed, f"restriction|n{n}|d{d}")
+    M = cleared_rows(components, n_vars, d)
+    dims = [
+        restricted_rank(M, random_hyperplane(rng, n_vars), d) - 1
+        for _ in range(trials)
+    ]
     best = max(dims)
     return RestrictionRecord(
         n=n, N=N, bound=bound, dims=tuple(dims), max_dim=best, holds=best >= bound
@@ -683,10 +777,9 @@ def veronese_suite(
             N = image_span_dim(comps)
             expected = op_minus(N, n)
             rng = rng_for(seed, f"veronese|n{n}|d{d}")
+            M = cleared_rows(comps, n + 1, d)
             for _ in range(trials):
-                H = random_hyperplane(rng, n + 1)
-                restricted = [restrict(p, H) for p in comps]
-                rank = exact_rank(coefficient_rows(restricted, n, d))
+                rank = restricted_rank(M, random_hyperplane(rng, n + 1), d)
                 report.checks += 1
                 if rank - 1 != expected:
                     report.violations.append((n, d, rank - 1, expected))

@@ -4,8 +4,22 @@ import sys
 
 import pytest
 
-from macgap.cli import MAX_LEMMA_CHECKS, MAX_MACAULAY_LEVEL, main
-from macgap.hermitian import format_map, parse_map, sharpness_map
+import macgap.cli
+import macgap.hermitian
+from macgap.cli import (
+    EXIT_INTERNAL,
+    MAX_LEMMA_CHECKS,
+    MAX_MACAULAY_DIGITS,
+    MAX_MACAULAY_LEVEL,
+    main,
+)
+from macgap.hermitian import (
+    MAX_MAP_MONOMIALS,
+    MapFormatError,
+    format_map,
+    parse_map,
+    sharpness_map,
+)
 
 
 def run(capsys, *argv):
@@ -63,6 +77,23 @@ class TestMacaulay:
         assert f"limit of {MAX_MACAULAY_LEVEL}" in err
         rc, out, _ = run(capsys, "macaulay", "5", str(MAX_MACAULAY_LEVEL))
         assert rc == 0
+
+    def test_digit_limit(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("macaulay_rep ran on a refused value")
+
+        monkeypatch.setattr(macgap.cli, "macaulay_rep", never)
+        rc, out, err = run(capsys, "macaulay", "9" * 4300, "1")
+        assert rc == 2
+        assert out == ""
+        assert f"limit of {MAX_MACAULAY_DIGITS} digits" in err
+
+    def test_largest_value_prints(self, capsys):
+        # the upper shift of 10^2000 - 1 at level 1 has about 4000 digits
+        A = 10**MAX_MACAULAY_DIGITS - 1
+        rc, out, _ = run(capsys, "macaulay", str(A), "1")
+        assert rc == 0
+        assert f"upper {A * (A + 1) // 2}" in out
 
     def test_capacity_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -255,6 +286,44 @@ class TestMapTooling:
         rc, _, err = run(capsys, "map", "check-orth", str(path))
         assert rc == 2
         assert "line 5" in err
+
+    def test_monomial_space_limit(self, capsys, tmp_path):
+        # 10 variables in degree 30 would need C(39, 9) ~ 2.1e8 columns
+        path = tmp_path / "huge.map"
+        path.write_text(
+            "source 5 5 0\ntarget 1 0 0\ndegree 30\n"
+            "%pos\n1/1 30 0 0 0 0 0 0 0 0 0\n%neg\n%null\n"
+        )
+        rc, out, err = run(capsys, "map", "span", str(path))
+        assert rc == 2
+        assert out == ""
+        assert f"limit of {MAX_MAP_MONOMIALS} monomials" in err
+
+    def test_monomial_space_boundary(self):
+        # two variables in degree d span d + 1 monomials
+        d = MAX_MAP_MONOMIALS - 1
+        text = "source 1 1 0\ntarget 1 0 0\ndegree {0}\n%pos\n1/1 {0} 0\n%neg\n%null\n"
+        assert parse_map(text.format(d)).degree == d
+        with pytest.raises(MapFormatError):
+            parse_map(text.format(d + 1))
+        # the largest benchmark maps: 21 variables in degree 3, C(23, 3) = 1771
+        big = "source 3 18 0\ntarget 1 0 0\ndegree 3\n%pos\n1/1 3" + " 0" * 20
+        assert parse_map(big + "\n%neg\n%null\n").source.n_vars == 21
+
+    def test_internal_check_failure(self, capsys, tmp_path, monkeypatch):
+        def no_witness(*args):
+            raise RuntimeError("no witness found in 500 samples")
+
+        monkeypatch.setattr(macgap.hermitian, "_witness_search", no_witness)
+        path = tmp_path / "no.map"
+        path.write_text(
+            "source 1 1 0\ntarget 2 0 0\ndegree 1\n"
+            "%pos\n1/1 1 0\n1/1 0 1\n%neg\n%null\n"
+        )
+        rc, out, err = run(capsys, "map", "check-orth", str(path))
+        assert rc == EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "error: no witness found in 500 samples\n"
 
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "map", "span", str(tmp_path / "absent.map"))

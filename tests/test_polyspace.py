@@ -12,6 +12,7 @@ from macgap.polyspace import (
     Poly,
     PolyFormatError,
     PolySubspace,
+    cleared_rows,
     coefficient_rows,
     exact_rank,
     format_grat,
@@ -24,6 +25,8 @@ from macgap.polyspace import (
     parse_poly,
     random_hyperplane,
     restrict,
+    restricted_rank,
+    restriction_matrix,
     rng_for,
     subspace_rank,
     verify_green,
@@ -391,6 +394,116 @@ class TestSubspaceRank:
             assert exact_rank(
                 coefficient_rows(restricted, nv - 1, d)
             ) <= subspace_rank(W)
+
+
+@st.composite
+def hyperplane_st(draw, n_vars):
+    """Gaussian-rational linear form with any nonzero coefficient as pivot."""
+    coeffs = draw(st.lists(grat_st, min_size=n_vars, max_size=n_vars))
+    if not any(coeffs):
+        coeffs[draw(st.integers(0, n_vars - 1))] = draw(grat_st.filter(bool))
+    pivot = draw(st.sampled_from([i for i, c in enumerate(coeffs) if c]))
+    return Hyperplane(tuple(coeffs), pivot)
+
+
+def reference_restricted_rank(polys, H, n_vars, d):
+    restricted = [restrict(p, H) for p in polys]
+    return exact_rank(coefficient_rows(restricted, n_vars - 1, d))
+
+
+class TestRestrictedRank:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_restrict_reference(self, data):
+        nv = data.draw(st.integers(2, 4))
+        d = data.draw(st.integers(0, 3))
+        # members may be zero and the list may be empty
+        polys = data.draw(st.lists(poly_st(n_vars=nv, degree=d), max_size=5))
+        H = data.draw(hyperplane_st(nv))
+        if d >= 1:
+            # multiples of the form restrict to zero, so the restricted rank
+            # drops below the generic value
+            form = Poly(nv, 1, {
+                tuple(int(i == j) for i in range(nv)): c
+                for j, c in enumerate(H.coeffs)
+            })
+            polys += [
+                form * q
+                for q in data.draw(st.lists(poly_st(n_vars=nv, degree=d - 1), max_size=3))
+            ]
+        polys = data.draw(st.permutations(polys))
+        got = restricted_rank(cleared_rows(polys, nv, d), H, d)
+        assert got == reference_restricted_rank(polys, H, nv, d)
+
+    @pytest.mark.parametrize("coeffs, pivot", [
+        ((GRat(1, 2), GRat(Fraction(1, 3)), GRat(0, -1)), 0),
+        ((GRat(0), GRat(2), GRat(Fraction(3, 4), 1)), 2),
+        ((GRat(5), GRat(0, 1), GRat(-3)), 1),
+    ])
+    def test_gaussian_pivots_off_first_coordinate(self, coeffs, pivot):
+        H = Hyperplane(coeffs, pivot)
+        i = GRat(0, 1)
+        polys = [
+            mono(3, (2, 0, 0)) + mono(3, (0, 1, 1), i),
+            mono(3, (0, 0, 2), GRat(Fraction(-2, 7))) + mono(3, (1, 1, 0)),
+            Poly(3, 2, {}),
+            mono(3, (0, 2, 0), GRat(1, 1)),
+        ]
+        got = restricted_rank(cleared_rows(polys, 3, 2), H, 2)
+        assert got == reference_restricted_rank(polys, H, 3, 2)
+
+    def test_real_members_gaussian_form(self):
+        # z0 = -i z1 on the section: the restriction of z0 is purely imaginary
+        H = Hyperplane((GRat(1), GRat(0, 1)), 0)
+        assert restricted_rank(cleared_rows([mono(2, (1, 0))], 2, 1), H, 1) == 1
+        H = Hyperplane((GRat(2), GRat(0, 1), GRat(1, 1)), 1)
+        polys = [mono(3, e) for e in monomial_basis(3, 2)[:4]]
+        got = restricted_rank(cleared_rows(polys, 3, 2), H, 2)
+        assert got == reference_restricted_rank(polys, H, 3, 2) == 3
+
+    def test_zero_subspace(self):
+        H = plane([1, 2, 3])
+        assert restricted_rank([], H, 2) == 0
+        assert restricted_rank(cleared_rows([Poly(3, 2, {})], 3, 2), H, 2) == 0
+        rec = verify_green(PolySubspace(3, 2, []), H)
+        assert (rec.c, rec.c_h) == (6, 3)
+
+    def test_two_variables(self):
+        # the section of P^1 is a point: the restricted space has dimension 1
+        H = plane([2, -3])
+        polys = veronese_components(2, 3)
+        assert restricted_rank(cleared_rows(polys, 2, 3), H, 3) == 1
+        assert restricted_rank(cleared_rows([mono(2, (3, 0))], 2, 3), H, 3) == 1
+        assert restricted_rank(cleared_rows([mono(2, (0, 3))], 2, 3), H, 3) == 1
+        assert restricted_rank(cleared_rows([Poly(2, 3, {})], 2, 3), H, 3) == 0
+
+    def test_matrix_rows_are_scaled_restrictions(self):
+        H = Hyperplane((GRat(2), GRat(0, 3), GRat(Fraction(1, 2))), 1)
+        d = 2
+        cols = monomial_basis(2, d)
+        pairs = [
+            (GRat(a, b), restrict(mono(3, e), H).coeffs.get(col, GRat()))
+            for e, row in zip(monomial_basis(3, d), restriction_matrix(H, d))
+            for col, (a, b) in zip(cols, row)
+        ]
+        scale = next(got / want for got, want in pairs if want)
+        assert scale.is_real() and scale.re > 0
+        assert all(got == want * scale for got, want in pairs)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            restriction_matrix(Hyperplane((GRat(1),), 0), 2)
+        with pytest.raises(ValueError):
+            cleared_rows([mono(2, (1, 1))], 3, 2)
+
+    def test_verify_green_reuses_rows(self):
+        rng = rng_for(4, "reuse")
+        W = PolySubspace(4, 3, [mono(4, e) for e in monomial_basis(4, 3)[::3]])
+        M = cleared_rows(W.basis, 4, 3)
+        for _ in range(5):
+            H = random_hyperplane(rng, 4)
+            assert verify_green(W, H, None, M) == verify_green(W, H)
+        assert M == cleared_rows(W.basis, 4, 3)
 
 
 class TestGreen:
