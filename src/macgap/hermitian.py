@@ -10,21 +10,23 @@ w~ variable, and refuted maps come with an exact witness pair.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .gap_calc import classify_gap
 from .polyspace import (
     GRat,
     Poly,
     PolyFormatError,
-    coefficient_rows,
     exact_rank,
     format_poly,
     image_span_dim,
     mono,
     parse_poly,
     rng_for,
+    support_rows,
 )
 
 
@@ -32,8 +34,10 @@ class MapFormatError(ValueError):
     """Malformed map file."""
 
 
-# Largest monomial space C(n_vars-1+d, d) a map file may declare: span and
-# rank build one dense column per monomial.
+# Largest monomial space C(n_vars-1+d, d) a map file may declare.  It bounds
+# the header-declared space that parsing and the pairing polynomial work in
+# (exponent vectors of n_vars entries, P of degree 2d in 2 n_vars
+# variables); span ranks only the monomials that occur.
 MAX_MAP_MONOMIALS = 100_000
 
 
@@ -176,8 +180,120 @@ def _wt_slices(P: Poly, var: int) -> dict[int, Poly]:
     return out
 
 
-def _divide_exact(P: Poly, Q: Poly) -> Poly:
-    """Quotient P/Q for known-divisible homogeneous P; leading terms in
+def _cleared(P: Poly) -> tuple[int, dict]:
+    """(L, pairs) with L the least positive integer that makes every
+    coefficient of P a Gaussian integer, and pairs the map exponent ->
+    (re, im) of L * P."""
+    L = 1
+    for c in P.coeffs.values():
+        L = math.lcm(L, c.re.denominator, c.im.denominator)
+    return L, {
+        e: (c.re.numerator * (L // c.re.denominator),
+            c.im.numerator * (L // c.im.denominator))
+        for e, c in P.coeffs.items()
+    }
+
+
+def _from_pairs(n_vars: int, degree: int, pairs: dict, L: int) -> Poly:
+    """The Poly pairs / L; inverse of `_cleared`."""
+    p = Poly.__new__(Poly)
+    p.n_vars, p.degree = n_vars, degree
+    p.coeffs = {
+        e: GRat(Fraction(a, L), Fraction(b, L)) for e, (a, b) in pairs.items()
+    }
+    return p
+
+
+def _pseudo_remainder(P: dict, sig: Signature, pivot: int) -> dict:
+    """The w~_pivot pseudo-remainder of Q | P on exponent -> Gaussian-integer
+    pair dicts, P in the 2 * sig.n_vars pairing variables; empty iff Q
+    divides P.  The multiplier -R = -sum_{i != pivot} eps_i z_i w~_i has
+    coefficients +-1 and lc^m = (eps_p z_p)^m is a shift of z_p's exponent
+    with sign eps_p^m, so the remainder stays integral and equals L times
+    the reference `_pseudo_remainder_ref` of P / L."""
+    nv = sig.n_vars
+    wp = nv + pivot
+    slices: dict[int, dict] = {}
+    for e, c in P.items():
+        slices.setdefault(e[wp], {})[e[:wp] + (0,) + e[wp + 1:]] = c
+    # the terms of -R: z_i w~_i with sign -eps_i, as (i, nv + i, plus)
+    neg_r = [(i, nv + i, sig.eps(i) < 0)
+             for i in range(sig.r + sig.s) if i != pivot]
+    ep = sig.eps(pivot)
+    D = max(slices)
+    acc = slices[D]
+    for m in range(D - 1, -1, -1):
+        nxt: dict[tuple, tuple[int, int]] = {}
+        for e, (a, b) in acc.items():
+            for i, j, plus in neg_r:
+                key = e[:i] + (e[i] + 1,) + e[i + 1:j] + (e[j] + 1,) + e[j + 1:]
+                xa, xb = nxt.get(key, (0, 0))
+                nxt[key] = (xa + a, xb + b) if plus else (xa - a, xb - b)
+        shift = D - m
+        sign = ep**shift
+        for e, (a, b) in slices.get(m, {}).items():
+            key = e[:pivot] + (e[pivot] + shift,) + e[pivot + 1:]
+            xa, xb = nxt.get(key, (0, 0))
+            nxt[key] = (xa + sign * a, xb + sign * b)
+        acc = {e: c for e, c in nxt.items() if c != (0, 0)}
+    return acc
+
+
+def _divide_exact(P: dict, Q: dict) -> dict:
+    """Quotient P/Q on exponent -> Gaussian-integer pair dicts, for Q whose
+    lexicographically leading coefficient is +-1, so the quotient is
+    integral.  Raises ArithmeticError if Q does not divide P."""
+    lt_q = max(Q)
+    u, ui = Q[lt_q]
+    if ui or u not in (1, -1):
+        raise ValueError("leading coefficient of the divisor is not +-1")
+    tail = [(e, a, b) for e, (a, b) in Q.items() if e != lt_q]
+    rem = dict(P)
+    quo = {}
+    while rem:
+        lt_r = max(rem)
+        diff = tuple(a - b for a, b in zip(lt_r, lt_q))
+        if min(diff) < 0:
+            raise ArithmeticError("leading term not divisible")
+        ra, rb = rem.pop(lt_r)
+        ta, tb = quo[diff] = (ra * u, rb * u)
+        for e, qa, qb in tail:
+            key = tuple(a + b for a, b in zip(diff, e))
+            xa, xb = rem.get(key, (0, 0))
+            xa -= ta * qa - tb * qb
+            xb -= ta * qb + tb * qa
+            if xa or xb:
+                rem[key] = (xa, xb)
+            else:
+                rem.pop(key, None)
+    return quo
+
+
+def _pseudo_remainder_ref(P: Poly, sig: Signature, pivot: int) -> Poly:
+    """`_pseudo_remainder` in GRat polynomial arithmetic; the reference."""
+    nv = sig.n_vars
+    wp = nv + pivot
+    lc = mono(2 * nv, tuple(1 if i == pivot else 0 for i in range(2 * nv)),
+              GRat(sig.eps(pivot)))
+    neg_r = Poly(2 * nv, 2, {
+        e: -c for e, c in source_form_poly(sig).coeffs.items() if e[wp] == 0
+    })
+    slices = _wt_slices(P, wp)
+    D = max(slices)
+    lc_pow = [mono(2 * nv, (0,) * (2 * nv))]
+    for _ in range(D):
+        lc_pow.append(lc_pow[-1] * lc)
+    acc = slices[D]
+    for e in range(D - 1, -1, -1):
+        acc = acc * neg_r
+        if e in slices:
+            acc = acc + slices[e] * lc_pow[D - e]
+    return acc
+
+
+def _divide_exact_ref(P: Poly, Q: Poly) -> Poly:
+    """`_divide_exact` in GRat polynomial arithmetic; the reference.
+    Quotient P/Q for known-divisible homogeneous P; leading terms in
     lexicographic order.  Raises ArithmeticError if divisibility fails."""
     if Q.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
@@ -214,9 +330,10 @@ def orthogonality_certificate(
     The verdict is the exact divisibility Q | P, settled by a pseudo-remainder
     in the conjugate variable w~_pivot: with Q = eps_p z_p w~_p + R and P of
     w~_p-degree D, the remainder is sum_e P_e (-R)^e (eps_p z_p)^(D-e), zero
-    iff Q divides P.  A true verdict optionally carries the exact quotient;
-    a false verdict carries a witness pair of orthogonal points whose images
-    pair to a nonzero value.
+    iff Q divides P.  Remainder and quotient run on Gaussian-integer pairs
+    after clearing P's denominators.  A true verdict optionally carries the
+    exact quotient; a false verdict carries a witness pair of orthogonal
+    points whose images pair to a nonzero value.
     """
     sig = f.source
     if sig.r + sig.s < 2:
@@ -232,32 +349,33 @@ def orthogonality_certificate(
             quo = Poly(2 * nv, 2 * f.degree - 2, {})
         return OrthCertificate(True, quotient=quo)
 
-    wp = nv + pivot
-    lc = mono(2 * nv, tuple(1 if i == pivot else 0 for i in range(2 * nv)),
-              GRat(sig.eps(pivot)))
-    neg_r = Poly(2 * nv, 2, {
-        e: -c for e, c in Q.coeffs.items() if e[wp] == 0
-    })
-    slices = _wt_slices(P, wp)
-    D = max(slices)
-    lc_pow = [mono(2 * nv, (0,) * (2 * nv))]
-    for _ in range(D):
-        lc_pow.append(lc_pow[-1] * lc)
-    acc = slices[D]
-    for e in range(D - 1, -1, -1):
-        acc = acc * neg_r
-        if e in slices:
-            acc = acc + slices[e] * lc_pow[D - e]
-    if acc.is_zero:
-        quo = _divide_exact(P, Q) if want_quotient else None
-        return OrthCertificate(True, quotient=quo)
-    witness = _witness_search(f, P, pivot, witness_seed)
-    return OrthCertificate(False, witness=witness)
+    # one positive integer L clears P, and Q | L * P iff Q | P
+    L, pairs = _cleared(P)
+    if _pseudo_remainder(pairs, sig, pivot):
+        witness = _witness_search(f, P, pivot, witness_seed)
+        return OrthCertificate(False, witness=witness)
+    quo = None
+    if want_quotient:
+        quo = _from_pairs(2 * nv, P.degree - Q.degree,
+                          _divide_exact(pairs, _cleared(Q)[1]), L)
+    return OrthCertificate(True, quotient=quo)
 
 
 def _rand_grat(rng: random.Random) -> GRat:
     im = rng.randint(-3, 3) if rng.random() < 0.4 else 0
     return GRat(rng.randint(-5, 5), im)
+
+
+def _solve_chart(sig: Signature, z: list, wt: list, pivot: int) -> None:
+    """Overwrite wt[pivot] so that sum over non-null i of eps_i z_i wt_i is
+    zero, i.e. <z, conj(wt)> = 0: the solution chart z_pivot != 0."""
+    acc = GRat()
+    for i in range(sig.r + sig.s):
+        if i == pivot:
+            continue
+        term = z[i] * wt[i]
+        acc = acc + term if sig.eps(i) == 1 else acc - term
+    wt[pivot] = -acc / (GRat(sig.eps(pivot)) * z[pivot])
 
 
 def _witness_search(f: SignedMap, P: Poly, pivot: int, seed: int):
@@ -266,19 +384,12 @@ def _witness_search(f: SignedMap, P: Poly, pivot: int, seed: int):
     sig = f.source
     nv = sig.n_vars
     rng = rng_for(seed, "witness")
-    ep = GRat(sig.eps(pivot))
     for _ in range(500):
         z = [_rand_grat(rng) for _ in range(nv)]
         if not z[pivot]:
             z[pivot] = GRat(1)
         wt = [_rand_grat(rng) for _ in range(nv)]
-        acc = GRat()
-        for i in range(sig.r + sig.s):
-            if i == pivot:
-                continue
-            term = z[i] * wt[i]
-            acc = acc + term if sig.eps(i) == 1 else acc - term
-        wt[pivot] = -acc / (ep * z[pivot])
+        _solve_chart(sig, z, wt, pivot)
         if P.evaluate(z + wt):
             w = [c.conjugate() for c in wt]
             return tuple(z), tuple(w)
@@ -296,13 +407,7 @@ def sample_orthogonal_pair(sig: Signature, rng: random.Random):
         if pivot is not None:
             break
     wt = [_rand_grat(rng) for _ in range(nv)]
-    acc = GRat()
-    for i in range(sig.r + sig.s):
-        if i == pivot:
-            continue
-        term = z[i] * wt[i]
-        acc = acc + term if sig.eps(i) == 1 else acc - term
-    wt[pivot] = -acc / (GRat(sig.eps(pivot)) * z[pivot])
+    _solve_chart(sig, z, wt, pivot)
     return tuple(z), tuple(c.conjugate() for c in wt)
 
 
@@ -471,9 +576,7 @@ def sharpness_suite(max_k: int = 4, max_n: int = 12) -> SharpnessSuiteReport:
             report.maps += 1
             count = k * n + k
             check(k, n, "component count", len(f.components) == count)
-            rank = exact_rank(
-                coefficient_rows(f.components, f.source.n_vars, f.degree)
-            )
+            rank = exact_rank(support_rows(f.components))
             check(k, n, "linear independence", rank == count)
             cert = orthogonality_certificate(f)
             check(k, n, "certificate verdict", cert.verdict)
@@ -481,7 +584,8 @@ def sharpness_suite(max_k: int = 4, max_n: int = 12) -> SharpnessSuiteReport:
                 k, n, "certificate quotient",
                 cert.quotient == sharpness_quotient(k, n),
             )
-            check(k, n, "span", image_span_dim(f.components) == count - 1)
+            # the projective span dimension, as image_span_dim computes it
+            check(k, n, "span", rank - 1 == count - 1)
             at = classify_gap(n, count)
             below = classify_gap(n, count - 1)
             check(k, n, "endpoint in gap", at.in_gap and at.k == k)

@@ -2,13 +2,17 @@
 rank via fraction-free elimination, hyperplane restriction, and the seeded
 harnesses for the two restriction bounds.
 
-Coefficients are pairs of ``fractions.Fraction`` (real and imaginary part),
-so every rank and every span dimension computed here is an exact integer.
-Hyperplane genericity is handled by sampling: codimension claims take the
-best (minimum) value over sampled hyperplanes, span claims take the maximum.
-The harnesses restrict the linear map once per hyperplane, as one integer
-matrix R_H, and rank the product M_W . R_H on Gaussian-integer pairs;
-`restrict` restricts one polynomial and is the reference for that path.
+`Poly` coefficients are `GRat`s, pairs of ``fractions.Fraction`` (real and
+imaginary part).  Rank never works on them directly: each row is scaled to
+Gaussian-integer pairs first, so every rank and every span dimension
+computed here is an exact integer from integer elimination.  A span is
+ranked over the support columns alone, the monomials that some member
+uses.  Hyperplane genericity is handled by sampling: codimension claims
+take the best (minimum) value over sampled hyperplanes, span claims take
+the maximum.  The harnesses restrict the linear map once per hyperplane, as
+one integer matrix R_H, and rank the product M_W . R_H on Gaussian-integer
+pairs; `restrict` restricts one polynomial and is the reference for that
+path.
 """
 
 from __future__ import annotations
@@ -543,17 +547,44 @@ class PolySubspace:
     basis: list[Poly]
 
 
+def _check_member(p: Poly, n_vars: int, degree: int) -> None:
+    if p.n_vars != n_vars or p.degree != degree:
+        raise ValueError(
+            f"member has (n_vars, degree) = ({p.n_vars}, {p.degree}), "
+            f"expected ({n_vars}, {degree})"
+        )
+
+
 def coefficient_rows(polys, n_vars: int, degree: int) -> list[list[GRat]]:
+    """Dense rows over all C(n_vars-1+degree, degree) monomials; the
+    reference for `support_rows`."""
     cols = monomial_basis(n_vars, degree)
     zero = GRat()
     rows = []
     for p in polys:
-        if p.n_vars != n_vars or p.degree != degree:
-            raise ValueError(
-                f"member has (n_vars, degree) = ({p.n_vars}, {p.degree}), "
-                f"expected ({n_vars}, {degree})"
-            )
+        _check_member(p, n_vars, degree)
         rows.append([p.coeffs.get(e, zero) for e in cols])
+    return rows
+
+
+def support_rows(polys: list[Poly]) -> list[list[GRat]]:
+    """Coefficient rows of a nonempty list of polynomials over the support
+    columns only: the monomials some member uses, in the descending order
+    of `monomial_basis`.  The columns left out are zero in every row, so the
+    rank is that of `coefficient_rows`, at a width independent of the
+    size of the monomial space."""
+    n_vars, degree = polys[0].n_vars, polys[0].degree
+    for p in polys:
+        _check_member(p, n_vars, degree)
+    cols = sorted({e for p in polys for e in p.coeffs}, reverse=True)
+    index = {e: j for j, e in enumerate(cols)}
+    zero = GRat()
+    rows = []
+    for p in polys:
+        row = [zero] * len(cols)
+        for e, c in p.coeffs.items():
+            row[index[e]] = c
+        rows.append(row)
     return rows
 
 
@@ -612,8 +643,7 @@ def image_span_dim(components: list[Poly]) -> int:
         raise ValueError("no components")
     if all(p.is_zero for p in components):
         raise ValueError("all components are zero")
-    n_vars, degree = components[0].n_vars, components[0].degree
-    return exact_rank(coefficient_rows(components, n_vars, degree)) - 1
+    return exact_rank(support_rows(components)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +697,8 @@ class GreenSuiteReport:
 
 
 def random_subspace(rng: random.Random, n_vars: int, degree: int) -> PolySubspace:
-    dim = len(monomial_basis(n_vars, degree))
-    count = rng.randint(1, dim + 2)
     cols = monomial_basis(n_vars, degree)
+    count = rng.randint(1, len(cols) + 2)
     basis = []
     for _ in range(count):
         coeffs = {}

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -244,6 +245,37 @@ class TestMapTooling:
         rc, out, _ = run(capsys, "map", "span", str(path))
         assert rc == 0
         assert out.strip() == "7"
+
+    def test_span_in_a_wide_monomial_space(self, capsys, tmp_path):
+        # 75 variables in degree 3: C(77, 3) = 73 150 monomials, under the
+        # map limit; span ranks only the 4 monomials the components use
+        assert math.comb(77, 3) == 73_150 < MAX_MAP_MONOMIALS
+
+        def term(coeff, *positions):
+            e = [0] * 75
+            for i in positions:
+                e[i] += 1
+            return coeff + " " + " ".join(map(str, e))
+
+        comps = [
+            term("1/1", 0, 0, 0),
+            term("0/1,1/2", 0, 1, 74) + "; " + term("3/1", 74, 74, 74),
+            term("2/1", 0, 0, 0) + "; " + term("-1/7", 74, 74, 74),
+            term("1/1", 74, 74, 74),
+            term("5/1", 0, 0, 0) + "; " + term("-2/1,1/1", 74, 74, 74),
+        ]
+        path = tmp_path / "wide.map"
+        path.write_text(
+            "source 40 35 0\ntarget 3 2 0\ndegree 3\n%pos\n"
+            + "\n".join(comps[:3]) + "\n%neg\n" + "\n".join(comps[3:])
+            + "\n%null\n"
+        )
+        rc, out, _ = run(capsys, "map", "span", str(path))
+        assert rc == 0
+        # z0^3, z0 z1 z74 and z74^3 are independent; the rest lie in their span
+        assert out == "2\n"
+        rc, out, _ = run(capsys, "map", "span", "--json", str(path))
+        assert records(out) == [{"cmd": "map", "action": "span", "span": 2}]
 
     def test_obstruct(self, capsys, tmp_path):
         path = tmp_path / "s.map"

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macgap import hermitian
 from macgap.binom_core import op_minus
@@ -208,6 +210,84 @@ class TestCertificate:
             z, w = sample_orthogonal_pair(f.source, rng)
             assert inner_product(z, w, f.source) == GRat()
             assert inner_product(f.evaluate(z), f.evaluate(w), f.target) == GRat()
+
+
+@st.composite
+def disguised_sharpness_st(draw):
+    """sharpness_map(k, n) under (3/5, 4/5) rotations within a target block
+    and unit phases, which keep the pairing polynomial; optionally with
+    z_q^3 (q >= k) added to one component, which breaks orthogonality."""
+    k = draw(st.integers(1, 2), label="k")
+    n = draw(st.integers(k + 1, 6), label="n")
+    f = sharpness_map(k, n)
+    comps = list(f.components)
+    blocks = [range(f.target.r), range(f.target.r, f.target.n_vars)]
+    c, s = GRat(Fraction(3, 5)), GRat(Fraction(4, 5))
+    for _ in range(draw(st.integers(0, 3), label="rotations")):
+        block = draw(st.sampled_from([b for b in blocks if len(b) >= 2]))
+        a, b = draw(st.lists(st.sampled_from(block), min_size=2, max_size=2,
+                             unique=True))
+        comps[a], comps[b] = comps[a] * c - comps[b] * s, comps[a] * s + comps[b] * c
+    units = [GRat(1), GRat(-1), GRat(0, 1), GRat(0, -1)]
+    comps = [p * draw(st.sampled_from(units)) for p in comps]
+    perturbed = draw(st.booleans(), label="perturbed")
+    if perturbed:
+        q = draw(st.integers(k, n))
+        j = draw(st.integers(0, len(comps) - 1))
+        comps[j] = comps[j] + mono(n + 1, tuple(3 if i == q else 0
+                                                for i in range(n + 1)))
+    pivot = draw(st.integers(0, n), label="pivot")
+    return SignedMap(f.source, f.target, 3, comps), perturbed, pivot
+
+
+class TestIntegerPairCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(disguised_sharpness_st())
+    def test_matches_grat_reference(self, case):
+        f, perturbed, pivot = case
+        P = pairing_poly(f)
+        L, pairs = hermitian._cleared(P)
+        ref = hermitian._pseudo_remainder_ref(P, f.source, pivot)
+        rem = hermitian._pseudo_remainder(pairs, f.source, pivot)
+        # the remainder is linear in P, so the pair remainder is L times it
+        assert hermitian._from_pairs(P.n_vars, ref.degree, rem, L) == ref
+        assert ref.is_zero == (not perturbed)
+        cert = orthogonality_certificate(f, pivot=pivot)
+        assert cert.verdict == ref.is_zero
+        if cert.verdict:
+            Q = source_form_poly(f.source)
+            assert cert.quotient == hermitian._divide_exact_ref(P, Q)
+            assert cert.quotient == sharpness_quotient(f.source.r, f.source.n_vars - 1)
+        else:
+            z, w = cert.witness
+            assert inner_product(z, w, f.source) == GRat()
+            assert inner_product(f.evaluate(z), f.evaluate(w), f.target) != GRat()
+
+    def test_rational_coefficients_cleared(self):
+        # P = (1/4)(z0^2 w~0^2 - z1^2 w~1^2) = Q * (1/4)(z0 w~0 + z1 w~1)
+        f = SignedMap(
+            Signature(1, 1), Signature(1, 1), 2,
+            [mono(2, (2, 0), GRat(Fraction(1, 2))),
+             mono(2, (0, 2), GRat(Fraction(1, 2)))],
+        )
+        cert = orthogonality_certificate(f)
+        P = pairing_poly(f)
+        Q = source_form_poly(f.source)
+        assert hermitian._cleared(P)[0] == 4
+        assert cert.quotient == hermitian._divide_exact_ref(P, Q)
+        want = Poly(4, 2, {(1, 0, 1, 0): GRat(Fraction(1, 4)),
+                           (0, 1, 0, 1): GRat(Fraction(1, 4))})
+        assert cert.quotient == want
+
+    def test_divide_exact_checks(self):
+        Q = {(1, 1): (2, 0)}
+        with pytest.raises(ValueError):
+            hermitian._divide_exact({(2, 2): (4, 0)}, Q)
+        with pytest.raises(ArithmeticError):
+            hermitian._divide_exact({(2, 0): (1, 0)}, {(1, 1): (1, 0)})
+        assert hermitian._divide_exact({(2, 1): (3, -2)}, {(1, 1): (-1, 0)}) == {
+            (1, 0): (-3, 2)
+        }
 
 
 class TestSampling:

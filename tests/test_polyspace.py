@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macgap import polyspace
 from macgap.binom_core import op_lower
 from macgap.polyspace import (
     GRat,
@@ -29,6 +30,7 @@ from macgap.polyspace import (
     restriction_matrix,
     rng_for,
     subspace_rank,
+    support_rows,
     verify_green,
     verify_restriction_theorem,
     veronese_components,
@@ -72,6 +74,15 @@ grat_st = st.builds(
     GRat,
     st.fractions(min_value=-5, max_value=5, max_denominator=12),
     st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+
+
+# up to six sparse members, each up to four (monomial index, coefficient)
+# terms; the index is taken modulo the size of the monomial basis
+members_st = st.lists(
+    st.lists(st.tuples(st.integers(0, 200), grat_st), max_size=4),
+    min_size=1,
+    max_size=6,
 )
 
 
@@ -570,6 +581,54 @@ class TestImageSpan:
             image_span_dim([Poly(2, 2, {})])
         with pytest.raises(ValueError):
             image_span_dim([])
+
+    def test_member_shape_checked(self):
+        with pytest.raises(ValueError):
+            image_span_dim([mono(3, (2, 0, 0)), mono(2, (2, 0))])
+        with pytest.raises(ValueError):
+            image_span_dim([mono(3, (2, 0, 0)), mono(3, (1, 0, 0))])
+        with pytest.raises(ValueError):
+            image_span_dim([Poly(2, 2, {}), mono(2, (1, 0))])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_support_columns_match_dense_reference(self, data):
+        nv = data.draw(st.integers(1, 6), label="n_vars")
+        d = data.draw(st.integers(0, 4), label="degree")
+        basis = monomial_basis(nv, d)
+        gaussian = data.draw(st.booleans(), label="gaussian")
+
+        def coeff(c):
+            return c if gaussian else GRat(c.re)
+
+        comps = [
+            Poly(nv, d, {basis[i % len(basis)]: coeff(c) for i, c in terms})
+            for terms in data.draw(members_st, label="members")
+        ]
+        if data.draw(st.booleans(), label="planted dependency"):
+            comps.append(comps[0] - comps[-1] * coeff(data.draw(grat_st)))
+        dense = coefficient_rows(comps, nv, d)
+        # support_rows keeps exactly the nonzero columns, in basis order
+        keep = [j for j in range(len(basis)) if any(row[j] for row in dense)]
+        assert support_rows(comps) == [[row[j] for j in keep] for row in dense]
+        if all(p.is_zero for p in comps):
+            with pytest.raises(ValueError):
+                image_span_dim(comps)
+            return
+        assert image_span_dim(comps) == exact_rank(dense) - 1
+
+    def test_never_builds_the_monomial_basis(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("monomial_basis called")
+
+        comps = [
+            mono(40, (3,) + (0,) * 39),
+            mono(40, (0,) * 39 + (3,), GRat(0, 1)),
+            mono(40, (3,) + (0,) * 39) + mono(40, (1, 1) + (0,) * 37 + (1,)),
+        ]
+        monkeypatch.setattr(polyspace, "monomial_basis", boom)
+        assert image_span_dim(comps) == 2
+        assert image_span_dim(comps[:1]) == 0
 
 
 class TestRestrictionTheorem:
