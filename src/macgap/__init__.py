@@ -14,6 +14,7 @@ from .gap_calc import (
     NabForm,
     classify_gap,
     comparison_intervals,
+    dim_prop_bound,
     dim_prop_bounds,
     gap_intervals,
     plane_chain,
@@ -51,6 +52,7 @@ __all__ = [
     "binom",
     "classify_gap",
     "comparison_intervals",
+    "dim_prop_bound",
     "dim_prop_bounds",
     "exact_rank",
     "format_map",

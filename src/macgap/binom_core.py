@@ -20,6 +20,7 @@ or a < b; `binom` is the one place that applies it.  Every value comes from
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 
@@ -51,6 +52,18 @@ class MacaulayRep:
     def value(self) -> int:
         """Re-evaluate the sum of binomials."""
         return sum(math.comb(top, lev) for top, lev in self.terms)
+
+    def lower(self) -> int:
+        """A_<n>: every top index decremented."""
+        return sum(binom(top - 1, lev) for top, lev in self.terms)
+
+    def minus(self) -> int:
+        """A^-<n>: tops and levels decremented; terms reaching level 0 vanish."""
+        return sum(binom(top - 1, lev - 1) for top, lev in self.terms)
+
+    def upper(self) -> int:
+        """A^<n>: tops and levels incremented."""
+        return sum(binom(top + 1, lev + 1) for top, lev in self.terms)
 
     def __str__(self) -> str:
         return "+".join(f"C({top},{lev})" for top, lev in self.terms)
@@ -97,25 +110,19 @@ def macaulay_rep(A: int, n: int, table=None) -> MacaulayRep:
 
 
 def op_lower(A: int, n: int) -> int:
-    """A_<n>: decrement every top index of the level-n representation; 0 maps to 0."""
-    if A == 0:
-        return 0
-    return sum(binom(top - 1, lev) for top, lev in macaulay_rep(A, n).terms)
+    """A_<n> of the level-n representation; 0 maps to 0."""
+    return macaulay_rep(A, n).lower() if A else 0
 
 
 def op_minus(A: int, n: int, table=None) -> int:
-    """A^-<n>: decrement tops and levels; terms reaching level 0 vanish.
+    """A^-<n> of the level-n representation; 0 maps to 0.
     ``table`` is accepted and ignored."""
-    if A == 0:
-        return 0
-    return sum(binom(top - 1, lev - 1) for top, lev in macaulay_rep(A, n).terms)
+    return macaulay_rep(A, n).minus() if A else 0
 
 
 def op_upper(A: int, n: int) -> int:
-    """A^<n>: increment tops and levels; 0 maps to 0."""
-    if A == 0:
-        return 0
-    return sum(binom(top + 1, lev + 1) for top, lev in macaulay_rep(A, n).terms)
+    """A^<n> of the level-n representation; 0 maps to 0."""
+    return macaulay_rep(A, n).upper() if A else 0
 
 
 @dataclass
@@ -155,18 +162,28 @@ def verify_lemma_binom(m_max: int, k_max: int, table=None) -> LemmaSweepReport:
     Runs for all 1 <= m <= m_max, 1 <= k <= k_max and all A, B >= 0.  A failing
     quadruple (m, k, A, B) is recorded, not raised.  ``table`` is accepted and
     ignored.
+
+    Each shift is computed once: A^-<m> for every A < C(m+k_max, k_max), one
+    level m at a time, and B_<k> for every B < C(m_max+k, k) up front; every
+    split then compares two looked-up values.  Both shifts never exceed
+    their argument, so the lookups are int64 arrays.
     """
     if m_max < 1 or k_max < 1:
         raise ValueError("sweep bounds must be positive")
     checks = 0
     bad: list[tuple[int, int, int, int]] = []
+    lowers = {
+        k: array("q", (op_lower(B, k) for B in range(math.comb(m_max + k, k))))
+        for k in range(1, k_max + 1)
+    }
     for m in range(1, m_max + 1):
+        minus = array("q", (op_minus(A, m) for A in range(math.comb(m + k_max, k_max))))
         for k in range(1, k_max + 1):
             total = math.comb(m + k, k) - 1
             target = math.comb(m + k - 1, k) - 1
+            lower = lowers[k]
             for A in range(total + 1):
-                B = total - A
-                checks += 1
-                if op_minus(A, m) + op_lower(B, k) != target:
-                    bad.append((m, k, A, B))
+                if minus[A] + lower[total - A] != target:
+                    bad.append((m, k, A, total - A))
+            checks += total + 1
     return LemmaSweepReport(m_max=m_max, k_max=k_max, checks=checks, counterexamples=bad)

@@ -15,17 +15,11 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .binom_core import (
-    lemma_checks,
-    macaulay_rep,
-    op_lower,
-    op_minus,
-    op_upper,
-    verify_lemma_binom,
-)
+from .binom_core import lemma_checks, macaulay_rep, verify_lemma_binom
 from .gap_calc import (
     classify_gap,
     comparison_intervals,
+    gap_argument_checks,
     gap_argument_sweep,
     gap_intervals,
 )
@@ -60,6 +54,9 @@ MAX_MACAULAY_LEVEL = 1000
 MAX_MACAULAY_DIGITS = 2000
 # Largest `verify lemma3` sweep, in checked splits (m, k <= 10 is 705 410).
 MAX_LEMMA_CHECKS = 10**6
+# Largest `verify gap-argument` sweep, in checked triples (--max-n 441 is
+# 996 268, the largest within it).
+MAX_GAP_ARGUMENT_CHECKS = 10**6
 
 
 @dataclass(frozen=True)
@@ -128,9 +125,7 @@ def cmd_macaulay(args) -> int:
             f"A has more than the limit of {MAX_MACAULAY_DIGITS} digits"
         )
     rep = macaulay_rep(args.A, args.n)
-    lower = op_lower(args.A, args.n)
-    minus = op_minus(args.A, args.n)
-    upper = op_upper(args.A, args.n)
+    lower, minus, upper = rep.lower(), rep.minus(), rep.upper()
     if cfg.machine:
         _emit(
             {
@@ -338,6 +333,11 @@ def _suite_restriction(args, cfg: RunConfig):
 
 def _suite_gap_argument(args, cfg: RunConfig):
     max_n = args.max_n or 60
+    if gap_argument_checks(max_n) > MAX_GAP_ARGUMENT_CHECKS:
+        raise ValueError(
+            f"gap-argument sweep --max-n {max_n} needs more checks than "
+            f"the limit of {MAX_GAP_ARGUMENT_CHECKS}"
+        )
     report = gap_argument_sweep(max_n)
     records = [
         {

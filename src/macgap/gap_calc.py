@@ -70,18 +70,22 @@ def nab_minus(form: NabForm) -> NabForm:
     raise ValueError(f"descent undefined for (n,a,b)=({n},{a},{b})")
 
 
-def dim_prop_bounds(n: int, a: int, b: int) -> dict[int, int]:
-    """Lower bounds D_m for the span over m-dimensional subspaces,
-    a+1 <= m <= n-1: N(m;a,b) above the corner m = a+b+1, and
-    N(m;a,m-a-1) below it."""
+def dim_prop_bound(n: int, a: int, b: int, m: int) -> int:
+    """Lower bound D_m for the span over m-dimensional subspaces of the
+    form N(n;a,b), a+1 <= m <= n-1: N(m;a,b) from the corner m = a+b+1
+    up, and N(m;a,m-a-1) below it."""
     NabForm(n, a, b)
-    out: dict[int, int] = {}
-    for m in range(a + 1, n):
-        if m >= a + b + 1:
-            out[m] = nab_value(NabForm(m, a, b))
-        else:
-            out[m] = nab_value(NabForm(m, a, m - a - 1))
-    return out
+    if not a + 1 <= m <= n - 1:
+        raise ValueError(f"m={m} outside [a+1, n-1] = [{a + 1}, {n - 1}]")
+    if m >= a + b + 1:
+        return nab_value(NabForm(m, a, b))
+    return nab_value(NabForm(m, a, m - a - 1))
+
+
+def dim_prop_bounds(n: int, a: int, b: int) -> dict[int, int]:
+    """Every D_m of `dim_prop_bound`, a+1 <= m <= n-1."""
+    NabForm(n, a, b)
+    return {m: dim_prop_bound(n, a, b, m) for m in range(a + 1, n)}
 
 
 @dataclass(frozen=True)
@@ -169,8 +173,8 @@ def verify_gap_argument(n: int, a: int, b: int) -> GapArgumentReport:
 
     Requires a(a+1)/2 <= b <= n - (a^2+5a+6)/2.  Splits n-1 = n1 + n2 with
     n1 = (n-1)//2, picks Case I when b <= n1-a-1 and Case II when b >= n1-a,
-    reads both bounds off dim_prop_bounds, and records whether the sum
-    reaches N(n;a,b).  The verdict is expected true on the whole domain.
+    evaluates D_{n1} and D_{n2} with dim_prop_bound, and records whether the
+    sum reaches N(n;a,b).  The verdict is expected true on the whole domain.
     """
     lo, hi = ineq1_b_range(n, a)
     if a < 0 or not lo <= b <= hi:
@@ -180,8 +184,7 @@ def verify_gap_argument(n: int, a: int, b: int) -> GapArgumentReport:
     if n1 + n2 + 1 != n:
         raise RuntimeError(f"halves {n1} + {n2} + 1 do not split n = {n}")
     case = "I" if b <= n1 - a - 1 else "II"
-    bounds = dim_prop_bounds(n, a, b)
-    d1, d2 = bounds[n1], bounds[n2]
+    d1, d2 = dim_prop_bound(n, a, b, n1), dim_prop_bound(n, a, b, n2)
     n_prime = nab_value(NabForm(n, a, b))
     return GapArgumentReport(
         n=n, a=a, b=b, n1=n1, n2=n2, case=case,
@@ -201,6 +204,29 @@ class GapSweepReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def gap_argument_checks(max_n: int) -> int:
+    """Number of triples `gap_argument_sweep(max_n)` checks, in closed form.
+
+    The b range at (n, a) is nonempty iff n >= n0(a) = a^2+3a+3, and then
+    holds n - n0(a) + 1 values, so level a contributes T(T+1)/2 with
+    T = max_n - n0(a) + 1 = c - u, c = max_n - 2, u = a(a+3).  Summing
+    over 0 <= a <= a_top with the power sums of a gives the count in O(1)
+    integer operations, whatever the size of max_n.
+    """
+    if max_n < 3:
+        return 0
+    # largest a with a^2 + 3a + 3 <= max_n
+    a_top = (math.isqrt(4 * max_n - 3) - 3) // 2
+    s1 = a_top * (a_top + 1) // 2
+    s2 = a_top * (a_top + 1) * (2 * a_top + 1) // 6
+    s4 = a_top * (a_top + 1) * (2 * a_top + 1) * (3 * a_top**2 + 3 * a_top - 1) // 30
+    # the sum of a^3 is s1^2
+    sum_u = s2 + 3 * s1
+    sum_u2 = s4 + 6 * s1 * s1 + 9 * s2
+    c = max_n - 2
+    return ((a_top + 1) * c * (c + 1) - (2 * c + 1) * sum_u + sum_u2) // 2
 
 
 def gap_argument_sweep(max_n: int) -> GapSweepReport:

@@ -84,6 +84,9 @@ def parse_grat(token: str) -> GRat:
     parts = token.split(",")
     if len(parts) > 2 or not parts[0]:
         raise PolyFormatError(f"bad coefficient {token!r}")
+    # Fraction would read "1e1000000000" as an integer of 10^9 digits
+    if "e" in token or "E" in token:
+        raise PolyFormatError(f"bad coefficient {token!r}: exponent notation")
     try:
         re = Fraction(parts[0])
         im = Fraction(parts[1]) if len(parts) == 2 else Fraction(0)

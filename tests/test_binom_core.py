@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macgap import binom_core
 from macgap.binom_core import (
     binom,
     lemma_checks,
@@ -114,7 +115,33 @@ class TestMacaulayRep:
                 assert decomps[0] == macaulay_rep(A, n).terms
 
 
+def per_split_sweep(m_max, k_max):
+    """The split identity checked one split at a time, each shift computed
+    afresh through the module's op_minus and op_lower."""
+    checks, bad = 0, []
+    for m in range(1, m_max + 1):
+        for k in range(1, k_max + 1):
+            total = math.comb(m + k, k) - 1
+            target = math.comb(m + k - 1, k) - 1
+            for A in range(total + 1):
+                checks += 1
+                if binom_core.op_minus(A, m) + binom_core.op_lower(total - A, k) != target:
+                    bad.append((m, k, A, total - A))
+    return checks, bad
+
+
 class TestOps:
+    @settings(max_examples=200, deadline=None)
+    @given(A=st.integers(1, 10**40), n=st.integers(1, 30))
+    def test_rep_methods_match_term_sums(self, A, n):
+        def c0(a, b):
+            return math.comb(a, b) if b > 0 else 0
+
+        rep = macaulay_rep(A, n)
+        assert rep.lower() == op_lower(A, n) == sum(c0(t - 1, lv) for t, lv in rep.terms)
+        assert rep.minus() == op_minus(A, n) == sum(c0(t - 1, lv - 1) for t, lv in rep.terms)
+        assert rep.upper() == op_upper(A, n) == sum(c0(t + 1, lv + 1) for t, lv in rep.terms)
+
     def test_zero_maps_to_zero(self):
         for n in (1, 2, 5):
             assert op_lower(0, n) == 0
@@ -190,6 +217,24 @@ class TestLemmaSweep:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             verify_lemma_binom(0, 3)
+
+    def test_lookup_matches_per_split_reference(self):
+        for m_max, k_max in ((1, 1), (1, 6), (6, 1), (4, 5)):
+            report = verify_lemma_binom(m_max, k_max)
+            assert (report.checks, report.counterexamples) == per_split_sweep(m_max, k_max)
+            assert report.ok
+
+    def test_wrong_shift_is_recorded(self, monkeypatch):
+        right = binom_core.op_minus
+        monkeypatch.setattr(
+            binom_core, "op_minus", lambda A, m: right(A, m) + (m == 2 and A == 3)
+        )
+        report = verify_lemma_binom(4, 3)
+        checks, bad = per_split_sweep(4, 3)
+        assert (report.checks, report.counterexamples) == (checks, bad)
+        # every split with A = 3 at m = 2, one per k with C(2+k, k) > 3
+        assert bad == [(2, k, 3, math.comb(2 + k, k) - 4) for k in (2, 3)]
+        assert not report.ok
 
     def test_check_count_closed_form(self):
         for m_max in range(1, 8):

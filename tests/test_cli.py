@@ -6,14 +6,17 @@ import sys
 import pytest
 
 import macgap.cli
+import macgap.gap_calc
 import macgap.hermitian
 from macgap.cli import (
     EXIT_INTERNAL,
+    MAX_GAP_ARGUMENT_CHECKS,
     MAX_LEMMA_CHECKS,
     MAX_MACAULAY_DIGITS,
     MAX_MACAULAY_LEVEL,
     main,
 )
+from macgap.gap_calc import GapSweepReport, gap_argument_checks
 from macgap.hermitian import (
     MAX_MAP_MONOMIALS,
     MapFormatError,
@@ -165,6 +168,34 @@ class TestVerify:
         (rec,) = records(out)
         assert rec["ok"]
         assert rec["checks"] == rec["case_i"] + rec["case_ii"]
+
+    def test_gap_argument_limit(self, capsys, monkeypatch):
+        # --max-n 441 is the largest sweep within the limit
+        assert gap_argument_checks(441) <= MAX_GAP_ARGUMENT_CHECKS < gap_argument_checks(442)
+        ran = []
+
+        def sweep(max_n):
+            ran.append(max_n)
+            return GapSweepReport(max_n=max_n)
+
+        monkeypatch.setattr(macgap.cli, "gap_argument_sweep", sweep)
+        for max_n in ("442", "9" * 4000):
+            rc, out, err = run(capsys, "verify", "gap-argument", "--max-n", max_n)
+            assert rc == 2
+            assert out == ""
+            assert f"limit of {MAX_GAP_ARGUMENT_CHECKS}" in err
+        assert ran == []
+        rc, out, _ = run(capsys, "verify", "gap-argument", "--max-n", "441", "--json")
+        assert rc == 0 and ran == [441]
+        assert records(out)[0]["max_n"] == 441
+
+    def test_gap_argument_violation_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(macgap.gap_calc, "dim_prop_bound", lambda n, a, b, m: 1)
+        rc, out, _ = run(capsys, "verify", "gap-argument", "--max-n", "10", "--json")
+        assert rc == 1
+        summary, *events = records(out)
+        assert not summary["ok"] and summary["violations"] == len(events) > 0
+        assert all(e["event"] == "violation" and e["total"] == 2 for e in events)
 
     def test_sharpness(self, capsys):
         rc, out, _ = run(capsys, "verify", "sharpness", "--max-k", "1", "--max-n", "5", "--json")

@@ -7,7 +7,9 @@ from macgap.gap_calc import (
     NabForm,
     classify_gap,
     comparison_intervals,
+    dim_prop_bound,
     dim_prop_bounds,
+    gap_argument_checks,
     gap_argument_sweep,
     gap_intervals,
     ineq1_b_range,
@@ -120,6 +122,27 @@ class TestDimPropBounds:
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
             dim_prop_bounds(5, 1, 4)
+
+    def test_single_bound_matches_descent(self):
+        # exhaustive for n <= 40: each D_m equals its entry in the dict and
+        # the value reached by iterated descent from N(n;a,b)
+        for n in range(1, 41):
+            for form in admissible_forms(n):
+                a, b = form.a, form.b
+                bounds = dim_prop_bounds(n, a, b)
+                f = form
+                for m in range(n - 1, a, -1):
+                    f = nab_minus(f)
+                    assert dim_prop_bound(n, a, b, m) == bounds[m] == nab_value(f)
+                for m in (a, n, -1, n + 5):
+                    with pytest.raises(ValueError):
+                        dim_prop_bound(n, a, b, m)
+
+    def test_single_bound_validates_form(self):
+        with pytest.raises(ValueError):
+            dim_prop_bound(5, 1, 4, 3)
+        with pytest.raises(ValueError):
+            dim_prop_bound(5, -1, 0, 2)
 
 
 class TestIntervals:
@@ -241,6 +264,29 @@ class TestGapArgument:
             for a in range(n)
         )
         assert report.checks == expected
+
+    def test_check_count_closed_form(self):
+        for max_n in (0, 1, 2, 3, 4, 5, 9, 10, 23, 60):
+            assert gap_argument_checks(max_n) == gap_argument_sweep(max_n).checks
+        total = 0
+        for n in range(1, 501):
+            a = 0
+            while True:
+                lo, hi = ineq1_b_range(n, a)
+                if lo > hi:
+                    break
+                total += hi - lo + 1
+                a += 1
+            assert gap_argument_checks(n) == total
+        assert gap_argument_checks(120) == 35_464
+        assert gap_argument_checks(400) == 777_138
+
+    def test_sweep_records_under_reported_bounds(self, monkeypatch):
+        monkeypatch.setattr(gap_calc, "dim_prop_bound", lambda n, a, b, m: 1)
+        report = gap_argument_sweep(12)
+        assert not report.ok
+        assert len(report.violations) == report.checks == gap_argument_checks(12)
+        assert all(r.total == 2 and not r.holds for r in report.violations)
 
 
 class TestPlanePropagation:

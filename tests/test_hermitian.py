@@ -426,7 +426,78 @@ class TestObstruction:
             span_obstruction_check(identity_map(Signature(1, 1)), [5])
 
 
+# lines of the map format, hostile variants (huge and negative counts,
+# degrees past the monomial limit) and broken components
+MAP_FUZZ_LINES = [
+    "source 1 1 0", "source 1 0 0", "source 0 0 0", "source -1 2 0", "source 1 1",
+    "source x 1 0", "source 9" + "9" * 5000 + " 1 0", "source 99 99 99",
+    "target 1 1 0", "target 0 0 1", "degree 1", "degree 0", "degree -1",
+    "degree 99999", "degree 10000000000", "%pos", "%neg", "%null", "%other", "", "  ",
+    "1/1 1 0", "1/1 0 1", "-1/2,3/4 1 1", "0", "1/0 1 0", "1e1000000000 1 0",
+    "1/1 1", "1/1 1 0 0", "1/1 2 0", "1/1 -1 2", "1/1 " + "9" * 5000 + " 0",
+    "\x00", "\x0c", "1/1 1 0; -1/1 1 0",
+]
+
+
+@st.composite
+def map_st(draw):
+    source = Signature(*draw(st.tuples(st.integers(1, 2), st.integers(0, 2), st.integers(0, 1))))
+    target = Signature(*draw(st.tuples(st.integers(1, 2), st.integers(0, 2), st.integers(0, 1))))
+    degree = draw(st.integers(0, 2))
+    nv = source.n_vars
+    coeff = st.builds(
+        GRat,
+        st.fractions(min_value=-3, max_value=3, max_denominator=7),
+        st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    )
+    exps = st.lists(st.integers(0, nv - 1), min_size=degree, max_size=degree).map(
+        lambda idx: tuple(idx.count(i) for i in range(nv))
+    )
+    comps = [
+        Poly(nv, degree, dict(draw(st.lists(st.tuples(exps, coeff), max_size=4))))
+        for _ in range(target.n_vars)
+    ]
+    return SignedMap(source, target, degree, comps)
+
+
+@st.composite
+def mutated_map_text(draw):
+    """A valid map file with up to three lines inserted, replaced or deleted."""
+    lines = format_map(draw(map_st())).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if action == "delete":
+            del lines[i]
+        else:
+            lines[i:i + (action == "replace")] = [draw(st.sampled_from(MAP_FUZZ_LINES))]
+    return "\n".join(lines)
+
+
 class TestMapFiles:
+    @settings(max_examples=100, deadline=None)
+    @given(map_st())
+    def test_round_trip_generated(self, f):
+        text = format_map(f)
+        back = parse_map(text)
+        assert back == f
+        assert format_map(back) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.lists(st.sampled_from(MAP_FUZZ_LINES), max_size=12).map("\n".join),
+            mutated_map_text(),
+        )
+    )
+    def test_arbitrary_text_raises_only_format_errors(self, text):
+        try:
+            f = parse_map(text)
+        except MapFormatError:
+            return
+        assert parse_map(format_map(f)) == f
+
     def test_round_trip_sharpness(self):
         f = sharpness_map(2, 3)
         text = format_map(f)

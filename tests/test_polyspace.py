@@ -130,7 +130,7 @@ class TestGRat:
         assert format_grat(GRat(Fraction(-2, 3))) == "-2/3"
         assert format_grat(GRat(Fraction(1, 2), Fraction(5))) == "1/2,5/1"
 
-    @pytest.mark.parametrize("bad", ["", ",", "1/0", "a/b", "1/2,3/4,5"])
+    @pytest.mark.parametrize("bad", ["", ",", "1/0", "a/b", "1/2,3/4,5", "1e3", "1/2,1E2"])
     def test_parse_rejects(self, bad):
         with pytest.raises(PolyFormatError):
             parse_grat(bad)
@@ -202,6 +202,16 @@ class TestMonomialBasis:
             monomial_basis(0, 2)
 
 
+# pieces of the text format and hostile tokens (control characters, huge
+# integers, zero denominators, exponent notation), so that fuzzed text gets
+# past the first checks of the parser
+POLY_FUZZ_TOKENS = [
+    " ", ";", "; ", ",", "0", "1", "2", "-1", "1/1", "-2/3", "1/2,3/4", "0,1/1",
+    "1/0", "0/0", "1/2,1/0", "9" * 5000, "1/" + "9" * 5000, "1e1000000000", "nan",
+    "inf", "x", "+", "-", "_", "1_0", "\x00", "\x0c", "\t", "\n", "\u2028", "\u0663",
+]
+
+
 class TestPolyText:
     @settings(max_examples=150)
     @given(poly_st())
@@ -222,11 +232,31 @@ class TestPolyText:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "1/2", "x 1 2", "1/0 1 1", "1/2 1 x", "1/2 1 -1", "1/1 1 0; 1/1 2 0"],
+        ["", "1/2", "x 1 2", "1/0 1 1", "1/2 1 x", "1/2 1 -1", "1/1 1 0; 1/1 2 0",
+         "1e1000000000 1 0", "1/1 1 0; 0,1e-1000000000 0 1"],
     )
     def test_rejects(self, bad):
         with pytest.raises(PolyFormatError):
             parse_poly(bad)
+
+    def test_rejects_integers_past_the_digit_limit(self):
+        # Python converts at most 4300 digits between str and int
+        for bad in ("9" * 5000 + " 1 0", "1/" + "9" * 5000 + " 1 0", "1/1 " + "9" * 5000):
+            with pytest.raises(PolyFormatError):
+                parse_poly(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.text(), st.lists(st.sampled_from(POLY_FUZZ_TOKENS), max_size=24).map("".join)),
+        st.none() | st.integers(1, 4),
+        st.none() | st.integers(0, 3),
+    )
+    def test_arbitrary_text_raises_only_format_errors(self, text, n_vars, degree):
+        try:
+            p = parse_poly(text, n_vars=n_vars, degree=degree)
+        except PolyFormatError:
+            return
+        assert parse_poly(format_poly(p), n_vars=p.n_vars, degree=p.degree) == p
 
     def test_dimension_checks(self):
         with pytest.raises(PolyFormatError):
