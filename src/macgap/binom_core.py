@@ -156,6 +156,26 @@ def lemma_checks(m_max: int, k_max: int) -> int:
     return math.comb(m_max + k_max + 2, m_max + 1) - m_max - k_max - 2
 
 
+def lemma_checks_upto(m_max: int, k_max: int, cap: int) -> int | None:
+    """`lemma_checks(m_max, k_max)` if it is at most `cap`, else None.
+
+    C(m_max+k_max+2, m_max+1) is built as the product C(a+i, i), i = 1..b,
+    with a >= b; each factor (a+i)/i is at least 2, so the product passes
+    cap + m_max + k_max + 2 after about log2 of that many steps and stops
+    there, without computing a large binomial."""
+    if m_max < 1 or k_max < 1:
+        raise ValueError("sweep bounds must be positive")
+    b = min(m_max, k_max) + 1
+    a = m_max + k_max + 2 - b
+    top = cap + m_max + k_max + 2
+    count = 1
+    for i in range(1, b + 1):
+        count = count * (a + i) // i
+        if count > top:
+            return None
+    return count - m_max - k_max - 2
+
+
 def verify_lemma_binom(m_max: int, k_max: int, table=None) -> LemmaSweepReport:
     """Check A^-<m> + B_<k> = C(m+k-1, k) - 1 over every split A + B = C(m+k, k) - 1.
 

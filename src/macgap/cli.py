@@ -10,12 +10,13 @@ found no witness or a computed value that broke a checked invariant).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from dataclasses import dataclass
 
-from .binom_core import lemma_checks, macaulay_rep, verify_lemma_binom
+from .binom_core import lemma_checks_upto, macaulay_rep, verify_lemma_binom
 from .gap_calc import (
     classify_gap,
     comparison_intervals,
@@ -54,6 +55,9 @@ MAX_MACAULAY_LEVEL = 1000
 MAX_MACAULAY_DIGITS = 2000
 # Largest `verify lemma3` sweep, in checked splits (m, k <= 10 is 705 410).
 MAX_LEMMA_CHECKS = 10**6
+# Largest lemma3 check count that a refusal prints exactly; above it the
+# count is only bounded, so refusing costs O(log) steps at any bound.
+LEMMA_COUNT_CAP = 10**12
 # Largest `verify gap-argument` sweep, in checked triples (--max-n 441 is
 # 996 268, the largest within it).
 MAX_GAP_ARGUMENT_CHECKS = 10**6
@@ -197,10 +201,11 @@ def cmd_gap(args) -> int:
 def _suite_lemma3(args, cfg: RunConfig):
     max_m = args.max_m or 6
     max_k = args.max_k or 6
-    checks = lemma_checks(max_m, max_k)
-    if checks > MAX_LEMMA_CHECKS:
+    checks = lemma_checks_upto(max_m, max_k, LEMMA_COUNT_CAP)
+    if checks is None or checks > MAX_LEMMA_CHECKS:
+        count = f"more than {LEMMA_COUNT_CAP}" if checks is None else checks
         raise ValueError(
-            f"lemma3 sweep --max-m {max_m} --max-k {max_k} needs {checks} "
+            f"lemma3 sweep --max-m {max_m} --max-k {max_k} needs {count} "
             f"checks, above the limit of {MAX_LEMMA_CHECKS}"
         )
     report = verify_lemma_binom(max_m, max_k)
@@ -588,8 +593,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later `main` call
+    in the process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

@@ -9,16 +9,26 @@ computed here is an exact integer from integer elimination.  A span is
 ranked over the support columns alone, the monomials that some member
 uses.  Hyperplane genericity is handled by sampling: codimension claims
 take the best (minimum) value over sampled hyperplanes, span claims take
-the maximum.  The harnesses restrict the linear map once per hyperplane, as
-one integer matrix R_H, and rank the product M_W . R_H on Gaussian-integer
-pairs; `restrict` restricts one polynomial and is the reference for that
-path.
+the maximum.
+
+The harnesses rank a restricted subspace as the product M_W . R_H of its
+cleared coefficient rows and the restriction matrix of the hyperplane.
+R_H comes from a template cached per (n_vars, degree, pivot), which holds
+the multinomial terms of every power of the substituted form and the
+column each term lands on; a hyperplane only fills in the powers of its
+own coefficients, and M_W is multiplied by the sparse R_H directly, on
+integers for real forms and on Gaussian-integer pairs otherwise.
+`green_suite` draws M_W, and both harnesses draw their hyperplanes, as
+plain integers, with the same RNG calls as `random_subspace` and
+`random_hyperplane`.  The references stay: `restrict` restricts one
+polynomial, and `random_subspace` + `cleared_rows` and `random_hyperplane`
+are the draws the integer ones must reproduce.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -317,33 +327,40 @@ class Hyperplane:
             raise ValueError("zero pivot coefficient")
 
 
+def _scaled_form(form: list[tuple[int, int]], pivot: int):
+    """The substitution z_pivot = sum_j r_j z_j, r_j = -c_j/c_pivot, of the
+    linear form with Gaussian-integer coefficients `form`, scaled to
+    Gaussian integers: returns (t, lin), t > 0 the common denominator of the
+    parts of the r_j and lin the pairs t*r_j for the coordinates other than
+    the pivot, in order (zeros included)."""
+    # r_j = -c_j * conj(c_pivot) / norm, and t = norm / gcd(norm, all parts)
+    pa, pb = form[pivot]
+    norm = pa * pa + pb * pb
+    nums = [
+        (-(a * pa + b * pb), a * pb - b * pa)
+        for j, (a, b) in enumerate(form)
+        if j != pivot
+    ]
+    g = math.gcd(norm, *(x for pair in nums for x in pair))
+    return norm // g, [(a // g, b // g) for a, b in nums]
+
+
 def _pivot_powers(H: Hyperplane, top: int):
     """Powers 0..top of the substituted linear form.
 
-    Substituting z_pivot = sum_j r_j z_j with r_j = -c_j/c_pivot is exact on
-    Gaussian-integer pairs once the r_j are scaled by t, the common
-    denominator of their parts: powers[k] maps exponent vectors in the
-    n_vars-1 remaining variables to the pairs of (t * sum_j r_j z_j)^k.
-    Returns (t, powers).
+    powers[k] maps exponent vectors in the n_vars-1 remaining variables to
+    the Gaussian-integer pairs of (t * sum_j r_j z_j)^k, with t and the r_j
+    as in `_scaled_form`.  Returns (t, powers).
     """
-    # scaling the form to Gaussian integers keeps the hyperplane; then
-    # r_j = -c_j * conj(c_pivot) / norm, and t = norm / gcd(norm, all parts)
-    coeffs = _clear_row(list(H.coeffs))
-    pa, pb = coeffs.pop(H.pivot)
-    norm = pa * pa + pb * pb
-    m = len(coeffs)
-    nums = {}
-    g = norm
-    for k, (a, b) in enumerate(coeffs):
-        if a or b:
-            nums[k] = (-(a * pa + b * pb), a * pb - b * pa)
-            g = math.gcd(g, *nums[k])
-    t = norm // g
+    # scaling the form to Gaussian integers keeps the hyperplane
+    t, scaled = _scaled_form(_clear_row(list(H.coeffs)), H.pivot)
+    m = len(scaled)
     lin = {}
-    for k, (a, b) in nums.items():
-        e = [0] * m
-        e[k] = 1
-        lin[tuple(e)] = (a // g, b // g)
+    for k, (a, b) in enumerate(scaled):
+        if a or b:
+            e = [0] * m
+            e[k] = 1
+            lin[tuple(e)] = (a, b)
     powers = [{(0,) * m: (1, 0)}]
     for _ in range(top):
         nxt: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -399,27 +416,41 @@ def restrict(p: Poly, H: Hyperplane) -> Poly:
     return q
 
 
-def restriction_matrix(H: Hyperplane, degree: int) -> list[list[tuple[int, int]]]:
-    """R_H on Gaussian-integer pairs: row i is the restriction to H of the
-    i-th monomial of monomial_basis(n_vars, degree), over the columns
-    monomial_basis(n_vars - 1, degree), with every row scaled by t**degree
-    (t as in `_pivot_powers`).  One positive scale for all rows keeps
-    rank(M . R_H) equal to the rank of the restricted rows of M."""
-    n_vars = len(H.coeffs)
-    _check_restrictable(n_vars, H)
-    piv = H.pivot
-    t, powers = _pivot_powers(H, degree)
-    cols = {e: j for j, e in enumerate(monomial_basis(n_vars - 1, degree))}
-    R = []
+# Shapes whose restriction template stays cached; a sweep uses a handful.
+TEMPLATE_CACHE = 32
+
+
+@functools.lru_cache(maxsize=TEMPLATE_CACHE)
+def _restriction_template(n_vars: int, degree: int, pivot: int):
+    """The restriction matrix R_H of every hyperplane of one shape, as a
+    function of its substitution z_pivot = sum_k r_k z_k.
+
+    Returns (ncols, terms, rows).  terms[e], for e = 0..degree, lists the
+    terms of (sum_k r_k z_k)^e as (multinomial(e; beta), beta), one per
+    exponent vector beta of monomial_basis(n_vars-1, e).  rows has one entry
+    per monomial z^e of monomial_basis(n_vars, degree), in that order:
+    (e_pivot, cols).  The restriction of z^e is (sum_k r_k z_k)^e_pivot times
+    the other factors of z^e, so its i-th term lands on column cols[i] of
+    monomial_basis(n_vars-1, degree), which has ncols monomials: the column
+    of beta_i plus the remaining exponents of e.  Distinct beta of one row
+    land on distinct columns.
+    """
+    m = n_vars - 1
+    cols = {e: j for j, e in enumerate(monomial_basis(m, degree))}
+    terms = tuple(
+        tuple(
+            (math.factorial(e) // math.prod(map(math.factorial, beta)), beta)
+            for beta in monomial_basis(m, e)
+        )
+        for e in range(degree + 1)
+    )
+    rows = []
     for exps in monomial_basis(n_vars, degree):
-        rest = exps[:piv] + exps[piv + 1:]
-        lift = t ** (degree - exps[piv])
-        row = [(0, 0)] * len(cols)
-        # distinct terms of one power land on distinct columns
-        for le, (a, b) in powers[exps[piv]].items():
-            row[cols[tuple(x + y for x, y in zip(le, rest))]] = (a * lift, b * lift)
-        R.append(row)
-    return R
+        ep = exps[pivot]
+        rest = exps[:pivot] + exps[pivot + 1:]
+        targets = (tuple(x + y for x, y in zip(beta, rest)) for _, beta in terms[ep])
+        rows.append((ep, tuple(cols[e] for e in targets)))
+    return len(cols), terms, tuple(rows)
 
 
 def random_hyperplane(rng: random.Random, n_vars: int) -> Hyperplane:
@@ -431,6 +462,15 @@ def random_hyperplane(rng: random.Random, n_vars: int) -> Hyperplane:
             break
     pivot = next(i for i, v in enumerate(ints) if v)
     return Hyperplane(tuple(GRat(v) for v in ints), pivot)
+
+
+def _random_form(rng: random.Random, n_vars: int) -> tuple[list[int], int]:
+    """The integer coefficients and the pivot of `random_hyperplane`, from
+    the same draws, without building the `Hyperplane`."""
+    while True:
+        ints = [rng.randint(-9, 9) for _ in range(n_vars)]
+        if any(ints):
+            return ints, next(i for i, v in enumerate(ints) if v)
 
 
 def rng_for(seed: int, label: str) -> random.Random:
@@ -603,35 +643,126 @@ def cleared_rows(polys, n_vars: int, degree: int) -> list[list[tuple[int, int]]]
     ]
 
 
+def _int_restriction_rows(form: list[int], pivot: int, degree: int):
+    """R_H of the hyperplane of the integer form `form` with that pivot, from
+    the cached template, as (ncols, rows): row i lists (column, value) for
+    each term of the restriction of the i-th monomial of
+    monomial_basis(len(form), degree), every row scaled by t**degree; all
+    other entries are zero.
+
+    For an integer form, `_scaled_form` reduces to t = |c_pivot| / g and
+    t*r_j = -sign(c_pivot) * c_j / g, g the gcd of the form; the entry of
+    term (multinomial, beta) of a row with e_pivot = e is
+    t**(degree-e) * multinomial * prod_k (t*r_k)**beta_k."""
+    ncols, terms, rows = _restriction_template(len(form), degree, pivot)
+    g = math.gcd(*form)
+    sign = -1 if form[pivot] > 0 else 1
+    t = abs(form[pivot]) // g
+    pw = [
+        [(sign * c // g) ** e for e in range(degree + 1)]
+        for j, c in enumerate(form)
+        if j != pivot
+    ]
+    values = [
+        [
+            t ** (degree - e) * mult * math.prod(map(list.__getitem__, pw, beta))
+            for mult, beta in terms[e]
+        ]
+        for e in range(degree + 1)
+    ]
+    return ncols, [tuple(zip(cols, values[e])) for e, cols in rows]
+
+
+def _pair_restriction_rows(form: list[tuple[int, int]], pivot: int, degree: int):
+    """`_int_restriction_rows` for a form with Gaussian-integer coefficients:
+    the values are (re, im) pairs, with t and the t*r_k of `_scaled_form`."""
+    ncols, terms, rows = _restriction_template(len(form), degree, pivot)
+    t, lin = _scaled_form(form, pivot)
+    pw = []
+    for a, b in lin:
+        powers = [(1, 0)]
+        for _ in range(degree):
+            x, y = powers[-1]
+            powers.append((x * a - y * b, x * b + y * a))
+        pw.append(powers)
+    values = []
+    for e in range(degree + 1):
+        vals = []
+        for mult, beta in terms[e]:
+            x, y = t ** (degree - e) * mult, 0
+            for powers, k in zip(pw, beta):
+                a, b = powers[k]
+                x, y = x * a - y * b, x * b + y * a
+            vals.append((x, y))
+        values.append(vals)
+    return ncols, [tuple(zip(cols, values[e])) for e, cols in rows]
+
+
+def _int_restricted_rank(
+    M: list[list[int]], form: list[int], pivot: int, degree: int
+) -> int:
+    """`restricted_rank` for integer rows M (cleared rows without imaginary
+    parts) and the hyperplane of the integer form `form` with that pivot:
+    the rank of M . R_H, with M multiplied by the sparse R_H directly."""
+    if not M:
+        return 0
+    ncols, R = _int_restriction_rows(form, pivot, degree)
+    product = []
+    for row in M:
+        out = [0] * ncols
+        for v, entries in zip(row, R):
+            if v:
+                for col, r in entries:
+                    out[col] += v * r
+        product.append(out)
+    return _rank_int(product)
+
+
 def restricted_rank(M: list[list[tuple[int, int]]], H: Hyperplane, degree: int) -> int:
     """Rank of the restrictions to H of the degree-`degree` polynomials whose
-    cleared rows are M, computed as rank(M . R_H) in integer arithmetic.
+    cleared rows are M, computed as rank(M . R_H) in integer arithmetic, with
+    R_H read off the template of H's shape: on integers when M and H have no
+    imaginary parts (`_int_restricted_rank`), on Gaussian-integer pairs
+    otherwise.
 
     Equal to exact_rank(coefficient_rows([restrict(p, H) ...])), which is the
     reference; M is not modified, so one M serves many hyperplanes."""
     if not M:
         return 0
-    R = restriction_matrix(H, degree)
-    cols = list(zip(*R))
-    if all(b == 0 for row in M for _, b in row) and all(
-        b == 0 for row in R for _, b in row
-    ):
-        re_cols = [[a for a, _ in col] for col in cols]
-        return _rank_int([
-            [sum(map(operator.mul, re, col)) for col in re_cols]
-            for re in ([a for a, _ in row] for row in M)
-        ])
+    n_vars = len(H.coeffs)
+    _check_restrictable(n_vars, H)
+    size = math.comb(n_vars - 1 + degree, degree)
+    if any(len(row) != size for row in M):
+        raise ValueError(
+            f"rows of M must have {size} entries, one per monomial of "
+            f"degree {degree} in {n_vars} variables"
+        )
+    form = _clear_row(list(H.coeffs))
+    if all(b == 0 for _, b in form) and all(b == 0 for row in M for _, b in row):
+        return _int_restricted_rank(
+            [[a for a, _ in row] for row in M], [a for a, _ in form], H.pivot, degree
+        )
+    ncols, R = _pair_restriction_rows(form, H.pivot, degree)
     product = []
     for row in M:
-        out = []
-        for col in cols:
-            x = y = 0
-            for (a, b), (c, e) in zip(row, col):
-                x += a * c - b * e
-                y += a * e + b * c
-            out.append((x, y))
+        out = [(0, 0)] * ncols
+        for (a, b), entries in zip(row, R):
+            if a or b:
+                for col, (x, y) in entries:
+                    ox, oy = out[col]
+                    out[col] = (ox + a * x - b * y, oy + a * y + b * x)
         product.append(out)
     return _rank_pairs(product)
+
+
+def _random_int_rows(rng: random.Random, n_vars: int, degree: int) -> list[list[int]]:
+    """The M_W of `random_subspace`, from the same draws: the basis drawn as
+    integer coefficient rows, the all-zero ones dropped as `cleared_rows`
+    drops them."""
+    size = math.comb(n_vars - 1 + degree, degree)
+    count = rng.randint(1, size + 2)
+    rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(count)]
+    return [row for row in rows if any(row)]
 
 
 def _codim(M: list[list[tuple[int, int]]], n_vars: int, degree: int) -> int:
@@ -726,22 +857,25 @@ def green_suite(
     report = GreenSuiteReport(trials=trials, seed=seed)
     for n in ns:
         for d in ds:
+            size = math.comb(n + d, d)
+            restricted_size = math.comb(n - 1 + d, d)
             for i in range(subspaces):
                 rng = rng_for(seed, f"green|n{n}|d{d}|s{i}")
-                W = random_subspace(rng, n + 1, d)
-                M = cleared_rows(W.basis, n + 1, d)
-                codim = _codim(M, n + 1, d)
-                recs = [
-                    verify_green(W, random_hyperplane(rng, n + 1), codim, M)
+                M = _random_int_rows(rng, n + 1, d)
+                c = size - (_rank_int([row[:] for row in M]) if M else 0)
+                c_h = restricted_size - max(
+                    _int_restricted_rank(M, *_random_form(rng, n + 1), d)
                     for _ in range(trials)
-                ]
-                best = min(recs, key=lambda r: r.c_h)
+                )
+                bound = op_lower(c, d)
+                best = GreenRecord(
+                    n=n, d=d, c=c, c_h=c_h, bound=bound, holds=c_h <= bound
+                )
                 report.subspace_count += 1
-                report.checks += len(recs)
-                holds = best.c_h <= best.bound
+                report.checks += trials
                 if keep_records:
                     report.records.append(best)
-                if not holds:
+                if not best.holds:
                     report.violations.append(best)
     return report
 
@@ -809,9 +943,9 @@ def veronese_suite(
             N = image_span_dim(comps)
             expected = op_minus(N, n)
             rng = rng_for(seed, f"veronese|n{n}|d{d}")
-            M = cleared_rows(comps, n + 1, d)
+            M = [[a for a, _ in row] for row in cleared_rows(comps, n + 1, d)]
             for _ in range(trials):
-                rank = restricted_rank(M, random_hyperplane(rng, n + 1), d)
+                rank = _int_restricted_rank(M, *_random_form(rng, n + 1), d)
                 report.checks += 1
                 if rank - 1 != expected:
                     report.violations.append((n, d, rank - 1, expected))

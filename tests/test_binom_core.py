@@ -8,6 +8,7 @@ from macgap import binom_core
 from macgap.binom_core import (
     binom,
     lemma_checks,
+    lemma_checks_upto,
     macaulay_rep,
     op_lower,
     op_minus,
@@ -248,3 +249,21 @@ class TestLemmaSweep:
         assert lemma_checks(10, 10) == 705_410
         with pytest.raises(ValueError):
             lemma_checks(0, 3)
+
+    def test_capped_count_matches_exact(self):
+        for m_max in range(1, 25):
+            for k_max in range(1, 25):
+                exact = lemma_checks(m_max, k_max)
+                for cap in (0, 10, exact - 1, exact, exact + 1, 10**6):
+                    got = lemma_checks_upto(m_max, k_max, cap)
+                    assert got == (exact if exact <= cap else None)
+        with pytest.raises(ValueError):
+            lemma_checks_upto(3, 0, 10)
+
+    def test_capped_count_stops_early(self):
+        # C(2*10^100 + 2, 10^100 + 1) has about 6 * 10^99 digits; the
+        # bounded count gives up after a few dozen steps
+        assert lemma_checks_upto(10**100, 10**100, 10**12) is None
+        assert lemma_checks_upto(10**100, 1, 10**12) is None
+        assert lemma_checks_upto(1, 1, 10**12) == lemma_checks(1, 1) == 2
+

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ import macgap.gap_calc
 import macgap.hermitian
 from macgap.cli import (
     EXIT_INTERNAL,
+    LEMMA_COUNT_CAP,
     MAX_GAP_ARGUMENT_CHECKS,
     MAX_LEMMA_CHECKS,
     MAX_MACAULAY_DIGITS,
@@ -161,6 +163,21 @@ class TestVerify:
         assert out == ""
         assert "155117490 checks" in err
         assert f"limit of {MAX_LEMMA_CHECKS}" in err
+
+    def test_lemma3_limit_at_huge_bounds(self, capsys, monkeypatch):
+        # the refusal neither computes the huge binomial nor prints it
+        def sweep(*args):
+            raise AssertionError("sweep ran above the limit")
+
+        monkeypatch.setattr(macgap.cli, "verify_lemma_binom", sweep)
+        for bound in ("100000", "1000000", "9" * 4000):
+            start = time.perf_counter()
+            rc, out, err = run(capsys, "verify", "lemma3", "--max-m", bound, "--max-k", bound)
+            assert time.perf_counter() - start < 2
+            assert rc == 2
+            assert out == ""
+            assert f"more than {LEMMA_COUNT_CAP} checks" in err
+            assert f"limit of {MAX_LEMMA_CHECKS}" in err
 
     def test_gap_argument(self, capsys):
         rc, out, _ = run(capsys, "verify", "gap-argument", "--max-n", "20", "--json")
@@ -403,14 +420,65 @@ def test_module_entry_point():
     assert "C(4,3)+C(3,2)+C(1,1)" in proc.stdout
 
 
-@pytest.mark.parametrize("suite", ["gap-argument", "sharpness"])
-def test_checks_survive_optimize(suite):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "gap-argument", "--json"], id="gap-argument"),
+    pytest.param(["verify", "sharpness", "--json"], id="sharpness"),
+    pytest.param(["verify", "green", "--json", "--subspaces", "5", "--trials", "4"], id="green"),
+    pytest.param(["verify", "restriction", "--json", "--max-n", "3", "--max-degree", "3",
+                  "--trials", "3"], id="restriction"),
+])
+def test_checks_survive_optimize(argv):
     # python -O strips assert statements; the suites must still run their
-    # invariant checks and pass
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "macgap", "verify", suite, "--json"],
-        capture_output=True, text=True,
+    # invariant checks, pass, and print what a normal run prints
+    optimized, normal = (
+        subprocess.run([sys.executable, *flags, "-m", "macgap", *argv],
+                       capture_output=True, text=True)
+        for flags in (["-O"], [])
     )
-    assert proc.returncode == 0, proc.stderr
-    (rec,) = records(proc.stdout)
-    assert rec["ok"]
+    assert optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == normal.stdout
+    recs = records(optimized.stdout)
+    assert recs and all(rec["ok"] for rec in recs)
+
+
+# (argv, expected exit code); the text-mode `verify` line carries a timing,
+# so the verify runs here are JSON
+PROCESS_SEQUENCE = [
+    (["macaulay", "8", "3"], 0),
+    (["gap", "13", "42", "--json"], 0),
+    (["verify", "lemma3", "--max-m", "3", "--max-k", "3", "--json"], 0),
+    (["verify", "nope"], 2),
+    (["map", "gen-sharpness", "1", "2"], 0),
+    (["verify", "restriction", "--json", "--max-n", "2", "--max-degree", "2", "--trials", "2"], 0),
+    (["macaulay", "--json"], 2),
+    (["gap", "1", "5"], 2),
+    (["macaulay", "8", "3", "--json"], 0),
+]
+
+
+def test_one_parser_serves_a_whole_process(capsys, monkeypatch):
+    builds = []
+    real = macgap.cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(macgap.cli, "build_parser", counting)
+    macgap.cli._parser.cache_clear()
+    in_process = []
+    for argv, _ in PROCESS_SEQUENCE:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code
+        captured = capsys.readouterr()
+        in_process.append((rc, captured.out, captured.err))
+    macgap.cli._parser.cache_clear()
+    assert builds == [1]
+    for (argv, want_rc), (rc, out, err) in zip(PROCESS_SEQUENCE, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "macgap", *argv],
+                               capture_output=True, text=True)
+        assert rc == fresh.returncode == want_rc, argv
+        assert out == fresh.stdout, argv
+        assert err == fresh.stderr, argv

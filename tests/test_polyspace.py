@@ -25,9 +25,9 @@ from macgap.polyspace import (
     parse_grat,
     parse_poly,
     random_hyperplane,
+    random_subspace,
     restrict,
     restricted_rank,
-    restriction_matrix,
     rng_for,
     subspace_rank,
     support_rows,
@@ -518,24 +518,62 @@ class TestRestrictedRank:
         assert restricted_rank(cleared_rows([mono(2, (0, 3))], 2, 3), H, 3) == 1
         assert restricted_rank(cleared_rows([Poly(2, 3, {})], 2, 3), H, 3) == 0
 
-    def test_matrix_rows_are_scaled_restrictions(self):
-        H = Hyperplane((GRat(2), GRat(0, 3), GRat(Fraction(1, 2))), 1)
-        d = 2
-        cols = monomial_basis(2, d)
-        pairs = [
-            (GRat(a, b), restrict(mono(3, e), H).coeffs.get(col, GRat()))
-            for e, row in zip(monomial_basis(3, d), restriction_matrix(H, d))
-            for col, (a, b) in zip(cols, row)
-        ]
-        scale = next(got / want for got, want in pairs if want)
-        assert scale.is_real() and scale.re > 0
-        assert all(got == want * scale for got, want in pairs)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matrix_rows_are_scaled_restrictions(self, data):
+        # R_H from the template, row by row, is the restriction of each
+        # monomial up to one positive scale shared by all rows
+        nv = data.draw(st.integers(2, 4), label="n_vars")
+        d = data.draw(st.integers(0, 3), label="degree")
+        real = data.draw(st.booleans(), label="real form")
+        if real:
+            ints = data.draw(st.lists(st.integers(-9, 9), min_size=nv, max_size=nv))
+            if not any(ints):
+                ints[0] = 1
+            pivot = data.draw(st.sampled_from([i for i, v in enumerate(ints) if v]))
+            H = Hyperplane(tuple(GRat(v) for v in ints), pivot)
+        else:
+            H = data.draw(hyperplane_st(nv), label="H")
+        form = polyspace._clear_row(list(H.coeffs))
+        matrices = [polyspace._pair_restriction_rows(form, H.pivot, d)]
+        if real:
+            ncols, R = polyspace._int_restriction_rows(ints, H.pivot, d)
+            matrices.append((ncols, [tuple((c, (v, 0)) for c, v in row) for row in R]))
+        cols = monomial_basis(nv - 1, d)
+        for ncols, R in matrices:
+            assert ncols == len(cols) and len(R) == len(monomial_basis(nv, d))
+            pairs = []
+            for e, row in zip(monomial_basis(nv, d), R):
+                dense = [GRat()] * ncols
+                for c, (a, b) in row:
+                    dense[c] = GRat(a, b)
+                want = restrict(mono(nv, e), H)
+                pairs += [(dense[j], want.coeffs.get(col, GRat())) for j, col in enumerate(cols)]
+            scale = next(got / want for got, want in pairs if want)
+            assert scale.is_real() and scale.re > 0
+            assert all(got == want * scale for got, want in pairs)
+        if real:
+            # the integer reduction of `_scaled_form` gives the same matrix
+            assert matrices[0] == matrices[1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            restriction_matrix(Hyperplane((GRat(1),), 0), 2)
+            restricted_rank([[(1, 0)]], Hyperplane((GRat(1),), 0), 2)
         with pytest.raises(ValueError):
             cleared_rows([mono(2, (1, 1))], 3, 2)
+        # rows of the wrong length for the degree and variable count
+        with pytest.raises(ValueError):
+            restricted_rank(cleared_rows([mono(3, (1, 1, 0))], 3, 2), plane([1, 2, 3]), 3)
+
+    def test_template_cache_is_bounded(self):
+        polyspace._restriction_template.cache_clear()
+        for nv in range(2, 6):
+            for d in range(4):
+                for pivot in range(nv):
+                    polyspace._restriction_template(nv, d, pivot)
+        info = polyspace._restriction_template.cache_info()
+        assert info.maxsize == polyspace.TEMPLATE_CACHE
+        assert info.currsize <= polyspace.TEMPLATE_CACHE < 56
 
     def test_verify_green_reuses_rows(self):
         rng = rng_for(4, "reuse")
@@ -545,6 +583,40 @@ class TestRestrictedRank:
             H = random_hyperplane(rng, 4)
             assert verify_green(W, H, None, M) == verify_green(W, H)
         assert M == cleared_rows(W.basis, 4, 3)
+
+
+class TestIntegerDraws:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32), nv=st.integers(1, 4), d=st.integers(0, 3))
+    def test_rows_match_random_subspace(self, seed, nv, d):
+        fast, ref = rng_for(seed, "draw"), rng_for(seed, "draw")
+        rows = polyspace._random_int_rows(fast, nv, d)
+        want = cleared_rows(random_subspace(ref, nv, d).basis, nv, d)
+        assert [[(v, 0) for v in row] for row in rows] == want
+        assert fast.getstate() == ref.getstate()
+
+    def test_zero_rows_dropped(self):
+        # one monomial per row: some seed draws a zero row, which
+        # `cleared_rows` drops too
+        counts = []
+        for seed in range(60):
+            fast, ref = rng_for(seed, "zero"), rng_for(seed, "zero")
+            W = random_subspace(ref, 2, 0)
+            rows = polyspace._random_int_rows(fast, 2, 0)
+            assert [[(v, 0) for v in row] for row in rows] == cleared_rows(W.basis, 2, 0)
+            counts.append(len(W.basis) - len(rows))
+        assert max(counts) > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32), nv=st.integers(1, 5))
+    def test_form_matches_random_hyperplane(self, seed, nv):
+        fast, ref = rng_for(seed, "form"), rng_for(seed, "form")
+        draws = [polyspace._random_form(fast, nv) for _ in range(5)]
+        want = [random_hyperplane(ref, nv) for _ in range(5)]
+        assert [(tuple(GRat(v) for v in form), pivot) for form, pivot in draws] == [
+            (H.coeffs, H.pivot) for H in want
+        ]
+        assert fast.getstate() == ref.getstate()
 
 
 class TestGreen:

@@ -1,0 +1,195 @@
+"""The restriction suites run end to end on their reference implementations.
+
+The `reference_mode` fixture swaps every fast path of `verify green` and
+`verify restriction` for the slow reference it replaces:
+
+- `green_suite` and `veronese_suite` for plain loops that draw each
+  subspace with `random_subspace` and each hyperplane with
+  `random_hyperplane`, and check them one hyperplane at a time, as the
+  suites are specified;
+- the integer draws for `random_subspace` + `cleared_rows` and
+  `random_hyperplane`;
+- both restricted ranks (the template R_H times M, on integers or pairs)
+  for `exact_rank` of the `restrict`ed members;
+- the restriction template for a stub that fails if anything still
+  reaches it.
+
+The same commands then run both ways and must print the same bytes,
+`green_suite` must keep the same records, which carry the codimensions
+that the command's summary lines do not show, and the suites must compute
+the same restricted ranks, call by call: the same rows, the same
+hyperplane and the same rank.  A suite reports only the best hyperplane of
+a subspace, and almost every hyperplane is general, so the last check is
+what sees a wrong wiring between pieces that are each correct on their
+own, such as hyperplanes drawn from the wrong stream.  Nothing here adds a
+switch to the program.
+"""
+
+import contextlib
+import io
+
+import pytest
+
+import macgap.cli
+from macgap import polyspace
+from macgap.binom_core import op_minus
+from macgap.polyspace import (
+    GRat,
+    GreenSuiteReport,
+    Hyperplane,
+    Poly,
+    VeroneseSuiteReport,
+    cleared_rows,
+    coefficient_rows,
+    exact_rank,
+    image_span_dim,
+    monomial_basis,
+    random_hyperplane,
+    random_subspace,
+    restrict,
+    rng_for,
+    verify_green,
+    veronese_components,
+)
+
+
+def _reference_rank(rows, H, degree):
+    """Rank of the restrictions of the polynomials with coefficient rows
+    `rows` (GRat entries over monomial_basis order), through `restrict`."""
+    n_vars = len(H.coeffs)
+    basis = monomial_basis(n_vars, degree)
+    polys = [Poly(n_vars, degree, dict(zip(basis, row))) for row in rows]
+    restricted = [restrict(p, H) for p in polys]
+    return exact_rank(coefficient_rows(restricted, n_vars - 1, degree))
+
+
+def _int_rows(rng, n_vars, degree):
+    W = random_subspace(rng, n_vars, degree)
+    return [[a for a, _ in row] for row in cleared_rows(W.basis, n_vars, degree)]
+
+
+def _form(rng, n_vars):
+    H = random_hyperplane(rng, n_vars)
+    return [int(c.re) for c in H.coeffs], H.pivot
+
+
+def _no_template(*args):
+    raise AssertionError("the restriction template was used in reference mode")
+
+
+@pytest.fixture
+def reference_mode(monkeypatch):
+    """Returns (calls, enter).  `calls` gets one entry (rows, form, pivot,
+    degree, rank) per restricted rank a suite computes; `enter()` switches
+    the fast paths to their references for the rest of the test."""
+    calls = []
+    fast_rank = polyspace._int_restricted_rank
+
+    def spy(M, form, pivot, degree):
+        rank = fast_rank(M, form, pivot, degree)
+        calls.append((M, form, pivot, degree, rank))
+        return rank
+
+    monkeypatch.setattr(polyspace, "_int_restricted_rank", spy)
+
+    def restricted_rank(M, H, degree):
+        rank = _reference_rank([[GRat(a, b) for a, b in row] for row in M], H, degree)
+        # the suites restrict real subspaces to integer forms only
+        rows = [[a for a, _ in row] for row in M]
+        calls.append((rows, [int(c.re) for c in H.coeffs], H.pivot, degree, rank))
+        return rank
+
+    def int_restricted_rank(M, form, pivot, degree):
+        H = Hyperplane(tuple(GRat(v) for v in form), pivot)
+        return restricted_rank([[(v, 0) for v in row] for row in M], H, degree)
+
+    def green_suite(ns=(2, 3), ds=(2, 3), subspaces=200, trials=20, seed=0,
+                    keep_records=False):
+        report = GreenSuiteReport(trials=trials, seed=seed)
+        for n in ns:
+            for d in ds:
+                for i in range(subspaces):
+                    rng = rng_for(seed, f"green|n{n}|d{d}|s{i}")
+                    W = random_subspace(rng, n + 1, d)
+                    recs = [
+                        verify_green(W, random_hyperplane(rng, n + 1))
+                        for _ in range(trials)
+                    ]
+                    best = min(recs, key=lambda r: r.c_h)
+                    report.subspace_count += 1
+                    report.checks += len(recs)
+                    if keep_records:
+                        report.records.append(best)
+                    if not best.holds:
+                        report.violations.append(best)
+        return report
+
+    def veronese_suite(max_n=4, max_degree=4, trials=3, seed=0):
+        report = VeroneseSuiteReport(trials=trials, seed=seed)
+        for n in range(1, max_n + 1):
+            for d in range(1, max_degree + 1):
+                comps = veronese_components(n + 1, d)
+                expected = op_minus(image_span_dim(comps), n)
+                rng = rng_for(seed, f"veronese|n{n}|d{d}")
+                M = cleared_rows(comps, n + 1, d)
+                for _ in range(trials):
+                    rank = restricted_rank(M, random_hyperplane(rng, n + 1), d)
+                    report.checks += 1
+                    if rank - 1 != expected:
+                        report.violations.append((n, d, rank - 1, expected))
+        return report
+
+    def enter():
+        for name, ref in [
+            ("green_suite", green_suite),
+            ("veronese_suite", veronese_suite),
+            ("_random_int_rows", _int_rows),
+            ("_random_form", _form),
+            ("_int_restricted_rank", int_restricted_rank),
+            ("restricted_rank", restricted_rank),
+            ("_restriction_template", _no_template),
+        ]:
+            monkeypatch.setattr(polyspace, name, ref)
+            if hasattr(macgap.cli, name):
+                monkeypatch.setattr(macgap.cli, name, ref)
+
+    return calls, enter
+
+
+def cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = macgap.cli.main(argv)
+    return code, out.getvalue()
+
+
+COMMANDS = [
+    ["verify", "green", "--json", "--seed", "3", "--subspaces", "8", "--trials", "5"],
+    ["verify", "green", "--json", "--seed", "8", "--subspaces", "3", "--trials", "3",
+     "--max-n", "4", "--max-degree", "2"],
+    ["verify", "restriction", "--json", "--trials", "4"],
+    ["verify", "restriction", "--json", "--seed", "5", "--trials", "4"],
+]
+
+
+def test_suites_match_their_references(reference_mode):
+    calls, enter = reference_mode
+
+    def run():
+        report = polyspace.green_suite(
+            ns=(2, 3), ds=(1, 2, 3), subspaces=10, trials=4, seed=6, keep_records=True
+        )
+        outputs = [cli_stdout(argv) for argv in COMMANDS]
+        ranks = calls[:]
+        calls.clear()
+        return outputs, report.records, ranks
+
+    fast = run()
+    enter()
+    assert run() == fast
+    outputs, records, ranks = fast
+    assert all(code == 0 for code, _ in outputs)
+    assert len(records) == 60
+    # 60 subspaces * 4 hyperplanes, the two green commands (4 cells * 8 * 5
+    # and 3 cells * 3 * 3) and the two restriction ones (16 cells * 4)
+    assert len(ranks) == 240 + 160 + 27 + 2 * 64
