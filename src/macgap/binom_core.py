@@ -156,24 +156,49 @@ def lemma_checks(m_max: int, k_max: int) -> int:
     return math.comb(m_max + k_max + 2, m_max + 1) - m_max - k_max - 2
 
 
-def lemma_checks_upto(m_max: int, k_max: int, cap: int) -> int | None:
-    """`lemma_checks(m_max, k_max)` if it is at most `cap`, else None.
+def _comb_upto(n: int, r: int, cap: int) -> int | None:
+    """C(n, r), 0 <= r <= n, if it is at most `cap`, else None.
 
-    C(m_max+k_max+2, m_max+1) is built as the product C(a+i, i), i = 1..b,
-    with a >= b; each factor (a+i)/i is at least 2, so the product passes
-    cap + m_max + k_max + 2 after about log2 of that many steps and stops
-    there, without computing a large binomial."""
+    Built as the product C(n-r'+i, i), i = 1..r', with r' = min(r, n-r);
+    each factor (n-r'+i)/i is at least 2, so the product passes `cap` after
+    about log2(cap) steps and stops there, without computing a large
+    binomial."""
+    r = min(r, n - r)
+    count = 1
+    for i in range(1, r + 1):
+        count = count * (n - r + i) // i
+        if count > cap:
+            return None
+    return count
+
+
+def lemma_checks_upto(m_max: int, k_max: int, cap: int) -> int | None:
+    """`lemma_checks(m_max, k_max)` if it is at most `cap`, else None, in
+    O(log cap) steps at any bounds."""
     if m_max < 1 or k_max < 1:
         raise ValueError("sweep bounds must be positive")
-    b = min(m_max, k_max) + 1
-    a = m_max + k_max + 2 - b
-    top = cap + m_max + k_max + 2
-    count = 1
-    for i in range(1, b + 1):
-        count = count * (a + i) // i
-        if count > top:
-            return None
-    return count - m_max - k_max - 2
+    extra = m_max + k_max + 2
+    count = _comb_upto(m_max + k_max + 2, m_max + 1, cap + extra)
+    return None if count is None else count - extra
+
+
+def lemma_terms_upto(m_max: int, k_max: int, cap: int) -> int | None:
+    """A bound on the Macaulay representation terms `verify_lemma_binom`
+    builds, if it is at most `cap`, else None, in O(log cap) steps.
+
+    The sweep represents every B < C(m_max+k, k) at level k and every
+    A < C(m+k_max, k_max) at level m, and a level-n representation has at
+    most n terms.  With k C(M+k, k) = (M+1) C(M+k, k-1) and the hockey
+    stick, the two families sum to (M+1) C(M+K+1, K-1) + (K+1) C(M+K+1, M-1)
+    for M = m_max, K = k_max."""
+    if m_max < 1 or k_max < 1:
+        raise ValueError("sweep bounds must be positive")
+    lowers = _comb_upto(m_max + k_max + 1, k_max - 1, cap)
+    minuses = _comb_upto(m_max + k_max + 1, m_max - 1, cap)
+    if lowers is None or minuses is None:
+        return None
+    terms = (m_max + 1) * lowers + (k_max + 1) * minuses
+    return terms if terms <= cap else None
 
 
 def verify_lemma_binom(m_max: int, k_max: int, table=None) -> LemmaSweepReport:

@@ -1,0 +1,221 @@
+"""Gaussian-integer kernel: cleared polynomials and exact rank.
+
+A Gaussian rational a/p + (b/q) i is carried as the pair (a', b') of
+Gaussian-integer parts after a whole row or polynomial is scaled by one
+positive integer L.  A cleared polynomial is the form (L, {exps: (re, im)})
+that `clear` produces; scaling by L changes neither a rank nor a zero test,
+and P / L gives the rational value back.  `pairing` builds the pairing
+polynomial of a map from its cleared components, and `vanishes_at` tests it
+at a witness candidate.
+
+The rank kernels are fraction-free (Bareiss 1968) on integer rows and on
+pair rows.  `span_rank` ranks sparse rows: it first peels singleton columns
+and singleton rows, the first step of structured Gaussian elimination
+(LaMacchia-Odlyzko 1990), and hands only the remaining core to
+`_rank_pairs`.  The pair products inside the elimination loops are written
+out inline, since a call per scalar product would dominate them.
+"""
+
+from __future__ import annotations
+
+import math
+
+
+def clear(coeffs):
+    """(L, pairs): L the least positive integer that makes every Gaussian
+    rational in `coeffs` a Gaussian integer, and pairs the (re, im) parts of
+    L times each of them.  `coeffs` is a sequence of `GRat`s, giving a list,
+    or a dict of them, giving a dict on the same keys."""
+    values = coeffs.values() if isinstance(coeffs, dict) else coeffs
+    L = 1
+    for c in values:
+        L = math.lcm(L, c.re.denominator, c.im.denominator)
+    pairs = [
+        (c.re.numerator * (L // c.re.denominator),
+         c.im.numerator * (L // c.im.denominator))
+        for c in values
+    ]
+    return L, dict(zip(coeffs, pairs)) if isinstance(coeffs, dict) else pairs
+
+
+def pairing(parts) -> tuple[int, dict]:
+    """The pairing sum of cleared polynomials, cleared again.
+
+    `parts` lists (sign, L_j, F_j) with F_j = L_j * f_j cleared.  Returns
+    (L, pairs) with L = lcm of the L_j^2 and pairs = L * sum_j sign_j *
+    f_j(z) * conj-coeffs(f_j)(w~): the exponent vector of a term is the z
+    exponents followed by the w~ exponents, and zero terms are dropped."""
+    L = math.lcm(*(Lj * Lj for _, Lj, _ in parts))
+    out: dict[tuple, tuple[int, int]] = {}
+    for sign, Lj, F in parts:
+        s = sign * (L // (Lj * Lj))
+        conj = [(e, a, -b) for e, (a, b) in F.items()]
+        for e1, (a1, b1) in F.items():
+            a1, b1 = s * a1, s * b1
+            for e2, a2, b2 in conj:
+                key = e1 + e2
+                x, y = out.get(key, (0, 0))
+                out[key] = (x + a1 * a2 - b1 * b2, y + a1 * b2 + b1 * a2)
+    return L, {e: c for e, c in out.items() if c != (0, 0)}
+
+
+def vanishes_at(P: dict, point) -> bool:
+    """Whether the homogeneous pair polynomial P is zero at a point of
+    Gaussian rationals.  The point is cleared by its common denominator D
+    first: P(D x) = D^deg P(x), so the value is computed exactly on
+    Gaussian integers."""
+    point = clear(point)[1]
+    powers = [[(1, 0)] for _ in point]
+    ta = tb = 0
+    for exps, (a, b) in P.items():
+        for i, e in enumerate(exps):
+            if e:
+                pw = powers[i]
+                while len(pw) <= e:
+                    x, y = pw[-1]
+                    u, v = point[i]
+                    pw.append((x * u - y * v, x * v + y * u))
+                u, v = pw[e]
+                a, b = a * u - b * v, a * v + b * u
+        ta += a
+        tb += b
+    return ta == tb == 0
+
+
+def _rank_int(rows: list[list[int]]) -> int:
+    """Fraction-free elimination over the integers."""
+    nrows, ncols = len(rows), len(rows[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        pivot = next((i for i in range(rank, nrows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        rp = rows[rank]
+        for i in range(rank + 1, nrows):
+            ri = rows[i]
+            f = ri[col]
+            # every row below gets the update, even with f == 0: the
+            # division by the previous pivot is only exact on the full
+            # Sylvester form pv*x - f*y
+            for j in range(col + 1, ncols):
+                ri[j] = (pv * ri[j] - f * rp[j]) // prev
+            ri[col] = 0
+        prev = pv
+        rank += 1
+    return rank
+
+
+def _rank_gauss_int(rows: list[list[tuple[int, int]]]) -> int:
+    """Fraction-free elimination over the Gaussian integers (pairs)."""
+    nrows, ncols = len(rows), len(rows[0])
+    rank = 0
+    prev = (1, 0)
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        pivot = next(
+            (i for i in range(rank, nrows) if rows[i][col] != (0, 0)), None
+        )
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        rp = rows[rank]
+        pa, pb = prev
+        nprev = pa * pa + pb * pb
+        for i in range(rank + 1, nrows):
+            ri = rows[i]
+            fa, fb = ri[col]
+            va, vb = pv
+            for j in range(col + 1, ncols):
+                xa, xb = ri[j]
+                ya, yb = rp[j]
+                ta = va * xa - vb * xb - (fa * ya - fb * yb)
+                tb = va * xb + vb * xa - (fa * yb + fb * ya)
+                # exact division by prev = pa + pb*i
+                ri[j] = (
+                    (ta * pa + tb * pb) // nprev,
+                    (tb * pa - ta * pb) // nprev,
+                )
+            ri[col] = (0, 0)
+        prev = pv
+        rank += 1
+    return rank
+
+
+def _rank_pairs(rows: list[list[tuple[int, int]]]) -> int:
+    """Rank of Gaussian-integer pair rows, on the integer path when no entry
+    has an imaginary part.  May reorder and overwrite `rows`."""
+    if not rows:
+        return 0
+    if all(b == 0 for row in rows for _, b in row):
+        return _rank_int([[a for a, _ in row] for row in rows])
+    return _rank_gauss_int(rows)
+
+
+def span_rank(rows: list[dict]) -> int:
+    """Rank of sparse rows, each a dict column -> Gaussian-integer pair;
+    zero entries are ignored and the rows are not modified.
+
+    A column with one nonzero entry makes its row independent of the rest:
+    rank + 1, drop the row.  A row with one nonzero entry, in column c, can
+    clear c from every other row: rank + 1, drop the row and the column.
+    Both peels repeat until neither applies; dropping a row or a column can
+    make new singletons.  The core left over, whose rows and columns all
+    hold two entries or more, is ranked by `_rank_pairs`."""
+    live = {}
+    where: dict = {}
+    for i, row in enumerate(rows):
+        kept = {c: v for c, v in row.items() if v != (0, 0)}
+        if kept:
+            live[i] = kept
+            for c in kept:
+                where.setdefault(c, set()).add(i)
+    rank = 0
+    cols, singles = list(where), list(live)
+    while cols or singles:
+        while cols:
+            owners = where.get(cols.pop())
+            if owners is None or len(owners) != 1:
+                continue
+            rank += 1
+            i = owners.pop()
+            for c in live.pop(i):
+                left = where[c]
+                left.discard(i)
+                if len(left) == 1:
+                    cols.append(c)
+                elif not left:
+                    del where[c]
+        while singles:
+            i = singles.pop()
+            row = live.get(i)
+            if row is None or len(row) != 1:
+                continue
+            rank += 1
+            (c,) = row
+            del live[i]
+            for j in where.pop(c):
+                if j == i:
+                    continue
+                other = live[j]
+                del other[c]
+                if not other:
+                    del live[j]
+                elif len(other) == 1:
+                    singles.append(j)
+    if not live:
+        return rank
+    index = {c: k for k, c in enumerate(where)}
+    core = []
+    for row in live.values():
+        dense = [(0, 0)] * len(index)
+        for c, v in row.items():
+            dense[index[c]] = v
+        core.append(dense)
+    return rank + _rank_pairs(core)

@@ -10,23 +10,21 @@ w~ variable, and refuted maps come with an exact witness pair.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gap_calc import classify_gap
+from .gaussint import clear, pairing, vanishes_at
 from .polyspace import (
     GRat,
     Poly,
     PolyFormatError,
-    exact_rank,
     format_poly,
     image_span_dim,
     mono,
     parse_poly,
     rng_for,
-    support_rows,
 )
 
 
@@ -140,7 +138,8 @@ def _embed(p: Poly, total: int, offset: int) -> Poly:
 
 def pairing_poly(f: SignedMap) -> Poly:
     """P(z, w~) = sum eps'_j f_j(z) * conj-coeffs(f_j)(w~), in 2*n_vars
-    variables (z block first, w~ block second)."""
+    variables (z block first, w~ block second).  The reference for
+    `_pairing_pairs`."""
     nv = f.source.n_vars
     total = Poly(2 * nv, 2 * f.degree, {})
     for j, p in enumerate(f.components):
@@ -150,6 +149,17 @@ def pairing_poly(f: SignedMap) -> Poly:
         prod = _embed(p, 2 * nv, 0) * _embed(p.conjugate_coeffs(), 2 * nv, nv)
         total = total + prod if e == 1 else total - prod
     return total
+
+
+def _pairing_pairs(f: SignedMap) -> tuple[int, dict]:
+    """(L, L * P) for P = pairing_poly(f), built on Gaussian-integer pairs:
+    each component is cleared on its own, and L is the lcm of the squares
+    of their denominators."""
+    return pairing([
+        (f.target.eps(j), *clear(p.coeffs))
+        for j, p in enumerate(f.components)
+        if f.target.eps(j)
+    ])
 
 
 def source_form_poly(sig: Signature) -> Poly:
@@ -180,22 +190,8 @@ def _wt_slices(P: Poly, var: int) -> dict[int, Poly]:
     return out
 
 
-def _cleared(P: Poly) -> tuple[int, dict]:
-    """(L, pairs) with L the least positive integer that makes every
-    coefficient of P a Gaussian integer, and pairs the map exponent ->
-    (re, im) of L * P."""
-    L = 1
-    for c in P.coeffs.values():
-        L = math.lcm(L, c.re.denominator, c.im.denominator)
-    return L, {
-        e: (c.re.numerator * (L // c.re.denominator),
-            c.im.numerator * (L // c.im.denominator))
-        for e, c in P.coeffs.items()
-    }
-
-
 def _from_pairs(n_vars: int, degree: int, pairs: dict, L: int) -> Poly:
-    """The Poly pairs / L; inverse of `_cleared`."""
+    """The Poly pairs / L; inverse of `clear`."""
     p = Poly.__new__(Poly)
     p.n_vars, p.degree = n_vars, degree
     p.coeffs = {
@@ -330,10 +326,10 @@ def orthogonality_certificate(
     The verdict is the exact divisibility Q | P, settled by a pseudo-remainder
     in the conjugate variable w~_pivot: with Q = eps_p z_p w~_p + R and P of
     w~_p-degree D, the remainder is sum_e P_e (-R)^e (eps_p z_p)^(D-e), zero
-    iff Q divides P.  Remainder and quotient run on Gaussian-integer pairs
-    after clearing P's denominators.  A true verdict optionally carries the
-    exact quotient; a false verdict carries a witness pair of orthogonal
-    points whose images pair to a nonzero value.
+    iff Q divides P.  P is built, and remainder and quotient run, on
+    Gaussian-integer pairs after clearing denominators.  A true verdict
+    optionally carries the exact quotient; a false verdict carries a witness
+    pair of orthogonal points whose images pair to a nonzero value.
     """
     sig = f.source
     if sig.r + sig.s < 2:
@@ -341,23 +337,20 @@ def orthogonality_certificate(
     if not 0 <= pivot < sig.r + sig.s:
         raise ValueError("pivot must index a non-null coordinate")
     nv = sig.n_vars
-    P = pairing_poly(f)
-    Q = source_form_poly(sig)
-    if P.is_zero:
+    # one positive integer L clears P, and Q | L * P iff Q | P
+    L, P = _pairing_pairs(f)
+    if not P:
         quo = None
         if want_quotient and f.degree >= 1:
             quo = Poly(2 * nv, 2 * f.degree - 2, {})
         return OrthCertificate(True, quotient=quo)
-
-    # one positive integer L clears P, and Q | L * P iff Q | P
-    L, pairs = _cleared(P)
-    if _pseudo_remainder(pairs, sig, pivot):
+    if _pseudo_remainder(P, sig, pivot):
         witness = _witness_search(f, P, pivot, witness_seed)
         return OrthCertificate(False, witness=witness)
     quo = None
     if want_quotient:
-        quo = _from_pairs(2 * nv, P.degree - Q.degree,
-                          _divide_exact(pairs, _cleared(Q)[1]), L)
+        Q = clear(source_form_poly(sig).coeffs)[1]
+        quo = _from_pairs(2 * nv, 2 * f.degree - 2, _divide_exact(P, Q), L)
     return OrthCertificate(True, quotient=quo)
 
 
@@ -378,9 +371,10 @@ def _solve_chart(sig: Signature, z: list, wt: list, pivot: int) -> None:
     wt[pivot] = -acc / (GRat(sig.eps(pivot)) * z[pivot])
 
 
-def _witness_search(f: SignedMap, P: Poly, pivot: int, seed: int):
+def _witness_search(f: SignedMap, P: dict, pivot: int, seed: int):
     """Point pair (z, w) with <z,w> = 0 and <f(z),f(w)> != 0, found by
-    sampling the rational solution chart z_pivot != 0."""
+    sampling the rational solution chart z_pivot != 0; P is the cleared
+    pairing polynomial on pairs."""
     sig = f.source
     nv = sig.n_vars
     rng = rng_for(seed, "witness")
@@ -390,7 +384,7 @@ def _witness_search(f: SignedMap, P: Poly, pivot: int, seed: int):
             z[pivot] = GRat(1)
         wt = [_rand_grat(rng) for _ in range(nv)]
         _solve_chart(sig, z, wt, pivot)
-        if P.evaluate(z + wt):
+        if not vanishes_at(P, z + wt):
             w = [c.conjugate() for c in wt]
             return tuple(z), tuple(w)
     raise RuntimeError("no witness found in 500 samples")  # pragma: no cover
@@ -576,16 +570,15 @@ def sharpness_suite(max_k: int = 4, max_n: int = 12) -> SharpnessSuiteReport:
             report.maps += 1
             count = k * n + k
             check(k, n, "component count", len(f.components) == count)
-            rank = exact_rank(support_rows(f.components))
-            check(k, n, "linear independence", rank == count)
+            span = image_span_dim(f.components)
+            check(k, n, "linear independence", span + 1 == count)
             cert = orthogonality_certificate(f)
             check(k, n, "certificate verdict", cert.verdict)
             check(
                 k, n, "certificate quotient",
                 cert.quotient == sharpness_quotient(k, n),
             )
-            # the projective span dimension, as image_span_dim computes it
-            check(k, n, "span", rank - 1 == count - 1)
+            check(k, n, "span", span == count - 1)
             at = classify_gap(n, count)
             below = classify_gap(n, count - 1)
             check(k, n, "endpoint in gap", at.in_gap and at.k == k)

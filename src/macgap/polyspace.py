@@ -3,13 +3,14 @@ rank via fraction-free elimination, hyperplane restriction, and the seeded
 harnesses for the two restriction bounds.
 
 `Poly` coefficients are `GRat`s, pairs of ``fractions.Fraction`` (real and
-imaginary part).  Rank never works on them directly: each row is scaled to
-Gaussian-integer pairs first, so every rank and every span dimension
-computed here is an exact integer from integer elimination.  A span is
-ranked over the support columns alone, the monomials that some member
-uses.  Hyperplane genericity is handled by sampling: codimension claims
-take the best (minimum) value over sampled hyperplanes, span claims take
-the maximum.
+imaginary part).  Rank never works on them directly: each row is cleared
+to Gaussian-integer pairs first (`gaussint.clear`), so every rank and every
+span dimension computed here is an exact integer from integer elimination.
+A span is ranked by `gaussint.span_rank` on the sparse cleared members,
+which peels singleton columns and rows before eliminating what is left;
+`exact_rank` of the `support_rows` is its reference.  Hyperplane
+genericity is handled by sampling: codimension claims take the best
+(minimum) value over sampled hyperplanes, span claims take the maximum.
 
 The harnesses rank a restricted subspace as the product M_W . R_H of its
 cleared coefficient rows and the restriction matrix of the hyperplane.
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .binom_core import op_lower, op_minus
+from .gaussint import _rank_int, _rank_pairs, clear, span_rank
 
 
 class PolyFormatError(ValueError):
@@ -353,7 +355,7 @@ def _pivot_powers(H: Hyperplane, top: int):
     as in `_scaled_form`.  Returns (t, powers).
     """
     # scaling the form to Gaussian integers keeps the hyperplane
-    t, scaled = _scaled_form(_clear_row(list(H.coeffs)), H.pivot)
+    t, scaled = _scaled_form(clear(H.coeffs)[1], H.pivot)
     m = len(scaled)
     lin = {}
     for k, (a, b) in enumerate(scaled):
@@ -481,101 +483,9 @@ def rng_for(seed: int, label: str) -> random.Random:
 # ---------------------------------------------------------------------------
 # exact rank
 
-def _clear_row(row: list[GRat]) -> list[tuple[int, int]]:
-    """Scale a row of Gaussian rationals to Gaussian integer pairs; row
-    scaling by a positive integer leaves the rank unchanged."""
-    lcm = 1
-    for c in row:
-        lcm = lcm * c.re.denominator // math.gcd(lcm, c.re.denominator)
-        lcm = lcm * c.im.denominator // math.gcd(lcm, c.im.denominator)
-    return [
-        (
-            c.re.numerator * (lcm // c.re.denominator),
-            c.im.numerator * (lcm // c.im.denominator),
-        )
-        for c in row
-    ]
-
-
-def _rank_int(rows: list[list[int]]) -> int:
-    """Fraction-free elimination over the integers."""
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        pivot = next((i for i in range(rank, nrows) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rp = rows[rank]
-        for i in range(rank + 1, nrows):
-            ri = rows[i]
-            f = ri[col]
-            # every row below gets the update, even with f == 0: the
-            # division by the previous pivot is only exact on the full
-            # Sylvester form pv*x - f*y
-            for j in range(col + 1, ncols):
-                ri[j] = (pv * ri[j] - f * rp[j]) // prev
-            ri[col] = 0
-        prev = pv
-        rank += 1
-    return rank
-
-
-def _rank_gauss_int(rows: list[list[tuple[int, int]]]) -> int:
-    """Fraction-free elimination over the Gaussian integers (pairs)."""
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    prev = (1, 0)
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        pivot = next(
-            (i for i in range(rank, nrows) if rows[i][col] != (0, 0)), None
-        )
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rp = rows[rank]
-        pa, pb = prev
-        nprev = pa * pa + pb * pb
-        for i in range(rank + 1, nrows):
-            ri = rows[i]
-            fa, fb = ri[col]
-            va, vb = pv
-            for j in range(col + 1, ncols):
-                xa, xb = ri[j]
-                ya, yb = rp[j]
-                ta = va * xa - vb * xb - (fa * ya - fb * yb)
-                tb = va * xb + vb * xa - (fa * yb + fb * ya)
-                # exact division by prev = pa + pb*i
-                ri[j] = (
-                    (ta * pa + tb * pb) // nprev,
-                    (tb * pa - ta * pb) // nprev,
-                )
-            ri[col] = (0, 0)
-        prev = pv
-        rank += 1
-    return rank
-
-
-def _rank_pairs(rows: list[list[tuple[int, int]]]) -> int:
-    """Rank of Gaussian-integer pair rows, on the integer path when no entry
-    has an imaginary part.  May reorder and overwrite `rows`."""
-    if not rows:
-        return 0
-    if all(b == 0 for row in rows for _, b in row):
-        return _rank_int([[a for a, _ in row] for row in rows])
-    return _rank_gauss_int(rows)
-
-
 def exact_rank(rows: list[list[GRat]]) -> int:
     """Rank of a matrix of Gaussian rationals, computed without floats."""
-    return _rank_pairs([_clear_row(r) for r in rows if any(r)])
+    return _rank_pairs([clear(r)[1] for r in rows if any(r)])
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +548,7 @@ def subspace_rank(W: PolySubspace) -> int:
 def cleared_rows(polys, n_vars: int, degree: int) -> list[list[tuple[int, int]]]:
     """The nonzero coefficient rows of `polys`, each scaled to Gaussian-integer
     pairs: the M_W that `restricted_rank` multiplies by R_H."""
-    return [
-        _clear_row(r) for r in coefficient_rows(polys, n_vars, degree) if any(r)
-    ]
+    return [clear(r)[1] for r in coefficient_rows(polys, n_vars, degree) if any(r)]
 
 
 def _int_restriction_rows(form: list[int], pivot: int, degree: int):
@@ -737,7 +645,7 @@ def restricted_rank(M: list[list[tuple[int, int]]], H: Hyperplane, degree: int) 
             f"rows of M must have {size} entries, one per monomial of "
             f"degree {degree} in {n_vars} variables"
         )
-    form = _clear_row(list(H.coeffs))
+    form = clear(H.coeffs)[1]
     if all(b == 0 for _, b in form) and all(b == 0 for row in M for _, b in row):
         return _int_restricted_rank(
             [[a for a, _ in row] for row in M], [a for a, _ in form], H.pivot, degree
@@ -772,12 +680,17 @@ def _codim(M: list[list[tuple[int, int]]], n_vars: int, degree: int) -> int:
 
 
 def image_span_dim(components: list[Poly]) -> int:
-    """Projective dimension of the linear span of the component list."""
+    """Projective dimension of the linear span of the component list, from
+    the `span_rank` of their sparse cleared coefficients; the reference is
+    exact_rank(support_rows(components)) - 1."""
     if not components:
         raise ValueError("no components")
     if all(p.is_zero for p in components):
         raise ValueError("all components are zero")
-    return exact_rank(support_rows(components)) - 1
+    n_vars, degree = components[0].n_vars, components[0].degree
+    for p in components:
+        _check_member(p, n_vars, degree)
+    return span_rank([clear(p.coeffs)[1] for p in components]) - 1
 
 
 # ---------------------------------------------------------------------------

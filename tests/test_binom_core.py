@@ -9,6 +9,7 @@ from macgap.binom_core import (
     binom,
     lemma_checks,
     lemma_checks_upto,
+    lemma_terms_upto,
     macaulay_rep,
     op_lower,
     op_minus,
@@ -266,4 +267,27 @@ class TestLemmaSweep:
         assert lemma_checks_upto(10**100, 10**100, 10**12) is None
         assert lemma_checks_upto(10**100, 1, 10**12) is None
         assert lemma_checks_upto(1, 1, 10**12) == lemma_checks(1, 1) == 2
+
+    def test_term_bound_closed_form(self):
+        # level k times the count of values represented at level k, for both
+        # families of the sweep; at least the terms the sweep really builds
+        for m_max in range(1, 7):
+            for k_max in range(1, 7):
+                lowers = [(B, k) for k in range(1, k_max + 1)
+                          for B in range(1, math.comb(m_max + k, k))]
+                minuses = [(A, m) for m in range(1, m_max + 1)
+                           for A in range(1, math.comb(m + k_max, k_max))]
+                bound = sum(k * math.comb(m_max + k, k) for k in range(1, k_max + 1))
+                bound += sum(m * math.comb(m + k_max, k_max) for m in range(1, m_max + 1))
+                built = sum(len(macaulay_rep(v, n).terms) for v, n in lowers + minuses)
+                for cap in (0, bound - 1, bound, 10**9):
+                    got = lemma_terms_upto(m_max, k_max, cap)
+                    assert got == (bound if bound <= cap else None)
+                assert built <= bound
+        assert lemma_terms_upto(10, 10, 10**9) == 6_466_460
+        assert lemma_terms_upto(10**100, 10**100, 10**7) is None
+        assert lemma_terms_upto(1, 10**100, 10**7) is None
+        assert lemma_terms_upto(10**100, 1, 10**7) is None
+        with pytest.raises(ValueError):
+            lemma_terms_upto(0, 3, 10)
 

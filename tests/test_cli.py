@@ -14,10 +14,12 @@ from macgap.cli import (
     LEMMA_COUNT_CAP,
     MAX_GAP_ARGUMENT_CHECKS,
     MAX_LEMMA_CHECKS,
+    MAX_LEMMA_TERMS,
     MAX_MACAULAY_DIGITS,
     MAX_MACAULAY_LEVEL,
     main,
 )
+from macgap.binom_core import LemmaSweepReport, lemma_terms_upto
 from macgap.gap_calc import GapSweepReport, gap_argument_checks
 from macgap.hermitian import (
     MAX_MAP_MONOMIALS,
@@ -178,6 +180,36 @@ class TestVerify:
             assert out == ""
             assert f"more than {LEMMA_COUNT_CAP} checks" in err
             assert f"limit of {MAX_LEMMA_CHECKS}" in err
+
+    def test_lemma3_work_limit(self, capsys, monkeypatch):
+        # --max-m 1 --max-k 309 is the largest --max-m 1 sweep within the
+        # work limit; the benchmark's (8, 8) and (10, 10) stay inside it
+        assert lemma_terms_upto(1, 309, MAX_LEMMA_TERMS) is not None
+        assert lemma_terms_upto(1, 310, MAX_LEMMA_TERMS) is None
+        ran = []
+
+        def sweep(m_max, k_max):
+            ran.append((m_max, k_max))
+            return LemmaSweepReport(m_max, k_max, 0, [])
+
+        monkeypatch.setattr(macgap.cli, "verify_lemma_binom", sweep)
+        for bounds in ((1, 309), (8, 8), (10, 10)):
+            rc, _, _ = run(capsys, "verify", "lemma3", "--json",
+                           "--max-m", str(bounds[0]), "--max-k", str(bounds[1]))
+            assert rc == 0
+        assert ran == [(1, 309), (8, 8), (10, 10)]
+        rc, out, err = run(capsys, "verify", "lemma3", "--max-m", "1", "--max-k", "310")
+        assert rc == 2 and out == "" and ran == [(1, 309), (8, 8), (10, 10)]
+        assert f"representation terms than the limit of {MAX_LEMMA_TERMS}" in err
+        assert str(lemma_terms_upto(1, 310, 10**9)) not in err
+
+    def test_lemma3_work_limit_refuses_at_once(self, capsys):
+        # 996 165 checks, inside the check limit, but cubic work in k
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "verify", "lemma3", "--max-m", "1", "--max-k", "1410")
+        assert time.perf_counter() - start < 1
+        assert rc == 2 and out == ""
+        assert f"limit of {MAX_LEMMA_TERMS}" in err
 
     def test_gap_argument(self, capsys):
         rc, out, _ = run(capsys, "verify", "gap-argument", "--max-n", "20", "--json")
@@ -439,6 +471,41 @@ def test_checks_survive_optimize(argv):
     assert optimized.stdout == normal.stdout
     recs = records(optimized.stdout)
     assert recs and all(rec["ok"] for rec in recs)
+
+
+# a gap-endpoint map with its negative pair rotated by (3/5, 4/5) and one
+# component phased by i: orthogonal, and refused once z2^3 is added
+ROTATED_MAP = """source 1 2 0
+target 1 2 0
+degree 3
+%pos
+1/1 3 0 0
+%neg
+0,3/5 2 1 0; 0,4/5 2 0 1
+-4/5 2 1 0; 3/5 2 0 1{}
+%null
+"""
+
+
+@pytest.mark.parametrize("extra, verdict_code", [("", 0), ("; 1/1 0 0 3", 1)],
+                         ids=["orthogonal", "refused"])
+def test_map_commands_survive_optimize(tmp_path, extra, verdict_code):
+    # the span, pairing and zero-test kernels check their invariants
+    # without assert, so -O changes neither exit codes nor output
+    path = tmp_path / "rot.map"
+    path.write_text(ROTATED_MAP.format(extra))
+    for argv, code in [
+        (["map", "span", str(path)], 0),
+        (["map", "obstruct", "--json", str(path), "0", "1"], 0),
+        (["map", "check-orth", "--json", str(path)], verdict_code),
+    ]:
+        optimized, normal = (
+            subprocess.run([sys.executable, *flags, "-m", "macgap", *argv],
+                           capture_output=True, text=True)
+            for flags in (["-O"], [])
+        )
+        assert optimized.returncode == normal.returncode == code, optimized.stderr
+        assert optimized.stdout == normal.stdout != ""
 
 
 # (argv, expected exit code); the text-mode `verify` line carries a timing,

@@ -1,0 +1,179 @@
+"""The Gaussian-integer kernel against its GRat references.
+
+- `span_rank` on sparse cleared rows against `exact_rank` of the dense
+  coefficient rows;
+- the pairing built on pairs, over its L, against `pairing_poly`;
+- the zero test at a cleared point against `Poly.evaluate`.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from macgap import hermitian
+from macgap.gaussint import clear, span_rank, vanishes_at
+from macgap.hermitian import Signature, SignedMap, pairing_poly
+from macgap.polyspace import (
+    GRat,
+    Poly,
+    coefficient_rows,
+    exact_rank,
+    image_span_dim,
+    monomial_basis,
+    support_rows,
+)
+
+small = st.integers(-4, 4)
+frac_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+def grat_st(real):
+    return st.builds(GRat, frac_st, st.just(0) if real else frac_st)
+
+
+def dense_rank(rows, columns):
+    """exact_rank of sparse pair rows laid out densely over `columns`."""
+    return exact_rank([[GRat(*row.get(c, (0, 0))) for c in columns] for row in rows])
+
+
+@st.composite
+def sparse_rows_st(draw):
+    """Rows over up to 8 columns: sparse or dense, real or Gaussian, with
+    explicit zero entries, all-zero rows and planted dependencies."""
+    ncols = draw(st.integers(1, 8), label="columns")
+    real = draw(st.booleans(), label="real")
+    density = draw(st.sampled_from([0.2, 0.5, 1.0]), label="density")
+    entry = st.tuples(small, st.just(0) if real else small)
+    rows = []
+    for _ in range(draw(st.integers(1, 7), label="rows")):
+        row = {}
+        for c in range(ncols):
+            if draw(st.floats(0, 1)) < density:
+                row[c] = draw(entry)
+        rows.append(row)
+    # a planted dependency: an integer combination of two rows
+    for _ in range(draw(st.integers(0, 2), label="dependencies")):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        u, v = draw(small), draw(small)
+        row = {}
+        for c in set(rows[i]) | set(rows[j]):
+            (a, b), (x, y) = rows[i].get(c, (0, 0)), rows[j].get(c, (0, 0))
+            row[c] = (u * a + v * x, u * b + v * y)
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return ncols, rows
+
+
+class TestSpanRank:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_rows_st())
+    def test_matches_dense_rank(self, case):
+        ncols, rows = case
+        before = [dict(row) for row in rows]
+        assert span_rank(rows) == dense_rank(rows, range(ncols))
+        assert rows == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 9), st.booleans(), st.booleans(), st.data())
+    def test_singleton_chains(self, length, by_rows, closed, data):
+        # by_rows: row i holds columns i-1 and i, so the first row is a
+        # singleton row and peeling it makes the next one a singleton;
+        # otherwise row i holds columns i and i+1, so the last column is a
+        # singleton column and peeling its row frees the one before.  A
+        # closing row on the two chain ends leaves a core, a cycle.
+        entry = st.tuples(st.integers(1, 4), st.integers(-2, 2))
+        rows = []
+        for i in range(length):
+            cols = (i - 1, i) if by_rows else (i, i + 1)
+            rows.append({c: data.draw(entry) for c in cols if c >= 0})
+        if closed:
+            ends = (0, length - 1) if by_rows else (0, length)
+            rows.append({c: data.draw(entry) for c in ends})
+        columns = range(-1, length + 1)
+        assert span_rank(rows) == dense_rank(rows, columns)
+
+    def test_edge_cases(self):
+        assert span_rank([]) == 0
+        assert span_rank([{}, {3: (0, 0)}]) == 0
+        assert span_rank([{"x": (2, -1)}]) == 1
+        assert span_rank([{0: (1, 0), 1: (1, 0)}, {0: (2, 0), 1: (2, 0)}]) == 1
+        # two rows on one column: rank 1, not 2
+        assert span_rank([{0: (1, 0)}, {0: (0, 3)}]) == 1
+        assert span_rank([{0: (1, 0), 1: (1, 0)}, {0: (1, 0), 1: (0, 1)}]) == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 3), st.booleans(), st.data())
+    def test_image_span_matches_reference(self, nv_minus, d, real, data):
+        # whole polynomials, with zero members and planted combinations
+        nv = nv_minus + 1
+        basis = monomial_basis(nv, d)
+        coeff = grat_st(real)
+        polys = [
+            Poly(nv, d, dict(data.draw(st.lists(st.tuples(st.sampled_from(basis), coeff),
+                                                max_size=len(basis)))))
+            for _ in range(data.draw(st.integers(1, 6)))
+        ]
+        for _ in range(data.draw(st.integers(0, 2))):
+            a, b = data.draw(st.sampled_from(polys)), data.draw(st.sampled_from(polys))
+            polys.append(a * data.draw(coeff) + b * data.draw(coeff))
+        rows = [clear(p.coeffs)[1] for p in polys]
+        assert span_rank(rows) == exact_rank(coefficient_rows(polys, nv, d))
+        if any(not p.is_zero for p in polys):
+            assert image_span_dim(polys) == exact_rank(support_rows(polys)) - 1
+
+
+@st.composite
+def signed_map_st(draw):
+    """Small maps with rational Gaussian coefficients whose components have
+    different denominators, and null weights on both sides."""
+    r, s, t = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    source = Signature(r, s, t)
+    target = Signature(draw(st.integers(1, 3)), draw(st.integers(0, 2)),
+                       draw(st.integers(0, 1)))
+    d = draw(st.integers(1, 2))
+    basis = monomial_basis(source.n_vars, d)
+    comps = [
+        Poly(source.n_vars, d,
+             dict(draw(st.lists(st.tuples(st.sampled_from(basis), grat_st(False)),
+                                max_size=3))))
+        for _ in range(target.n_vars)
+    ]
+    return SignedMap(source, target, d, comps)
+
+
+class TestPairing:
+    @settings(max_examples=80, deadline=None)
+    @given(signed_map_st())
+    def test_matches_pairing_poly(self, f):
+        P = pairing_poly(f)
+        L, pairs = hermitian._pairing_pairs(f)
+        assert L >= 1
+        assert hermitian._from_pairs(P.n_vars, P.degree, pairs, L) == P
+        assert (0, 0) not in pairs.values()
+
+    def test_denominators_squared(self):
+        # (1/2) z0 and (1/3) z1, both positive: P = z0 w~0 / 4 + z1 w~1 / 9
+        f = SignedMap(Signature(2, 0), Signature(2, 0), 1, [
+            Poly(2, 1, {(1, 0): GRat("1/2")}),
+            Poly(2, 1, {(0, 1): GRat("1/3")}),
+        ])
+        assert hermitian._pairing_pairs(f) == (36, {(1, 0, 1, 0): (9, 0),
+                                                    (0, 1, 0, 1): (4, 0)})
+
+
+class TestZeroTest:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 3), st.booleans(), st.data())
+    def test_matches_poly_evaluate(self, nv, d, on_zero, data):
+        basis = monomial_basis(nv, d)
+        p = Poly(nv, d, dict(data.draw(st.lists(
+            st.tuples(st.sampled_from(basis), grat_st(False)), max_size=5))))
+        # P = p * (x0 - x1) vanishes wherever x0 = x1
+        e0 = tuple(1 if i == 0 else 0 for i in range(nv))
+        e1 = tuple(1 if i == 1 else 0 for i in range(nv))
+        P = p * Poly(nv, 1, {e0: GRat(1), e1: GRat(-1)})
+        point = data.draw(st.lists(grat_st(False), min_size=nv, max_size=nv))
+        if on_zero:
+            point[1] = point[0]
+        want = not P.evaluate(point)
+        assert vanishes_at(clear(P.coeffs)[1], point) == want
+        if on_zero:
+            assert want

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from macgap import polyspace
 from macgap.binom_core import op_lower
+from macgap.gaussint import clear
 from macgap.polyspace import (
     GRat,
     Hyperplane,
@@ -534,7 +535,7 @@ class TestRestrictedRank:
             H = Hyperplane(tuple(GRat(v) for v in ints), pivot)
         else:
             H = data.draw(hyperplane_st(nv), label="H")
-        form = polyspace._clear_row(list(H.coeffs))
+        form = clear(H.coeffs)[1]
         matrices = [polyspace._pair_restriction_rows(form, H.pivot, d)]
         if real:
             ncols, R = polyspace._int_restriction_rows(ints, H.pivot, d)

@@ -1,4 +1,5 @@
-"""The restriction suites run end to end on their reference implementations.
+"""The suites and the map commands run end to end on their reference
+implementations.
 
 The `reference_mode` fixture swaps every fast path of `verify green` and
 `verify restriction` for the slow reference it replaces:
@@ -21,18 +22,30 @@ the same restricted ranks, call by call: the same rows, the same
 hyperplane and the same rank.  A suite reports only the best hyperplane of
 a subspace, and almost every hyperplane is general, so the last check is
 what sees a wrong wiring between pieces that are each correct on their
-own, such as hyperplanes drawn from the wrong stream.  Nothing here adds a
-switch to the program.
+own, such as hyperplanes drawn from the wrong stream.
+
+The `map_reference_mode` fixture does the same for the map commands and
+`verify sharpness`: the span rank with singleton peeling for
+`exact_rank(support_rows(...))`, the pairing polynomial built on pairs for
+`pairing_poly` cleared, and the zero test of a witness candidate on a
+cleared point for `Poly.evaluate`.  The seed-0 `map-queries` plan of the
+benchmark runs both ways against its known answers.  `lemma3_reference`
+and `gap_reference` swap the lemma lookup sweep for per-split shifts and
+`dim_prop_bound` for iterated descent.  Nothing here adds a switch to the
+program.
 """
 
 import contextlib
 import io
+import math
 
 import pytest
 
 import macgap.cli
-from macgap import polyspace
-from macgap.binom_core import op_minus
+from macgap import binom_core, gap_calc, hermitian, polyspace
+from macgap.binom_core import LemmaSweepReport, op_minus
+from macgap.gap_calc import NabForm, nab_minus, nab_value
+from macgap.gaussint import clear
 from macgap.polyspace import (
     GRat,
     GreenSuiteReport,
@@ -48,9 +61,11 @@ from macgap.polyspace import (
     random_subspace,
     restrict,
     rng_for,
+    support_rows,
     verify_green,
     veronese_components,
 )
+from test_bench_smoke import load_workloads
 
 
 def _reference_rank(rows, H, degree):
@@ -193,3 +208,118 @@ def test_suites_match_their_references(reference_mode):
     # 60 subspaces * 4 hyperplanes, the two green commands (4 cells * 8 * 5
     # and 3 cells * 3 * 3) and the two restriction ones (16 cells * 4)
     assert len(ranks) == 240 + 160 + 27 + 2 * 64
+
+
+@pytest.fixture
+def map_reference_mode(monkeypatch):
+    """Returns (spans, enter).  `spans` gets one entry (rows, rank) per span
+    rank computed; `enter()` switches the map kernel to its references."""
+    spans = []
+    fast_span = polyspace.span_rank
+
+    def spy(rows):
+        rank = fast_span(rows)
+        spans.append((rows, rank))
+        return rank
+
+    monkeypatch.setattr(polyspace, "span_rank", spy)
+
+    def span_rank(rows):
+        shape = next(e for row in rows for e in row)
+        polys = [Poly(len(shape), sum(shape), {e: GRat(a, b) for e, (a, b) in row.items()})
+                 for row in rows]
+        rank = exact_rank(support_rows(polys))
+        spans.append((rows, rank))
+        return rank
+
+    def pairing_pairs(f):
+        return clear(hermitian.pairing_poly(f).coeffs)
+
+    def vanishes_at(P, point):
+        degree = sum(next(iter(P)))
+        return not hermitian._from_pairs(len(point), degree, P, 1).evaluate(point)
+
+    def enter():
+        monkeypatch.setattr(polyspace, "span_rank", span_rank)
+        monkeypatch.setattr(hermitian, "_pairing_pairs", pairing_pairs)
+        monkeypatch.setattr(hermitian, "vanishes_at", vanishes_at)
+
+    return spans, enter
+
+
+def test_map_queries_match_their_references(map_reference_mode, tmp_path, monkeypatch):
+    spans, enter = map_reference_mode
+    plan = load_workloads(monkeypatch).build("map-queries", 0, tmp_path)
+    commands = [["verify", "sharpness", "--json"],
+                ["verify", "sharpness", "--json", "--max-k", "2", "--max-n", "16"],
+                ["verify", "restriction", "--json", "--trials", "2"]]
+
+    def run():
+        outputs = [cli_stdout(op.argv) for op in plan.ops]
+        outputs += [cli_stdout(argv) for argv in commands]
+        ranks = spans[:]
+        spans.clear()
+        return outputs, ranks
+
+    fast = run()
+    enter()
+    assert run() == fast
+    outputs, ranks = fast
+    for op, (code, out) in zip(plan.ops, outputs):
+        assert code == op.expect_code, op.argv
+        assert op.check(out) is None, op.argv
+    assert [code for code, _ in outputs[len(plan.ops):]] == [0, 0, 0]
+    # the span ranks were compared call by call: one per `map span`, one or
+    # two per `map obstruct` (a vanished side has none), one per sharpness
+    # map and one per restriction cell
+    kinds = [op.kind for op in plan.ops]
+    assert len(ranks) >= kinds.count("span") + kinds.count("obstruct")
+
+
+@pytest.fixture
+def lemma3_reference(monkeypatch):
+    def sweep(m_max, k_max, table=None):
+        checks, bad = 0, []
+        for m in range(1, m_max + 1):
+            for k in range(1, k_max + 1):
+                total = math.comb(m + k, k) - 1
+                target = math.comb(m + k - 1, k) - 1
+                for A in range(total + 1):
+                    checks += 1
+                    if op_minus(A, m) + binom_core.op_lower(total - A, k) != target:
+                        bad.append((m, k, A, total - A))
+        return LemmaSweepReport(m_max, k_max, checks, bad)
+
+    def enter():
+        monkeypatch.setattr(binom_core, "verify_lemma_binom", sweep)
+        monkeypatch.setattr(macgap.cli, "verify_lemma_binom", sweep)
+
+    return enter
+
+
+@pytest.fixture
+def gap_reference(monkeypatch):
+    def dim_prop_bound(n, a, b, m):
+        # D_m is the value reached by descent from N(n;a,b) to level m
+        if not a + 1 <= m <= n - 1:
+            raise ValueError(f"m={m} outside [a+1, n-1]")
+        form = NabForm(n, a, b)
+        while form.n > m:
+            form = nab_minus(form)
+        return nab_value(form)
+
+    return lambda: monkeypatch.setattr(gap_calc, "dim_prop_bound", dim_prop_bound)
+
+
+def test_index_suites_match_their_references(lemma3_reference, gap_reference):
+    commands = [
+        ["verify", "lemma3", "--json"],
+        ["verify", "lemma3", "--json", "--max-m", "3", "--max-k", "7"],
+        ["verify", "gap-argument", "--json", "--max-n", "30"],
+        ["verify", "gap-argument", "--json", "--max-n", "7"],
+    ]
+    fast = [cli_stdout(argv) for argv in commands]
+    lemma3_reference()
+    gap_reference()
+    assert [cli_stdout(argv) for argv in commands] == fast
+    assert all(code == 0 for code, _ in fast)
