@@ -20,6 +20,7 @@ or a < b; `binom` is the one place that applies it.  Every value comes from
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 
@@ -182,53 +183,77 @@ def lemma_checks_upto(m_max: int, k_max: int, cap: int) -> int | None:
     return None if count is None else count - extra
 
 
-def lemma_terms_upto(m_max: int, k_max: int, cap: int) -> int | None:
-    """A bound on the Macaulay representation terms `verify_lemma_binom`
-    builds, if it is at most `cap`, else None, in O(log cap) steps.
+# Values per chunk when the sweep adds an offset to a prefix of a table or
+# adds two tables; bounds every temporary list and array copy.
+_CHUNK = 1 << 12
 
-    The sweep represents every B < C(m_max+k, k) at level k and every
-    A < C(m+k_max, k_max) at level m, and a level-n representation has at
-    most n terms.  With k C(M+k, k) = (M+1) C(M+k, k-1) and the hockey
-    stick, the two families sum to (M+1) C(M+K+1, K-1) + (K+1) C(M+K+1, M-1)
-    for M = m_max, K = k_max."""
-    if m_max < 1 or k_max < 1:
-        raise ValueError("sweep bounds must be positive")
-    lowers = _comb_upto(m_max + k_max + 1, k_max - 1, cap)
-    minuses = _comb_upto(m_max + k_max + 1, m_max - 1, cap)
-    if lowers is None or minuses is None:
-        return None
-    terms = (m_max + 1) * lowers + (k_max + 1) * minuses
-    return terms if terms <= cap else None
+
+def _shift_levels(span: int, top: int, minus: bool):
+    """Yield (j, table) for j = 1..top: table[X] is X^-<j> if `minus`, else
+    X_<j>, for every X < C(span+j, j), as an int64 array.
+
+    Level j follows from level j-1 (the combinatorial number system read
+    level by level, Knuth, TAOCP 7.2.1.3).  Take X whose level-j top is a:
+    X = C(a, j) + R with R < C(a, j-1), and the other terms of X form the
+    level-(j-1) representation of R.  So X_<j> = C(a-1, j) + R_<j-1> and
+    X^-<j> = C(a-1, j-1) + R^-<j-1>, which is 0 at j = 1.  The X with top a
+    are C(a, j) .. C(a+1, j) - 1, so the level-j table is [0] followed, for
+    a = j .. span+j-1, by the first C(a, j-1) entries of level j-1 plus that
+    offset.  Both shifts never exceed their argument, so every entry fits.
+    """
+    below = array("q", [0])  # level 0: R = 0 alone
+    for j in range(1, top + 1):
+        table = array("q", [0])
+        for a in range(j, span + j):
+            size = math.comb(a, j - 1)
+            offset = binom(a - 1, j - 1) if minus else binom(a - 1, j)
+            for lo in range(0, size, _CHUNK):
+                chunk = below[lo:min(lo + _CHUNK, size)]
+                table.extend(array("q", [v + offset for v in chunk]) if offset else chunk)
+        yield j, table
+        below = table
+
+
+def _some_split_fails(minus: array, lower: array, total: int, target: int) -> bool:
+    """Whether minus[A] + lower[total - A] != target for some 0 <= A <= total."""
+    for lo in range(0, total + 1, _CHUNK):
+        hi = min(lo + _CHUNK, total + 1)
+        # B = total - A runs down from total - lo as A runs up from lo
+        sums = map(operator.add, minus[lo:hi], reversed(lower[total + 1 - hi : total + 1 - lo]))
+        if any(map(target.__ne__, sums)):
+            return True
+    return False
 
 
 def verify_lemma_binom(m_max: int, k_max: int, table=None) -> LemmaSweepReport:
     """Check A^-<m> + B_<k> = C(m+k-1, k) - 1 over every split A + B = C(m+k, k) - 1.
 
     Runs for all 1 <= m <= m_max, 1 <= k <= k_max and all A, B >= 0.  A failing
-    quadruple (m, k, A, B) is recorded, not raised.  ``table`` is accepted and
-    ignored.
+    quadruple (m, k, A, B) is recorded, not raised, in order of m, k and A.
+    ``table`` is accepted and ignored.
 
-    Each shift is computed once: A^-<m> for every A < C(m+k_max, k_max), one
-    level m at a time, and B_<k> for every B < C(m_max+k, k) up front; every
-    split then compares two looked-up values.  Both shifts never exceed
-    their argument, so the lookups are int64 arrays.
+    The shifts come from `_shift_levels`, by recurrence on the level with no
+    Macaulay representation built: B_<k> for every B < C(m_max+k, k) up front,
+    and A^-<m> for every A < C(m+k_max, k_max) one level m at a time.  These
+    are one row and one column of the sum that `lemma_checks` counts, so the
+    tables hold at most twice as many entries as there are checks.  Every
+    split then compares two looked-up values; a (m, k) with no failing
+    split is passed over at C speed, and only one that fails is walked split
+    by split.
     """
     if m_max < 1 or k_max < 1:
         raise ValueError("sweep bounds must be positive")
     checks = 0
     bad: list[tuple[int, int, int, int]] = []
-    lowers = {
-        k: array("q", (op_lower(B, k) for B in range(math.comb(m_max + k, k))))
-        for k in range(1, k_max + 1)
-    }
-    for m in range(1, m_max + 1):
-        minus = array("q", (op_minus(A, m) for A in range(math.comb(m + k_max, k_max))))
+    lowers = dict(_shift_levels(m_max, k_max, minus=False))
+    for m, minus in _shift_levels(k_max, m_max, minus=True):
         for k in range(1, k_max + 1):
             total = math.comb(m + k, k) - 1
             target = math.comb(m + k - 1, k) - 1
             lower = lowers[k]
-            for A in range(total + 1):
-                if minus[A] + lower[total - A] != target:
-                    bad.append((m, k, A, total - A))
+            if _some_split_fails(minus, lower, total, target):
+                for A in range(total + 1):
+                    if minus[A] + lower[total - A] != target:
+                        bad.append((m, k, A, total - A))
             checks += total + 1
     return LemmaSweepReport(m_max=m_max, k_max=k_max, checks=checks, counterexamples=bad)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .binom_core import (
     lemma_checks_upto,
-    lemma_terms_upto,
     macaulay_rep,
     verify_lemma_binom,
 )
@@ -63,10 +62,6 @@ MAX_LEMMA_CHECKS = 10**6
 # Largest lemma3 check count that a refusal prints exactly; above it the
 # count is only bounded, so refusing costs O(log) steps at any bound.
 LEMMA_COUNT_CAP = 10**12
-# Largest `verify lemma3` sweep in work, as the bound `lemma_terms_upto`
-# gives on the representation terms it builds: (10, 10) needs 6 466 460,
-# and --max-m 1 --max-k 309 is the largest --max-m 1 sweep within it.
-MAX_LEMMA_TERMS = 10**7
 # Largest `verify gap-argument` sweep, in checked triples (--max-n 441 is
 # 996 268, the largest within it).
 MAX_GAP_ARGUMENT_CHECKS = 10**6
@@ -216,11 +211,6 @@ def _suite_lemma3(args, cfg: RunConfig):
         raise ValueError(
             f"lemma3 sweep --max-m {max_m} --max-k {max_k} needs {count} "
             f"checks, above the limit of {MAX_LEMMA_CHECKS}"
-        )
-    if lemma_terms_upto(max_m, max_k, MAX_LEMMA_TERMS) is None:
-        raise ValueError(
-            f"lemma3 sweep --max-m {max_m} --max-k {max_k} builds more "
-            f"representation terms than the limit of {MAX_LEMMA_TERMS}"
         )
     report = verify_lemma_binom(max_m, max_k)
     records = [

@@ -70,6 +70,12 @@ def nab_minus(form: NabForm) -> NabForm:
     raise ValueError(f"descent undefined for (n,a,b)=({n},{a},{b})")
 
 
+def _dim_bound(a: int, b: int, m: int) -> int:
+    """D_m of N(n;a,b) as a plain integer, N(m; a, min(b, m-a-1)); the
+    caller has checked that (n, a, b) is admissible and a+1 <= m <= n-1."""
+    return (a + 1) * (m + 1) - a * (a + 1) // 2 + min(b, m - a - 1)
+
+
 def dim_prop_bound(n: int, a: int, b: int, m: int) -> int:
     """Lower bound D_m for the span over m-dimensional subspaces of the
     form N(n;a,b), a+1 <= m <= n-1: N(m;a,b) from the corner m = a+b+1
@@ -77,9 +83,7 @@ def dim_prop_bound(n: int, a: int, b: int, m: int) -> int:
     NabForm(n, a, b)
     if not a + 1 <= m <= n - 1:
         raise ValueError(f"m={m} outside [a+1, n-1] = [{a + 1}, {n - 1}]")
-    if m >= a + b + 1:
-        return nab_value(NabForm(m, a, b))
-    return nab_value(NabForm(m, a, m - a - 1))
+    return _dim_bound(a, b, m)
 
 
 def dim_prop_bounds(n: int, a: int, b: int) -> dict[int, int]:
@@ -168,6 +172,15 @@ def ineq1_b_range(n: int, a: int) -> tuple[int, int]:
     return a * (a + 1) // 2, n - (a * a + 5 * a + 6) // 2
 
 
+def _halves(n: int) -> tuple[int, int]:
+    """The split n-1 = n1 + n2 with n1 = (n-1)//2."""
+    n1 = (n - 1) // 2
+    n2 = n1 if n % 2 == 1 else n1 + 1
+    if n1 + n2 + 1 != n:
+        raise RuntimeError(f"halves {n1} + {n2} + 1 do not split n = {n}")
+    return n1, n2
+
+
 def verify_gap_argument(n: int, a: int, b: int) -> GapArgumentReport:
     """Evaluate the two-halves bound D_{n1} + D_{n2} against N(n;a,b).
 
@@ -179,10 +192,7 @@ def verify_gap_argument(n: int, a: int, b: int) -> GapArgumentReport:
     lo, hi = ineq1_b_range(n, a)
     if a < 0 or not lo <= b <= hi:
         raise ValueError(f"(a,b)=({a},{b}) outside the admissible range at n={n}")
-    n1 = (n - 1) // 2
-    n2 = n1 if n % 2 == 1 else n1 + 1
-    if n1 + n2 + 1 != n:
-        raise RuntimeError(f"halves {n1} + {n2} + 1 do not split n = {n}")
+    n1, n2 = _halves(n)
     case = "I" if b <= n1 - a - 1 else "II"
     d1, d2 = dim_prop_bound(n, a, b, n1), dim_prop_bound(n, a, b, n2)
     n_prime = nab_value(NabForm(n, a, b))
@@ -230,23 +240,43 @@ def gap_argument_checks(max_n: int) -> int:
 
 
 def gap_argument_sweep(max_n: int) -> GapSweepReport:
-    """Run verify_gap_argument over every admissible (n, a, b) with n <= max_n."""
+    """Check the two-halves bound of `verify_gap_argument` at every
+    admissible (n, a, b) with n <= max_n, as plain integer arithmetic.
+
+    The halves are split once per n.  Once per (n, a) block of b values
+    the sweep checks that N(n;a,hi) is admissible (so is every smaller b)
+    and that n1 >= a+1 (so D_{n1} and D_{n2} are defined), and counts the
+    case I triples b <= n1-a-1 and the case II rest.  Each triple then
+    compares D_{n1} + D_{n2} from `_dim_bound`, the helper that
+    `dim_prop_bound` also ends in, with N(n;a,b).  Only a violating triple
+    builds its `verify_gap_argument` report, and a report that says the
+    bound holds after all is a `RuntimeError`: the two paths disagree.
+    """
     report = GapSweepReport(max_n=max_n)
     for n in range(1, max_n + 1):
+        n1, n2 = _halves(n)
         a = 0
         while True:
             lo, hi = ineq1_b_range(n, a)
             if lo > hi:
                 break
+            NabForm(n, a, hi)
+            if n1 < a + 1:
+                raise RuntimeError(f"half n1 = {n1} below a+1 = {a + 1} at n = {n}")
+            base = nab_value(NabForm(n, a, 0))
             for b in range(lo, hi + 1):
-                r = verify_gap_argument(n, a, b)
-                report.checks += 1
-                if r.case == "I":
-                    report.case_i += 1
-                else:
-                    report.case_ii += 1
-                if not r.holds:
+                if _dim_bound(a, b, n1) + _dim_bound(a, b, n2) < base + b:
+                    r = verify_gap_argument(n, a, b)
+                    if r.holds:
+                        raise RuntimeError(
+                            f"two-halves bound at (n,a,b)=({n},{a},{b}): the sweep "
+                            f"and verify_gap_argument disagree"
+                        )
                     report.violations.append(r)
+            case_i = max(0, min(hi, n1 - a - 1) - lo + 1)
+            report.checks += hi - lo + 1
+            report.case_i += case_i
+            report.case_ii += hi - lo + 1 - case_i
             a += 1
     return report
 

@@ -1,9 +1,10 @@
-"""The `index-calc` benchmark plan, run once through the command line.
+"""The `index-calc` benchmark plan, run through the command line.
 
-Every op of the seed-0 plan (both sweeps, `macaulay 1000000 2`, the small
-`macaulay` and `gap` ops) goes through `macgap.cli.main` with its output
-captured, and must give the exit code and the known answer that the
-benchmark's own checks in bench/workloads.py expect.  The module is only
+Every op of the seed-0, seed-1 and seed-2 plans (both sweeps,
+`macaulay 1000000 2`, the small `macaulay` and `gap` ops) goes through
+`macgap.cli.main` with its output captured, and must give the exit code
+and the known answer that the benchmark's own checks in
+bench/workloads.py expect.  The module is only
 imported, never changed.
 """
 
@@ -28,15 +29,16 @@ def load_workloads(monkeypatch):
 
 
 def test_index_calc_known_answers(tmp_path, monkeypatch):
-    plan = load_workloads(monkeypatch).build("index-calc", 0, tmp_path)
-    kinds = {op.kind for op in plan.ops}
-    assert {"lemma3", "gap-argument", "macaulay", "gap"} <= kinds
     failures = []
-    for op in plan.ops:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = macgap.cli.main(op.argv)
-        problem = op.check(out.getvalue())
-        if code != op.expect_code or problem is not None:
-            failures.append((op.argv, code, problem, err.getvalue()))
+    for seed in (0, 1, 2):
+        plan = load_workloads(monkeypatch).build("index-calc", seed, tmp_path)
+        kinds = {op.kind for op in plan.ops}
+        assert {"lemma3", "gap-argument", "macaulay", "gap"} <= kinds
+        for op in plan.ops:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = macgap.cli.main(op.argv)
+            problem = op.check(out.getvalue())
+            if code != op.expect_code or problem is not None:
+                failures.append((seed, op.argv, code, problem, err.getvalue()))
     assert failures == []

@@ -1,5 +1,7 @@
 import math
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,6 @@ from macgap.binom_core import (
     binom,
     lemma_checks,
     lemma_checks_upto,
-    lemma_terms_upto,
     macaulay_rep,
     op_lower,
     op_minus,
@@ -227,16 +228,39 @@ class TestLemmaSweep:
             assert report.ok
 
     def test_wrong_shift_is_recorded(self, monkeypatch):
+        # the same wrong value of 3^-<2> in the sweep's minus table and in
+        # the reference's op_minus
         right = binom_core.op_minus
         monkeypatch.setattr(
             binom_core, "op_minus", lambda A, m: right(A, m) + (m == 2 and A == 3)
         )
+        levels = binom_core._shift_levels
+
+        def corrupted(span, top, minus):
+            for j, table in levels(span, top, minus):
+                if minus and j == 2:
+                    table = array("q", table)
+                    table[3] += 1
+                yield j, table
+
+        monkeypatch.setattr(binom_core, "_shift_levels", corrupted)
         report = verify_lemma_binom(4, 3)
         checks, bad = per_split_sweep(4, 3)
         assert (report.checks, report.counterexamples) == (checks, bad)
         # every split with A = 3 at m = 2, one per k with C(2+k, k) > 3
         assert bad == [(2, k, 3, math.comb(2 + k, k) - 4) for k in (2, 3)]
         assert not report.ok
+
+    def test_shift_tables_match_ops(self):
+        # every X at every level up to 8, for every span up to 8: the
+        # recurrence against the representation-based shifts
+        for span in range(9):
+            for minus, op in ((False, op_lower), (True, op_minus)):
+                levels = list(binom_core._shift_levels(span, 8, minus))
+                assert [j for j, _ in levels] == list(range(1, 9))
+                for j, table in levels:
+                    assert len(table) == math.comb(span + j, j)
+                    assert table.tolist() == [op(X, j) for X in range(len(table))]
 
     def test_check_count_closed_form(self):
         for m_max in range(1, 8):
@@ -268,26 +292,28 @@ class TestLemmaSweep:
         assert lemma_checks_upto(10**100, 1, 10**12) is None
         assert lemma_checks_upto(1, 1, 10**12) == lemma_checks(1, 1) == 2
 
-    def test_term_bound_closed_form(self):
-        # level k times the count of values represented at level k, for both
-        # families of the sweep; at least the terms the sweep really builds
-        for m_max in range(1, 7):
-            for k_max in range(1, 7):
-                lowers = [(B, k) for k in range(1, k_max + 1)
-                          for B in range(1, math.comb(m_max + k, k))]
-                minuses = [(A, m) for m in range(1, m_max + 1)
-                           for A in range(1, math.comb(m + k_max, k_max))]
-                bound = sum(k * math.comb(m_max + k, k) for k in range(1, k_max + 1))
-                bound += sum(m * math.comb(m + k_max, k_max) for m in range(1, m_max + 1))
-                built = sum(len(macaulay_rep(v, n).terms) for v, n in lowers + minuses)
-                for cap in (0, bound - 1, bound, 10**9):
-                    got = lemma_terms_upto(m_max, k_max, cap)
-                    assert got == (bound if bound <= cap else None)
-                assert built <= bound
-        assert lemma_terms_upto(10, 10, 10**9) == 6_466_460
-        assert lemma_terms_upto(10**100, 10**100, 10**7) is None
-        assert lemma_terms_upto(1, 10**100, 10**7) is None
-        assert lemma_terms_upto(10**100, 1, 10**7) is None
-        with pytest.raises(ValueError):
-            lemma_terms_upto(0, 3, 10)
+    def test_table_entries_within_twice_checks(self, monkeypatch):
+        # the lower tables are the row m = M of the sum `lemma_checks`
+        # counts and the minus tables its column k = K, so the sweep's own
+        # work is bounded by its check count
+        def entries(m_max, k_max):
+            return sum(math.comb(m_max + k, k) for k in range(1, k_max + 1)) + sum(
+                math.comb(m + k_max, k_max) for m in range(1, m_max + 1)
+            )
 
+        for m_max in range(1, 13):
+            for k_max in range(1, 13):
+                assert entries(m_max, k_max) <= 2 * lemma_checks(m_max, k_max)
+        built = []
+        levels = binom_core._shift_levels
+
+        def counted(span, top, minus):
+            for j, table in levels(span, top, minus):
+                built[-1] += len(table)
+                yield j, table
+
+        monkeypatch.setattr(binom_core, "_shift_levels", counted)
+        for bounds in [(m, k) for m in range(1, 7) for k in range(1, 7)] + [(1, 1410)]:
+            built.append(0)
+            assert verify_lemma_binom(*bounds).ok
+            assert built[-1] == entries(*bounds) <= 2 * lemma_checks(*bounds)

@@ -14,12 +14,11 @@ from macgap.cli import (
     LEMMA_COUNT_CAP,
     MAX_GAP_ARGUMENT_CHECKS,
     MAX_LEMMA_CHECKS,
-    MAX_LEMMA_TERMS,
     MAX_MACAULAY_DIGITS,
     MAX_MACAULAY_LEVEL,
     main,
 )
-from macgap.binom_core import LemmaSweepReport, lemma_terms_upto
+from macgap.binom_core import lemma_checks
 from macgap.gap_calc import GapSweepReport, gap_argument_checks
 from macgap.hermitian import (
     MAX_MAP_MONOMIALS,
@@ -181,35 +180,31 @@ class TestVerify:
             assert f"more than {LEMMA_COUNT_CAP} checks" in err
             assert f"limit of {MAX_LEMMA_CHECKS}" in err
 
-    def test_lemma3_work_limit(self, capsys, monkeypatch):
-        # --max-m 1 --max-k 309 is the largest --max-m 1 sweep within the
-        # work limit; the benchmark's (8, 8) and (10, 10) stay inside it
-        assert lemma_terms_upto(1, 309, MAX_LEMMA_TERMS) is not None
-        assert lemma_terms_upto(1, 310, MAX_LEMMA_TERMS) is None
-        ran = []
-
-        def sweep(m_max, k_max):
-            ran.append((m_max, k_max))
-            return LemmaSweepReport(m_max, k_max, 0, [])
-
-        monkeypatch.setattr(macgap.cli, "verify_lemma_binom", sweep)
-        for bounds in ((1, 309), (8, 8), (10, 10)):
-            rc, _, _ = run(capsys, "verify", "lemma3", "--json",
-                           "--max-m", str(bounds[0]), "--max-k", str(bounds[1]))
-            assert rc == 0
-        assert ran == [(1, 309), (8, 8), (10, 10)]
-        rc, out, err = run(capsys, "verify", "lemma3", "--max-m", "1", "--max-k", "310")
-        assert rc == 2 and out == "" and ran == [(1, 309), (8, 8), (10, 10)]
-        assert f"representation terms than the limit of {MAX_LEMMA_TERMS}" in err
-        assert str(lemma_terms_upto(1, 310, 10**9)) not in err
-
-    def test_lemma3_work_limit_refuses_at_once(self, capsys):
-        # 996 165 checks, inside the check limit, but cubic work in k
+    def _lemma3_runs_with_closed_form_count(self, capsys, max_k):
         start = time.perf_counter()
-        rc, out, err = run(capsys, "verify", "lemma3", "--max-m", "1", "--max-k", "1410")
-        assert time.perf_counter() - start < 1
-        assert rc == 2 and out == ""
-        assert f"limit of {MAX_LEMMA_TERMS}" in err
+        rc, out, _ = run(capsys, "verify", "lemma3", "--json",
+                         "--max-m", "1", "--max-k", str(max_k))
+        assert time.perf_counter() - start < 2
+        assert rc == 0
+        (rec,) = records(out)
+        assert rec["ok"] and rec["checks"] == lemma_checks(1, max_k)
+
+    def test_lemma3_past_old_terms_boundary_runs(self, capsys):
+        # (1, 310) was the first sweep past the old representation-terms limit
+        self._lemma3_runs_with_closed_form_count(capsys, 310)
+
+    def test_lemma3_long_level_sweep_runs_at_once(self, capsys):
+        # --max-m 1 sweeps as long as --max-k 1410 are only check-bounded:
+        # the shift tables hold at most twice as many entries as the checks
+        assert lemma_checks(1, 1410) == 996_165 <= MAX_LEMMA_CHECKS
+        self._lemma3_runs_with_closed_form_count(capsys, 1410)
+
+    def test_lemma3_at_the_limit_size(self, capsys):
+        rc, out, _ = run(capsys, "verify", "lemma3", "--json", "--max-m", "10", "--max-k", "10")
+        assert rc == 0
+        (rec,) = records(out)
+        assert rec["ok"] and rec["violations"] == 0
+        assert rec["checks"] == lemma_checks(10, 10) == 705_410
 
     def test_gap_argument(self, capsys):
         rc, out, _ = run(capsys, "verify", "gap-argument", "--max-n", "20", "--json")
@@ -238,8 +233,16 @@ class TestVerify:
         assert rc == 0 and ran == [441]
         assert records(out)[0]["max_n"] == 441
 
+    def test_gap_argument_at_the_limit_size(self, capsys):
+        rc, out, _ = run(capsys, "verify", "gap-argument", "--json", "--max-n", "441")
+        assert rc == 0
+        (rec,) = records(out)
+        assert rec["ok"] and rec["violations"] == 0
+        assert rec["checks"] == gap_argument_checks(441) == 996_268
+        assert (rec["case_i"], rec["case_ii"]) == (499_574, 496_694)
+
     def test_gap_argument_violation_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(macgap.gap_calc, "dim_prop_bound", lambda n, a, b, m: 1)
+        monkeypatch.setattr(macgap.gap_calc, "_dim_bound", lambda a, b, m: 1)
         rc, out, _ = run(capsys, "verify", "gap-argument", "--max-n", "10", "--json")
         assert rc == 1
         summary, *events = records(out)

@@ -282,11 +282,26 @@ class TestGapArgument:
         assert gap_argument_checks(400) == 777_138
 
     def test_sweep_records_under_reported_bounds(self, monkeypatch):
-        monkeypatch.setattr(gap_calc, "dim_prop_bound", lambda n, a, b, m: 1)
+        # the one D_m helper of the sweep and of dim_prop_bound
+        monkeypatch.setattr(gap_calc, "_dim_bound", lambda a, b, m: 1)
         report = gap_argument_sweep(12)
         assert not report.ok
         assert len(report.violations) == report.checks == gap_argument_checks(12)
         assert all(r.total == 2 and not r.holds for r in report.violations)
+
+    def test_sweep_refuses_to_disagree_with_the_report(self, monkeypatch):
+        # the integer check under-reports, the per-triple report (D_m by
+        # descent) says the bound holds: an internal error, not a violation
+        def descent(n, a, b, m):
+            form = NabForm(n, a, b)
+            while form.n > m:
+                form = nab_minus(form)
+            return nab_value(form)
+
+        monkeypatch.setattr(gap_calc, "_dim_bound", lambda a, b, m: 1)
+        monkeypatch.setattr(gap_calc, "dim_prop_bound", descent)
+        with pytest.raises(RuntimeError, match="disagree"):
+            gap_argument_sweep(12)
 
 
 class TestPlanePropagation:

@@ -30,9 +30,10 @@ The `map_reference_mode` fixture does the same for the map commands and
 `pairing_poly` cleared, and the zero test of a witness candidate on a
 cleared point for `Poly.evaluate`.  The seed-0 `map-queries` plan of the
 benchmark runs both ways against its known answers.  `lemma3_reference`
-and `gap_reference` swap the lemma lookup sweep for per-split shifts and
-`dim_prop_bound` for iterated descent.  Nothing here adds a switch to the
-program.
+swaps the lemma sweep for per-split shifts through `macaulay_rep`, and
+`gap_reference` the gap-argument sweep for one `verify_gap_argument`
+report per triple, with `dim_prop_bound` by iterated descent.  Nothing
+here adds a switch to the program.
 """
 
 import contextlib
@@ -44,7 +45,7 @@ import pytest
 import macgap.cli
 from macgap import binom_core, gap_calc, hermitian, polyspace
 from macgap.binom_core import LemmaSweepReport, op_minus
-from macgap.gap_calc import NabForm, nab_minus, nab_value
+from macgap.gap_calc import GapSweepReport, NabForm, ineq1_b_range, nab_minus, nab_value
 from macgap.gaussint import clear
 from macgap.polyspace import (
     GRat,
@@ -308,7 +309,33 @@ def gap_reference(monkeypatch):
             form = nab_minus(form)
         return nab_value(form)
 
-    return lambda: monkeypatch.setattr(gap_calc, "dim_prop_bound", dim_prop_bound)
+    def sweep(max_n):
+        # one full verify_gap_argument report per admissible triple
+        report = GapSweepReport(max_n=max_n)
+        for n in range(1, max_n + 1):
+            a = 0
+            while True:
+                lo, hi = ineq1_b_range(n, a)
+                if lo > hi:
+                    break
+                for b in range(lo, hi + 1):
+                    r = gap_calc.verify_gap_argument(n, a, b)
+                    report.checks += 1
+                    if r.case == "I":
+                        report.case_i += 1
+                    else:
+                        report.case_ii += 1
+                    if not r.holds:
+                        report.violations.append(r)
+                a += 1
+        return report
+
+    def enter():
+        monkeypatch.setattr(gap_calc, "dim_prop_bound", dim_prop_bound)
+        monkeypatch.setattr(gap_calc, "gap_argument_sweep", sweep)
+        monkeypatch.setattr(macgap.cli, "gap_argument_sweep", sweep)
+
+    return enter
 
 
 def test_index_suites_match_their_references(lemma3_reference, gap_reference):
