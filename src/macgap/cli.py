@@ -38,10 +38,10 @@ from .hermitian import (
     span_obstruction_check,
 )
 from .polyspace import (
+    cleared_span_dim,
     format_grat,
     format_poly,
     green_suite,
-    image_span_dim,
     parse_poly,
     veronese_suite,
 )
@@ -478,7 +478,7 @@ def cmd_map_check(args) -> int:
 def cmd_map_span(args) -> int:
     cfg = _config(args)
     f = parse_map(_read_text(args.file))
-    dim = image_span_dim(f.components)
+    dim = cleared_span_dim([P for _, P in f.cleared])
     if cfg.machine:
         _emit({"cmd": "map", "action": "span", "span": dim})
     else:
@@ -495,7 +495,7 @@ def cmd_map_obstruct(args) -> int:
             {
                 "cmd": "map",
                 "action": "obstruct",
-                "e": sorted(args.indices),
+                "e": sorted(set(args.indices)),
                 "dim_e": rec.dim_e_span,
                 "dim_eperp": rec.dim_eperp_span,
                 "bound": rec.bound,

@@ -20,10 +20,11 @@ from .polyspace import (
     GRat,
     Poly,
     PolyFormatError,
+    cleared_span_dim,
     format_poly,
     image_span_dim,
     mono,
-    parse_poly,
+    parse_cleared,
     rng_for,
 )
 
@@ -87,28 +88,84 @@ def classify_point(z, sig: Signature) -> str:
     return "null"
 
 
-@dataclass
 class SignedMap:
     """Polynomial map with components in target-block order: r' positive,
-    s' negative, t' null-weight."""
+    s' negative, t' null-weight.
 
-    source: Signature
-    target: Signature
-    degree: int
-    components: list[Poly]
+    A map holds its components as `Poly`s, as cleared Gaussian-integer
+    polynomials (L, {exps: (re, im)}) (`gaussint.clear`), or both; each
+    form is built from the other on first use.  A map read by `parse_map`
+    starts cleared, and the span, obstruction and certificate kernels read
+    only `cleared`, so the `Poly`s of a parsed map are built only when
+    something asks for `components`.
+    """
 
-    def __post_init__(self):
-        want = self.target.n_vars
-        if len(self.components) != want:
-            raise ValueError(
-                f"{len(self.components)} components for target signature "
-                f"expecting {want}"
-            )
-        for p in self.components:
+    __slots__ = ("source", "target", "degree", "_components", "_cleared")
+    __hash__ = None
+
+    def __init__(self, source: Signature, target: Signature, degree: int,
+                 components: list[Poly]):
+        self.source, self.target, self.degree = source, target, degree
+        self._components = list(components)
+        self._cleared = None
+        self._check_count(len(self._components))
+        for p in self._components:
             if p.n_vars != self.source.n_vars:
                 raise ValueError("component variable count does not match source")
             if p.degree != self.degree:
                 raise ValueError("component degree mismatch")
+
+    @classmethod
+    def from_cleared(cls, source: Signature, target: Signature, degree: int,
+                     cleared: list[tuple[int, dict]]) -> "SignedMap":
+        """The map with cleared components `cleared`, each (L, pairs) as
+        `parse_cleared` returns it for `source.n_vars` variables and degree
+        `degree`; they are not checked again."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.degree = source, target, degree
+        f._components = None
+        f._cleared = list(cleared)
+        f._check_count(len(f._cleared))
+        return f
+
+    def _check_count(self, count: int) -> None:
+        want = self.target.n_vars
+        if count != want:
+            raise ValueError(
+                f"{count} components for target signature expecting {want}"
+            )
+
+    @property
+    def components(self) -> list[Poly]:
+        if self._components is None:
+            nv = self.source.n_vars
+            self._components = [
+                _from_pairs(nv, self.degree, P, L) for L, P in self._cleared
+            ]
+        return self._components
+
+    @property
+    def cleared(self) -> list[tuple[int, dict]]:
+        if self._cleared is None:
+            self._cleared = [clear(p.coeffs) for p in self._components]
+        return self._cleared
+
+    def __eq__(self, other):
+        # the cleared form is canonical: L is least, so equal maps have
+        # equal (L, pairs) components
+        if not isinstance(other, SignedMap):
+            return NotImplemented
+        return (
+            (self.source, self.target, self.degree)
+            == (other.source, other.target, other.degree)
+            and self.cleared == other.cleared
+        )
+
+    def __repr__(self):
+        return (
+            f"SignedMap(source={self.source!r}, target={self.target!r}, "
+            f"degree={self.degree!r}, components={self.components!r})"
+        )
 
     def evaluate(self, z) -> list[GRat]:
         return [p.evaluate(z) for p in self.components]
@@ -152,12 +209,12 @@ def pairing_poly(f: SignedMap) -> Poly:
 
 
 def _pairing_pairs(f: SignedMap) -> tuple[int, dict]:
-    """(L, L * P) for P = pairing_poly(f), built on Gaussian-integer pairs:
-    each component is cleared on its own, and L is the lcm of the squares
-    of their denominators."""
+    """(L, L * P) for P = pairing_poly(f), built on Gaussian-integer pairs
+    from the cleared components, and L is the lcm of the squares of their
+    denominators."""
     return pairing([
-        (f.target.eps(j), *clear(p.coeffs))
-        for j, p in enumerate(f.components)
+        (f.target.eps(j), L, P)
+        for j, (L, P) in enumerate(f.cleared)
         if f.target.eps(j)
     ])
 
@@ -479,20 +536,21 @@ class ObstructionRecord:
     holds: bool
 
 
-def _restrict_to_coords(components, keep: list[int]):
-    """Set the variables outside `keep` to zero and reindex to len(keep)
-    variables; None when every component dies."""
-    out = []
-    for p in components:
-        coeffs = {}
-        for exps, c in p.coeffs.items():
-            if any(e and i not in keep for i, e in enumerate(exps)):
-                continue
-            coeffs[tuple(exps[i] for i in keep)] = c
-        out.append(Poly(len(keep), p.degree, coeffs))
-    if all(p.is_zero for p in out):
-        return None
-    return out
+def _restrict_to_coords(cleared, n_vars: int, keep: list[int]):
+    """Set the variables outside `keep` to zero in the cleared components
+    and reindex to len(keep) variables.  Returns the pairs dicts (L does not
+    change, and a rank does not need it), or None when every component
+    dies."""
+    dropped = sorted(set(range(n_vars)) - set(keep))
+    out = [
+        {
+            tuple(exps[i] for i in keep): c
+            for exps, c in P.items()
+            if not any(exps[i] for i in dropped)
+        }
+        for _, P in cleared
+    ]
+    return out if any(out) else None
 
 
 def span_obstruction_check(f: SignedMap, e_indices) -> ObstructionRecord:
@@ -515,8 +573,8 @@ def span_obstruction_check(f: SignedMap, e_indices) -> ObstructionRecord:
     bound = f.target.r + f.target.s - 2
     sides = {}
     for name, keep in (("E", e_set), ("E_perp", perp)):
-        restricted = _restrict_to_coords(f.components, keep)
-        sides[name] = None if restricted is None else image_span_dim(restricted)
+        restricted = _restrict_to_coords(f.cleared, nv, keep)
+        sides[name] = None if restricted is None else cleared_span_dim(restricted)
     degenerate = None
     if sides["E"] is None and sides["E_perp"] is None:
         degenerate = "both"
@@ -658,7 +716,7 @@ def parse_map(text: str) -> SignedMap:
         )
 
     expected = [("%pos", target.r), ("%neg", target.s), ("%null", target.t)]
-    components: list[Poly] = []
+    components: list[tuple[int, dict]] = []
     block = None
     taken = 0
     block_iter = iter(expected)
@@ -682,7 +740,7 @@ def parse_map(text: str) -> SignedMap:
         if block is None:
             raise MapFormatError(f"line {line_no}: component before %pos")
         try:
-            p = parse_poly(stripped, n_vars=source.n_vars, degree=degree)
+            p = parse_cleared(stripped, n_vars=source.n_vars, degree=degree)
         except PolyFormatError as exc:
             raise MapFormatError(f"line {line_no}: {exc}") from None
         components.append(p)
@@ -700,4 +758,4 @@ def parse_map(text: str) -> SignedMap:
     leftover = next(block_iter, None)
     if leftover is not None:
         raise MapFormatError(f"missing separator {leftover[0]}")
-    return SignedMap(source, target, degree, components)
+    return SignedMap.from_cleared(source, target, degree, components)

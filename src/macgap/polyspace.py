@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -268,11 +269,11 @@ def format_poly(p: Poly) -> str:
     return "; ".join(parts)
 
 
-def parse_poly(
-    text: str, n_vars: int | None = None, degree: int | None = None
-) -> Poly:
-    """Inverse of format_poly.  n_vars/degree are required to disambiguate
-    the zero polynomial and otherwise act as validation."""
+def _parse_terms(text: str, n_vars: int | None, degree: int | None, coefficient):
+    """Split polynomial text into terms and check their exponents; the one
+    splitter behind `parse_poly` and `parse_cleared`.  Returns (n_vars,
+    degree, terms) with terms the (exps, coefficient(token)) of every term
+    in text order; "0" gives no terms."""
     stripped = text.strip()
     if not stripped:
         raise PolyFormatError("empty polynomial text")
@@ -281,34 +282,102 @@ def parse_poly(
             raise PolyFormatError(
                 "zero polynomial needs explicit n_vars and degree context"
             )
-        return Poly(n_vars, degree, {})
-    coeffs: dict[tuple[int, ...], GRat] = {}
+        return n_vars, degree, []
+    terms = []
+    shapes = set()
     for raw in stripped.split(";"):
         tokens = raw.split()
         if len(tokens) < 2:
             raise PolyFormatError(f"term {raw.strip()!r} has no exponents")
-        c = parse_grat(tokens[0])
+        c = coefficient(tokens[0])
         try:
-            exps = tuple(int(t) for t in tokens[1:])
+            exps = tuple(map(int, tokens[1:]))
         except ValueError:
             raise PolyFormatError(f"bad exponent in term {raw.strip()!r}") from None
-        if any(e < 0 for e in exps):
+        if min(exps) < 0:
             raise PolyFormatError(f"negative exponent in term {raw.strip()!r}")
         if n_vars is not None and len(exps) != n_vars:
             raise PolyFormatError(
                 f"term {raw.strip()!r} has {len(exps)} exponents, expected {n_vars}"
             )
-        if degree is not None and sum(exps) != degree:
+        total = sum(exps)
+        if degree is not None and total != degree:
             raise PolyFormatError(
-                f"term {raw.strip()!r} has degree {sum(exps)}, expected {degree}"
+                f"term {raw.strip()!r} has degree {total}, expected {degree}"
             )
+        shapes.add((len(exps), total))
+        terms.append((exps, c))
+    if len(shapes) > 1:
+        raise PolyFormatError("mixed variable counts or degrees in one polynomial")
+    n_vars, degree = shapes.pop()
+    return n_vars, degree, terms
+
+
+def parse_poly(
+    text: str, n_vars: int | None = None, degree: int | None = None
+) -> Poly:
+    """Inverse of format_poly.  n_vars/degree are required to disambiguate
+    the zero polynomial and otherwise act as validation.  The reference for
+    `parse_cleared`."""
+    n_vars, degree, terms = _parse_terms(text, n_vars, degree, parse_grat)
+    coeffs: dict[tuple[int, ...], GRat] = {}
+    for exps, c in terms:
         prev = coeffs.get(exps)
         coeffs[exps] = c if prev is None else prev + c
-    lens = {len(e) for e in coeffs}
-    degs = {sum(e) for e in coeffs}
-    if len(lens) > 1 or len(degs) > 1:
-        raise PolyFormatError("mixed variable counts or degrees in one polynomial")
-    return Poly(lens.pop(), degs.pop(), coeffs)
+    return Poly(n_vars, degree, coeffs)
+
+
+# a coefficient of plain ASCII integers or fractions, "a", "a/b" or either
+# of them followed by ",c" or ",c/d"
+_PLAIN_COEFF = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?(?:,([-+]?[0-9]+)(?:/([0-9]+))?)?")
+
+
+def _coefficient_ratios(token: str) -> tuple[int, int, int, int]:
+    """The coefficient token as (re_num, re_den, im_num, im_den), the
+    fractions not necessarily in lowest terms.  A plain token is read with
+    `int` alone; every other one, and a plain one with a zero denominator
+    or past the int-to-str digit limit, goes through `parse_grat`, which
+    accepts or refuses it with its own message."""
+    m = _PLAIN_COEFF.fullmatch(token)
+    if m is not None:
+        a, b, c, d = m.groups()
+        try:
+            ratios = (int(a), int(b or 1), int(c or 0), int(d or 1))
+        except ValueError:
+            ratios = None
+        if ratios is not None and ratios[1] and ratios[3]:
+            return ratios
+    g = parse_grat(token)
+    return g.re.numerator, g.re.denominator, g.im.numerator, g.im.denominator
+
+
+def parse_cleared(
+    text: str, n_vars: int | None = None, degree: int | None = None
+) -> tuple[int, dict]:
+    """clear(parse_poly(text, n_vars, degree).coeffs) without a Fraction or
+    a GRat for a plain coefficient: (L, {exps: (re, im)}) with L the least
+    positive integer that makes every coefficient a Gaussian integer, and
+    the terms in the order `parse_poly` keeps them.  Same accepted text and
+    same messages as `parse_poly`."""
+    _, _, terms = _parse_terms(text, n_vars, degree, _coefficient_ratios)
+    acc = dict(terms)
+    if len(acc) < len(terms):
+        # a repeated monomial: sum its coefficients
+        acc = {}
+        for exps, (p, q, u, v) in terms:
+            if exps in acc:
+                a, b, x, y = acc[exps]
+                p, q, u, v = a * q + p * b, b * q, x * v + u * y, y * v
+            acc[exps] = p, q, u, v
+    # a/b in lowest terms has denominator b // gcd(a, b), and L is the lcm
+    # of those; a zero part has denominator 1, and a zero term is dropped
+    L = 1
+    for a, b, x, y in acc.values():
+        if b != 1:
+            L = math.lcm(L, b // math.gcd(a, b))
+        if y != 1:
+            L = math.lcm(L, y // math.gcd(x, y))
+    return L, {e: (a * L // b, x * L // y) for e, (a, b, x, y) in acc.items() if a or x}
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +760,16 @@ def image_span_dim(components: list[Poly]) -> int:
     for p in components:
         _check_member(p, n_vars, degree)
     return span_rank([clear(p.coeffs)[1] for p in components]) - 1
+
+
+def cleared_span_dim(rows: list[dict]) -> int:
+    """`image_span_dim` of cleared components, given as their pairs dicts
+    {exps: (re, im)}, all of one variable count and degree."""
+    if not rows:
+        raise ValueError("no components")
+    if not any(rows):
+        raise ValueError("all components are zero")
+    return span_rank(rows) - 1
 
 
 # ---------------------------------------------------------------------------

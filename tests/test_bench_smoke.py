@@ -1,11 +1,14 @@
-"""The `index-calc` benchmark plan, run through the command line.
+"""The `index-calc` and `green-sweep` benchmark plans, run through the
+command line.
 
-Every op of the seed-0, seed-1 and seed-2 plans (both sweeps,
-`macaulay 1000000 2`, the small `macaulay` and `gap` ops) goes through
-`macgap.cli.main` with its output captured, and must give the exit code
-and the known answer that the benchmark's own checks in
-bench/workloads.py expect.  The module is only
-imported, never changed.
+Every op of the seed-0, seed-1 and seed-2 `index-calc` plans (both sweeps,
+`macaulay 1000000 2`, the small `macaulay` and `gap` ops) and of the seed-0
+`green-sweep` plan (180 `verify green` and 4 `verify restriction` ops) goes
+through `macgap.cli.main` with its output captured, and must give the exit
+code and the known answer that the benchmark's own checks in
+bench/workloads.py expect.  The seed-0 `map-queries` plan runs against its
+known answers in test_reference_mode.py.  The module is only imported,
+never changed.
 """
 
 import contextlib
@@ -28,17 +31,32 @@ def load_workloads(monkeypatch):
     return module
 
 
+def _failures(plan, seed):
+    """(seed, argv, exit code, problem, stderr) of every op of the plan that
+    exits with an unexpected code or fails its check."""
+    failures = []
+    for op in plan.ops:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = macgap.cli.main(op.argv)
+        problem = op.check(out.getvalue())
+        if code != op.expect_code or problem is not None:
+            failures.append((seed, op.argv, code, problem, err.getvalue()))
+    return failures
+
+
 def test_index_calc_known_answers(tmp_path, monkeypatch):
     failures = []
     for seed in (0, 1, 2):
         plan = load_workloads(monkeypatch).build("index-calc", seed, tmp_path)
         kinds = {op.kind for op in plan.ops}
         assert {"lemma3", "gap-argument", "macaulay", "gap"} <= kinds
-        for op in plan.ops:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = macgap.cli.main(op.argv)
-            problem = op.check(out.getvalue())
-            if code != op.expect_code or problem is not None:
-                failures.append((seed, op.argv, code, problem, err.getvalue()))
+        failures += _failures(plan, seed)
     assert failures == []
+
+
+def test_green_sweep_known_answers(tmp_path, monkeypatch):
+    plan = load_workloads(monkeypatch).build("green-sweep", 0, tmp_path)
+    kinds = [op.kind for op in plan.ops]
+    assert (kinds.count("green"), kinds.count("restriction")) == (180, 4)
+    assert _failures(plan, 0) == []

@@ -368,6 +368,19 @@ class TestMapTooling:
         (rec,) = records(out)
         assert rec["dim_e"] == 3 and rec["degenerate"] == "E_perp" and rec["holds"]
 
+    def test_obstruct_echoes_the_index_set(self, capsys, tmp_path):
+        # E is a set: repeated and unordered indices give the record of E = {0, 1}
+        path = tmp_path / "s.map"
+        run(capsys, "map", "gen-sharpness", "2", "4", "-o", str(path))
+        rc, out, _ = run(capsys, "map", "obstruct", "--json", str(path), "0", "1")
+        assert rc == 0
+        (want,) = records(out)
+        assert want["e"] == [0, 1]
+        for indices in (["0", "0", "1"], ["1", "0", "1", "0"]):
+            rc, out, _ = run(capsys, "map", "obstruct", "--json", str(path), *indices)
+            assert rc == 0
+            assert records(out) == [want]
+
     def test_prolong_pipeline(self, capsys, tmp_path):
         src = tmp_path / "s.map"
         out_path = tmp_path / "p.map"

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macgap import hermitian
+from macgap import hermitian, polyspace
 from macgap.binom_core import op_minus
 from macgap.gaussint import clear
 from macgap.hermitian import (
@@ -32,6 +33,7 @@ from macgap.polyspace import (
     Poly,
     image_span_dim,
     mono,
+    parse_poly,
     rng_for,
     verify_restriction_theorem,
 )
@@ -475,6 +477,24 @@ def mutated_map_text(draw):
     return "\n".join(lines)
 
 
+def _parse_map_by_reference(text):
+    """parse_map with every component read by parse_poly and cleared."""
+    def parse_cleared(text, n_vars=None, degree=None):
+        return clear(parse_poly(text, n_vars, degree).coeffs)
+
+    with mock.patch.object(hermitian, "parse_cleared", parse_cleared):
+        return parse_map(text)
+
+
+def _map_outcome(parse, text):
+    """The parsed map with the term order of its components, or the error."""
+    try:
+        f = parse(text)
+    except MapFormatError as exc:
+        return "error", str(exc)
+    return f.source, f.target, f.degree, [(L, list(P.items())) for L, P in f.cleared]
+
+
 class TestMapFiles:
     @settings(max_examples=100, deadline=None)
     @given(map_st())
@@ -493,11 +513,31 @@ class TestMapFiles:
         )
     )
     def test_arbitrary_text_raises_only_format_errors(self, text):
+        # the same map or the same message as a parse_poly-based parse
+        assert _map_outcome(parse_map, text) == _map_outcome(_parse_map_by_reference, text)
         try:
             f = parse_map(text)
         except MapFormatError:
             return
         assert parse_map(format_map(f)) == f
+
+    @settings(max_examples=50, deadline=None)
+    @given(map_st())
+    def test_parsed_components_built_on_demand(self, f):
+        back = parse_map(format_map(f))
+        assert back.cleared == [clear(p.coeffs) for p in f.components]
+        assert back.components == f.components
+
+    def test_plain_map_needs_no_rationals(self):
+        # the kernels of span, obstruct and a verdict read the cleared form
+        # only: a map with plain coefficients builds no GRat on their way
+        text = format_map(sharpness_map(2, 5))
+        with mock.patch.object(polyspace, "parse_grat", side_effect=AssertionError), \
+                mock.patch.object(hermitian, "_from_pairs", side_effect=AssertionError):
+            f = parse_map(text)
+            assert span_obstruction_check(f, [0, 2, 3]).holds
+            assert orthogonality_certificate(f, want_quotient=False).verdict
+        assert f == sharpness_map(2, 5)
 
     def test_round_trip_sharpness(self):
         f = sharpness_map(2, 3)

@@ -23,6 +23,7 @@ from macgap.polyspace import (
     image_span_dim,
     mono,
     monomial_basis,
+    parse_cleared,
     parse_grat,
     parse_poly,
     random_hyperplane,
@@ -253,6 +254,8 @@ class TestPolyText:
         st.none() | st.integers(0, 3),
     )
     def test_arbitrary_text_raises_only_format_errors(self, text, n_vars, degree):
+        # parse_cleared gives the same result or the same message
+        assert_parsers_agree(text, n_vars, degree)
         try:
             p = parse_poly(text, n_vars=n_vars, degree=degree)
         except PolyFormatError:
@@ -264,6 +267,99 @@ class TestPolyText:
             parse_poly("1/1 1 0", n_vars=3)
         with pytest.raises(PolyFormatError):
             parse_poly("1/1 1 0", degree=2)
+
+
+def _outcome(parse, text, n_vars, degree):
+    """The cleared result with its term order, or the format error."""
+    try:
+        L, pairs = parse(text, n_vars, degree)
+    except PolyFormatError as exc:
+        return "error", str(exc)
+    return L, list(pairs.items())
+
+
+def _cleared_by_reference(text, n_vars, degree):
+    return clear(parse_poly(text, n_vars, degree).coeffs)
+
+
+def assert_parsers_agree(text, n_vars=None, degree=None):
+    want = _outcome(_cleared_by_reference, text, n_vars, degree)
+    assert _outcome(parse_cleared, text, n_vars, degree) == want
+    return want
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+@st.composite
+def coeff_part_st(draw):
+    """One part of a coefficient token, in any notation parse_grat reads,
+    and its value; now and then a part it refuses, with value None."""
+    n = draw(st.integers(-3000, 3000))
+    d = draw(st.integers(1, 60))
+    style = draw(st.sampled_from(
+        ["fraction", "fraction", "integer", "signed", "unreduced", "decimal",
+         "underscores", "unicode", "hostile"]))
+    if style == "fraction":
+        return f"{n}/{d}", Fraction(n, d)
+    if style == "integer":
+        return str(n), Fraction(n)
+    if style == "signed":
+        return f"+{abs(n)}/{d}", Fraction(abs(n), d)
+    if style == "unreduced":
+        return f"{n * d}/{d * d}", Fraction(n, d)
+    if style == "decimal":
+        return f"{'-' if n < 0 else ''}{abs(n) // 100}.{abs(n) % 100:02d}", Fraction(n, 100)
+    if style == "underscores":
+        return f"{n * 1000:_}", Fraction(n * 1000)
+    if style == "unicode":
+        return f"{n}/{d}".translate(_ARABIC_INDIC), Fraction(n, d)
+    hostile = ["9" * 5000, "1/" + "9" * 5000, "1/0", "0/0", "1e3", "2E-1", ""]
+    return draw(st.sampled_from(hostile)), None
+
+
+@st.composite
+def poly_text_st(draw):
+    """(text, n_vars, degree): terms on a few monomials, so that repeated
+    and cancelling terms are common, or the line "0"."""
+    nv = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 3))
+    if draw(st.integers(0, 9)) == 0:
+        return "0", nv, d
+    basis = monomial_basis(nv, d)
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        exps = " ".join(map(str, draw(st.sampled_from(basis))))
+        (token, a), im = draw(coeff_part_st()), draw(st.none() | coeff_part_st())
+        b = Fraction(0) if im is None else im[1]
+        terms.append(f"{token if im is None else token + ',' + im[0]} {exps}")
+        if a is not None and b is not None and draw(st.booleans()):
+            # the same value with the other sign cancels the term
+            terms.append(f"{format_grat(GRat(-a, -b))} {exps}")
+    return "; ".join(terms), nv, d
+
+
+class TestParseCleared:
+    @settings(max_examples=300, deadline=None)
+    @given(poly_text_st())
+    def test_matches_parse_poly_cleared(self, case):
+        text, n_vars, degree = case
+        assert_parsers_agree(text, n_vars, degree)
+
+    @pytest.mark.parametrize("text, want", [
+        ("1/2 1 1; 1/2 1 1", (1, [((1, 1), (1, 0))])),
+        ("1/3,2/9 2 0; -1/3,-2/9 2 0; 3/4 0 2", (4, [((0, 2), (3, 0))])),
+        ("0/5 2 0; 0,0 1 1; 2/6,1/10 0 2", (30, [((0, 2), (10, 3))])),
+        ("1.5 1 1; 1_0 2 0; \u0663/\u0664 0 2", (4, [((1, 1), (6, 0)), ((2, 0), (40, 0)), ((0, 2), (3, 0))])),
+        ("0", (1, [])),
+    ])
+    def test_known_values(self, text, want):
+        assert assert_parsers_agree(text, 2, 2) == want
+
+    @pytest.mark.parametrize("token", POLY_FUZZ_TOKENS + ["9" * 5000 + ",1", "1,1/" + "9" * 5000])
+    def test_hostile_coefficients(self, token):
+        assert_parsers_agree(f"{token} 1 0")
+        assert_parsers_agree(f"1/1 1 0; {token} 0 1", 2, 1)
 
 
 def plane(ints, pivot=None):

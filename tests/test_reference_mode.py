@@ -25,11 +25,13 @@ what sees a wrong wiring between pieces that are each correct on their
 own, such as hyperplanes drawn from the wrong stream.
 
 The `map_reference_mode` fixture does the same for the map commands and
-`verify sharpness`: the span rank with singleton peeling for
+`verify sharpness`: each component parsed straight to its cleared form for
+`parse_poly` cleared, the span rank with singleton peeling for
 `exact_rank(support_rows(...))`, the pairing polynomial built on pairs for
 `pairing_poly` cleared, and the zero test of a witness candidate on a
 cleared point for `Poly.evaluate`.  The seed-0 `map-queries` plan of the
-benchmark runs both ways against its known answers.  `lemma3_reference`
+benchmark runs both ways against its known answers, together with a third
+of its maps rewritten with repeated, cancelling and zero terms.  `lemma3_reference`
 swaps the lemma sweep for per-split shifts through `macaulay_rep`, and
 `gap_reference` the gap-argument sweep for one `verify_gap_argument`
 report per triple, with `dim_prop_bound` by iterated descent.  Nothing
@@ -39,6 +41,8 @@ here adds a switch to the program.
 import contextlib
 import io
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,7 @@ from macgap.polyspace import (
     exact_rank,
     image_span_dim,
     monomial_basis,
+    parse_poly,
     random_hyperplane,
     random_subspace,
     restrict,
@@ -233,6 +238,9 @@ def map_reference_mode(monkeypatch):
         spans.append((rows, rank))
         return rank
 
+    def parse_cleared(text, n_vars=None, degree=None):
+        return clear(parse_poly(text, n_vars, degree).coeffs)
+
     def pairing_pairs(f):
         return clear(hermitian.pairing_poly(f).coeffs)
 
@@ -241,6 +249,7 @@ def map_reference_mode(monkeypatch):
         return not hermitian._from_pairs(len(point), degree, P, 1).evaluate(point)
 
     def enter():
+        monkeypatch.setattr(hermitian, "parse_cleared", parse_cleared)
         monkeypatch.setattr(polyspace, "span_rank", span_rank)
         monkeypatch.setattr(hermitian, "_pairing_pairs", pairing_pairs)
         monkeypatch.setattr(hermitian, "vanishes_at", vanishes_at)
@@ -248,15 +257,56 @@ def map_reference_mode(monkeypatch):
     return spans, enter
 
 
+def _fraction_text(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _rewritten(text: str) -> str:
+    """The same map in other words.  In every nonzero component the first
+    term is written as two halves, a cancelling pair with a Gaussian
+    coefficient and an explicit zero term are added on a monomial the
+    component does not use, and one more zero term on its first monomial."""
+    out = []
+    for line in text.splitlines():
+        if line[:1] not in "-0123456789" or line == "0":
+            out.append(line)
+            continue
+        terms = line.split("; ")
+        coeff, exps = terms[0].split(" ", 1)
+        half = ",".join(_fraction_text(Fraction(part) / 2) for part in coeff.split(","))
+        used = {t.split(" ", 1)[1] for t in terms}
+        nv = len(exps.split())
+        degree = sum(map(int, exps.split()))
+        spare = next(
+            e for e in (" ".join(str(degree * (j == i)) for j in range(nv)) for i in range(nv))
+            if e not in used
+        )
+        out.append("; ".join(
+            [f"{half} {exps}", f"1/3,-2/7 {spare}", f"{half} {exps}"] + terms[1:]
+            + [f"-1/3,2/7 {spare}", f"0 {spare}", f"0/5,0 {exps}"]
+        ))
+    return "\n".join(out) + "\n"
+
+
 def test_map_queries_match_their_references(map_reference_mode, tmp_path, monkeypatch):
     spans, enter = map_reference_mode
     plan = load_workloads(monkeypatch).build("map-queries", 0, tmp_path)
+    # a third of the maps again, rewritten, under the same commands
+    files = sorted({op.argv[-1] for op in plan.ops if op.kind == "span"})[::3]
+    again = {}
+    for name in files:
+        path = Path(name).with_suffix(".again.map")
+        path.write_text(_rewritten(Path(name).read_text()))
+        again[name] = str(path)
+    reruns = [(op, [again.get(a, a) for a in op.argv]) for op in plan.ops
+              if any(a in again for a in op.argv)]
     commands = [["verify", "sharpness", "--json"],
                 ["verify", "sharpness", "--json", "--max-k", "2", "--max-n", "16"],
                 ["verify", "restriction", "--json", "--trials", "2"]]
 
     def run():
         outputs = [cli_stdout(op.argv) for op in plan.ops]
+        outputs += [cli_stdout(argv) for _, argv in reruns]
         outputs += [cli_stdout(argv) for argv in commands]
         ranks = spans[:]
         spans.clear()
@@ -269,7 +319,12 @@ def test_map_queries_match_their_references(map_reference_mode, tmp_path, monkey
     for op, (code, out) in zip(plan.ops, outputs):
         assert code == op.expect_code, op.argv
         assert op.check(out) is None, op.argv
-    assert [code for code, _ in outputs[len(plan.ops):]] == [0, 0, 0]
+    # a rewritten map is the same map: the same answers, byte for byte
+    n = len(plan.ops)
+    assert len(reruns) >= len(files) * 2
+    for (op, argv), got in zip(reruns, outputs[n:n + len(reruns)]):
+        assert got == outputs[plan.ops.index(op)], argv
+    assert [code for code, _ in outputs[n + len(reruns):]] == [0, 0, 0]
     # the span ranks were compared call by call: one per `map span`, one or
     # two per `map obstruct` (a vanished side has none), one per sharpness
     # map and one per restriction cell
