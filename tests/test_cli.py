@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -18,15 +19,17 @@ from macgap.cli import (
     MAX_MACAULAY_LEVEL,
     main,
 )
-from macgap.binom_core import lemma_checks
-from macgap.gap_calc import GapSweepReport, gap_argument_checks
+from macgap.binom_core import LemmaSweepReport, lemma_checks
+from macgap.gap_calc import GapArgumentReport, GapSweepReport, gap_argument_checks
 from macgap.hermitian import (
     MAX_MAP_MONOMIALS,
     MapFormatError,
+    SharpnessSuiteReport,
     format_map,
     parse_map,
     sharpness_map,
 )
+from macgap.polyspace import GreenRecord, GreenSuiteReport, VeroneseSuiteReport
 
 
 def run(capsys, *argv):
@@ -565,3 +568,97 @@ def test_one_parser_serves_a_whole_process(capsys, monkeypatch):
         assert rc == fresh.returncode == want_rc, argv
         assert out == fresh.stdout, argv
         assert err == fresh.stderr, argv
+
+
+# Each suite's library call replaced by one that returns a report with
+# planted violations: pins the records and text lines the CLI builds from a
+# report, which a clean run never shows.
+def _planted_lemma3(max_m, max_k):
+    return LemmaSweepReport(max_m, max_k, 40, [(2, 3, 9, 8), (4, 1, 5, 6)])
+
+
+def _planted_green(ns, ds, subspaces, trials, seed):
+    # one cell call per (n, d); only the (3, 2) cell violates
+    (n,), (d,) = ns, ds
+    report = GreenSuiteReport(trials=trials, seed=seed, subspace_count=n + d, checks=n * d)
+    if (n, d) == (3, 2):
+        report.violations.append(GreenRecord(n=3, d=2, c=4, c_h=7, bound=5, holds=False))
+    return report
+
+
+def _planted_restriction(max_n, max_degree, trials, seed):
+    return VeroneseSuiteReport(trials=trials, seed=seed, checks=11,
+                               violations=[(2, 3, 9, 10)])
+
+
+def _planted_gap_argument(max_n):
+    bad = GapArgumentReport(n=9, a=1, b=2, n1=4, n2=4, case="I", d_n1=3, d_n2=3,
+                            total=2, n_prime=7, holds=False)
+    return GapSweepReport(max_n=max_n, checks=17, case_i=10, case_ii=7, violations=[bad])
+
+
+def _planted_sharpness(max_k, max_n):
+    return SharpnessSuiteReport(max_k=max_k, max_n=max_n, maps=5, checks=35,
+                                violations=[(1, 3, "span"), (2, 7, "certificate verdict")])
+
+
+PLANTED = [
+    (["lemma3"], [
+        '{"checks":40,"cmd":"verify","max_k":6,"max_m":6,"ok":false,"suite":"lemma3","violations":2}',
+        '{"A":9,"B":8,"cmd":"verify","event":"violation","k":3,"m":2,"suite":"lemma3"}',
+        '{"A":5,"B":6,"cmd":"verify","event":"violation","k":1,"m":4,"suite":"lemma3"}',
+    ], [
+        "lemma3: 40 checks, 2 violations",
+    ]),
+    (["green", "--seed", "5", "--trials", "3"], [
+        '{"checks":4,"cmd":"verify","d":2,"n":2,"ok":true,"seed":5,"subspaces":4,"suite":"green","trials":3,"violations":0}',
+        '{"checks":6,"cmd":"verify","d":3,"n":2,"ok":true,"seed":5,"subspaces":5,"suite":"green","trials":3,"violations":0}',
+        '{"checks":6,"cmd":"verify","d":2,"n":3,"ok":false,"seed":5,"subspaces":5,"suite":"green","trials":3,"violations":1}',
+        '{"bound":5,"c":4,"c_h":7,"cmd":"verify","d":2,"event":"violation","n":3,"suite":"green"}',
+        '{"checks":9,"cmd":"verify","d":3,"n":3,"ok":true,"seed":5,"subspaces":6,"suite":"green","trials":3,"violations":0}',
+        '{"checks":25,"cmd":"verify","event":"summary","ok":false,"seed":5,"suite":"green","trials":3}',
+    ], [
+        "green n=2 d=2: 4 subspaces, 0 violations",
+        "green n=2 d=3: 5 subspaces, 0 violations",
+        "green n=3 d=2: 5 subspaces, 1 violations",
+        "green n=3 d=3: 6 subspaces, 0 violations",
+        "green: 25 checks, ok=False",
+    ]),
+    (["restriction", "--seed", "5", "--trials", "3"], [
+        '{"checks":11,"cmd":"verify","max_degree":4,"max_n":4,"ok":false,"seed":5,"suite":"restriction","trials":3,"violations":1}',
+        '{"cmd":"verify","d":3,"event":"violation","expected":10,"got":9,"n":2,"suite":"restriction"}',
+    ], [
+        "restriction: 11 checks, 1 violations",
+    ]),
+    (["gap-argument"], [
+        '{"case_i":10,"case_ii":7,"checks":17,"cmd":"verify","max_n":60,"ok":false,"suite":"gap-argument","violations":1}',
+        '{"a":1,"b":2,"cmd":"verify","event":"violation","n":9,"n_prime":7,"suite":"gap-argument","total":2}',
+    ], [
+        "gap-argument: 17 checks (case I 10, case II 7), 1 violations",
+    ]),
+    (["sharpness"], [
+        '{"checks":35,"cmd":"verify","maps":5,"max_k":4,"max_n":12,"ok":false,"suite":"sharpness","violations":2}',
+        '{"check":"span","cmd":"verify","event":"violation","k":1,"n":3,"suite":"sharpness"}',
+        '{"check":"certificate verdict","cmd":"verify","event":"violation","k":2,"n":7,"suite":"sharpness"}',
+    ], [
+        "sharpness: 5 maps, 35 checks, 2 violations",
+    ]),
+]
+
+
+@pytest.mark.parametrize("argv, json_lines, text_lines", PLANTED,
+                         ids=[argv[0] for argv, _, _ in PLANTED])
+def test_planted_violations_print_exact_records(capsys, monkeypatch, argv, json_lines, text_lines):
+    monkeypatch.setattr(macgap.cli, "verify_lemma_binom", _planted_lemma3)
+    monkeypatch.setattr(macgap.cli, "green_suite", _planted_green)
+    monkeypatch.setattr(macgap.cli, "veronese_suite", _planted_restriction)
+    monkeypatch.setattr(macgap.cli, "gap_argument_sweep", _planted_gap_argument)
+    monkeypatch.setattr(macgap.cli, "sharpness_suite", _planted_sharpness)
+    rc, out, err = run(capsys, "verify", *argv, "--json")
+    assert (rc, err) == (1, "")
+    assert out == "".join(line + "\n" for line in json_lines)
+    rc, out, err = run(capsys, "verify", *argv)
+    assert (rc, err) == (1, "")
+    *lines, timing = out.split("\n")[:-1]
+    assert lines == text_lines
+    assert re.fullmatch(r"\(\d+\.\d\ds\)", timing)
