@@ -5,6 +5,8 @@ tables and membership), `verify` (batch suites), `map` (map file tooling).
 Exit codes: 0 success, 1 violation found, 2 usage or domain error, 3 I/O,
 4 an internal check failed (a `RuntimeError`, such as a witness search that
 found no witness or a computed value that broke a checked invariant).
+Every command returns (exit code, JSON records, text lines), and `main`
+prints the records with `--json` and the text lines without it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .binom_core import (
     lemma_checks_upto,
@@ -67,19 +68,6 @@ LEMMA_COUNT_CAP = 10**12
 MAX_GAP_ARGUMENT_CHECKS = 10**6
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by the verification suites.
-
-    Identical config and inputs must give byte-identical machine output, so
-    anything time-dependent stays out of the JSON records.
-    """
-
-    seed: int = 0
-    trials: int = 20
-    machine: bool = False
-
-
 def _u64(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
@@ -92,18 +80,6 @@ def _positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("expected a positive integer")
     return value
-
-
-def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 20),
-        machine=getattr(args, "json", False),
-    )
 
 
 def _read_text(path: str) -> str:
@@ -122,87 +98,56 @@ def _write_text(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 # macaulay
 
-def cmd_macaulay(args) -> int:
-    cfg = _config(args)
+def cmd_macaulay(args):
     if args.n > MAX_MACAULAY_LEVEL:
-        raise ValueError(
-            f"level {args.n} is above the limit of {MAX_MACAULAY_LEVEL}"
-        )
+        raise ValueError(f"level {args.n} is above the limit of {MAX_MACAULAY_LEVEL}")
     if abs(args.A) >= 10**MAX_MACAULAY_DIGITS:
-        raise ValueError(
-            f"A has more than the limit of {MAX_MACAULAY_DIGITS} digits"
-        )
+        raise ValueError(f"A has more than the limit of {MAX_MACAULAY_DIGITS} digits")
     rep = macaulay_rep(args.A, args.n)
-    lower, minus, upper = rep.lower(), rep.minus(), rep.upper()
-    if cfg.machine:
-        _emit(
-            {
-                "cmd": "macaulay",
-                "A": args.A,
-                "n": args.n,
-                "rep": str(rep),
-                "lower": lower,
-                "minus": minus,
-                "upper": upper,
-            }
-        )
-    else:
-        # one print, so an unprintable value leaves no partial output
-        print(f"{args.A} = {rep}\nlower {lower}\nminus {minus}\nupper {upper}")
-    return EXIT_OK
+    record = {"cmd": "macaulay", "A": args.A, "n": args.n, "rep": str(rep),
+              "lower": rep.lower(), "minus": rep.minus(), "upper": rep.upper()}
+    text = [f"{args.A} = {record['rep']}"]
+    text += [f"{key} {record[key]}" for key in ("lower", "minus", "upper")]
+    return EXIT_OK, [record], text
 
 
 # ---------------------------------------------------------------------------
 # gap
 
-def cmd_gap(args) -> int:
-    cfg = _config(args)
+def cmd_gap(args):
     if args.N is None:
-        theorem = gap_intervals(args.n)
-        cited = comparison_intervals(args.n)
-        if cfg.machine:
-            for family, rows in (("J", theorem), ("I", cited)):
-                for iv in rows:
-                    _emit(
-                        {
-                            "cmd": "gap",
-                            "family": family,
-                            "n": iv.n,
-                            "k": iv.k,
-                            "lo": iv.lo,
-                            "hi": iv.hi,
-                            "tag": iv.tag,
-                        }
-                    )
-        else:
-            for iv in theorem:
-                print(f"J_{iv.k} = [{iv.lo}, {iv.hi}]")
-            for iv in cited:
-                print(f"I_{iv.k} = [{iv.lo}, {iv.hi}]  {iv.tag}")
-        return EXIT_OK
+        records, text = [], []
+        families = (("J", gap_intervals(args.n)), ("I", comparison_intervals(args.n)))
+        for family, rows in families:
+            for iv in rows:
+                records.append({"cmd": "gap", "family": family, "n": iv.n, "k": iv.k,
+                                "lo": iv.lo, "hi": iv.hi, "tag": iv.tag})
+                tag = f"  {iv.tag}" if family == "I" else ""
+                text.append(f"{family}_{iv.k} = [{iv.lo}, {iv.hi}]{tag}")
+        return EXIT_OK, records, text
     verdict = classify_gap(args.n, args.N)
-    if cfg.machine:
-        _emit(
-            {
-                "cmd": "gap",
-                "n": args.n,
-                "N": args.N,
-                "in_gap": verdict.in_gap,
-                "k": verdict.k,
-            }
-        )
-    elif verdict.in_gap:
-        k = verdict.k
-        print(f"{args.N} in gap J_{k} = [{k * args.n + k}, {(k + 1) * args.n - (k * k + 1)}]")
+    k = verdict.k
+    record = {"cmd": "gap", "n": args.n, "N": args.N, "in_gap": verdict.in_gap, "k": k}
+    if verdict.in_gap:
+        line = f"{args.N} in gap J_{k} = [{k * args.n + k}, {(k + 1) * args.n - (k * k + 1)}]"
     else:
-        print(f"{args.N} not in any gap interval")
-    return EXIT_OK
+        line = f"{args.N} not in any gap interval"
+    return EXIT_OK, [record], [line]
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def _suite_lemma3(args, cfg: RunConfig):
+def _report_records(suite: str, params: dict, checks: int,
+                    violations: list[dict]) -> list[dict]:
+    """A suite's summary record, then one record per violation."""
+    head = {"cmd": "verify", "suite": suite}
+    summary = {**head, **params, "checks": checks,
+               "violations": len(violations), "ok": not violations}
+    return [summary] + [{**head, "event": "violation", **v} for v in violations]
+
+
+def _lemma3(args):
     max_m = args.max_m or 6
     max_k = args.max_k or 6
     checks = lemma_checks_upto(max_m, max_k, LEMMA_COUNT_CAP)
@@ -213,134 +158,46 @@ def _suite_lemma3(args, cfg: RunConfig):
             f"checks, above the limit of {MAX_LEMMA_CHECKS}"
         )
     report = verify_lemma_binom(max_m, max_k)
-    records = [
-        {
-            "cmd": "verify",
-            "suite": "lemma3",
-            "max_m": max_m,
-            "max_k": max_k,
-            "checks": report.checks,
-            "violations": len(report.counterexamples),
-            "ok": report.ok,
-        }
-    ]
-    for m, k, a, b in report.counterexamples:
-        records.append(
-            {
-                "cmd": "verify",
-                "suite": "lemma3",
-                "event": "violation",
-                "m": m,
-                "k": k,
-                "A": a,
-                "B": b,
-            }
-        )
-    text = [f"lemma3: {report.checks} checks, {len(report.counterexamples)} violations"]
-    return report.ok, records, text
-
-
-def _suite_green(args, cfg: RunConfig):
-    ns = tuple(range(2, (args.max_n or 3) + 1))
-    ds = tuple(range(2, (args.max_degree or 3) + 1))
-    subspaces = args.subspaces
-    ok = True
-    checks = 0
-    records = []
-    text = []
-    for n in ns:
-        for d in ds:
-            cell = green_suite(
-                ns=(n,),
-                ds=(d,),
-                subspaces=subspaces,
-                trials=cfg.trials,
-                seed=cfg.seed,
-            )
-            checks += cell.checks
-            ok = ok and cell.ok
-            records.append(
-                {
-                    "cmd": "verify",
-                    "suite": "green",
-                    "n": n,
-                    "d": d,
-                    "subspaces": cell.subspace_count,
-                    "trials": cfg.trials,
-                    "seed": cfg.seed,
-                    "checks": cell.checks,
-                    "violations": len(cell.violations),
-                    "ok": cell.ok,
-                }
-            )
-            for rec in cell.violations:
-                records.append(
-                    {
-                        "cmd": "verify",
-                        "suite": "green",
-                        "event": "violation",
-                        "n": rec.n,
-                        "d": rec.d,
-                        "c": rec.c,
-                        "c_h": rec.c_h,
-                        "bound": rec.bound,
-                    }
-                )
-            text.append(
-                f"green n={n} d={d}: {cell.subspace_count} subspaces, "
-                f"{len(cell.violations)} violations"
-            )
-    records.append(
-        {
-            "cmd": "verify",
-            "suite": "green",
-            "event": "summary",
-            "seed": cfg.seed,
-            "trials": cfg.trials,
-            "checks": checks,
-            "ok": ok,
-        }
+    return _report_records(
+        "lemma3", {"max_m": max_m, "max_k": max_k}, report.checks,
+        [{"m": m, "k": k, "A": a, "B": b} for m, k, a, b in report.counterexamples],
     )
-    text.append(f"green: {checks} checks, ok={ok}")
-    return ok, records, text
 
 
-def _suite_restriction(args, cfg: RunConfig):
+def _green(args):
+    records = []
+    checks = 0
+    for n in range(2, (args.max_n or 3) + 1):
+        for d in range(2, (args.max_degree or 3) + 1):
+            cell = green_suite(ns=(n,), ds=(d,), subspaces=args.subspaces,
+                               trials=args.trials, seed=args.seed)
+            checks += cell.checks
+            params = {"n": n, "d": d, "subspaces": cell.subspace_count,
+                      "trials": args.trials, "seed": args.seed}
+            records += _report_records("green", params, cell.checks, [
+                {"n": r.n, "d": r.d, "c": r.c, "c_h": r.c_h, "bound": r.bound}
+                for r in cell.violations
+            ])
+    ok = all(r.get("ok", True) for r in records)
+    records.append({"cmd": "verify", "suite": "green", "event": "summary",
+                    "seed": args.seed, "trials": args.trials, "checks": checks, "ok": ok})
+    return records
+
+
+def _restriction(args):
     max_n = args.max_n or 4
     max_degree = args.max_degree or 4
-    report = veronese_suite(
-        max_n=max_n, max_degree=max_degree, trials=cfg.trials, seed=cfg.seed
-    )
-    records = [
-        {
-            "cmd": "verify",
-            "suite": "restriction",
-            "max_n": max_n,
-            "max_degree": max_degree,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "checks": report.checks,
-            "violations": len(report.violations),
-            "ok": report.ok,
-        }
-    ]
-    for n, d, got, expected in report.violations:
-        records.append(
-            {
-                "cmd": "verify",
-                "suite": "restriction",
-                "event": "violation",
-                "n": n,
-                "d": d,
-                "got": got,
-                "expected": expected,
-            }
-        )
-    text = [f"restriction: {report.checks} checks, {len(report.violations)} violations"]
-    return report.ok, records, text
+    report = veronese_suite(max_n=max_n, max_degree=max_degree,
+                            trials=args.trials, seed=args.seed)
+    params = {"max_n": max_n, "max_degree": max_degree,
+              "trials": args.trials, "seed": args.seed}
+    return _report_records("restriction", params, report.checks, [
+        {"n": n, "d": d, "got": got, "expected": expected}
+        for n, d, got, expected in report.violations
+    ])
 
 
-def _suite_gap_argument(args, cfg: RunConfig):
+def _gap_argument(args):
     max_n = args.max_n or 60
     if gap_argument_checks(max_n) > MAX_GAP_ARGUMENT_CHECKS:
         raise ValueError(
@@ -348,95 +205,58 @@ def _suite_gap_argument(args, cfg: RunConfig):
             f"the limit of {MAX_GAP_ARGUMENT_CHECKS}"
         )
     report = gap_argument_sweep(max_n)
-    records = [
-        {
-            "cmd": "verify",
-            "suite": "gap-argument",
-            "max_n": max_n,
-            "checks": report.checks,
-            "case_i": report.case_i,
-            "case_ii": report.case_ii,
-            "violations": len(report.violations),
-            "ok": report.ok,
-        }
-    ]
-    for r in report.violations:
-        records.append(
-            {
-                "cmd": "verify",
-                "suite": "gap-argument",
-                "event": "violation",
-                "n": r.n,
-                "a": r.a,
-                "b": r.b,
-                "total": r.total,
-                "n_prime": r.n_prime,
-            }
-        )
-    text = [
-        f"gap-argument: {report.checks} checks "
-        f"(case I {report.case_i}, case II {report.case_ii}), "
-        f"{len(report.violations)} violations"
-    ]
-    return report.ok, records, text
+    params = {"max_n": max_n, "case_i": report.case_i, "case_ii": report.case_ii}
+    return _report_records("gap-argument", params, report.checks, [
+        {"n": r.n, "a": r.a, "b": r.b, "total": r.total, "n_prime": r.n_prime}
+        for r in report.violations
+    ])
 
 
-def _suite_sharpness(args, cfg: RunConfig):
+def _sharpness(args):
     max_k = args.max_k or 4
     max_n = args.max_n or 12
     report = sharpness_suite(max_k=max_k, max_n=max_n)
-    records = [
-        {
-            "cmd": "verify",
-            "suite": "sharpness",
-            "max_k": max_k,
-            "max_n": max_n,
-            "maps": report.maps,
-            "checks": report.checks,
-            "violations": len(report.violations),
-            "ok": report.ok,
-        }
-    ]
-    for k, n, label in report.violations:
-        records.append(
-            {
-                "cmd": "verify",
-                "suite": "sharpness",
-                "event": "violation",
-                "k": k,
-                "n": n,
-                "check": label,
-            }
-        )
-    text = [
-        f"sharpness: {report.maps} maps, {report.checks} checks, "
-        f"{len(report.violations)} violations"
-    ]
-    return report.ok, records, text
+    params = {"max_k": max_k, "max_n": max_n, "maps": report.maps}
+    return _report_records("sharpness", params, report.checks, [
+        {"k": k, "n": n, "check": label} for k, n, label in report.violations
+    ])
 
 
+# suite name -> (run, text line of each summary record).  A run calls its
+# library suite by its name in this module, so a caller that rebinds the
+# name (a test, a tracer) reaches every run.
 _SUITES = {
-    "lemma3": _suite_lemma3,
-    "green": _suite_green,
-    "restriction": _suite_restriction,
-    "gap-argument": _suite_gap_argument,
-    "sharpness": _suite_sharpness,
+    "lemma3": (_lemma3, "lemma3: {checks} checks, {violations} violations"),
+    "green": (_green, "green n={n} d={d}: {subspaces} subspaces, {violations} violations"),
+    "restriction": (_restriction, "restriction: {checks} checks, {violations} violations"),
+    "gap-argument": (
+        _gap_argument,
+        "gap-argument: {checks} checks (case I {case_i}, case II {case_ii}), "
+        "{violations} violations",
+    ),
+    "sharpness": (
+        _sharpness, "sharpness: {maps} maps, {checks} checks, {violations} violations"
+    ),
 }
+# the text line of green's closing `event: "summary"` record
+_TOTAL_TEXT = "{suite}: {checks} checks, ok={ok}"
 
 
-def cmd_verify(args) -> int:
-    cfg = _config(args)
+def cmd_verify(args):
+    run, template = _SUITES[args.suite]
     start = time.perf_counter()
-    ok, records, text = _SUITES[args.suite](args, cfg)
+    records = run(args)
     elapsed = time.perf_counter() - start
-    if cfg.machine:
-        for record in records:
-            _emit(record)
-    else:
-        for line in text:
-            print(line)
-        print(f"({elapsed:.2f}s)")
-    return EXIT_OK if ok else EXIT_VIOLATION
+    text = []
+    for record in records:
+        event = record.get("event")
+        if event is None:
+            text.append(template.format_map(record))
+        elif event == "summary":
+            text.append(_TOTAL_TEXT.format_map(record))
+    text.append(f"({elapsed:.2f}s)")
+    ok = all(record.get("ok", True) for record in records)
+    return EXIT_OK if ok else EXIT_VIOLATION, records, text
 
 
 # ---------------------------------------------------------------------------
@@ -446,81 +266,59 @@ def _point_text(point) -> str:
     return " ".join(format_grat(c) for c in point)
 
 
-def cmd_map_gen(args) -> int:
+def cmd_map_gen(args):
     _write_text(args.output, format_map(sharpness_map(args.k, args.n)))
-    return EXIT_OK
+    return EXIT_OK, [], []
 
 
-def cmd_map_check(args) -> int:
-    cfg = _config(args)
+def cmd_map_check(args):
     f = parse_map(_read_text(args.file))
     cert = orthogonality_certificate(f, pivot=args.pivot)
-    if cfg.machine:
-        record = {"cmd": "map", "action": "check-orth", "verdict": cert.verdict}
-        if cert.quotient is not None:
-            record["quotient"] = format_poly(cert.quotient)
-        if cert.witness is not None:
-            record["witness_z"] = _point_text(cert.witness[0])
-            record["witness_w"] = _point_text(cert.witness[1])
-        _emit(record)
-    elif cert.verdict:
-        print("orthogonal: yes")
-        if cert.quotient is not None:
-            print(f"quotient: {format_poly(cert.quotient)}")
-    else:
-        print("orthogonal: no")
-        z, w = cert.witness
-        print(f"witness z: {_point_text(z)}")
-        print(f"witness w: {_point_text(w)}")
-    return EXIT_OK if cert.verdict else EXIT_VIOLATION
+    record = {"cmd": "map", "action": "check-orth", "verdict": cert.verdict}
+    if cert.quotient is not None:
+        record["quotient"] = format_poly(cert.quotient)
+    if cert.witness is not None:
+        record["witness_z"], record["witness_w"] = map(_point_text, cert.witness)
+    text = [f"orthogonal: {'yes' if cert.verdict else 'no'}"]
+    for key, label in (("quotient", "quotient"), ("witness_z", "witness z"),
+                       ("witness_w", "witness w")):
+        if key in record:
+            text.append(f"{label}: {record[key]}")
+    return EXIT_OK if cert.verdict else EXIT_VIOLATION, [record], text
 
 
-def cmd_map_span(args) -> int:
-    cfg = _config(args)
+def cmd_map_span(args):
     f = parse_map(_read_text(args.file))
     dim = cleared_span_dim([P for _, P in f.cleared])
-    if cfg.machine:
-        _emit({"cmd": "map", "action": "span", "span": dim})
-    else:
-        print(dim)
-    return EXIT_OK
+    return EXIT_OK, [{"cmd": "map", "action": "span", "span": dim}], [str(dim)]
 
 
-def cmd_map_obstruct(args) -> int:
-    cfg = _config(args)
+def cmd_map_obstruct(args):
     f = parse_map(_read_text(args.file))
     rec = span_obstruction_check(f, args.indices)
-    if cfg.machine:
-        _emit(
-            {
-                "cmd": "map",
-                "action": "obstruct",
-                "e": sorted(set(args.indices)),
-                "dim_e": rec.dim_e_span,
-                "dim_eperp": rec.dim_eperp_span,
-                "bound": rec.bound,
-                "degenerate": rec.degenerate,
-                "holds": rec.holds,
-            }
-        )
-    else:
-        def side(dim):
-            return "degenerate" if dim < 0 else str(dim)
+    record = {"cmd": "map", "action": "obstruct", "e": sorted(set(args.indices)),
+              "dim_e": rec.dim_e_span, "dim_eperp": rec.dim_eperp_span, "bound": rec.bound,
+              "degenerate": rec.degenerate, "holds": rec.holds}
 
-        print(f"dim span f(E) = {side(rec.dim_e_span)}")
-        print(f"dim span f(E^perp) = {side(rec.dim_eperp_span)}")
-        print(f"bound = {rec.bound}")
-        print(f"holds: {'yes' if rec.holds else 'no'}")
-    return EXIT_OK if rec.holds else EXIT_VIOLATION
+    def side(dim):
+        return "degenerate" if dim < 0 else dim
+
+    text = [
+        f"dim span f(E) = {side(rec.dim_e_span)}",
+        f"dim span f(E^perp) = {side(rec.dim_eperp_span)}",
+        f"bound = {rec.bound}",
+        f"holds: {'yes' if rec.holds else 'no'}",
+    ]
+    return EXIT_OK if rec.holds else EXIT_VIOLATION, [record], text
 
 
-def cmd_map_prolong(args) -> int:
+def cmd_map_prolong(args):
     f = parse_map(_read_text(args.file))
     nv = f.source.n_vars
     psi = parse_poly(args.psi, n_vars=nv)
     phi = parse_poly(args.phi, n_vars=nv, degree=psi.degree + f.degree)
     _write_text(args.output, format_map(null_prolongation(f, psi, phi)))
-    return EXIT_OK
+    return EXIT_OK, [], []
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +405,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, records, text = args.func(args)
+        if getattr(args, "json", False):
+            text = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
+        # one write, so an unprintable value leaves no partial output
+        sys.stdout.write("".join(line + "\n" for line in text))
+        return code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -141,14 +141,16 @@ class GapVerdict:
 
 
 def classify_gap(n: int, N: int) -> GapVerdict:
-    """Locate N in some nonempty J_k, or report that it misses them all."""
+    """Locate N in some nonempty J_k, or report that it misses them all.
+
+    J_k = [k(n+1), (k+1)n - (k^2+1)] lies below (k+1)(n+1), so the only
+    candidate is k = N // (n+1); `gap_intervals` is the scanning reference.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
-    k = 1
-    while n > k * (k + 1) and k * n + k <= N:
-        if N <= (k + 1) * n - (k * k + 1):
-            return GapVerdict(True, k)
-        k += 1
+    k = N // (n + 1)
+    if k >= 1 and n > k * (k + 1) and N <= (k + 1) * n - (k * k + 1):
+        return GapVerdict(True, k)
     return GapVerdict(False)
 
 

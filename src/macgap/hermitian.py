@@ -471,6 +471,7 @@ def sharpness_map(k: int, n: int) -> SignedMap:
     negatively for j >= k."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
+    _check_sharpness_size(n)
     nv = n + 1
     pos, neg = [], []
     for i in range(k):
@@ -485,6 +486,16 @@ def sharpness_map(k: int, n: int) -> SignedMap:
         degree=3,
         components=pos + neg,
     )
+
+
+def _check_sharpness_size(n: int) -> None:
+    """Refuse an n whose n+1 variables in degree 3 span more monomials than
+    `parse_map` accepts, so every map written can be read back."""
+    if _monomial_count_exceeds(n + 1, 3, MAX_MAP_MONOMIALS):
+        raise ValueError(
+            f"n = {n} gives maps whose n + 1 variables in degree 3 span more "
+            f"than the limit of {MAX_MAP_MONOMIALS} monomials"
+        )
 
 
 def sharpness_quotient(k: int, n: int) -> Poly:
@@ -615,6 +626,7 @@ def sharpness_suite(max_k: int = 4, max_n: int = 12) -> SharpnessSuiteReport:
     """For each (k, n) with k(k+1) < n <= max_n: component count, exact
     linear independence, certified orthogonality with the expected quotient,
     full span, and the two endpoint classifications."""
+    _check_sharpness_size(max_n)
     report = SharpnessSuiteReport(max_k=max_k, max_n=max_n)
 
     def check(k, n, label, ok):
@@ -623,6 +635,8 @@ def sharpness_suite(max_k: int = 4, max_n: int = 12) -> SharpnessSuiteReport:
             report.violations.append((k, n, label))
 
     for k in range(1, max_k + 1):
+        if k * (k + 1) >= max_n:
+            break  # no n <= max_n for this k or any larger one
         for n in range(k * (k + 1) + 1, max_n + 1):
             f = sharpness_map(k, n)
             report.maps += 1

@@ -142,6 +142,18 @@ class TestGap:
         (rec,) = records(out)
         assert rec == {"cmd": "gap", "n": 13, "N": 42, "in_gap": True, "k": 3}
 
+    def test_classify_huge_arguments_at_once(self, capsys):
+        # J_k is found in closed form, not by a loop over k
+        n, k = 10**20, 10**9
+        rc, out, _ = run(capsys, "gap", str(n), str(10**31))
+        assert (rc, out) == (0, f"{10**31} not in any gap interval\n")
+        for N, in_gap, want_k in ((10**31, False, None), (k * (n + 1), True, k)):
+            start = time.perf_counter()
+            rc, out, _ = run(capsys, "gap", str(n), str(N), "--json")
+            assert time.perf_counter() - start < 1
+            assert rc == 0
+            assert records(out) == [{"cmd": "gap", "n": n, "N": N, "in_gap": in_gap, "k": want_k}]
+
     def test_small_n_rejected(self, capsys):
         rc, _, err = run(capsys, "gap", "1")
         assert rc == 2
@@ -258,6 +270,16 @@ class TestVerify:
         (rec,) = records(out)
         assert rec["ok"] and rec["maps"] == 3
 
+    def test_sharpness_huge_max_k_at_once(self, capsys):
+        # no k with k(k+1) >= max_n has a map, so the sweep stops there
+        start = time.perf_counter()
+        rc, out, _ = run(capsys, "verify", "sharpness", "--max-k", "1000000000000",
+                         "--max-n", "5", "--json")
+        assert time.perf_counter() - start < 1
+        assert rc == 0
+        (rec,) = records(out)
+        assert rec["ok"] and rec["maps"] == 3 and rec["max_k"] == 10**12
+
     def test_restriction(self, capsys):
         rc, out, _ = run(
             capsys, "verify", "restriction",
@@ -316,6 +338,27 @@ class TestMapTooling:
         rc, out, _ = run(capsys, "map", "gen-sharpness", "1", "2")
         assert rc == 0
         assert parse_map(out) == sharpness_map(1, 2)
+
+    def test_gen_map_size_boundary(self, capsys, tmp_path):
+        # n = 82: 83 variables in degree 3 span C(85, 3) = 98 770 monomials
+        assert math.comb(85, 3) <= MAX_MAP_MONOMIALS < math.comb(86, 3)
+        path = tmp_path / "s.map"
+        rc, _, _ = run(capsys, "map", "gen-sharpness", "1", "82", "-o", str(path))
+        assert rc == 0
+        assert parse_map(path.read_text()) == sharpness_map(1, 82)
+        rc, out, _ = run(capsys, "map", "span", str(path))
+        assert (rc, out) == (0, "82\n")
+        refused = tmp_path / "r.map"
+        for argv in (["map", "gen-sharpness", "1", "83", "-o", str(refused)],
+                     ["map", "gen-sharpness", "2", "100000"],
+                     ["verify", "sharpness", "--max-n", "83"],
+                     ["verify", "sharpness", "--max-n", "9" * 4000]):
+            start = time.perf_counter()
+            rc, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1
+            assert rc == 2 and out == ""
+            assert f"limit of {MAX_MAP_MONOMIALS} monomials" in err
+        assert not refused.exists()
 
     def test_check_orth(self, capsys, tmp_path):
         path = tmp_path / "s.map"

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macgap import gap_calc
 from macgap.binom_core import macaulay_rep, op_minus
@@ -207,6 +211,17 @@ class TestClassify:
                 assert verdict.in_gap == bool(hits)
                 if hits:
                     assert verdict.k == hits[0] and len(hits) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 10**6), st.data())
+    def test_closed_form_matches_interval_scan(self, n, data):
+        # N = k(n+1) + offset covers each J_k, its two ends and the values
+        # around it, for k up to past the last nonempty J_k
+        k = data.draw(st.integers(0, math.isqrt(n) + 2))
+        N = k * (n + 1) + data.draw(st.integers(-2, n + 1))
+        hits = [iv.k for iv in gap_intervals(n) if iv.lo <= N <= iv.hi]
+        verdict = classify_gap(n, N)
+        assert (verdict.in_gap, verdict.k) == ((True, hits[0]) if hits else (False, None))
 
     def test_tiny_n(self):
         with pytest.raises(ValueError):

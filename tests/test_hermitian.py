@@ -343,6 +343,19 @@ class TestSharpnessMap:
         assert report.maps == 8
         assert report.checks == 7 * 8
 
+    def test_suite_stops_at_the_last_k_with_maps(self):
+        # only k with k(k+1) < max_n have maps; a larger max_k adds none
+        small = sharpness_suite(max_k=2, max_n=8)
+        huge = sharpness_suite(max_k=10**12, max_n=8)
+        assert (huge.maps, huge.checks, huge.violations) == (small.maps, small.checks, [])
+
+    def test_map_size_limit(self):
+        # n + 1 variables in degree 3: C(85, 3) = 98 770 fits, C(86, 3) does not
+        assert len(sharpness_map(1, 82).components) == 83
+        for refused in (lambda: sharpness_map(1, 83), lambda: sharpness_suite(1, 83)):
+            with pytest.raises(ValueError, match="limit of 100000 monomials"):
+                refused()
+
 
 class TestNullProlongation:
     def test_display_example(self):
