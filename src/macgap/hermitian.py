@@ -625,7 +625,8 @@ class SharpnessSuiteReport:
 def sharpness_suite(max_k: int = 4, max_n: int = 12) -> SharpnessSuiteReport:
     """For each (k, n) with k(k+1) < n <= max_n: component count, exact
     linear independence, certified orthogonality with the expected quotient,
-    full span, and the two endpoint classifications."""
+    full span, and the two endpoint classifications.  A max_n whose maps
+    `parse_map` would refuse raises ValueError before any map is built."""
     _check_sharpness_size(max_n)
     report = SharpnessSuiteReport(max_k=max_k, max_n=max_n)
 
