@@ -157,7 +157,7 @@ def lemma_checks(m_max: int, k_max: int) -> int:
     return math.comb(m_max + k_max + 2, m_max + 1) - m_max - k_max - 2
 
 
-def _comb_upto(n: int, r: int, cap: int) -> int | None:
+def comb_upto(n: int, r: int, cap: int) -> int | None:
     """C(n, r), 0 <= r <= n, if it is at most `cap`, else None.
 
     Built as the product C(n-r'+i, i), i = 1..r', with r' = min(r, n-r);
@@ -179,7 +179,7 @@ def lemma_checks_upto(m_max: int, k_max: int, cap: int) -> int | None:
     if m_max < 1 or k_max < 1:
         raise ValueError("sweep bounds must be positive")
     extra = m_max + k_max + 2
-    count = _comb_upto(m_max + k_max + 2, m_max + 1, cap + extra)
+    count = comb_upto(m_max + k_max + 2, m_max + 1, cap + extra)
     return None if count is None else count - extra
 
 

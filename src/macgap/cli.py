@@ -44,6 +44,7 @@ from .polyspace import (
     format_poly,
     green_suite,
     parse_poly,
+    rank_work_upto,
     veronese_suite,
 )
 
@@ -66,6 +67,9 @@ LEMMA_COUNT_CAP = 10**12
 # Largest `verify gap-argument` sweep, in checked triples (--max-n 441 is
 # 996 268, the largest within it).
 MAX_GAP_ARGUMENT_CHECKS = 10**6
+# Largest `verify green` or `verify restriction` run, in `rank_work_upto`
+# steps (the default green run is 42 907 200).
+MAX_RANK_WORK = 10**8
 
 
 def _u64(text: str) -> int:
@@ -164,11 +168,27 @@ def _lemma3(args):
     )
 
 
+def _check_rank_work(run: str, lo: int, max_n: int, max_degree: int,
+                     ranks: int) -> None:
+    if rank_work_upto(lo, max_n, max_degree, ranks, MAX_RANK_WORK) is None:
+        raise ValueError(
+            f"{run} --max-n {max_n} --max-degree {max_degree} needs more rank "
+            f"steps than the limit of {MAX_RANK_WORK}"
+        )
+
+
 def _green(args):
+    max_n = args.max_n or 3
+    max_degree = args.max_degree or 3
+    # each subspace ranks its M once and once per hyperplane
+    _check_rank_work(
+        f"green run --subspaces {args.subspaces} --trials {args.trials}",
+        2, max_n, max_degree, args.subspaces * (args.trials + 1),
+    )
     records = []
     checks = 0
-    for n in range(2, (args.max_n or 3) + 1):
-        for d in range(2, (args.max_degree or 3) + 1):
+    for n in range(2, max_n + 1):
+        for d in range(2, max_degree + 1):
             cell = green_suite(ns=(n,), ds=(d,), subspaces=args.subspaces,
                                trials=args.trials, seed=args.seed)
             checks += cell.checks
@@ -187,6 +207,8 @@ def _green(args):
 def _restriction(args):
     max_n = args.max_n or 4
     max_degree = args.max_degree or 4
+    _check_rank_work(f"restriction run --trials {args.trials}",
+                     1, max_n, max_degree, args.trials)
     report = veronese_suite(max_n=max_n, max_degree=max_degree,
                             trials=args.trials, seed=args.seed)
     params = {"max_n": max_n, "max_degree": max_degree,
@@ -369,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk = act.add_parser("check-orth", help="certify orthogonality of a map file")
     chk.add_argument("file")
     chk.add_argument("--pivot", type=int, default=0,
-                     help="source coordinate used for the remainder")
+                     help="source coordinate whose chart the witness search samples")
     chk.add_argument("--json", action="store_true")
     chk.set_defaults(func=cmd_map_check)
 

@@ -4,8 +4,9 @@ certificates for polynomial maps between projectivized Hermitian spaces.
 Orthogonality (every orthogonal pair of points maps to an orthogonal pair)
 is certified algebraically: with conjugate variables w~ treated as fresh
 indeterminates, the target pairing P(z, w~) must be divisible by the source
-pairing Q(z, w~).  Divisibility is decided by a pseudo-remainder in one
-w~ variable, and refuted maps come with an exact witness pair.
+pairing Q(z, w~).  One exact division of P by Q decides divisibility and
+yields the quotient, which is checked by multiplying it back; refuted maps
+come with an exact witness pair.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .binom_core import comb_upto
 from .gap_calc import classify_gap
 from .gaussint import clear, pairing, vanishes_at
 from .polyspace import (
@@ -257,41 +259,6 @@ def _from_pairs(n_vars: int, degree: int, pairs: dict, L: int) -> Poly:
     return p
 
 
-def _pseudo_remainder(P: dict, sig: Signature, pivot: int) -> dict:
-    """The w~_pivot pseudo-remainder of Q | P on exponent -> Gaussian-integer
-    pair dicts, P in the 2 * sig.n_vars pairing variables; empty iff Q
-    divides P.  The multiplier -R = -sum_{i != pivot} eps_i z_i w~_i has
-    coefficients +-1 and lc^m = (eps_p z_p)^m is a shift of z_p's exponent
-    with sign eps_p^m, so the remainder stays integral and equals L times
-    the reference `_pseudo_remainder_ref` of P / L."""
-    nv = sig.n_vars
-    wp = nv + pivot
-    slices: dict[int, dict] = {}
-    for e, c in P.items():
-        slices.setdefault(e[wp], {})[e[:wp] + (0,) + e[wp + 1:]] = c
-    # the terms of -R: z_i w~_i with sign -eps_i, as (i, nv + i, plus)
-    neg_r = [(i, nv + i, sig.eps(i) < 0)
-             for i in range(sig.r + sig.s) if i != pivot]
-    ep = sig.eps(pivot)
-    D = max(slices)
-    acc = slices[D]
-    for m in range(D - 1, -1, -1):
-        nxt: dict[tuple, tuple[int, int]] = {}
-        for e, (a, b) in acc.items():
-            for i, j, plus in neg_r:
-                key = e[:i] + (e[i] + 1,) + e[i + 1:j] + (e[j] + 1,) + e[j + 1:]
-                xa, xb = nxt.get(key, (0, 0))
-                nxt[key] = (xa + a, xb + b) if plus else (xa - a, xb - b)
-        shift = D - m
-        sign = ep**shift
-        for e, (a, b) in slices.get(m, {}).items():
-            key = e[:pivot] + (e[pivot] + shift,) + e[pivot + 1:]
-            xa, xb = nxt.get(key, (0, 0))
-            nxt[key] = (xa + sign * a, xb + sign * b)
-        acc = {e: c for e, c in nxt.items() if c != (0, 0)}
-    return acc
-
-
 def _divide_exact(P: dict, Q: dict) -> dict:
     """Quotient P/Q on exponent -> Gaussian-integer pair dicts, for Q whose
     lexicographically leading coefficient is +-1, so the quotient is
@@ -323,7 +290,10 @@ def _divide_exact(P: dict, Q: dict) -> dict:
 
 
 def _pseudo_remainder_ref(P: Poly, sig: Signature, pivot: int) -> Poly:
-    """`_pseudo_remainder` in GRat polynomial arithmetic; the reference."""
+    """The w~_pivot pseudo-remainder of Q | P in GRat polynomial arithmetic:
+    with Q = eps_p z_p w~_p + R and P of w~_p-degree D, it is
+    sum_e P_e (-R)^e (eps_p z_p)^(D-e), zero iff Q divides P.  The reference
+    verdict for `_divide_exact`."""
     nv = sig.n_vars
     wp = nv + pivot
     lc = mono(2 * nv, tuple(1 if i == pivot else 0 for i in range(2 * nv)),
@@ -372,43 +342,51 @@ class OrthCertificate:
     witness: tuple | None = None  # (z, w) coordinate lists
 
 
-def orthogonality_certificate(
-    f: SignedMap,
-    pivot: int = 0,
-    want_quotient: bool = True,
-    witness_seed: int = 0,
-) -> OrthCertificate:
+def _check_quotient(P: dict, Q: dict, quo: dict) -> None:
+    """Raise RuntimeError unless quo * Q == P, on exponent -> Gaussian-integer
+    pair dicts; the product is expanded term by term, apart from the
+    division that found quo."""
+    prod: dict[tuple, tuple[int, int]] = {}
+    for e, (a, b) in quo.items():
+        for eq, (qa, qb) in Q.items():
+            key = tuple(x + y for x, y in zip(e, eq))
+            xa, xb = prod.get(key, (0, 0))
+            prod[key] = (xa + a * qa - b * qb, xb + a * qb + b * qa)
+    if {e: c for e, c in prod.items() if c != (0, 0)} != P:
+        raise RuntimeError("certificate quotient times Q is not the pairing polynomial")
+
+
+def orthogonality_certificate(f: SignedMap, pivot: int = 0) -> OrthCertificate:
     """Decide whether f preserves orthogonality of point pairs.
 
-    The verdict is the exact divisibility Q | P, settled by a pseudo-remainder
-    in the conjugate variable w~_pivot: with Q = eps_p z_p w~_p + R and P of
-    w~_p-degree D, the remainder is sum_e P_e (-R)^e (eps_p z_p)^(D-e), zero
-    iff Q divides P.  P is built, and remainder and quotient run, on
-    Gaussian-integer pairs after clearing denominators.  A true verdict
-    optionally carries the exact quotient; a false verdict carries a witness
-    pair of orthogonal points whose images pair to a nonzero value.
+    The verdict is the exact divisibility Q | P, settled by dividing P by Q.
+    Q = sum eps_i z_i w~_i has leading coefficient +-1, so the division leaves
+    remainder zero exactly when Q divides P, and `_divide_exact` stops at the
+    first leading term that the leading term of Q does not divide.  P is
+    built, and the division runs, on Gaussian-integer pairs after clearing
+    denominators.  A true verdict carries the exact quotient, checked by
+    multiplying it back by Q (a mismatch raises RuntimeError); a false
+    verdict carries a witness pair of orthogonal points whose images pair to
+    a nonzero value, sampled in the chart z_pivot != 0.
     """
     sig = f.source
     if sig.r + sig.s < 2:
         raise ValueError("need at least two non-null source coordinates")
     if not 0 <= pivot < sig.r + sig.s:
         raise ValueError("pivot must index a non-null coordinate")
-    nv = sig.n_vars
     # one positive integer L clears P, and Q | L * P iff Q | P
     L, P = _pairing_pairs(f)
-    if not P:
-        quo = None
-        if want_quotient and f.degree >= 1:
-            quo = Poly(2 * nv, 2 * f.degree - 2, {})
-        return OrthCertificate(True, quotient=quo)
-    if _pseudo_remainder(P, sig, pivot):
-        witness = _witness_search(f, P, pivot, witness_seed)
-        return OrthCertificate(False, witness=witness)
-    quo = None
-    if want_quotient:
-        Q = clear(source_form_poly(sig).coeffs)[1]
-        quo = _from_pairs(2 * nv, 2 * f.degree - 2, _divide_exact(P, Q), L)
-    return OrthCertificate(True, quotient=quo)
+    Q = clear(source_form_poly(sig).coeffs)[1]
+    try:
+        quo = _divide_exact(P, Q)
+    except ArithmeticError:
+        return OrthCertificate(False, witness=_witness_search(f, P, pivot))
+    _check_quotient(P, Q, quo)
+    if not f.degree:
+        return OrthCertificate(True)  # P = 0: no quotient of degree -2
+    return OrthCertificate(
+        True, quotient=_from_pairs(2 * sig.n_vars, 2 * f.degree - 2, quo, L)
+    )
 
 
 def _rand_grat(rng: random.Random) -> GRat:
@@ -428,13 +406,13 @@ def _solve_chart(sig: Signature, z: list, wt: list, pivot: int) -> None:
     wt[pivot] = -acc / (GRat(sig.eps(pivot)) * z[pivot])
 
 
-def _witness_search(f: SignedMap, P: dict, pivot: int, seed: int):
+def _witness_search(f: SignedMap, P: dict, pivot: int):
     """Point pair (z, w) with <z,w> = 0 and <f(z),f(w)> != 0, found by
     sampling the rational solution chart z_pivot != 0; P is the cleared
     pairing polynomial on pairs."""
     sig = f.source
     nv = sig.n_vars
-    rng = rng_for(seed, "witness")
+    rng = rng_for(0, "witness")
     for _ in range(500):
         z = [_rand_grat(rng) for _ in range(nv)]
         if not z[pivot]:
@@ -491,7 +469,7 @@ def sharpness_map(k: int, n: int) -> SignedMap:
 def _check_sharpness_size(n: int) -> None:
     """Refuse an n whose n+1 variables in degree 3 span more monomials than
     `parse_map` accepts, so every map written can be read back."""
-    if _monomial_count_exceeds(n + 1, 3, MAX_MAP_MONOMIALS):
+    if comb_upto(n + 3, 3, MAX_MAP_MONOMIALS) is None:
         raise ValueError(
             f"n = {n} gives maps whose n + 1 variables in degree 3 span more "
             f"than the limit of {MAX_MAP_MONOMIALS} monomials"
@@ -698,19 +676,6 @@ def _parse_header(lines, idx, key):
     return idx + 1, values
 
 
-def _monomial_count_exceeds(n_vars: int, degree: int, limit: int) -> bool:
-    """Whether C(n_vars-1+degree, degree) > limit, without computing a large
-    binomial: C(a+i, i) grows at least like 2^i for a >= i, so the loop
-    stops after about log2(limit) steps."""
-    a, b = max(n_vars - 1, degree), min(n_vars - 1, degree)
-    count = 1
-    for i in range(1, b + 1):
-        count = count * (a + i) // i
-        if count > limit:
-            return True
-    return False
-
-
 def parse_map(text: str) -> SignedMap:
     """Inverse of format_map; diagnostics carry 1-based line numbers."""
     lines = [(i + 1, raw) for i, raw in enumerate(text.splitlines())]
@@ -724,7 +689,8 @@ def parse_map(text: str) -> SignedMap:
         raise MapFormatError(str(exc)) from None
     if degree < 0:
         raise MapFormatError("degree must be nonnegative")
-    if _monomial_count_exceeds(source.n_vars, degree, MAX_MAP_MONOMIALS):
+    # C(n_vars-1+degree, degree), stopped once past the limit (`comb_upto`)
+    if comb_upto(source.n_vars - 1 + degree, degree, MAX_MAP_MONOMIALS) is None:
         raise MapFormatError(
             f"{source.n_vars} variables in degree {degree} span more than "
             f"the limit of {MAX_MAP_MONOMIALS} monomials"

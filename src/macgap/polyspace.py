@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .binom_core import op_lower, op_minus
+from .binom_core import comb_upto, op_lower, op_minus
 from .gaussint import _rank_int, _rank_pairs, clear, span_rank
 
 
@@ -742,12 +742,6 @@ def _random_int_rows(rng: random.Random, n_vars: int, degree: int) -> list[list[
     return [row for row in rows if any(row)]
 
 
-def _codim(M: list[list[tuple[int, int]]], n_vars: int, degree: int) -> int:
-    """Codimension of the span of the cleared rows M in the degree-`degree`
-    space of n_vars variables."""
-    return math.comb(n_vars - 1 + degree, degree) - _rank_pairs([r[:] for r in M])
-
-
 def image_span_dim(components: list[Poly]) -> int:
     """Projective dimension of the linear span of the component list, from
     the `span_rank` of their sparse cleared coefficients; the reference is
@@ -785,25 +779,17 @@ class GreenRecord:
     holds: bool
 
 
-def verify_green(
-    W: PolySubspace,
-    H: Hyperplane,
-    codim: int | None = None,
-    basis_rows: list[list[tuple[int, int]]] | None = None,
-) -> GreenRecord:
+def verify_green(W: PolySubspace, H: Hyperplane) -> GreenRecord:
     """Codimension of one restriction against the shifted codimension bound.
 
     The bound only applies to a general hyperplane; callers sampling several
-    hyperplanes should compare the minimum c_h against it.  `codim` and
-    `basis_rows` (W's `cleared_rows`) let a caller checking many hyperplanes
-    against one W compute them once.
+    hyperplanes should compare the minimum c_h against it.
     """
     n = W.n_vars - 1
     d = W.degree
-    if basis_rows is None:
-        basis_rows = cleared_rows(W.basis, W.n_vars, d)
-    c = _codim(basis_rows, W.n_vars, d) if codim is None else codim
-    c_h = math.comb(n - 1 + d, d) - restricted_rank(basis_rows, H, d)
+    M = cleared_rows(W.basis, W.n_vars, d)
+    c = math.comb(n + d, d) - _rank_pairs([row[:] for row in M])
+    c_h = math.comb(n - 1 + d, d) - restricted_rank(M, H, d)
     bound = op_lower(c, d)
     return GreenRecord(n=n, d=d, c=c, c_h=c_h, bound=bound, holds=c_h <= bound)
 
@@ -942,3 +928,27 @@ def veronese_suite(
                 if rank - 1 != expected:
                     report.violations.append((n, d, rank - 1, expected))
     return report
+
+
+def rank_work_upto(lo: int, max_n: int, max_degree: int, ranks: int,
+                   cap: int) -> int | None:
+    """Work of `ranks` exact ranks in every cell (n, d) with lo <= n <= max_n
+    and lo <= d <= max_degree, if it is at most `cap`, else None.
+
+    A rank in cell (n, d) counts C(n+d, d)^3: its matrices have about
+    C(n+d, d) rows and at most as many columns, so that bounds the steps of
+    the product M . R_H and of Bareiss elimination.  The cells are summed
+    from the largest down, and the sum and each binomial (`comb_upto`) stop
+    once they pass `cap`, so the answer costs O(log cap) steps per cell it
+    visits at any bounds; a cell it visits has at most cap^(1/3) monomials.
+    """
+    total = 0
+    for n in range(max_n, lo - 1, -1):
+        for d in range(max_degree, lo - 1, -1):
+            size = comb_upto(n + d, d, cap)
+            if size is None:
+                return None
+            total += ranks * size**3
+            if total > cap:
+                return None
+    return total

@@ -17,6 +17,7 @@ from macgap.cli import (
     MAX_LEMMA_CHECKS,
     MAX_MACAULAY_DIGITS,
     MAX_MACAULAY_LEVEL,
+    MAX_RANK_WORK,
     main,
 )
 from macgap.binom_core import LemmaSweepReport, lemma_checks
@@ -29,7 +30,12 @@ from macgap.hermitian import (
     parse_map,
     sharpness_map,
 )
-from macgap.polyspace import GreenRecord, GreenSuiteReport, VeroneseSuiteReport
+from macgap.polyspace import (
+    GreenRecord,
+    GreenSuiteReport,
+    VeroneseSuiteReport,
+    rank_work_upto,
+)
 
 
 def run(capsys, *argv):
@@ -308,6 +314,60 @@ class TestVerify:
         assert rc1 == rc2 == 0
         assert first == second
 
+    def test_rank_work_limit_refuses_at_once(self, capsys, monkeypatch):
+        # the refusal runs no suite and stops its count past the limit
+        def suite(*args, **kwargs):
+            raise AssertionError("suite ran above the limit")
+
+        monkeypatch.setattr(macgap.cli, "green_suite", suite)
+        monkeypatch.setattr(macgap.cli, "veronese_suite", suite)
+        huge = "9" * 4000
+        for argv in (
+            ["green", "--max-n", "12", "--max-degree", "12", "--subspaces", "1", "--trials", "1"],
+            ["green", "--subspaces", "100000000", "--trials", "1"],
+            ["restriction", "--trials", "1", "--max-n", "8", "--max-degree", "8"],
+            ["green", "--max-n", huge, "--max-degree", huge, "--subspaces", huge],
+            ["restriction", "--trials", huge, "--max-n", huge],
+        ):
+            start = time.perf_counter()
+            rc, out, err = run(capsys, "verify", *argv)
+            assert time.perf_counter() - start < 1
+            assert rc == 2 and out == ""
+            assert f"limit of {MAX_RANK_WORK}" in err
+
+    def test_rank_work_limit_boundary(self, capsys, monkeypatch):
+        ran = []
+
+        def green(ns, ds, subspaces, trials, seed):
+            ran.append(("green", subspaces))
+            return GreenSuiteReport(trials=trials, seed=seed)
+
+        def restriction(max_n, max_degree, trials, seed):
+            ran.append(("restriction", trials))
+            return VeroneseSuiteReport(trials=trials, seed=seed)
+
+        monkeypatch.setattr(macgap.cli, "green_suite", green)
+        monkeypatch.setattr(macgap.cli, "veronese_suite", restriction)
+        # the default cells: sum of C(n+d, d)^3 over n, d in 2..3 is 10 216,
+        # and over n, d in 1..4 it is 446 156; the default green run (200
+        # subspaces, each ranked once and once per each of 20 hyperplanes)
+        # is well within the limit
+        assert rank_work_upto(2, 3, 3, 200 * 21, MAX_RANK_WORK) == 42_907_200
+        assert rank_work_upto(2, 3, 3, 2 * 4894, MAX_RANK_WORK) == 2 * 4894 * 10_216
+        assert rank_work_upto(2, 3, 3, 2 * 4895, MAX_RANK_WORK) is None
+        assert rank_work_upto(1, 4, 4, 224, MAX_RANK_WORK) == 224 * 446_156
+        assert rank_work_upto(1, 4, 4, 225, MAX_RANK_WORK) is None
+        for suite, flag, below in (("green", "--subspaces", 4894),
+                                   ("restriction", "--trials", 224)):
+            argv = ["verify", suite, "--trials", "1", "--subspaces", "1"]
+            rc, out, err = run(capsys, *argv, flag, str(below + 1))
+            assert rc == 2 and out == "" and f"limit of {MAX_RANK_WORK}" in err
+            assert ran == []
+            rc, _, err = run(capsys, *argv, flag, str(below))
+            assert (rc, err) == (0, "")
+            assert ran and ran[-1] == (suite, below)
+            ran.clear()
+
     def test_text_mode_has_timing(self, capsys):
         rc, out, _ = run(capsys, "verify", "lemma3", "--max-m", "2", "--max-k", "2")
         assert rc == 0
@@ -440,6 +500,58 @@ class TestMapTooling:
         assert F.target.r == 2 and F.target.s == 3
         rc, out, _ = run(capsys, "map", "check-orth", str(out_path))
         assert rc == 0 and "orthogonal: yes" in out
+
+    @pytest.mark.parametrize("pivot, z, w", [
+        ("0", "3/1 0/1 -3/1", "-3/1 1/1,-3/1 3/1"),
+        ("1", "3/1 1/1 -3/1", "1/1 12/1 3/1"),
+    ])
+    def test_check_orth_witness_per_pivot(self, capsys, tmp_path, pivot, z, w):
+        # --pivot picks the chart the witness search samples
+        path = tmp_path / "rot.map"
+        path.write_text(ROTATED_MAP.format("; 1/1 0 0 3"))
+        rc, out, err = run(capsys, "map", "check-orth", "--pivot", pivot, str(path))
+        assert (rc, err) == (1, "")
+        assert out == f"orthogonal: no\nwitness z: {z}\nwitness w: {w}\n"
+        rc, out, _ = run(capsys, "map", "check-orth", "--json", "--pivot", pivot, str(path))
+        assert rc == 1
+        assert out == (
+            '{"action":"check-orth","cmd":"map","verdict":false,'
+            f'"witness_w":"{w}","witness_z":"{z}"}}\n'
+        )
+
+    def test_check_orth_pivot_validation(self, capsys, tmp_path):
+        path = tmp_path / "rot.map"
+        path.write_text(ROTATED_MAP.format(""))
+        for pivot in ("3", "-1"):
+            rc, out, err = run(capsys, "map", "check-orth", "--pivot", pivot, str(path))
+            assert rc == 2 and out == ""
+            assert "pivot must index a non-null coordinate" in err
+
+    @pytest.mark.parametrize("plant", ["drop", "double"])
+    def test_wrong_quotient_exits_four(self, capsys, tmp_path, monkeypatch, plant):
+        # the quotient is multiplied back by Q before a "yes" is printed
+        real = macgap.hermitian._divide_exact
+
+        def planted(P, Q):
+            quo = real(P, Q)
+            top = max(quo)
+            if plant == "drop":
+                del quo[top]
+            else:
+                a, b = quo[top]
+                quo[top] = (2 * a, 2 * b)
+            return quo
+
+        monkeypatch.setattr(macgap.hermitian, "_divide_exact", planted)
+        path = tmp_path / "s.map"
+        run(capsys, "map", "gen-sharpness", "2", "3", "-o", str(path))
+        for flags in ([], ["--json"]):
+            rc, out, err = run(capsys, "map", "check-orth", *flags, str(path))
+            assert rc == EXIT_INTERNAL == 4
+            assert out == ""
+            assert err == (
+                "error: certificate quotient times Q is not the pairing polynomial\n"
+            )
 
     def test_refuted_map(self, capsys, tmp_path):
         path = tmp_path / "no.map"

@@ -182,11 +182,16 @@ class TestCertificate:
             ),
         ]
         for f in maps:
-            verdicts = {
-                orthogonality_certificate(f, pivot=p, want_quotient=False).verdict
-                for p in range(f.source.r + f.source.s)
-            }
-            assert len(verdicts) == 1
+            certs = [orthogonality_certificate(f, pivot=p)
+                     for p in range(f.source.r + f.source.s)]
+            assert len({cert.verdict for cert in certs}) == 1
+            for cert in certs:
+                if cert.verdict:
+                    continue
+                # the pivot picks the chart of the witness search only
+                z, w = cert.witness
+                assert inner_product(z, w, f.source) == GRat()
+                assert inner_product(f.evaluate(z), f.evaluate(w), f.target) != GRat()
 
     def test_pivot_validation(self):
         f = identity_map(Signature(1, 1))
@@ -205,9 +210,22 @@ class TestCertificate:
         f = SignedMap(sig, Signature(1, 1, 1), 1, f.components)
         assert orthogonality_certificate(f).verdict
 
+    def test_constant_maps(self):
+        # P = |1|^2 - |1|^2 = 0 has no quotient of degree -2; P = 2 is refused
+        one = Poly(2, 0, {(0, 0): GRat(1)})
+        cert = orthogonality_certificate(
+            SignedMap(Signature(1, 1), Signature(1, 1), 0, [one, one])
+        )
+        assert cert.verdict and cert.quotient is None
+        f = SignedMap(Signature(1, 1), Signature(2, 0), 0, [one, one])
+        cert = orthogonality_certificate(f)
+        assert not cert.verdict
+        z, w = cert.witness
+        assert inner_product(z, w, f.source) == GRat()
+
     def test_soundness_on_sampled_pairs(self):
         f = sharpness_map(2, 3)
-        assert orthogonality_certificate(f, want_quotient=False).verdict
+        assert orthogonality_certificate(f).verdict
         rng = rng_for(17, "soundness")
         for _ in range(200):
             z, w = sample_orthogonal_pair(f.source, rng)
@@ -249,12 +267,9 @@ class TestIntegerPairCertificate:
     def test_matches_grat_reference(self, case):
         f, perturbed, pivot = case
         P = pairing_poly(f)
-        L, pairs = clear(P.coeffs)
         ref = hermitian._pseudo_remainder_ref(P, f.source, pivot)
-        rem = hermitian._pseudo_remainder(pairs, f.source, pivot)
-        # the remainder is linear in P, so the pair remainder is L times it
-        assert hermitian._from_pairs(P.n_vars, ref.degree, rem, L) == ref
         assert ref.is_zero == (not perturbed)
+        # the division's verdict is the pseudo-remainder's in every chart
         cert = orthogonality_certificate(f, pivot=pivot)
         assert cert.verdict == ref.is_zero
         if cert.verdict:
@@ -395,7 +410,7 @@ class TestNullProlongation:
             [mono(2, (1, 0)), mono(2, (0, 1))],
         )
         F = null_prolongation(bad, mono(2, (0, 1)), mono(2, (0, 2)))
-        assert not orthogonality_certificate(F, want_quotient=False).verdict
+        assert not orthogonality_certificate(F).verdict
 
     def test_null_target_rejected(self):
         sig = Signature(1, 1, 1)
@@ -543,13 +558,24 @@ class TestMapFiles:
 
     def test_plain_map_needs_no_rationals(self):
         # the kernels of span, obstruct and a verdict read the cleared form
-        # only: a map with plain coefficients builds no GRat on their way
+        # only: a map with plain coefficients builds no GRat on their way,
+        # and the one GRat polynomial built is the printed quotient
         text = format_map(sharpness_map(2, 5))
+        built = []
+
+        def from_pairs(n_vars, degree, pairs, L):
+            built.append(n_vars)
+            return real(n_vars, degree, pairs, L)
+
+        real = hermitian._from_pairs
         with mock.patch.object(polyspace, "parse_grat", side_effect=AssertionError), \
-                mock.patch.object(hermitian, "_from_pairs", side_effect=AssertionError):
+                mock.patch.object(hermitian, "_from_pairs", from_pairs):
             f = parse_map(text)
             assert span_obstruction_check(f, [0, 2, 3]).holds
-            assert orthogonality_certificate(f, want_quotient=False).verdict
+            assert built == []
+            cert = orthogonality_certificate(f)
+        assert cert.verdict and built == [2 * f.source.n_vars]
+        assert cert.quotient == sharpness_quotient(2, 5)
         assert f == sharpness_map(2, 5)
 
     def test_round_trip_sharpness(self):

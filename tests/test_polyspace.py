@@ -28,6 +28,7 @@ from macgap.polyspace import (
     parse_poly,
     random_hyperplane,
     random_subspace,
+    rank_work_upto,
     restrict,
     restricted_rank,
     rng_for,
@@ -570,8 +571,11 @@ class TestRestrictedRank:
                 for q in data.draw(st.lists(poly_st(n_vars=nv, degree=d - 1), max_size=3))
             ]
         polys = data.draw(st.permutations(polys))
-        got = restricted_rank(cleared_rows(polys, nv, d), H, d)
+        M = cleared_rows(polys, nv, d)
+        got = restricted_rank(M, H, d)
         assert got == reference_restricted_rank(polys, H, nv, d)
+        # M is not modified, so one M serves many hyperplanes
+        assert M == cleared_rows(polys, nv, d)
 
     @pytest.mark.parametrize("coeffs, pivot", [
         ((GRat(1, 2), GRat(Fraction(1, 3)), GRat(0, -1)), 0),
@@ -672,15 +676,6 @@ class TestRestrictedRank:
         assert info.maxsize == polyspace.TEMPLATE_CACHE
         assert info.currsize <= polyspace.TEMPLATE_CACHE < 56
 
-    def test_verify_green_reuses_rows(self):
-        rng = rng_for(4, "reuse")
-        W = PolySubspace(4, 3, [mono(4, e) for e in monomial_basis(4, 3)[::3]])
-        M = cleared_rows(W.basis, 4, 3)
-        for _ in range(5):
-            H = random_hyperplane(rng, 4)
-            assert verify_green(W, H, None, M) == verify_green(W, H)
-        assert M == cleared_rows(W.basis, 4, 3)
-
 
 class TestIntegerDraws:
     @settings(max_examples=100, deadline=None)
@@ -758,6 +753,20 @@ class TestGreen:
         b = green_suite(ns=(2,), ds=(3,), subspaces=4, trials=5, seed=9,
                         keep_records=True)
         assert a.records == b.records
+
+
+class TestRankWork:
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.integers(1, 2), max_n=st.integers(0, 6), max_degree=st.integers(0, 6),
+           ranks=st.integers(1, 50), cap=st.integers(0, 10**7))
+    def test_matches_the_sum(self, lo, max_n, max_degree, ranks, cap):
+        total = sum(
+            ranks * math.comb(n + d, d) ** 3
+            for n in range(lo, max_n + 1)
+            for d in range(lo, max_degree + 1)
+        )
+        got = rank_work_upto(lo, max_n, max_degree, ranks, cap)
+        assert got == (total if total <= cap else None)
 
 
 class TestImageSpan:

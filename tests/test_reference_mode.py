@@ -28,8 +28,10 @@ The `map_reference_mode` fixture does the same for the map commands and
 `verify sharpness`: each component parsed straight to its cleared form for
 `parse_poly` cleared, the span rank with singleton peeling for
 `exact_rank(support_rows(...))`, the pairing polynomial built on pairs for
-`pairing_poly` cleared, and the zero test of a witness candidate on a
-cleared point for `Poly.evaluate`.  The seed-0 `map-queries` plan of the
+`pairing_poly` cleared, the zero test of a witness candidate on a
+cleared point for `Poly.evaluate`, and the certificate's division on pairs
+for the w~_0 pseudo-remainder, which decides, and the division in GRat,
+which gives the quotient.  The seed-0 `map-queries` plan of the
 benchmark runs both ways against its known answers, together with a third
 of its maps rewritten with repeated, cancelling and zero terms.  `lemma3_reference`
 swaps the lemma sweep for per-split shifts through `macaulay_rep`, and
@@ -51,6 +53,7 @@ from macgap import binom_core, gap_calc, hermitian, polyspace
 from macgap.binom_core import LemmaSweepReport, op_minus
 from macgap.gap_calc import GapSweepReport, NabForm, ineq1_b_range, nab_minus, nab_value
 from macgap.gaussint import clear
+from macgap.hermitian import Signature
 from macgap.polyspace import (
     GRat,
     GreenSuiteReport,
@@ -248,11 +251,27 @@ def map_reference_mode(monkeypatch):
         degree = sum(next(iter(P)))
         return not hermitian._from_pairs(len(point), degree, P, 1).evaluate(point)
 
+    def divide_exact(P, Q):
+        if not P:
+            return {}
+        # Q is the source form: eps_i is its coefficient of z_i w~_i
+        nv = len(next(iter(Q))) // 2
+        eps = [Q.get(tuple(int(j in (i, nv + i)) for j in range(2 * nv)), (0, 0))[0]
+               for i in range(nv)]
+        sig = Signature(eps.count(1), eps.count(-1), eps.count(0))
+        P = hermitian._from_pairs(2 * nv, sum(next(iter(P))), P, 1)
+        if not hermitian._pseudo_remainder_ref(P, sig, 0).is_zero:
+            raise ArithmeticError("the pseudo-remainder is not zero")
+        # Q has leading coefficient +-1, so the quotient of integral P is
+        # integral and clears with L = 1
+        return clear(hermitian._divide_exact_ref(P, hermitian.source_form_poly(sig)).coeffs)[1]
+
     def enter():
         monkeypatch.setattr(hermitian, "parse_cleared", parse_cleared)
         monkeypatch.setattr(polyspace, "span_rank", span_rank)
         monkeypatch.setattr(hermitian, "_pairing_pairs", pairing_pairs)
         monkeypatch.setattr(hermitian, "vanishes_at", vanishes_at)
+        monkeypatch.setattr(hermitian, "_divide_exact", divide_exact)
 
     return spans, enter
 
