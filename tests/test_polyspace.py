@@ -676,6 +676,19 @@ class TestRestrictedRank:
         assert info.maxsize == polyspace.TEMPLATE_CACHE
         assert info.currsize <= polyspace.TEMPLATE_CACHE < 56
 
+    def test_verify_green_reuses_rows(self):
+        # one cleared row matrix serves many hyperplanes: the restricted
+        # rank read off it gives verify_green's c_h, and it stays unmodified
+        rng = rng_for(4, "reuse")
+        W = PolySubspace(4, 3, [mono(4, e) for e in monomial_basis(4, 3)[::3]])
+        M = cleared_rows(W.basis, 4, 3)
+        for _ in range(5):
+            H = random_hyperplane(rng, 4)
+            rec = verify_green(W, H)
+            assert rec.c_h == math.comb(2 + 3, 3) - restricted_rank(M, H, 3)
+            assert rec.c == math.comb(3 + 3, 3) - subspace_rank(W)
+        assert M == cleared_rows(W.basis, 4, 3)
+
 
 class TestIntegerDraws:
     @settings(max_examples=100, deadline=None)
