@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass
+
+from .record import FrozenRecord, Record
 
 
 class BinomTable:
@@ -43,12 +44,13 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-@dataclass(frozen=True)
-class MacaulayRep:
+class MacaulayRep(FrozenRecord):
     """Macaulay representation: (top, level) pairs, level descending n..delta."""
 
-    level: int
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ("level", "terms")
+
+    def __init__(self, level: int, terms: tuple[tuple[int, int], ...]):
+        self._freeze(level, terms)
 
     def value(self) -> int:
         """Re-evaluate the sum of binomials."""
@@ -126,14 +128,15 @@ def op_upper(A: int, n: int) -> int:
     return macaulay_rep(A, n).upper() if A else 0
 
 
-@dataclass
-class LemmaSweepReport:
+class LemmaSweepReport(Record):
     """Outcome of the exhaustive split-identity sweep."""
 
-    m_max: int
-    k_max: int
-    checks: int
-    counterexamples: list[tuple[int, int, int, int]]
+    __slots__ = ("m_max", "k_max", "checks", "counterexamples")
+
+    def __init__(self, m_max: int, k_max: int, checks: int,
+                 counterexamples: list[tuple[int, int, int, int]]):
+        self.m_max, self.k_max, self.checks = m_max, k_max, checks
+        self.counterexamples = counterexamples
 
     @property
     def ok(self) -> bool:

@@ -195,8 +195,9 @@ def _green(args):
             params = {"n": n, "d": d, "subspaces": cell.subspace_count,
                       "trials": args.trials, "seed": args.seed}
             records += _report_records("green", params, cell.checks, [
-                {"n": r.n, "d": r.d, "c": r.c, "c_h": r.c_h, "bound": r.bound}
-                for r in cell.violations
+                {"n": r.n, "d": r.d, "subspace": i, "c": r.c, "c_h": r.c_h,
+                 "bound": r.bound}
+                for i, r in cell.violations
             ])
     ok = all(r.get("ok", True) for r in records)
     records.append({"cmd": "verify", "suite": "green", "event": "summary",

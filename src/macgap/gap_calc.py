@@ -4,28 +4,23 @@ and the gap intervals J_k = [kn+k, (k+1)n-(k^2+1)]."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .binom_core import macaulay_rep, op_upper
+from .record import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class NabForm:
+class NabForm(FrozenRecord):
     """Triple (n, a, b) with b <= n-a-1, standing for the integer
     N(n;a,b) = C(n+1,n) + C(n,n-1) + ... + C(n-a+1,n-a) + b."""
 
-    n: int
-    a: int
-    b: int
+    __slots__ = ("n", "a", "b")
 
-    def __post_init__(self):
-        if self.n < 1 or self.a < 0 or self.b < 0:
-            raise ValueError(f"bad N-form parameters {(self.n, self.a, self.b)}")
-        if self.b > self.n - self.a - 1:
-            raise ValueError(
-                f"inadmissible (a,b)=({self.a},{self.b}) at n={self.n}: "
-                f"need b <= n-a-1"
-            )
+    def __init__(self, n: int, a: int, b: int):
+        if n < 1 or a < 0 or b < 0:
+            raise ValueError(f"bad N-form parameters {(n, a, b)}")
+        if b > n - a - 1:
+            raise ValueError(f"inadmissible (a,b)=({a},{b}) at n={n}: need b <= n-a-1")
+        self._freeze(n, a, b)
 
 
 def nab_value(form: NabForm) -> int:
@@ -92,13 +87,11 @@ def dim_prop_bounds(n: int, a: int, b: int) -> dict[int, int]:
     return {m: dim_prop_bound(n, a, b, m) for m in range(a + 1, n)}
 
 
-@dataclass(frozen=True)
-class GapInterval:
-    k: int
-    n: int
-    lo: int
-    hi: int
-    tag: str = "theorem"
+class GapInterval(FrozenRecord):
+    __slots__ = ("k", "n", "lo", "hi", "tag")
+
+    def __init__(self, k: int, n: int, lo: int, hi: int, tag: str = "theorem"):
+        self._freeze(k, n, lo, hi, tag)
 
     @property
     def empty(self) -> bool:
@@ -134,10 +127,11 @@ def comparison_intervals(n: int) -> list[GapInterval]:
     return out
 
 
-@dataclass(frozen=True)
-class GapVerdict:
-    in_gap: bool
-    k: int | None = None
+class GapVerdict(FrozenRecord):
+    __slots__ = ("in_gap", "k")
+
+    def __init__(self, in_gap: bool, k: int | None = None):
+        self._freeze(in_gap, k)
 
 
 def classify_gap(n: int, N: int) -> GapVerdict:
@@ -154,19 +148,13 @@ def classify_gap(n: int, N: int) -> GapVerdict:
     return GapVerdict(False)
 
 
-@dataclass(frozen=True)
-class GapArgumentReport:
-    n: int
-    a: int
-    b: int
-    n1: int
-    n2: int
-    case: str
-    d_n1: int
-    d_n2: int
-    total: int
-    n_prime: int
-    holds: bool
+class GapArgumentReport(FrozenRecord):
+    __slots__ = ("n", "a", "b", "n1", "n2", "case", "d_n1", "d_n2", "total",
+                 "n_prime", "holds")
+
+    def __init__(self, n: int, a: int, b: int, n1: int, n2: int, case: str,
+                 d_n1: int, d_n2: int, total: int, n_prime: int, holds: bool):
+        self._freeze(n, a, b, n1, n2, case, d_n1, d_n2, total, n_prime, holds)
 
 
 def ineq1_b_range(n: int, a: int) -> tuple[int, int]:
@@ -205,13 +193,13 @@ def verify_gap_argument(n: int, a: int, b: int) -> GapArgumentReport:
     )
 
 
-@dataclass
-class GapSweepReport:
-    max_n: int
-    checks: int = 0
-    case_i: int = 0
-    case_ii: int = 0
-    violations: list[GapArgumentReport] = field(default_factory=list)
+class GapSweepReport(Record):
+    __slots__ = ("max_n", "checks", "case_i", "case_ii", "violations")
+
+    def __init__(self, max_n: int, checks: int = 0, case_i: int = 0,
+                 case_ii: int = 0, violations: list[GapArgumentReport] | None = None):
+        self.max_n, self.checks, self.case_i, self.case_ii = max_n, checks, case_i, case_ii
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

@@ -12,7 +12,6 @@ come with an exact witness pair.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .binom_core import comb_upto
@@ -29,6 +28,7 @@ from .polyspace import (
     parse_cleared,
     rng_for,
 )
+from .record import FrozenRecord, Record
 
 
 class MapFormatError(ValueError):
@@ -42,17 +42,15 @@ class MapFormatError(ValueError):
 MAX_MAP_MONOMIALS = 100_000
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(FrozenRecord):
     """Counts (r, s, t) of +1, -1, 0 weights of the diagonal Hermitian form."""
 
-    r: int
-    s: int
-    t: int = 0
+    __slots__ = ("r", "s", "t")
 
-    def __post_init__(self):
-        if self.r < 0 or self.s < 0 or self.t < 0 or self.r + self.s + self.t == 0:
-            raise ValueError(f"bad signature {(self.r, self.s, self.t)}")
+    def __init__(self, r: int, s: int, t: int = 0):
+        if r < 0 or s < 0 or t < 0 or r + s + t == 0:
+            raise ValueError(f"bad signature {(r, s, t)}")
+        self._freeze(r, s, t)
 
     @property
     def n_vars(self) -> int:
@@ -222,7 +220,8 @@ def _pairing_pairs(f: SignedMap) -> tuple[int, dict]:
 
 
 def source_form_poly(sig: Signature) -> Poly:
-    """Q(z, w~) = sum over non-null i of eps_i z_i w~_i."""
+    """Q(z, w~) = sum over non-null i of eps_i z_i w~_i.  The reference for
+    `_source_form_pairs`."""
     nv = sig.n_vars
     coeffs = {}
     for i in range(sig.r + sig.s):
@@ -231,6 +230,19 @@ def source_form_poly(sig: Signature) -> Poly:
         e[nv + i] = 1
         coeffs[tuple(e)] = GRat(sig.eps(i))
     return Poly(2 * nv, 2, coeffs)
+
+
+def _source_form_pairs(sig: Signature) -> dict:
+    """Q of `source_form_poly` as exponent -> Gaussian-integer pair:
+    eps_i at z_i w~_i for each non-null i.  Its coefficients are +-1, so
+    this is Q cleared with L = 1."""
+    nv = sig.n_vars
+    pairs = {}
+    for i in range(sig.r + sig.s):
+        e = [0] * (2 * nv)
+        e[i] = e[nv + i] = 1
+        pairs[tuple(e)] = (sig.eps(i), 0)
+    return pairs
 
 
 def _wt_slices(P: Poly, var: int) -> dict[int, Poly]:
@@ -335,11 +347,16 @@ def _divide_exact_ref(P: Poly, Q: Poly) -> Poly:
     return quo
 
 
-@dataclass
-class OrthCertificate:
-    verdict: bool
-    quotient: Poly | None = None
-    witness: tuple | None = None  # (z, w) coordinate lists
+class OrthCertificate(Record):
+    """A verdict, with the quotient P/Q of a map that preserves
+    orthogonality or the witness pair (z, w) of coordinate lists of one
+    that does not."""
+
+    __slots__ = ("verdict", "quotient", "witness")
+
+    def __init__(self, verdict: bool, quotient: Poly | None = None,
+                 witness: tuple | None = None):
+        self.verdict, self.quotient, self.witness = verdict, quotient, witness
 
 
 def _check_quotient(P: dict, Q: dict, quo: dict) -> None:
@@ -376,7 +393,7 @@ def orthogonality_certificate(f: SignedMap, pivot: int = 0) -> OrthCertificate:
         raise ValueError("pivot must index a non-null coordinate")
     # one positive integer L clears P, and Q | L * P iff Q | P
     L, P = _pairing_pairs(f)
-    Q = clear(source_form_poly(sig).coeffs)[1]
+    Q = _source_form_pairs(sig)
     try:
         quo = _divide_exact(P, Q)
     except ArithmeticError:
@@ -516,13 +533,12 @@ def null_prolongation(f: SignedMap, psi: Poly, phi: Poly) -> SignedMap:
 # ---------------------------------------------------------------------------
 # span obstruction for orthogonal maps
 
-@dataclass(frozen=True)
-class ObstructionRecord:
-    dim_e_span: int
-    dim_eperp_span: int
-    bound: int
-    degenerate: str | None
-    holds: bool
+class ObstructionRecord(FrozenRecord):
+    __slots__ = ("dim_e_span", "dim_eperp_span", "bound", "degenerate", "holds")
+
+    def __init__(self, dim_e_span: int, dim_eperp_span: int, bound: int,
+                 degenerate: str | None, holds: bool):
+        self._freeze(dim_e_span, dim_eperp_span, bound, degenerate, holds)
 
 
 def _restrict_to_coords(cleared, n_vars: int, keep: list[int]):
@@ -587,13 +603,13 @@ def span_obstruction_check(f: SignedMap, e_indices) -> ObstructionRecord:
 # ---------------------------------------------------------------------------
 # batch suite
 
-@dataclass
-class SharpnessSuiteReport:
-    max_k: int
-    max_n: int
-    maps: int = 0
-    checks: int = 0
-    violations: list = field(default_factory=list)
+class SharpnessSuiteReport(Record):
+    __slots__ = ("max_k", "max_n", "maps", "checks", "violations")
+
+    def __init__(self, max_k: int, max_n: int, maps: int = 0, checks: int = 0,
+                 violations: list | None = None):
+        self.max_k, self.max_n, self.maps, self.checks = max_k, max_n, maps, checks
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

@@ -32,11 +32,11 @@ import functools
 import math
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .binom_core import comb_upto, op_lower, op_minus
 from .gaussint import _rank_int, _rank_pairs, clear, span_rank
+from .record import FrozenRecord, Record
 
 
 class PolyFormatError(ValueError):
@@ -46,18 +46,17 @@ class PolyFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # coefficients
 
-@dataclass(frozen=True)
-class GRat:
+_ZERO = Fraction(0)
+
+
+class GRat(FrozenRecord):
     """Gaussian rational re + im*i with exact Fraction parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", Fraction(self.re))
-        if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re=_ZERO, im=_ZERO):
+        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
+        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -383,19 +382,18 @@ def parse_cleared(
 # ---------------------------------------------------------------------------
 # hyperplanes and restriction
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(FrozenRecord):
     """Linear form sum c_j z_j = 0 with a designated pivot variable to
     eliminate."""
 
-    coeffs: tuple[GRat, ...]
-    pivot: int
+    __slots__ = ("coeffs", "pivot")
 
-    def __post_init__(self):
-        if not 0 <= self.pivot < len(self.coeffs):
+    def __init__(self, coeffs: tuple[GRat, ...], pivot: int):
+        if not 0 <= pivot < len(coeffs):
             raise ValueError("pivot index out of range")
-        if not self.coeffs[self.pivot]:
+        if not coeffs[pivot]:
             raise ValueError("zero pivot coefficient")
+        self._freeze(coeffs, pivot)
 
 
 def _scaled_form(form: list[tuple[int, int]], pivot: int):
@@ -560,13 +558,13 @@ def exact_rank(rows: list[list[GRat]]) -> int:
 # ---------------------------------------------------------------------------
 # subspaces
 
-@dataclass
-class PolySubspace:
+class PolySubspace(Record):
     """Span of the given polynomials inside the degree-d homogeneous space."""
 
-    n_vars: int
-    degree: int
-    basis: list[Poly]
+    __slots__ = ("n_vars", "degree", "basis")
+
+    def __init__(self, n_vars: int, degree: int, basis: list[Poly]):
+        self.n_vars, self.degree, self.basis = n_vars, degree, basis
 
 
 def _check_member(p: Poly, n_vars: int, degree: int) -> None:
@@ -769,14 +767,11 @@ def cleared_span_dim(rows: list[dict]) -> int:
 # ---------------------------------------------------------------------------
 # the two bound harnesses
 
-@dataclass(frozen=True)
-class GreenRecord:
-    n: int
-    d: int
-    c: int
-    c_h: int
-    bound: int
-    holds: bool
+class GreenRecord(FrozenRecord):
+    __slots__ = ("n", "d", "c", "c_h", "bound", "holds")
+
+    def __init__(self, n: int, d: int, c: int, c_h: int, bound: int, holds: bool):
+        self._freeze(n, d, c, c_h, bound, holds)
 
 
 def verify_green(W: PolySubspace, H: Hyperplane) -> GreenRecord:
@@ -794,14 +789,20 @@ def verify_green(W: PolySubspace, H: Hyperplane) -> GreenRecord:
     return GreenRecord(n=n, d=d, c=c, c_h=c_h, bound=bound, holds=c_h <= bound)
 
 
-@dataclass
-class GreenSuiteReport:
-    trials: int
-    seed: int
-    subspace_count: int = 0
-    checks: int = 0
-    violations: list = field(default_factory=list)
-    records: list = field(default_factory=list)
+class GreenSuiteReport(Record):
+    """Counts of a `green_suite` run.  `violations` holds a (subspace index,
+    GreenRecord) pair per violating subspace, where the index i is that of
+    its stream `rng_for(seed, f"green|n{n}|d{d}|s{i}")`; `records` holds
+    the GreenRecord of every subspace when the run keeps them."""
+
+    __slots__ = ("trials", "seed", "subspace_count", "checks", "violations", "records")
+
+    def __init__(self, trials: int, seed: int, subspace_count: int = 0, checks: int = 0,
+                 violations: list | None = None, records: list | None = None):
+        self.trials, self.seed = trials, seed
+        self.subspace_count, self.checks = subspace_count, checks
+        self.violations = [] if violations is None else violations
+        self.records = [] if records is None else records
 
     @property
     def ok(self) -> bool:
@@ -854,18 +855,16 @@ def green_suite(
                 if keep_records:
                     report.records.append(best)
                 if not best.holds:
-                    report.violations.append(best)
+                    report.violations.append((i, best))
     return report
 
 
-@dataclass(frozen=True)
-class RestrictionRecord:
-    n: int
-    N: int
-    bound: int
-    dims: tuple[int, ...]
-    max_dim: int
-    holds: bool
+class RestrictionRecord(FrozenRecord):
+    __slots__ = ("n", "N", "bound", "dims", "max_dim", "holds")
+
+    def __init__(self, n: int, N: int, bound: int, dims: tuple[int, ...],
+                 max_dim: int, holds: bool):
+        self._freeze(n, N, bound, dims, max_dim, holds)
 
 
 def verify_restriction_theorem(
@@ -894,12 +893,13 @@ def verify_restriction_theorem(
     )
 
 
-@dataclass
-class VeroneseSuiteReport:
-    trials: int
-    seed: int
-    checks: int = 0
-    violations: list = field(default_factory=list)
+class VeroneseSuiteReport(Record):
+    __slots__ = ("trials", "seed", "checks", "violations")
+
+    def __init__(self, trials: int, seed: int, checks: int = 0,
+                 violations: list | None = None):
+        self.trials, self.seed, self.checks = trials, seed, checks
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

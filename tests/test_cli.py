@@ -737,7 +737,7 @@ def _planted_green(ns, ds, subspaces, trials, seed):
     (n,), (d,) = ns, ds
     report = GreenSuiteReport(trials=trials, seed=seed, subspace_count=n + d, checks=n * d)
     if (n, d) == (3, 2):
-        report.violations.append(GreenRecord(n=3, d=2, c=4, c_h=7, bound=5, holds=False))
+        report.violations.append((3, GreenRecord(n=3, d=2, c=4, c_h=7, bound=5, holds=False)))
     return report
 
 
@@ -769,7 +769,7 @@ PLANTED = [
         '{"checks":4,"cmd":"verify","d":2,"n":2,"ok":true,"seed":5,"subspaces":4,"suite":"green","trials":3,"violations":0}',
         '{"checks":6,"cmd":"verify","d":3,"n":2,"ok":true,"seed":5,"subspaces":5,"suite":"green","trials":3,"violations":0}',
         '{"checks":6,"cmd":"verify","d":2,"n":3,"ok":false,"seed":5,"subspaces":5,"suite":"green","trials":3,"violations":1}',
-        '{"bound":5,"c":4,"c_h":7,"cmd":"verify","d":2,"event":"violation","n":3,"suite":"green"}',
+        '{"bound":5,"c":4,"c_h":7,"cmd":"verify","d":2,"event":"violation","n":3,"subspace":3,"suite":"green"}',
         '{"checks":9,"cmd":"verify","d":3,"n":3,"ok":true,"seed":5,"subspaces":6,"suite":"green","trials":3,"violations":0}',
         '{"checks":25,"cmd":"verify","event":"summary","ok":false,"seed":5,"suite":"green","trials":3}',
     ], [

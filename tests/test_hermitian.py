@@ -116,6 +116,11 @@ class TestPairingPolys:
         assert q.n_vars == 6
         assert len(q.coeffs) == 2
 
+    @pytest.mark.parametrize("sig", [(1, 1), (2, 1, 1), (1, 3), (3, 0, 2), (2, 2, 3)])
+    def test_source_form_pairs_match_reference(self, sig):
+        sig = Signature(*sig)
+        assert hermitian._source_form_pairs(sig) == clear(source_form_poly(sig).coeffs)[1]
+
     def test_conjugation_in_second_block(self):
         i = GRat(0, 1)
         f = SignedMap(

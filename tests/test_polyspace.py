@@ -767,6 +767,18 @@ class TestGreen:
                         keep_records=True)
         assert a.records == b.records
 
+    def test_violations_name_their_subspace(self, monkeypatch):
+        # with every bound forced below zero each subspace violates, and each
+        # violation replays from the stream of the index it carries
+        monkeypatch.setattr(polyspace, "op_lower", lambda c, d: -1)
+        report = green_suite(ns=(2,), ds=(2,), subspaces=4, trials=3, seed=7)
+        assert [i for i, _ in report.violations] == [0, 1, 2, 3]
+        for i, rec in report.violations:
+            rng = rng_for(7, f"green|n2|d2|s{i}")
+            W = random_subspace(rng, 3, 2)
+            replay = [verify_green(W, random_hyperplane(rng, 3)) for _ in range(3)]
+            assert (rec.c, rec.c_h) == (replay[0].c, min(r.c_h for r in replay))
+
 
 class TestRankWork:
     @settings(max_examples=200, deadline=None)

@@ -28,7 +28,8 @@ The `map_reference_mode` fixture does the same for the map commands and
 `verify sharpness`: each component parsed straight to its cleared form for
 `parse_poly` cleared, the span rank with singleton peeling for
 `exact_rank(support_rows(...))`, the pairing polynomial built on pairs for
-`pairing_poly` cleared, the zero test of a witness candidate on a
+`pairing_poly` cleared, the source form Q built on pairs for
+`source_form_poly` cleared, the zero test of a witness candidate on a
 cleared point for `Poly.evaluate`, and the certificate's division on pairs
 for the w~_0 pseudo-remainder, which decides, and the division in GRat,
 which gives the quotient.  The seed-0 `map-queries` plan of the
@@ -145,7 +146,7 @@ def reference_mode(monkeypatch):
                     if keep_records:
                         report.records.append(best)
                     if not best.holds:
-                        report.violations.append(best)
+                        report.violations.append((i, best))
         return report
 
     def veronese_suite(max_n=4, max_degree=4, trials=3, seed=0):
@@ -247,6 +248,9 @@ def map_reference_mode(monkeypatch):
     def pairing_pairs(f):
         return clear(hermitian.pairing_poly(f).coeffs)
 
+    def source_form_pairs(sig):
+        return clear(hermitian.source_form_poly(sig).coeffs)[1]
+
     def vanishes_at(P, point):
         degree = sum(next(iter(P)))
         return not hermitian._from_pairs(len(point), degree, P, 1).evaluate(point)
@@ -270,6 +274,7 @@ def map_reference_mode(monkeypatch):
         monkeypatch.setattr(hermitian, "parse_cleared", parse_cleared)
         monkeypatch.setattr(polyspace, "span_rank", span_rank)
         monkeypatch.setattr(hermitian, "_pairing_pairs", pairing_pairs)
+        monkeypatch.setattr(hermitian, "_source_form_pairs", source_form_pairs)
         monkeypatch.setattr(hermitian, "vanishes_at", vanishes_at)
         monkeypatch.setattr(hermitian, "_divide_exact", divide_exact)
 
