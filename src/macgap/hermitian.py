@@ -23,7 +23,6 @@ from .polyspace import (
     PolyFormatError,
     cleared_span_dim,
     format_poly,
-    image_span_dim,
     mono,
     parse_cleared,
     rng_for,
@@ -637,7 +636,7 @@ def sharpness_suite(max_k: int = 4, max_n: int = 12) -> SharpnessSuiteReport:
             report.maps += 1
             count = k * n + k
             check(k, n, "component count", len(f.components) == count)
-            span = image_span_dim(f.components)
+            span = cleared_span_dim([P for _, P in f.cleared])
             check(k, n, "linear independence", span + 1 == count)
             cert = orthogonality_certificate(f)
             check(k, n, "certificate verdict", cert.verdict)

@@ -10,6 +10,7 @@ import pytest
 import macgap.cli
 import macgap.gap_calc
 import macgap.hermitian
+import macgap.polyspace
 from macgap.cli import (
     EXIT_INTERNAL,
     LEMMA_COUNT_CAP,
@@ -313,6 +314,22 @@ class TestVerify:
         second = capsys.readouterr().out
         assert rc1 == rc2 == 0
         assert first == second
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "green", "--subspaces", "3", "--trials", "3", "--json"],
+        ["verify", "restriction", "--max-n", "3", "--max-degree", "3", "--trials", "2"],
+        ["verify", "sharpness", "--max-k", "2", "--max-n", "8", "--json"],
+    ])
+    def test_suites_stay_on_the_integer_kernel(self, capsys, monkeypatch, argv):
+        # the suites restrict through the integer template alone, never
+        # through `restricted_rank` or the per-polynomial `restrict`
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite left the integer restriction kernel")
+
+        monkeypatch.setattr(macgap.polyspace, "restricted_rank", refuse)
+        monkeypatch.setattr(macgap.polyspace, "restrict", refuse)
+        rc, _, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
 
     def test_rank_work_limit_refuses_at_once(self, capsys, monkeypatch):
         # the refusal runs no suite and stops its count past the limit

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -89,14 +90,19 @@ members_st = st.lists(
 )
 
 
+real_grat_st = st.builds(
+    GRat, st.fractions(min_value=-5, max_value=5, max_denominator=12)
+)
+
+
 @st.composite
-def poly_st(draw, n_vars=None, degree=None, nonzero=False):
+def poly_st(draw, n_vars=None, degree=None, nonzero=False, coeff=grat_st):
     nv = n_vars if n_vars is not None else draw(st.integers(2, 3))
     d = degree if degree is not None else draw(st.integers(1, 3))
     basis = monomial_basis(nv, d)
     pairs = draw(
         st.lists(
-            st.tuples(st.sampled_from(basis), grat_st),
+            st.tuples(st.sampled_from(basis), coeff),
             min_size=1 if nonzero else 0,
             max_size=len(basis),
         )
@@ -545,6 +551,16 @@ def hyperplane_st(draw, n_vars):
     return Hyperplane(tuple(coeffs), pivot)
 
 
+@st.composite
+def int_hyperplane_st(draw, n_vars):
+    """Linear form with integer coefficients in [-9, 9]."""
+    ints = draw(st.lists(st.integers(-9, 9), min_size=n_vars, max_size=n_vars))
+    if not any(ints):
+        ints[0] = 1
+    pivot = draw(st.sampled_from([i for i, v in enumerate(ints) if v]))
+    return Hyperplane(tuple(GRat(v) for v in ints), pivot)
+
+
 def reference_restricted_rank(polys, H, n_vars, d):
     restricted = [restrict(p, H) for p in polys]
     return exact_rank(coefficient_rows(restricted, n_vars - 1, d))
@@ -556,9 +572,13 @@ class TestRestrictedRank:
     def test_matches_restrict_reference(self, data):
         nv = data.draw(st.integers(2, 4))
         d = data.draw(st.integers(0, 3))
+        # in about half the examples the members are real and the form is
+        # integer, which `restricted_rank` ranks on the integer template
+        real = data.draw(st.booleans(), label="real")
+        coeff = real_grat_st if real else grat_st
         # members may be zero and the list may be empty
-        polys = data.draw(st.lists(poly_st(n_vars=nv, degree=d), max_size=5))
-        H = data.draw(hyperplane_st(nv))
+        polys = data.draw(st.lists(poly_st(n_vars=nv, degree=d, coeff=coeff), max_size=5))
+        H = data.draw(int_hyperplane_st(nv) if real else hyperplane_st(nv))
         if d >= 1:
             # multiples of the form restrict to zero, so the restricted rank
             # drops below the generic value
@@ -568,11 +588,16 @@ class TestRestrictedRank:
             })
             polys += [
                 form * q
-                for q in data.draw(st.lists(poly_st(n_vars=nv, degree=d - 1), max_size=3))
+                for q in data.draw(st.lists(
+                    poly_st(n_vars=nv, degree=d - 1, coeff=coeff), max_size=3
+                ))
             ]
         polys = data.draw(st.permutations(polys))
         M = cleared_rows(polys, nv, d)
-        got = restricted_rank(M, H, d)
+        fast = polyspace._int_restricted_rank
+        with mock.patch.object(polyspace, "_int_restricted_rank", wraps=fast) as spy:
+            got = restricted_rank(M, H, d)
+        assert spy.called == (real and bool(M))
         assert got == reference_restricted_rank(polys, H, nv, d)
         # M is not modified, so one M serves many hyperplanes
         assert M == cleared_rows(polys, nv, d)
@@ -626,36 +651,21 @@ class TestRestrictedRank:
         # monomial up to one positive scale shared by all rows
         nv = data.draw(st.integers(2, 4), label="n_vars")
         d = data.draw(st.integers(0, 3), label="degree")
-        real = data.draw(st.booleans(), label="real form")
-        if real:
-            ints = data.draw(st.lists(st.integers(-9, 9), min_size=nv, max_size=nv))
-            if not any(ints):
-                ints[0] = 1
-            pivot = data.draw(st.sampled_from([i for i, v in enumerate(ints) if v]))
-            H = Hyperplane(tuple(GRat(v) for v in ints), pivot)
-        else:
-            H = data.draw(hyperplane_st(nv), label="H")
-        form = clear(H.coeffs)[1]
-        matrices = [polyspace._pair_restriction_rows(form, H.pivot, d)]
-        if real:
-            ncols, R = polyspace._int_restriction_rows(ints, H.pivot, d)
-            matrices.append((ncols, [tuple((c, (v, 0)) for c, v in row) for row in R]))
+        H = data.draw(int_hyperplane_st(nv), label="H")
+        ints = [int(c.re) for c in H.coeffs]
+        ncols, R = polyspace._int_restriction_rows(ints, H.pivot, d)
         cols = monomial_basis(nv - 1, d)
-        for ncols, R in matrices:
-            assert ncols == len(cols) and len(R) == len(monomial_basis(nv, d))
-            pairs = []
-            for e, row in zip(monomial_basis(nv, d), R):
-                dense = [GRat()] * ncols
-                for c, (a, b) in row:
-                    dense[c] = GRat(a, b)
-                want = restrict(mono(nv, e), H)
-                pairs += [(dense[j], want.coeffs.get(col, GRat())) for j, col in enumerate(cols)]
-            scale = next(got / want for got, want in pairs if want)
-            assert scale.is_real() and scale.re > 0
-            assert all(got == want * scale for got, want in pairs)
-        if real:
-            # the integer reduction of `_scaled_form` gives the same matrix
-            assert matrices[0] == matrices[1]
+        assert ncols == len(cols) and len(R) == len(monomial_basis(nv, d))
+        pairs = []
+        for e, row in zip(monomial_basis(nv, d), R):
+            dense = [0] * ncols
+            for c, v in row:
+                dense[c] = v
+            want = restrict(mono(nv, e), H)
+            pairs += [(dense[j], want.coeffs.get(col, GRat())) for j, col in enumerate(cols)]
+        scale = next(got / want.re for got, want in pairs if want)
+        assert scale > 0
+        assert all(want.is_real() and got == want.re * scale for got, want in pairs)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -768,16 +778,29 @@ class TestGreen:
         assert a.records == b.records
 
     def test_violations_name_their_subspace(self, monkeypatch):
-        # with every bound forced below zero each subspace violates, and each
-        # violation replays from the stream of the index it carries
+        # with every bound forced below zero each subspace violates after
+        # drawing twice its trials, and each violation replays from the
+        # stream of the index it carries
         monkeypatch.setattr(polyspace, "op_lower", lambda c, d: -1)
         report = green_suite(ns=(2,), ds=(2,), subspaces=4, trials=3, seed=7)
         assert [i for i, _ in report.violations] == [0, 1, 2, 3]
+        assert report.checks == 4 * 6
         for i, rec in report.violations:
             rng = rng_for(7, f"green|n2|d2|s{i}")
             W = random_subspace(rng, 3, 2)
-            replay = [verify_green(W, random_hyperplane(rng, 3)) for _ in range(3)]
+            replay = [verify_green(W, random_hyperplane(rng, 3)) for _ in range(6)]
             assert (rec.c, rec.c_h) == (replay[0].c, min(r.c_h for r in replay))
+
+    def test_special_hyperplane_is_redrawn(self):
+        # the first hyperplane of this subspace is special (c_h = 2 against
+        # the bound 1); one more draw from its stream meets the bound
+        rng = rng_for(0, "green|n2|d2|s142628")
+        rec, drawn = polyspace._green_subspace(rng, 2, 2, 1)
+        assert (rec.c, rec.bound, rec.c_h, rec.holds, drawn) == (4, 1, 1, True, 2)
+        rng = rng_for(0, "green|n2|d2|s142628")
+        W = random_subspace(rng, 3, 2)
+        replay = [verify_green(W, random_hyperplane(rng, 3)) for _ in range(2)]
+        assert [(r.c_h, r.holds) for r in replay] == [(2, False), (1, True)]
 
 
 class TestRankWork:

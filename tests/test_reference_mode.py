@@ -7,11 +7,14 @@ The `reference_mode` fixture swaps every fast path of `verify green` and
 - `green_suite` and `veronese_suite` for plain loops that draw each
   subspace with `random_subspace` and each hyperplane with
   `random_hyperplane`, and check them one hyperplane at a time, as the
-  suites are specified;
+  suites are specified (a green subspace whose `trials` hyperplanes all
+  miss the bound draws up to `trials` more, stopping at the first that
+  meets it);
 - the integer draws for `random_subspace` + `cleared_rows` and
   `random_hyperplane`;
-- both restricted ranks (the template R_H times M, on integers or pairs)
-  for `exact_rank` of the `restrict`ed members;
+- both restricted ranks (the integer template R_H times M, and
+  `restricted_rank`, which takes it for real input) for `exact_rank` of
+  the `restrict`ed members;
 - the restriction template for a stub that fails if anything still
   reaches it.
 
@@ -140,6 +143,8 @@ def reference_mode(monkeypatch):
                         verify_green(W, random_hyperplane(rng, n + 1))
                         for _ in range(trials)
                     ]
+                    while not any(r.holds for r in recs) and len(recs) < 2 * trials:
+                        recs.append(verify_green(W, random_hyperplane(rng, n + 1)))
                     best = min(recs, key=lambda r: r.c_h)
                     report.subspace_count += 1
                     report.checks += len(recs)
