@@ -229,6 +229,11 @@ def gap_argument_checks(max_n: int) -> int:
     return ((a_top + 1) * c * (c + 1) - (2 * c + 1) * sum_u + sum_u2) // 2
 
 
+def _slack(a: int, b: int, n1: int, n2: int, base: int) -> int:
+    """D_{n1} + D_{n2} - N(n;a,b) from `_dim_bound`, with base = N(n;a,0)."""
+    return _dim_bound(a, b, n1) + _dim_bound(a, b, n2) - base - b
+
+
 def gap_argument_sweep(max_n: int) -> GapSweepReport:
     """Check the two-halves bound of `verify_gap_argument` at every
     admissible (n, a, b) with n <= max_n, as plain integer arithmetic.
@@ -236,11 +241,22 @@ def gap_argument_sweep(max_n: int) -> GapSweepReport:
     The halves are split once per n.  Once per (n, a) block of b values
     the sweep checks that N(n;a,hi) is admissible (so is every smaller b)
     and that n1 >= a+1 (so D_{n1} and D_{n2} are defined), and counts the
-    case I triples b <= n1-a-1 and the case II rest.  Each triple then
-    compares D_{n1} + D_{n2} from `_dim_bound`, the helper that
-    `dim_prop_bound` also ends in, with N(n;a,b).  Only a violating triple
-    builds its `verify_gap_argument` report, and a report that says the
-    bound holds after all is a `RuntimeError`: the two paths disagree.
+    case I triples b <= n1-a-1 and the case II rest.
+
+    Two comparisons then decide a block.  With D_m from `_dim_bound`, the
+    helper that `dim_prop_bound` also ends in, the slack of the bound is
+
+        f(b) = D_{n1} + D_{n2} - N(n;a,b)
+             = K + min(b, n1-a-1) + min(b, n2-a-1) - b,
+
+    with K independent of b: a sum of concave terms minus a linear one.
+    So f is concave on [lo, hi], its minimum there is f(lo) or f(hi), and
+    the bound holds on the whole block when it holds at both ends.  Only
+    a block with a failing end is walked triple by triple, in b order, and
+    only a violating triple builds its `verify_gap_argument` report; a
+    report that says the bound holds after all is a `RuntimeError`: the
+    two paths disagree.  In the worst case, every block failing, the walk
+    adds one comparison per triple to the two per block.
     """
     report = GapSweepReport(max_n=max_n)
     for n in range(1, max_n + 1):
@@ -254,8 +270,10 @@ def gap_argument_sweep(max_n: int) -> GapSweepReport:
             if n1 < a + 1:
                 raise RuntimeError(f"half n1 = {n1} below a+1 = {a + 1} at n = {n}")
             base = nab_value(NabForm(n, a, 0))
-            for b in range(lo, hi + 1):
-                if _dim_bound(a, b, n1) + _dim_bound(a, b, n2) < base + b:
+            if min(_slack(a, lo, n1, n2, base), _slack(a, hi, n1, n2, base)) < 0:
+                for b in range(lo, hi + 1):
+                    if _slack(a, b, n1, n2, base) >= 0:
+                        continue
                     r = verify_gap_argument(n, a, b)
                     if r.holds:
                         raise RuntimeError(

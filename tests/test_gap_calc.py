@@ -8,6 +8,7 @@ from macgap import gap_calc
 from macgap.binom_core import macaulay_rep, op_minus
 from macgap.gap_calc import (
     GapInterval,
+    GapSweepReport,
     NabForm,
     classify_gap,
     comparison_intervals,
@@ -317,6 +318,71 @@ class TestGapArgument:
         monkeypatch.setattr(gap_calc, "dim_prop_bound", descent)
         with pytest.raises(RuntimeError, match="disagree"):
             gap_argument_sweep(12)
+
+
+def gap_walk(max_n):
+    """The sweep as one `verify_gap_argument` report per admissible triple."""
+    report = GapSweepReport(max_n=max_n)
+    for n in range(1, max_n + 1):
+        a = 0
+        while True:
+            lo, hi = ineq1_b_range(n, a)
+            if lo > hi:
+                break
+            for b in range(lo, hi + 1):
+                r = verify_gap_argument(n, a, b)
+                report.checks += 1
+                if r.case == "I":
+                    report.case_i += 1
+                else:
+                    report.case_ii += 1
+                if not r.holds:
+                    report.violations.append(r)
+            a += 1
+    return report
+
+
+# concave dips planted in D_m: real value minus a convex function of b
+DIPS = {
+    "one": (lambda a, b: 1, None),
+    "late-3": (lambda a, b: max(0, b - 3), "hi"),
+    "late-12": (lambda a, b: max(0, b - 12), "hi"),
+    "early-2": (lambda a, b: max(0, 2 - b), "lo"),
+    "early-9": (lambda a, b: max(0, 9 - b), "lo"),
+}
+
+
+class TestGapSweepEndpoints:
+    @pytest.mark.parametrize("name", DIPS)
+    def test_planted_dips_match_the_walk(self, monkeypatch, name):
+        dip, only_end = DIPS[name]
+        real = gap_calc._dim_bound
+        monkeypatch.setattr(gap_calc, "_dim_bound", lambda a, b, m: real(a, b, m) - dip(a, b))
+        report = gap_argument_sweep(40)
+        assert report == gap_walk(40)
+        assert not report.ok
+        if only_end is not None:
+            # some block fails at this end alone, so a sweep that looked
+            # only at the other end would miss it
+            bad = {(r.n, r.a, r.b) for r in report.violations}
+
+            def fails(n, a, end):
+                lo, hi = ineq1_b_range(n, a)
+                return (n, a, lo if end == "lo" else hi) in bad
+
+            other = "hi" if only_end == "lo" else "lo"
+            assert any(fails(n, a, only_end) and not fails(n, a, other) for n, a, _ in bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 4000), st.data())
+    def test_slack_is_least_at_a_block_end(self, n, data):
+        # the concavity the sweep relies on, with the real D_m
+        a = data.draw(st.integers(0, (math.isqrt(4 * n - 3) - 3) // 2))
+        lo, hi = ineq1_b_range(n, a)
+        n1, n2 = gap_calc._halves(n)
+        base = nab_value(NabForm(n, a, 0))
+        f = [gap_calc._slack(a, b, n1, n2, base) for b in range(lo, hi + 1)]
+        assert min(f) == min(f[0], f[-1])
 
 
 class TestPlanePropagation:

@@ -55,7 +55,7 @@ import pytest
 import macgap.cli
 from macgap import binom_core, gap_calc, hermitian, polyspace
 from macgap.binom_core import LemmaSweepReport, op_minus
-from macgap.gap_calc import GapSweepReport, NabForm, ineq1_b_range, nab_minus, nab_value
+from macgap.gap_calc import NabForm, nab_minus, nab_value
 from macgap.gaussint import clear
 from macgap.hermitian import Signature
 from macgap.polyspace import (
@@ -79,6 +79,7 @@ from macgap.polyspace import (
     veronese_components,
 )
 from test_bench_smoke import load_workloads
+from test_gap_calc import gap_walk
 
 
 def _reference_rank(rows, H, degree):
@@ -393,31 +394,11 @@ def gap_reference(monkeypatch):
             form = nab_minus(form)
         return nab_value(form)
 
-    def sweep(max_n):
-        # one full verify_gap_argument report per admissible triple
-        report = GapSweepReport(max_n=max_n)
-        for n in range(1, max_n + 1):
-            a = 0
-            while True:
-                lo, hi = ineq1_b_range(n, a)
-                if lo > hi:
-                    break
-                for b in range(lo, hi + 1):
-                    r = gap_calc.verify_gap_argument(n, a, b)
-                    report.checks += 1
-                    if r.case == "I":
-                        report.case_i += 1
-                    else:
-                        report.case_ii += 1
-                    if not r.holds:
-                        report.violations.append(r)
-                a += 1
-        return report
-
     def enter():
         monkeypatch.setattr(gap_calc, "dim_prop_bound", dim_prop_bound)
-        monkeypatch.setattr(gap_calc, "gap_argument_sweep", sweep)
-        monkeypatch.setattr(macgap.cli, "gap_argument_sweep", sweep)
+        # one full verify_gap_argument report per admissible triple
+        monkeypatch.setattr(gap_calc, "gap_argument_sweep", gap_walk)
+        monkeypatch.setattr(macgap.cli, "gap_argument_sweep", gap_walk)
 
     return enter
 
@@ -428,6 +409,8 @@ def test_index_suites_match_their_references(lemma3_reference, gap_reference):
         ["verify", "lemma3", "--json", "--max-m", "3", "--max-k", "7"],
         ["verify", "gap-argument", "--json", "--max-n", "30"],
         ["verify", "gap-argument", "--json", "--max-n", "7"],
+        # the size the index-calc benchmark runs
+        ["verify", "gap-argument", "--json", "--max-n", "120"],
     ]
     fast = [cli_stdout(argv) for argv in commands]
     lemma3_reference()
