@@ -180,7 +180,9 @@ def _check_rank_work(run: str, lo: int, max_n: int, max_degree: int,
 def _green(args):
     max_n = args.max_n or 3
     max_degree = args.max_degree or 3
-    # each subspace ranks its M once and once per hyperplane
+    # each subspace ranks its M once and once per hyperplane; one whose
+    # trials all miss draws up to `trials` more, so the uncounted worst
+    # case is subspaces * (2 * trials + 1) ranks, at most twice the count
     _check_rank_work(
         f"green run --subspaces {args.subspaces} --trials {args.trials}",
         2, max_n, max_degree, args.subspaces * (args.trials + 1),

@@ -12,18 +12,18 @@ which peels singleton columns and rows before eliminating what is left;
 genericity is handled by sampling: codimension claims take the best
 (minimum) value over sampled hyperplanes, span claims take the maximum.
 
-The harnesses rank a restricted subspace as the product M_W . R_H of its
-cleared coefficient rows and the restriction matrix of the hyperplane, on
-integers.  R_H comes from a template cached per (n_vars, degree, pivot),
-which holds the multinomial terms of every power of the substituted form
-and the column each term lands on; a hyperplane only fills in the powers
-of its own coefficients, and M_W is multiplied by the sparse R_H directly.
-`restricted_rank` restricts Gaussian input through `restrict` instead.
-`green_suite` draws M_W, and both harnesses draw their hyperplanes, as
-plain integers, with the same RNG calls as `random_subspace` and
-`random_hyperplane`.  The references stay: `restrict` restricts one
-polynomial, and `random_subspace` + `cleared_rows` and `random_hyperplane`
-are the draws the integer ones must reproduce.
+There are two ways to restrict.  The suites use one integer kernel,
+`_int_restricted_rank`: the rank of M_W . R_H, a subspace's integer
+coefficient rows times the restriction matrix of an integer hyperplane.
+R_H comes from a template cached per (n_vars, degree, pivot), which holds
+the multinomial terms of every power of the substituted form and the
+column each term lands on; a hyperplane only fills in the powers of its
+own coefficients.  The suites draw M_W and the hyperplanes as plain
+integers, with the same RNG calls as `random_subspace` and
+`random_hyperplane`.  Everything else, Gaussian input and the library
+verifiers included, restricts with the plain `GRat` substitution of
+`restrict` and ranks with `exact_rank`: the reference that the kernel and
+its draws must reproduce.
 """
 
 from __future__ import annotations
@@ -396,81 +396,32 @@ class Hyperplane(FrozenRecord):
         self._freeze(coeffs, pivot)
 
 
-def _pivot_powers(H: Hyperplane, top: int):
-    """Powers 0..top of the substituted form z_pivot = sum_j r_j z_j,
-    r_j = -c_j/c_pivot, as (t, powers): powers[k] maps exponent vectors in
-    the n_vars-1 remaining variables to the Gaussian-integer pairs of
-    (t * sum_j r_j z_j)^k, t > 0 the common denominator of the parts of
-    the r_j."""
-    # r_j = -c_j * conj(c_pivot) / norm, and t = norm / gcd(norm, all parts)
-    form = clear(H.coeffs)[1]
-    pa, pb = form[H.pivot]
-    norm = pa * pa + pb * pb
-    nums = [
-        (-(a * pa + b * pb), a * pb - b * pa)
-        for j, (a, b) in enumerate(form)
-        if j != H.pivot
-    ]
-    g = math.gcd(norm, *(x for pair in nums for x in pair))
-    m = len(nums)
-    lin = {
-        tuple(int(j == k) for j in range(m)): (a // g, b // g)
-        for k, (a, b) in enumerate(nums)
-        if a or b
-    }
-    powers = [{(0,) * m: (1, 0)}]
-    for _ in range(top):
-        nxt: dict[tuple[int, ...], tuple[int, int]] = {}
-        for e1, (a1, b1) in powers[-1].items():
-            for e2, (a2, b2) in lin.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                a, b = nxt.get(e, (0, 0))
-                nxt[e] = (a + a1 * a2 - b1 * b2, b + a1 * b2 + b1 * a2)
-        powers.append(nxt)
-    return norm // g, powers
-
-
-def _check_restrictable(n_vars: int, H: Hyperplane) -> None:
-    if n_vars != len(H.coeffs):
-        raise ValueError("hyperplane lives in a different variable count")
-    if n_vars < 2:
-        raise ValueError("restriction needs at least two variables")
-
-
 def restrict(p: Poly, H: Hyperplane) -> Poly:
-    """Substitute z_pivot = -(1/c_pivot) * sum of the other terms; exact,
+    """Substitute z_pivot = sum_{j != pivot} (-c_j/c_pivot) z_j: exact,
     homogeneous of the same degree in n_vars-1 variables.
 
-    This is the reference for `restricted_rank`, which restricts a whole
-    subspace at once."""
-    _check_restrictable(p.n_vars, H)
-    piv = H.pivot
-    # denominators are cleared up front so the expansion runs on
-    # Gaussian-integer pairs; rationals reappear only in the output
-    dp = 1
-    for c in p.coeffs.values():
-        dp = math.lcm(dp, c.re.denominator, c.im.denominator)
-    max_e = max((e[piv] for e in p.coeffs), default=0)
-    t, powers = _pivot_powers(H, max_e)
-    den = dp * t**max_e
-    acc: dict[tuple[int, ...], tuple[int, int]] = {}
+    Plain `GRat` substitution: the powers of the substituted form are
+    `Poly` products.  Every restriction outside the suites goes through
+    here; it is also the reference for the suites' integer kernel,
+    `_int_restricted_rank`."""
+    if p.n_vars != len(H.coeffs):
+        raise ValueError("hyperplane lives in a different variable count")
+    if p.n_vars < 2:
+        raise ValueError("restriction needs at least two variables")
+    piv, m = H.pivot, p.n_vars - 1
+    others = H.coeffs[:piv] + H.coeffs[piv + 1:]
+    form = Poly(m, 1, {e: -c / H.coeffs[piv] for e, c in zip(monomial_basis(m, 1), others)})
+    powers = [Poly(m, 0, {(0,) * m: GRat(1)})]
+    for _ in range(max((e[piv] for e in p.coeffs), default=0)):
+        powers.append(powers[-1] * form)
+    acc: dict[tuple[int, ...], GRat] = {}
+    zero = GRat()
     for exps, c in p.coeffs.items():
         rest = exps[:piv] + exps[piv + 1:]
-        ep = exps[piv]
-        lift = t ** (max_e - ep)
-        ca = int(c.re * dp) * lift
-        cb = int(c.im * dp) * lift
-        for le, (a, b) in powers[ep].items():
+        for le, v in powers[exps[piv]].coeffs.items():
             e = tuple(x + y for x, y in zip(le, rest))
-            xa, xb = acc.get(e, (0, 0))
-            acc[e] = (xa + a * ca - b * cb, xb + a * cb + b * ca)
-    out: dict[tuple[int, ...], GRat] = {}
-    for e, (a, b) in acc.items():
-        if a or b:
-            out[e] = GRat(Fraction(a, den), Fraction(b, den))
-    q = Poly.__new__(Poly)
-    q.n_vars, q.degree, q.coeffs = p.n_vars - 1, p.degree, out
-    return q
+            acc[e] = acc.get(e, zero) + c * v
+    return Poly(m, p.degree, acc)
 
 
 # Shapes whose restriction template stays cached; a sweep uses a handful.
@@ -602,7 +553,8 @@ def subspace_rank(W: PolySubspace) -> int:
 
 def cleared_rows(polys, n_vars: int, degree: int) -> list[list[tuple[int, int]]]:
     """The nonzero coefficient rows of `polys`, each scaled to Gaussian-integer
-    pairs: the M_W that `restricted_rank` multiplies by R_H."""
+    pairs.  Their real parts are the M_W that `_int_restricted_rank`
+    multiplies by R_H in `veronese_suite`."""
     return [clear(r)[1] for r in coefficient_rows(polys, n_vars, degree) if any(r)]
 
 
@@ -613,9 +565,9 @@ def _int_restriction_rows(form: list[int], pivot: int, degree: int):
     monomial_basis(len(form), degree), every row scaled by t**degree; all
     other entries are zero.
 
-    For an integer form, the scaling of `_pivot_powers` reduces to
-    t = |c_pivot| / g and t*r_j = -sign(c_pivot) * c_j / g, g the gcd of
-    the form; the entry of term (multinomial, beta) of a row with
+    The substitution z_pivot = sum_j r_j z_j has r_j = -c_j/c_pivot, which
+    t = |c_pivot| / g clears: t*r_j = -sign(c_pivot) * c_j / g, g the gcd
+    of the form.  The entry of term (multinomial, beta) of a row with
     e_pivot = e is t**(degree-e) * multinomial * prod_k (t*r_k)**beta_k."""
     ncols, terms, rows = _restriction_template(len(form), degree, pivot)
     g = math.gcd(*form)
@@ -639,9 +591,12 @@ def _int_restriction_rows(form: list[int], pivot: int, degree: int):
 def _int_restricted_rank(
     M: list[list[int]], form: list[int], pivot: int, degree: int
 ) -> int:
-    """`restricted_rank` for integer rows M (cleared rows without imaginary
-    parts) and the hyperplane of the integer form `form` with that pivot:
-    the rank of M . R_H, with M multiplied by the sparse R_H directly."""
+    """The suites' restriction kernel: the rank of the restrictions of the
+    polynomials with integer coefficient rows M (over monomial_basis order)
+    to the hyperplane of the integer form `form` with that pivot.  It is
+    the rank of M . R_H, with M multiplied by the sparse R_H directly, and
+    equals exact_rank(coefficient_rows([restrict(p, H) ...])), its
+    reference; M is not modified, so one M serves many hyperplanes."""
     if not M:
         return 0
     ncols, R = _int_restriction_rows(form, pivot, degree)
@@ -654,36 +609,6 @@ def _int_restricted_rank(
                     out[col] += v * r
         product.append(out)
     return _rank_int(product)
-
-
-def restricted_rank(M: list[list[tuple[int, int]]], H: Hyperplane, degree: int) -> int:
-    """Rank of the restrictions to H of the degree-`degree` polynomials whose
-    cleared rows are M.  When M and H have no imaginary parts it is
-    rank(M . R_H) on integers, with R_H read off the template of H's shape
-    (`_int_restricted_rank`); Gaussian input is restricted member by member
-    through `restrict`.
-
-    Equal to exact_rank(coefficient_rows([restrict(p, H) ...])), which is the
-    reference; M is not modified, so one M serves many hyperplanes."""
-    if not M:
-        return 0
-    n_vars = len(H.coeffs)
-    _check_restrictable(n_vars, H)
-    size = math.comb(n_vars - 1 + degree, degree)
-    if any(len(row) != size for row in M):
-        raise ValueError(
-            f"rows of M must have {size} entries, one per monomial of "
-            f"degree {degree} in {n_vars} variables"
-        )
-    form = clear(H.coeffs)[1]
-    if all(b == 0 for _, b in form) and all(b == 0 for row in M for _, b in row):
-        return _int_restricted_rank(
-            [[a for a, _ in row] for row in M], [a for a, _ in form], H.pivot, degree
-        )
-    basis = monomial_basis(n_vars, degree)
-    polys = [Poly(n_vars, degree, {e: GRat(a, b) for e, (a, b) in zip(basis, row)})
-             for row in M]
-    return exact_rank(coefficient_rows([restrict(p, H) for p in polys], n_vars - 1, degree))
 
 
 def _random_int_rows(rng: random.Random, n_vars: int, degree: int) -> list[list[int]]:
@@ -736,16 +661,18 @@ def _green_record(n: int, d: int, c: int, c_h: int) -> GreenRecord:
 
 
 def verify_green(W: PolySubspace, H: Hyperplane) -> GreenRecord:
-    """Codimension of one restriction against the shifted codimension bound.
-
-    The bound only applies to a general hyperplane; callers sampling several
-    hyperplanes should compare the minimum c_h against it.
+    """Codimension of one restriction against the shifted codimension bound:
+    c of W and c_h of its `restrict`ed members, both by `exact_rank`, the
+    plain reference for `green_suite`.  The bound only applies to a general
+    hyperplane; callers sampling several hyperplanes should compare the
+    minimum c_h against it.
     """
     n = W.n_vars - 1
     d = W.degree
-    M = cleared_rows(W.basis, W.n_vars, d)
-    c = math.comb(n + d, d) - _rank_pairs([row[:] for row in M])
-    return _green_record(n, d, c, math.comb(n - 1 + d, d) - restricted_rank(M, H, d))
+    c = math.comb(n + d, d) - subspace_rank(W)
+    restricted = [restrict(p, H) for p in W.basis]
+    c_h = math.comb(n - 1 + d, d) - exact_rank(coefficient_rows(restricted, n, d))
+    return _green_record(n, d, c, c_h)
 
 
 class GreenSuiteReport(Record):
@@ -850,11 +777,11 @@ def verify_restriction_theorem(
     bound = op_minus(N, n)
     d = components[0].degree
     rng = rng_for(seed, f"restriction|n{n}|d{d}")
-    M = cleared_rows(components, n_vars, d)
-    dims = [
-        restricted_rank(M, random_hyperplane(rng, n_vars), d) - 1
-        for _ in range(trials)
-    ]
+    dims = []
+    for _ in range(trials):
+        H = random_hyperplane(rng, n_vars)
+        restricted = [restrict(p, H) for p in components]
+        dims.append(exact_rank(coefficient_rows(restricted, n, d)) - 1)
     best = max(dims)
     return RestrictionRecord(
         n=n, N=N, bound=bound, dims=tuple(dims), max_dim=best, holds=best >= bound

@@ -1,5 +1,5 @@
 """The `index-calc` and `green-sweep` benchmark plans, run through the
-command line.
+command line, and the names the traced benchmark pass wraps.
 
 Every op of the seed-0, seed-1 and seed-2 `index-calc` plans (both sweeps,
 `macaulay 1000000 2`, the small `macaulay` and `gap` ops) and of the seed-0
@@ -7,11 +7,14 @@ Every op of the seed-0, seed-1 and seed-2 `index-calc` plans (both sweeps,
 through `macgap.cli.main` with its output captured, and must give the exit
 code and the known answer that the benchmark's own checks in
 bench/workloads.py expect.  The seed-0 `map-queries` plan runs against its
-known answers in test_reference_mode.py.  The module is only imported,
+known answers in test_reference_mode.py.  Every (module, attribute) that
+bench/layers.py traces must resolve, since `Tracer.install` would raise
+AttributeError on a name that is gone.  Both modules are only imported,
 never changed.
 """
 
 import contextlib
+import importlib
 import importlib.util
 import io
 import sys
@@ -19,16 +22,20 @@ from pathlib import Path
 
 import macgap.cli
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_workloads(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+def load_bench(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while it executes
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+def load_workloads(monkeypatch):
+    return load_bench("workloads", monkeypatch)
 
 
 def _failures(plan, seed):
@@ -60,3 +67,14 @@ def test_green_sweep_known_answers(tmp_path, monkeypatch):
     kinds = [op.kind for op in plan.ops]
     assert (kinds.count("green"), kinds.count("restriction")) == (180, 4)
     assert _failures(plan, 0) == []
+
+
+def test_traced_names_resolve(monkeypatch):
+    missing = []
+    for modname, attr, _, _ in load_bench("layers", monkeypatch).TRACED:
+        owner = importlib.import_module(modname)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{modname}.{attr}")
+    assert missing == []

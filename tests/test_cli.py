@@ -322,11 +322,10 @@ class TestVerify:
     ])
     def test_suites_stay_on_the_integer_kernel(self, capsys, monkeypatch, argv):
         # the suites restrict through the integer template alone, never
-        # through `restricted_rank` or the per-polynomial `restrict`
+        # through the per-polynomial `restrict`
         def refuse(*args, **kwargs):
             raise AssertionError("a suite left the integer restriction kernel")
 
-        monkeypatch.setattr(macgap.polyspace, "restricted_rank", refuse)
         monkeypatch.setattr(macgap.polyspace, "restrict", refuse)
         rc, _, err = run(capsys, *argv)
         assert (rc, err) == (0, "")

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +30,6 @@ from macgap.polyspace import (
     random_subspace,
     rank_work_upto,
     restrict,
-    restricted_rank,
     rng_for,
     subspace_rank,
     support_rows,
@@ -376,6 +374,47 @@ def plane(ints, pivot=None):
     return Hyperplane(coeffs, pivot)
 
 
+@st.composite
+def hyperplane_st(draw, n_vars):
+    """Gaussian-rational linear form with any nonzero coefficient as pivot."""
+    coeffs = draw(st.lists(grat_st, min_size=n_vars, max_size=n_vars))
+    if not any(coeffs):
+        coeffs[draw(st.integers(0, n_vars - 1))] = draw(grat_st.filter(bool))
+    pivot = draw(st.sampled_from([i for i, c in enumerate(coeffs) if c]))
+    return Hyperplane(tuple(coeffs), pivot)
+
+
+@st.composite
+def int_hyperplane_st(draw, n_vars):
+    """Linear form with integer coefficients in [-9, 9]."""
+    ints = draw(st.lists(st.integers(-9, 9), min_size=n_vars, max_size=n_vars))
+    if not any(ints):
+        ints[0] = 1
+    pivot = draw(st.sampled_from([i for i, v in enumerate(ints) if v]))
+    return Hyperplane(tuple(GRat(v) for v in ints), pivot)
+
+
+def lift(H, x):
+    """The point of H over x: x with z_pivot = -sum_j c_j x_j / c_pivot
+    inserted at the pivot."""
+    piv = H.pivot
+    total = GRat()
+    for c, v in zip(H.coeffs[:piv] + H.coeffs[piv + 1:], x):
+        total = total + c * v
+    return x[:piv] + [-total / H.coeffs[piv]] + x[piv:]
+
+
+# Gaussian forms with fractional parts, pivots off the first coordinate and
+# real forms over imaginary sections
+GAUSSIAN_PLANES = [
+    Hyperplane((GRat(1, 2), GRat(Fraction(1, 3)), GRat(0, -1)), 0),
+    Hyperplane((GRat(0), GRat(2), GRat(Fraction(3, 4), 1)), 2),
+    Hyperplane((GRat(5), GRat(0, 1), GRat(-3)), 1),
+    Hyperplane((GRat(1), GRat(0, 1)), 0),
+    Hyperplane((GRat(2), GRat(0, 1), GRat(1, 1)), 1),
+]
+
+
 class TestRestrict:
     def test_kills_pivot_square(self):
         assert restrict(mono(3, (2, 0, 0)), plane([1, 0, 0])).is_zero
@@ -416,6 +455,33 @@ class TestRestrict:
         lhs = restrict(p.scale(a) + q.scale(b), H)
         rhs = restrict(p, H).scale(a) + restrict(q, H).scale(b)
         assert lhs == rhs
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_commutes_with_evaluation(self, data):
+        # the restriction at x is p on the point of H over x; `evaluate`
+        # shares no expansion code with `restrict`
+        nv = data.draw(st.integers(2, 4), label="n_vars")
+        d = data.draw(st.integers(0, 4), label="degree")
+        p = data.draw(poly_st(n_vars=nv, degree=d), label="p")
+        H = data.draw(hyperplane_st(nv), label="H")
+        x = data.draw(st.lists(grat_st, min_size=nv - 1, max_size=nv - 1), label="x")
+        assert restrict(p, H).evaluate(x) == p.evaluate(lift(H, x))
+
+    @pytest.mark.parametrize("H", GAUSSIAN_PLANES)
+    def test_evaluation_on_gaussian_planes(self, H):
+        nv = len(H.coeffs)
+        i = GRat(0, 1)
+        polys = [mono(nv, e) for e in monomial_basis(nv, 2)] + [
+            mono(nv, (2,) + (0,) * (nv - 1)) + mono(nv, (0,) * (nv - 2) + (1, 1), i),
+            mono(nv, (0,) * (nv - 1) + (3,), GRat(Fraction(-2, 7)))
+            + mono(nv, (1, 2) + (0,) * (nv - 2)),
+        ]
+        rng = rng_for(nv, "evaluation")
+        for _ in range(3):
+            x = [GRat(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(nv - 1)]
+            for p in polys:
+                assert restrict(p, H).evaluate(x) == p.evaluate(lift(H, x))
 
 
 class TestExactRank:
@@ -541,29 +607,14 @@ class TestSubspaceRank:
             ) <= subspace_rank(W)
 
 
-@st.composite
-def hyperplane_st(draw, n_vars):
-    """Gaussian-rational linear form with any nonzero coefficient as pivot."""
-    coeffs = draw(st.lists(grat_st, min_size=n_vars, max_size=n_vars))
-    if not any(coeffs):
-        coeffs[draw(st.integers(0, n_vars - 1))] = draw(grat_st.filter(bool))
-    pivot = draw(st.sampled_from([i for i, c in enumerate(coeffs) if c]))
-    return Hyperplane(tuple(coeffs), pivot)
-
-
-@st.composite
-def int_hyperplane_st(draw, n_vars):
-    """Linear form with integer coefficients in [-9, 9]."""
-    ints = draw(st.lists(st.integers(-9, 9), min_size=n_vars, max_size=n_vars))
-    if not any(ints):
-        ints[0] = 1
-    pivot = draw(st.sampled_from([i for i, v in enumerate(ints) if v]))
-    return Hyperplane(tuple(GRat(v) for v in ints), pivot)
-
-
 def reference_restricted_rank(polys, H, n_vars, d):
     restricted = [restrict(p, H) for p in polys]
     return exact_rank(coefficient_rows(restricted, n_vars - 1, d))
+
+
+def int_rows(polys, n_vars, d):
+    """The integer M of real members: real parts of their cleared rows."""
+    return [[a for a, _ in row] for row in cleared_rows(polys, n_vars, d)]
 
 
 class TestRestrictedRank:
@@ -572,13 +623,10 @@ class TestRestrictedRank:
     def test_matches_restrict_reference(self, data):
         nv = data.draw(st.integers(2, 4))
         d = data.draw(st.integers(0, 3))
-        # in about half the examples the members are real and the form is
-        # integer, which `restricted_rank` ranks on the integer template
-        real = data.draw(st.booleans(), label="real")
-        coeff = real_grat_st if real else grat_st
         # members may be zero and the list may be empty
-        polys = data.draw(st.lists(poly_st(n_vars=nv, degree=d, coeff=coeff), max_size=5))
-        H = data.draw(int_hyperplane_st(nv) if real else hyperplane_st(nv))
+        polys = data.draw(st.lists(poly_st(n_vars=nv, degree=d, coeff=real_grat_st),
+                                   max_size=5))
+        H = data.draw(int_hyperplane_st(nv))
         if d >= 1:
             # multiples of the form restrict to zero, so the restricted rank
             # drops below the generic value
@@ -589,60 +637,31 @@ class TestRestrictedRank:
             polys += [
                 form * q
                 for q in data.draw(st.lists(
-                    poly_st(n_vars=nv, degree=d - 1, coeff=coeff), max_size=3
+                    poly_st(n_vars=nv, degree=d - 1, coeff=real_grat_st), max_size=3
                 ))
             ]
         polys = data.draw(st.permutations(polys))
-        M = cleared_rows(polys, nv, d)
-        fast = polyspace._int_restricted_rank
-        with mock.patch.object(polyspace, "_int_restricted_rank", wraps=fast) as spy:
-            got = restricted_rank(M, H, d)
-        assert spy.called == (real and bool(M))
+        M = int_rows(polys, nv, d)
+        got = polyspace._int_restricted_rank(M, [int(c.re) for c in H.coeffs], H.pivot, d)
         assert got == reference_restricted_rank(polys, H, nv, d)
         # M is not modified, so one M serves many hyperplanes
-        assert M == cleared_rows(polys, nv, d)
-
-    @pytest.mark.parametrize("coeffs, pivot", [
-        ((GRat(1, 2), GRat(Fraction(1, 3)), GRat(0, -1)), 0),
-        ((GRat(0), GRat(2), GRat(Fraction(3, 4), 1)), 2),
-        ((GRat(5), GRat(0, 1), GRat(-3)), 1),
-    ])
-    def test_gaussian_pivots_off_first_coordinate(self, coeffs, pivot):
-        H = Hyperplane(coeffs, pivot)
-        i = GRat(0, 1)
-        polys = [
-            mono(3, (2, 0, 0)) + mono(3, (0, 1, 1), i),
-            mono(3, (0, 0, 2), GRat(Fraction(-2, 7))) + mono(3, (1, 1, 0)),
-            Poly(3, 2, {}),
-            mono(3, (0, 2, 0), GRat(1, 1)),
-        ]
-        got = restricted_rank(cleared_rows(polys, 3, 2), H, 2)
-        assert got == reference_restricted_rank(polys, H, 3, 2)
-
-    def test_real_members_gaussian_form(self):
-        # z0 = -i z1 on the section: the restriction of z0 is purely imaginary
-        H = Hyperplane((GRat(1), GRat(0, 1)), 0)
-        assert restricted_rank(cleared_rows([mono(2, (1, 0))], 2, 1), H, 1) == 1
-        H = Hyperplane((GRat(2), GRat(0, 1), GRat(1, 1)), 1)
-        polys = [mono(3, e) for e in monomial_basis(3, 2)[:4]]
-        got = restricted_rank(cleared_rows(polys, 3, 2), H, 2)
-        assert got == reference_restricted_rank(polys, H, 3, 2) == 3
+        assert M == int_rows(polys, nv, d)
 
     def test_zero_subspace(self):
-        H = plane([1, 2, 3])
-        assert restricted_rank([], H, 2) == 0
-        assert restricted_rank(cleared_rows([Poly(3, 2, {})], 3, 2), H, 2) == 0
-        rec = verify_green(PolySubspace(3, 2, []), H)
+        assert polyspace._int_restricted_rank([], [1, 2, 3], 0, 2) == 0
+        assert polyspace._int_restricted_rank([[0] * 6], [1, 2, 3], 0, 2) == 0
+        rec = verify_green(PolySubspace(3, 2, []), plane([1, 2, 3]))
         assert (rec.c, rec.c_h) == (6, 3)
 
     def test_two_variables(self):
         # the section of P^1 is a point: the restricted space has dimension 1
-        H = plane([2, -3])
-        polys = veronese_components(2, 3)
-        assert restricted_rank(cleared_rows(polys, 2, 3), H, 3) == 1
-        assert restricted_rank(cleared_rows([mono(2, (3, 0))], 2, 3), H, 3) == 1
-        assert restricted_rank(cleared_rows([mono(2, (0, 3))], 2, 3), H, 3) == 1
-        assert restricted_rank(cleared_rows([Poly(2, 3, {})], 2, 3), H, 3) == 0
+        def rank(polys):
+            return polyspace._int_restricted_rank(int_rows(polys, 2, 3), [2, -3], 0, 3)
+
+        assert rank(veronese_components(2, 3)) == 1
+        assert rank([mono(2, (3, 0))]) == 1
+        assert rank([mono(2, (0, 3))]) == 1
+        assert rank([Poly(2, 3, {})]) == 0
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -669,12 +688,7 @@ class TestRestrictedRank:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            restricted_rank([[(1, 0)]], Hyperplane((GRat(1),), 0), 2)
-        with pytest.raises(ValueError):
             cleared_rows([mono(2, (1, 1))], 3, 2)
-        # rows of the wrong length for the degree and variable count
-        with pytest.raises(ValueError):
-            restricted_rank(cleared_rows([mono(3, (1, 1, 0))], 3, 2), plane([1, 2, 3]), 3)
 
     def test_template_cache_is_bounded(self):
         polyspace._restriction_template.cache_clear()
@@ -687,17 +701,44 @@ class TestRestrictedRank:
         assert info.currsize <= polyspace.TEMPLATE_CACHE < 56
 
     def test_verify_green_reuses_rows(self):
-        # one cleared row matrix serves many hyperplanes: the restricted
-        # rank read off it gives verify_green's c_h, and it stays unmodified
+        # on integer W and H, verify_green's c_h, from `restrict`, is the
+        # kernel's, and one row matrix serves every hyperplane unmodified
         rng = rng_for(4, "reuse")
         W = PolySubspace(4, 3, [mono(4, e) for e in monomial_basis(4, 3)[::3]])
-        M = cleared_rows(W.basis, 4, 3)
+        M = int_rows(W.basis, 4, 3)
         for _ in range(5):
             H = random_hyperplane(rng, 4)
             rec = verify_green(W, H)
-            assert rec.c_h == math.comb(2 + 3, 3) - restricted_rank(M, H, 3)
+            form = [int(c.re) for c in H.coeffs]
+            rank = polyspace._int_restricted_rank(M, form, H.pivot, 3)
+            assert rec.c_h == math.comb(2 + 3, 3) - rank
             assert rec.c == math.comb(3 + 3, 3) - subspace_rank(W)
-        assert M == cleared_rows(W.basis, 4, 3)
+        assert M == int_rows(W.basis, 4, 3)
+
+    def test_references_stay_off_the_template(self, monkeypatch):
+        # the mirror of the CLI's test_suites_stay_on_the_integer_kernel:
+        # the library verifiers restrict through `restrict` alone
+        W = PolySubspace(4, 3, [mono(4, e) for e in monomial_basis(4, 3)[::3]])
+        i = GRat(0, 1)
+        G = PolySubspace(3, 2, [mono(3, (2, 0, 0)) + mono(3, (0, 1, 1), i),
+                                mono(3, (1, 1, 0))])
+
+        def run():
+            greens = [verify_green(W, plane([3, -1, 0, 2], 1))]
+            greens += [verify_green(G, H) for H in GAUSSIAN_PLANES if len(H.coeffs) == 3]
+            return greens, [
+                verify_restriction_theorem(veronese_components(3, 2), trials=6, seed=1),
+                verify_restriction_theorem(G.basis, trials=3, seed=2),
+            ]
+
+        want = run()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a reference reached the integer kernel")
+
+        monkeypatch.setattr(polyspace, "_restriction_template", refuse)
+        monkeypatch.setattr(polyspace, "_int_restricted_rank", refuse)
+        assert run() == want
 
 
 class TestIntegerDraws:

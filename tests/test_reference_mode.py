@@ -12,9 +12,9 @@ The `reference_mode` fixture swaps every fast path of `verify green` and
   meets it);
 - the integer draws for `random_subspace` + `cleared_rows` and
   `random_hyperplane`;
-- both restricted ranks (the integer template R_H times M, and
-  `restricted_rank`, which takes it for real input) for `exact_rank` of
-  the `restrict`ed members;
+- the integer restricted rank (the template R_H times M) for `exact_rank`
+  of the `restrict`ed members, which is also what the reference green loop
+  runs through `verify_green`;
 - the restriction template for a stub that fails if anything still
   reaches it.
 
@@ -97,9 +97,13 @@ def _int_rows(rng, n_vars, degree):
     return [[a for a, _ in row] for row in cleared_rows(W.basis, n_vars, degree)]
 
 
+def _int_form(H):
+    return [int(c.re) for c in H.coeffs]
+
+
 def _form(rng, n_vars):
     H = random_hyperplane(rng, n_vars)
-    return [int(c.re) for c in H.coeffs], H.pivot
+    return _int_form(H), H.pivot
 
 
 def _no_template(*args):
@@ -121,16 +125,11 @@ def reference_mode(monkeypatch):
 
     monkeypatch.setattr(polyspace, "_int_restricted_rank", spy)
 
-    def restricted_rank(M, H, degree):
-        rank = _reference_rank([[GRat(a, b) for a, b in row] for row in M], H, degree)
-        # the suites restrict real subspaces to integer forms only
-        rows = [[a for a, _ in row] for row in M]
-        calls.append((rows, [int(c.re) for c in H.coeffs], H.pivot, degree, rank))
-        return rank
-
     def int_restricted_rank(M, form, pivot, degree):
         H = Hyperplane(tuple(GRat(v) for v in form), pivot)
-        return restricted_rank([[(v, 0) for v in row] for row in M], H, degree)
+        rank = _reference_rank([[GRat(v) for v in row] for row in M], H, degree)
+        calls.append((M, form, pivot, degree, rank))
+        return rank
 
     def green_suite(ns=(2, 3), ds=(2, 3), subspaces=200, trials=20, seed=0,
                     keep_records=False):
@@ -140,12 +139,18 @@ def reference_mode(monkeypatch):
                 for i in range(subspaces):
                     rng = rng_for(seed, f"green|n{n}|d{d}|s{i}")
                     W = random_subspace(rng, n + 1, d)
-                    recs = [
-                        verify_green(W, random_hyperplane(rng, n + 1))
-                        for _ in range(trials)
-                    ]
+                    # the suites restrict real subspaces to integer forms only
+                    rows = [[a for a, _ in row] for row in cleared_rows(W.basis, n + 1, d)]
+
+                    def check(H):
+                        rec = verify_green(W, H)
+                        rank = math.comb(n - 1 + d, d) - rec.c_h
+                        calls.append((rows, _int_form(H), H.pivot, d, rank))
+                        return rec
+
+                    recs = [check(random_hyperplane(rng, n + 1)) for _ in range(trials)]
                     while not any(r.holds for r in recs) and len(recs) < 2 * trials:
-                        recs.append(verify_green(W, random_hyperplane(rng, n + 1)))
+                        recs.append(check(random_hyperplane(rng, n + 1)))
                     best = min(recs, key=lambda r: r.c_h)
                     report.subspace_count += 1
                     report.checks += len(recs)
@@ -162,9 +167,10 @@ def reference_mode(monkeypatch):
                 comps = veronese_components(n + 1, d)
                 expected = op_minus(image_span_dim(comps), n)
                 rng = rng_for(seed, f"veronese|n{n}|d{d}")
-                M = cleared_rows(comps, n + 1, d)
+                M = [[a for a, _ in row] for row in cleared_rows(comps, n + 1, d)]
                 for _ in range(trials):
-                    rank = restricted_rank(M, random_hyperplane(rng, n + 1), d)
+                    H = random_hyperplane(rng, n + 1)
+                    rank = int_restricted_rank(M, _int_form(H), H.pivot, d)
                     report.checks += 1
                     if rank - 1 != expected:
                         report.violations.append((n, d, rank - 1, expected))
@@ -177,7 +183,6 @@ def reference_mode(monkeypatch):
             ("_random_int_rows", _int_rows),
             ("_random_form", _form),
             ("_int_restricted_rank", int_restricted_rank),
-            ("restricted_rank", restricted_rank),
             ("_restriction_template", _no_template),
         ]:
             monkeypatch.setattr(polyspace, name, ref)
