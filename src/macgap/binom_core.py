@@ -23,7 +23,7 @@ import math
 import operator
 from array import array
 
-from .record import FrozenRecord, Record
+from .record import FrozenRecord, SuiteReport
 
 
 class BinomTable:
@@ -128,19 +128,15 @@ def op_upper(A: int, n: int) -> int:
     return macaulay_rep(A, n).upper() if A else 0
 
 
-class LemmaSweepReport(Record):
-    """Outcome of the exhaustive split-identity sweep."""
+class LemmaSweepReport(SuiteReport):
+    """Outcome of the exhaustive split-identity sweep: each violation is a
+    failing quadruple (m, k, A, B)."""
 
-    __slots__ = ("m_max", "k_max", "checks", "counterexamples")
-
-    def __init__(self, m_max: int, k_max: int, checks: int,
-                 counterexamples: list[tuple[int, int, int, int]]):
-        self.m_max, self.k_max, self.checks = m_max, k_max, checks
-        self.counterexamples = counterexamples
+    __slots__ = ()
 
     @property
-    def ok(self) -> bool:
-        return not self.counterexamples
+    def counterexamples(self) -> list[tuple[int, int, int, int]]:
+        return self.violations
 
 
 def lemma_table(m_max: int, k_max: int) -> None:
@@ -259,4 +255,4 @@ def verify_lemma_binom(m_max: int, k_max: int, table=None) -> LemmaSweepReport:
                     if minus[A] + lower[total - A] != target:
                         bad.append((m, k, A, total - A))
             checks += total + 1
-    return LemmaSweepReport(m_max=m_max, k_max=k_max, checks=checks, counterexamples=bad)
+    return LemmaSweepReport(checks, bad)

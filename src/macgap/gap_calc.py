@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 from .binom_core import macaulay_rep, op_upper
-from .record import FrozenRecord, Record
+from .record import FrozenRecord, SuiteReport
 
 
 class NabForm(FrozenRecord):
@@ -193,17 +193,16 @@ def verify_gap_argument(n: int, a: int, b: int) -> GapArgumentReport:
     )
 
 
-class GapSweepReport(Record):
-    __slots__ = ("max_n", "checks", "case_i", "case_ii", "violations")
+class GapSweepReport(SuiteReport):
+    """A `SuiteReport` whose violations are `GapArgumentReport`s, with the
+    case I and case II triples counted apart."""
 
-    def __init__(self, max_n: int, checks: int = 0, case_i: int = 0,
-                 case_ii: int = 0, violations: list[GapArgumentReport] | None = None):
-        self.max_n, self.checks, self.case_i, self.case_ii = max_n, checks, case_i, case_ii
-        self.violations = [] if violations is None else violations
+    __slots__ = ("case_i", "case_ii")
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    def __init__(self, checks: int = 0, violations: list[GapArgumentReport] | None = None,
+                 case_i: int = 0, case_ii: int = 0):
+        super().__init__(checks, violations)
+        self.case_i, self.case_ii = case_i, case_ii
 
 
 def gap_argument_checks(max_n: int) -> int:
@@ -258,7 +257,7 @@ def gap_argument_sweep(max_n: int) -> GapSweepReport:
     two paths disagree.  In the worst case, every block failing, the walk
     adds one comparison per triple to the two per block.
     """
-    report = GapSweepReport(max_n=max_n)
+    report = GapSweepReport()
     for n in range(1, max_n + 1):
         n1, n2 = _halves(n)
         a = 0

@@ -27,7 +27,7 @@ from .polyspace import (
     parse_cleared,
     rng_for,
 )
-from .record import FrozenRecord, Record
+from .record import FrozenRecord, Record, SuiteReport
 
 
 class MapFormatError(ValueError):
@@ -91,28 +91,25 @@ class SignedMap:
     """Polynomial map with components in target-block order: r' positive,
     s' negative, t' null-weight.
 
-    A map holds its components as `Poly`s, as cleared Gaussian-integer
-    polynomials (L, {exps: (re, im)}) (`gaussint.clear`), or both; each
-    form is built from the other on first use.  A map read by `parse_map`
-    starts cleared, and the span, obstruction and certificate kernels read
-    only `cleared`, so the `Poly`s of a parsed map are built only when
-    something asks for `components`.
+    A map holds its components only as `cleared`: Gaussian-integer
+    polynomials (L, {exps: (re, im)}) (`gaussint.clear`).  The span,
+    obstruction and certificate kernels read only these; `components`
+    builds the `Poly`s from them on each call.
     """
 
-    __slots__ = ("source", "target", "degree", "_components", "_cleared")
+    __slots__ = ("source", "target", "degree", "cleared")
     __hash__ = None
 
     def __init__(self, source: Signature, target: Signature, degree: int,
                  components: list[Poly]):
         self.source, self.target, self.degree = source, target, degree
-        self._components = list(components)
-        self._cleared = None
-        self._check_count(len(self._components))
-        for p in self._components:
+        self._check_count(len(components))
+        for p in components:
             if p.n_vars != self.source.n_vars:
                 raise ValueError("component variable count does not match source")
             if p.degree != self.degree:
                 raise ValueError("component degree mismatch")
+        self.cleared = [clear(p.coeffs) for p in components]
 
     @classmethod
     def from_cleared(cls, source: Signature, target: Signature, degree: int,
@@ -122,9 +119,8 @@ class SignedMap:
         `degree`; they are not checked again."""
         f = cls.__new__(cls)
         f.source, f.target, f.degree = source, target, degree
-        f._components = None
-        f._cleared = list(cleared)
-        f._check_count(len(f._cleared))
+        f.cleared = cleared
+        f._check_count(len(cleared))
         return f
 
     def _check_count(self, count: int) -> None:
@@ -136,18 +132,8 @@ class SignedMap:
 
     @property
     def components(self) -> list[Poly]:
-        if self._components is None:
-            nv = self.source.n_vars
-            self._components = [
-                _from_pairs(nv, self.degree, P, L) for L, P in self._cleared
-            ]
-        return self._components
-
-    @property
-    def cleared(self) -> list[tuple[int, dict]]:
-        if self._cleared is None:
-            self._cleared = [clear(p.coeffs) for p in self._components]
-        return self._cleared
+        nv = self.source.n_vars
+        return [_from_pairs(nv, self.degree, P, L) for L, P in self.cleared]
 
     def __eq__(self, other):
         # the cleared form is canonical: L is least, so equal maps have
@@ -602,17 +588,15 @@ def span_obstruction_check(f: SignedMap, e_indices) -> ObstructionRecord:
 # ---------------------------------------------------------------------------
 # batch suite
 
-class SharpnessSuiteReport(Record):
-    __slots__ = ("max_k", "max_n", "maps", "checks", "violations")
+class SharpnessSuiteReport(SuiteReport):
+    """A `SuiteReport` whose violations are (k, n, check label) triples,
+    with the maps built counted."""
 
-    def __init__(self, max_k: int, max_n: int, maps: int = 0, checks: int = 0,
-                 violations: list | None = None):
-        self.max_k, self.max_n, self.maps, self.checks = max_k, max_n, maps, checks
-        self.violations = [] if violations is None else violations
+    __slots__ = ("maps",)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    def __init__(self, checks: int = 0, violations: list | None = None, maps: int = 0):
+        super().__init__(checks, violations)
+        self.maps = maps
 
 
 def sharpness_suite(max_k: int = 4, max_n: int = 12) -> SharpnessSuiteReport:
@@ -621,7 +605,7 @@ def sharpness_suite(max_k: int = 4, max_n: int = 12) -> SharpnessSuiteReport:
     full span, and the two endpoint classifications.  A max_n whose maps
     `parse_map` would refuse raises ValueError before any map is built."""
     _check_sharpness_size(max_n)
-    report = SharpnessSuiteReport(max_k=max_k, max_n=max_n)
+    report = SharpnessSuiteReport()
 
     def check(k, n, label, ok):
         report.checks += 1
@@ -635,7 +619,7 @@ def sharpness_suite(max_k: int = 4, max_n: int = 12) -> SharpnessSuiteReport:
             f = sharpness_map(k, n)
             report.maps += 1
             count = k * n + k
-            check(k, n, "component count", len(f.components) == count)
+            check(k, n, "component count", len(f.cleared) == count)
             span = cleared_span_dim([P for _, P in f.cleared])
             check(k, n, "linear independence", span + 1 == count)
             cert = orthogonality_certificate(f)
@@ -661,14 +645,15 @@ def format_map(f: SignedMap) -> str:
         f"target {f.target.r} {f.target.s} {f.target.t}",
         f"degree {f.degree}",
     ]
+    comps = f.components
     blocks = (
-        ("%pos", f.components[:f.target.r]),
-        ("%neg", f.components[f.target.r:f.target.r + f.target.s]),
-        ("%null", f.components[f.target.r + f.target.s:]),
+        ("%pos", comps[:f.target.r]),
+        ("%neg", comps[f.target.r:f.target.r + f.target.s]),
+        ("%null", comps[f.target.r + f.target.s:]),
     )
-    for sep, comps in blocks:
+    for sep, block in blocks:
         lines.append(sep)
-        lines.extend(format_poly(p) for p in comps)
+        lines.extend(format_poly(p) for p in block)
     return "\n".join(lines) + "\n"
 
 

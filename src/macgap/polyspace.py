@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .binom_core import comb_upto, op_lower, op_minus
 from .gaussint import _rank_int, _rank_pairs, clear, span_rank
-from .record import FrozenRecord, Record
+from .record import FrozenRecord, Record, SuiteReport
 
 
 class PolyFormatError(ValueError):
@@ -667,6 +667,8 @@ def verify_green(W: PolySubspace, H: Hyperplane) -> GreenRecord:
     hyperplane; callers sampling several hyperplanes should compare the
     minimum c_h against it.
     """
+    if W.n_vars != len(H.coeffs):
+        raise ValueError("hyperplane lives in a different variable count")
     n = W.n_vars - 1
     d = W.degree
     c = math.comb(n + d, d) - subspace_rank(W)
@@ -675,24 +677,19 @@ def verify_green(W: PolySubspace, H: Hyperplane) -> GreenRecord:
     return _green_record(n, d, c, c_h)
 
 
-class GreenSuiteReport(Record):
+class GreenSuiteReport(SuiteReport):
     """Counts of a `green_suite` run.  `violations` holds a (subspace index,
     GreenRecord) pair per violating subspace, where the index i is that of
     its stream `rng_for(seed, f"green|n{n}|d{d}|s{i}")`; `records` holds
     the GreenRecord of every subspace when the run keeps them."""
 
-    __slots__ = ("trials", "seed", "subspace_count", "checks", "violations", "records")
+    __slots__ = ("subspace_count", "records")
 
-    def __init__(self, trials: int, seed: int, subspace_count: int = 0, checks: int = 0,
-                 violations: list | None = None, records: list | None = None):
-        self.trials, self.seed = trials, seed
-        self.subspace_count, self.checks = subspace_count, checks
-        self.violations = [] if violations is None else violations
+    def __init__(self, checks: int = 0, violations: list | None = None,
+                 subspace_count: int = 0, records: list | None = None):
+        super().__init__(checks, violations)
+        self.subspace_count = subspace_count
         self.records = [] if records is None else records
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def random_subspace(rng: random.Random, n_vars: int, degree: int) -> PolySubspace:
@@ -739,7 +736,7 @@ def green_suite(
     """Sampled check of the restriction codimension bound: for each random
     subspace, min over its hyperplanes (`_green_subspace`) of c_h must not
     exceed c_<d>.  `checks` counts every hyperplane drawn."""
-    report = GreenSuiteReport(trials=trials, seed=seed)
+    report = GreenSuiteReport()
     for n in ns:
         for d in ds:
             for i in range(subspaces):
@@ -788,28 +785,16 @@ def verify_restriction_theorem(
     )
 
 
-class VeroneseSuiteReport(Record):
-    __slots__ = ("trials", "seed", "checks", "violations")
-
-    def __init__(self, trials: int, seed: int, checks: int = 0,
-                 violations: list | None = None):
-        self.trials, self.seed, self.checks = trials, seed, checks
-        self.violations = [] if violations is None else violations
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def veronese_suite(
     max_n: int = 4,
     max_degree: int = 4,
     trials: int = 3,
     seed: int = 0,
-) -> VeroneseSuiteReport:
+) -> SuiteReport:
     """Equality case of the span bound: for the full monomial map every
-    sampled hyperplane section spans exactly the shifted dimension."""
-    report = VeroneseSuiteReport(trials=trials, seed=seed)
+    sampled hyperplane section spans exactly the shifted dimension.  A
+    violation is (n, d, dimension found, dimension expected)."""
+    report = SuiteReport()
     for n in range(1, max_n + 1):
         for d in range(1, max_degree + 1):
             comps = veronese_components(n + 1, d)

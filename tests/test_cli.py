@@ -31,12 +31,8 @@ from macgap.hermitian import (
     parse_map,
     sharpness_map,
 )
-from macgap.polyspace import (
-    GreenRecord,
-    GreenSuiteReport,
-    VeroneseSuiteReport,
-    rank_work_upto,
-)
+from macgap.polyspace import GreenRecord, GreenSuiteReport, rank_work_upto
+from macgap.record import SuiteReport
 
 
 def run(capsys, *argv):
@@ -242,7 +238,7 @@ class TestVerify:
 
         def sweep(max_n):
             ran.append(max_n)
-            return GapSweepReport(max_n=max_n)
+            return GapSweepReport()
 
         monkeypatch.setattr(macgap.cli, "gap_argument_sweep", sweep)
         for max_n in ("442", "9" * 4000):
@@ -356,11 +352,11 @@ class TestVerify:
 
         def green(ns, ds, subspaces, trials, seed):
             ran.append(("green", subspaces))
-            return GreenSuiteReport(trials=trials, seed=seed)
+            return GreenSuiteReport()
 
         def restriction(max_n, max_degree, trials, seed):
             ran.append(("restriction", trials))
-            return VeroneseSuiteReport(trials=trials, seed=seed)
+            return SuiteReport()
 
         monkeypatch.setattr(macgap.cli, "green_suite", green)
         monkeypatch.setattr(macgap.cli, "veronese_suite", restriction)
@@ -745,31 +741,30 @@ def test_one_parser_serves_a_whole_process(capsys, monkeypatch):
 # planted violations: pins the records and text lines the CLI builds from a
 # report, which a clean run never shows.
 def _planted_lemma3(max_m, max_k):
-    return LemmaSweepReport(max_m, max_k, 40, [(2, 3, 9, 8), (4, 1, 5, 6)])
+    return LemmaSweepReport(40, [(2, 3, 9, 8), (4, 1, 5, 6)])
 
 
 def _planted_green(ns, ds, subspaces, trials, seed):
     # one cell call per (n, d); only the (3, 2) cell violates
     (n,), (d,) = ns, ds
-    report = GreenSuiteReport(trials=trials, seed=seed, subspace_count=n + d, checks=n * d)
+    report = GreenSuiteReport(subspace_count=n + d, checks=n * d)
     if (n, d) == (3, 2):
         report.violations.append((3, GreenRecord(n=3, d=2, c=4, c_h=7, bound=5, holds=False)))
     return report
 
 
 def _planted_restriction(max_n, max_degree, trials, seed):
-    return VeroneseSuiteReport(trials=trials, seed=seed, checks=11,
-                               violations=[(2, 3, 9, 10)])
+    return SuiteReport(checks=11, violations=[(2, 3, 9, 10)])
 
 
 def _planted_gap_argument(max_n):
     bad = GapArgumentReport(n=9, a=1, b=2, n1=4, n2=4, case="I", d_n1=3, d_n2=3,
                             total=2, n_prime=7, holds=False)
-    return GapSweepReport(max_n=max_n, checks=17, case_i=10, case_ii=7, violations=[bad])
+    return GapSweepReport(checks=17, case_i=10, case_ii=7, violations=[bad])
 
 
 def _planted_sharpness(max_k, max_n):
-    return SharpnessSuiteReport(max_k=max_k, max_n=max_n, maps=5, checks=35,
+    return SharpnessSuiteReport(maps=5, checks=35,
                                 violations=[(1, 3, "span"), (2, 7, "certificate verdict")])
 
 

@@ -322,7 +322,7 @@ class TestGapArgument:
 
 def gap_walk(max_n):
     """The sweep as one `verify_gap_argument` report per admissible triple."""
-    report = GapSweepReport(max_n=max_n)
+    report = GapSweepReport()
     for n in range(1, max_n + 1):
         a = 0
         while True:

@@ -653,6 +653,12 @@ class TestRestrictedRank:
         rec = verify_green(PolySubspace(3, 2, []), plane([1, 2, 3]))
         assert (rec.c, rec.c_h) == (6, 3)
 
+    def test_verify_green_refuses_a_plane_of_another_variable_count(self):
+        # an empty W restricts nothing, so the check must not wait for `restrict`
+        for W in (PolySubspace(3, 2, []), PolySubspace(3, 2, [mono(3, (2, 0, 0))])):
+            with pytest.raises(ValueError, match="^hyperplane lives in a different variable count$"):
+                verify_green(W, Hyperplane((GRat(1), GRat(2)), 0))
+
     def test_two_variables(self):
         # the section of P^1 is a point: the restricted space has dimension 1
         def rank(polys):

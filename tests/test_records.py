@@ -35,8 +35,8 @@ from macgap.polyspace import (
     Hyperplane,
     PolySubspace,
     RestrictionRecord,
-    VeroneseSuiteReport,
 )
+from macgap.record import SuiteReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -58,13 +58,13 @@ FROZEN = {
 }
 
 MUTABLE = {
-    "LemmaSweepReport": lambda: LemmaSweepReport(3, 4, 10, [(1, 2, 3, 4)]),
-    "GapSweepReport": lambda: GapSweepReport(max_n=9, checks=3),
+    "LemmaSweepReport": lambda: LemmaSweepReport(10, [(1, 2, 3, 4)]),
+    "GapSweepReport": lambda: GapSweepReport(checks=3),
     "OrthCertificate": lambda: OrthCertificate(False, witness=((GRat(1),), (GRat(2),))),
-    "SharpnessSuiteReport": lambda: SharpnessSuiteReport(2, 7, maps=1),
+    "SharpnessSuiteReport": lambda: SharpnessSuiteReport(maps=1),
     "PolySubspace": lambda: PolySubspace(3, 2, []),
-    "GreenSuiteReport": lambda: GreenSuiteReport(trials=3, seed=1, checks=6),
-    "VeroneseSuiteReport": lambda: VeroneseSuiteReport(3, 0, violations=[(1, 2, 3, 4)]),
+    "GreenSuiteReport": lambda: GreenSuiteReport(checks=6),
+    "SuiteReport": lambda: SuiteReport(violations=[(1, 2, 3, 4)]),
 }
 
 
@@ -80,7 +80,7 @@ def test_equal_fields_compare_equal(make):
 
     # a subclass with the same field values is another class
     other = Other.__new__(Other)
-    for name in type(a).__slots__:
+    for name in type(a)._names:
         object.__setattr__(other, name, getattr(a, name))
     assert a != other and other != a
 
@@ -88,8 +88,11 @@ def test_equal_fields_compare_equal(make):
 def test_different_fields_compare_unequal():
     assert GapVerdict(True, 1) != GapVerdict(True, 2)
     assert Signature(2, 1) != Signature(2, 1, 1)
-    assert GapSweepReport(9) != GapSweepReport(9, checks=1)
+    assert GapSweepReport() != GapSweepReport(checks=1)
     assert GRat(1) != (Fraction(1), Fraction(0))
+    # `checks` is a field of SuiteReport, not of the subclass
+    assert SharpnessSuiteReport(checks=1, maps=2) != SharpnessSuiteReport(checks=2, maps=2)
+    assert LemmaSweepReport(1, []) != LemmaSweepReport(2, [])
 
 
 @pytest.mark.parametrize("make", FROZEN.values(), ids=FROZEN)
@@ -97,7 +100,7 @@ def test_frozen_records_hash_and_refuse_assignment(make):
     a, b = make(), make()
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
-    field = type(a).__slots__[0]
+    field = type(a)._names[0]
     before = getattr(a, field)
     with pytest.raises(AttributeError):
         setattr(a, field, 0)
@@ -113,18 +116,18 @@ def test_reports_stay_mutable_and_unhashable(make):
     a = make()
     with pytest.raises(TypeError):
         hash(a)
-    field = type(a).__slots__[-1]
+    field = type(a)._names[-1]
     setattr(a, field, "changed")
     assert getattr(a, field) == "changed" and a != make()
 
 
 def test_report_defaults_are_fresh_lists():
-    a, b = GapSweepReport(3), GapSweepReport(3)
+    a, b = GapSweepReport(), GapSweepReport()
     a.violations.append(1)
     assert b.violations == []
-    assert GreenSuiteReport(1, 0).records == [] == GreenSuiteReport(1, 0).violations
-    assert VeroneseSuiteReport(1, 0).violations == []
-    assert SharpnessSuiteReport(1, 3).violations == []
+    assert GreenSuiteReport().records == [] == GreenSuiteReport().violations
+    assert SuiteReport().violations == []
+    assert SharpnessSuiteReport().violations == []
     assert OrthCertificate(True) == OrthCertificate(True, None, None)
 
 
@@ -164,6 +167,11 @@ def test_reprs_keep_their_text():
     assert repr(identity_map(Signature(1, 1))).startswith(
         "SignedMap(source=Signature(r=1, s=1, t=0), "
         "target=Signature(r=1, s=1, t=0), degree=1, components=")
+    # a report lists the fields of SuiteReport first
+    assert repr(GreenSuiteReport(checks=6, subspace_count=2)) == (
+        "GreenSuiteReport(checks=6, violations=[], subspace_count=2, records=[])")
+    assert repr(LemmaSweepReport(10, [(1, 2, 3, 4)])) == (
+        "LemmaSweepReport(checks=10, violations=[(1, 2, 3, 4)])")
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -40,11 +40,14 @@ benchmark runs both ways against its known answers, together with a third
 of its maps rewritten with repeated, cancelling and zero terms.  `lemma3_reference`
 swaps the lemma sweep for per-split shifts through `macaulay_rep`, and
 `gap_reference` the gap-argument sweep for one `verify_gap_argument`
-report per triple, with `dim_prop_bound` by iterated descent.  Nothing
-here adds a switch to the program.
+report per triple, with `dim_prop_bound` by iterated descent.  Both ways
+compare only with each other, so the stdout of each command is also pinned
+by its sha256 in `STDOUT_SHA256`.  Nothing here adds a switch to the
+program.
 """
 
 import contextlib
+import hashlib
 import io
 import math
 from fractions import Fraction
@@ -63,7 +66,6 @@ from macgap.polyspace import (
     GreenSuiteReport,
     Hyperplane,
     Poly,
-    VeroneseSuiteReport,
     cleared_rows,
     coefficient_rows,
     exact_rank,
@@ -78,6 +80,7 @@ from macgap.polyspace import (
     verify_green,
     veronese_components,
 )
+from macgap.record import SuiteReport
 from test_bench_smoke import load_workloads
 from test_gap_calc import gap_walk
 
@@ -133,7 +136,7 @@ def reference_mode(monkeypatch):
 
     def green_suite(ns=(2, 3), ds=(2, 3), subspaces=200, trials=20, seed=0,
                     keep_records=False):
-        report = GreenSuiteReport(trials=trials, seed=seed)
+        report = GreenSuiteReport()
         for n in ns:
             for d in ds:
                 for i in range(subspaces):
@@ -161,7 +164,7 @@ def reference_mode(monkeypatch):
         return report
 
     def veronese_suite(max_n=4, max_degree=4, trials=3, seed=0):
-        report = VeroneseSuiteReport(trials=trials, seed=seed)
+        report = SuiteReport()
         for n in range(1, max_n + 1):
             for d in range(1, max_degree + 1):
                 comps = veronese_components(n + 1, d)
@@ -199,6 +202,39 @@ def cli_stdout(argv):
     return code, out.getvalue()
 
 
+# the sha256 of each command's stdout that the tests below run
+STDOUT_SHA256 = {
+    "verify green --json --seed 3 --subspaces 8 --trials 5":
+        "da9ebc0f5c2ec8912f3bd91017ab6be1d173eebbf8bc92ef9fc99afdc44f6b57",
+    "verify green --json --seed 8 --subspaces 3 --trials 3 --max-n 4 --max-degree 2":
+        "138e04a6f3b3722d177c5b129cbd66aa0148a1fd76d7542e9d4c605d85988ed2",
+    "verify restriction --json --trials 4":
+        "5c0b6315024ba62a612dc8d40e0a0df4141b3b18561bd1c3efe4300c1a51f9ac",
+    "verify restriction --json --seed 5 --trials 4":
+        "64a2a234b35136bf4c40813f8ce0231fa2caf0ce8ac101656e94ae0b27642113",
+    "verify sharpness --json":
+        "12cd3c15db8d2bacd845a32d095f446d42b867f7b2b608a86ff7541e9fbb8ae0",
+    "verify sharpness --json --max-k 2 --max-n 16":
+        "f52c0071b6e94d29d27497d327a40bf600719c8b860427546044f0c71f0e6fc7",
+    "verify restriction --json --trials 2":
+        "c00dad68ebda88033babc5b676d75339be447b8e6bf7b4bfa4fa156a79c85cb5",
+    "verify lemma3 --json":
+        "29c50521c6bdbdaf1985bc91e2014baf9e8a38f3435c4d1de50d54e7e5a11cf2",
+    "verify lemma3 --json --max-m 3 --max-k 7":
+        "c22e2ad90d9a1f33e166c7d8ac9cdfc6fadde2b79d0ba2eb76920f16e40002d9",
+    "verify gap-argument --json --max-n 30":
+        "2098325ca6f0a9f1402b7536c23323eaff435a23e906da81393a24e201f59895",
+    "verify gap-argument --json --max-n 7":
+        "6dd658f03a52931fc83779dfa3533aba980319da3f5f15d7d355fbc65c59b552",
+    "verify gap-argument --json --max-n 120":
+        "0e3ee7e5b3604447e538aed8b19504e860d9c779f872302ff59530f4141b2777",
+}
+
+
+def assert_pinned(argv, out):
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[" ".join(argv)], argv
+
+
 COMMANDS = [
     ["verify", "green", "--json", "--seed", "3", "--subspaces", "8", "--trials", "5"],
     ["verify", "green", "--json", "--seed", "8", "--subspaces", "3", "--trials", "3",
@@ -225,6 +261,8 @@ def test_suites_match_their_references(reference_mode):
     assert run() == fast
     outputs, records, ranks = fast
     assert all(code == 0 for code, _ in outputs)
+    for argv, (_, out) in zip(COMMANDS, outputs, strict=True):
+        assert_pinned(argv, out)
     assert len(records) == 60
     # 60 subspaces * 4 hyperplanes, the two green commands (4 cells * 8 * 5
     # and 3 cells * 3 * 3) and the two restriction ones (16 cells * 4)
@@ -360,6 +398,8 @@ def test_map_queries_match_their_references(map_reference_mode, tmp_path, monkey
     for (op, argv), got in zip(reruns, outputs[n:n + len(reruns)]):
         assert got == outputs[plan.ops.index(op)], argv
     assert [code for code, _ in outputs[n + len(reruns):]] == [0, 0, 0]
+    for argv, (_, out) in zip(commands, outputs[n + len(reruns):], strict=True):
+        assert_pinned(argv, out)
     # the span ranks were compared call by call: one per `map span`, one or
     # two per `map obstruct` (a vanished side has none), one per sharpness
     # map and one per restriction cell
@@ -379,7 +419,7 @@ def lemma3_reference(monkeypatch):
                     checks += 1
                     if op_minus(A, m) + binom_core.op_lower(total - A, k) != target:
                         bad.append((m, k, A, total - A))
-        return LemmaSweepReport(m_max, k_max, checks, bad)
+        return LemmaSweepReport(checks, bad)
 
     def enter():
         monkeypatch.setattr(binom_core, "verify_lemma_binom", sweep)
@@ -422,3 +462,5 @@ def test_index_suites_match_their_references(lemma3_reference, gap_reference):
     gap_reference()
     assert [cli_stdout(argv) for argv in commands] == fast
     assert all(code == 0 for code, _ in fast)
+    for argv, (_, out) in zip(commands, fast, strict=True):
+        assert_pinned(argv, out)
