@@ -28,6 +28,7 @@ from .gap_calc import (
     gap_argument_checks,
     gap_argument_sweep,
     gap_intervals,
+    interval_counts,
 )
 from .hermitian import (
     format_map,
@@ -59,6 +60,10 @@ MAX_MACAULAY_LEVEL = 1000
 # Most digits of a `macaulay` value A: the upper shift at level 1 is about
 # A^2/2, which must stay below Python's 4300-digit int-to-str limit.
 MAX_MACAULAY_DIGITS = 2000
+# Largest `gap n` table, in J_k and I_k rows together: about sqrt(n) +
+# sqrt(2n), so n up to about 1.7 * 10^9 (`--json` at the limit takes about
+# a second).
+MAX_GAP_ROWS = 100_000
 # Largest `verify lemma3` sweep, in checked splits (m, k <= 10 is 705 410).
 MAX_LEMMA_CHECKS = 10**6
 # Largest lemma3 check count that a refusal prints exactly; above it the
@@ -120,6 +125,12 @@ def cmd_macaulay(args):
 
 def cmd_gap(args):
     if args.N is None:
+        count = sum(interval_counts(args.n))
+        if count > MAX_GAP_ROWS:
+            raise ValueError(
+                f"gap table of n = {args.n} has {count} rows, above the limit "
+                f"of {MAX_GAP_ROWS}"
+            )
         records, text = [], []
         families = (("J", gap_intervals(args.n)), ("I", comparison_intervals(args.n)))
         for family, rows in families:

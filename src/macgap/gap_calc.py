@@ -127,6 +127,17 @@ def comparison_intervals(n: int) -> list[GapInterval]:
     return out
 
 
+def interval_counts(n: int) -> tuple[int, int]:
+    """(len(gap_intervals(n)), len(comparison_intervals(n))) in closed form.
+
+    J_k is nonempty iff k(k+1) <= n-1, i.e. (2k+1)^2 <= 4n-3; I_k iff
+    k(k+1) <= 2n-4, i.e. (2k+1)^2 <= 8n-15.  Both conditions fail from some
+    k on, so each count is the number of k >= 1 with 2k+1 <= isqrt(...)."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return (math.isqrt(4 * n - 3) - 1) // 2, (math.isqrt(8 * n - 15) - 1) // 2
+
+
 class GapVerdict(FrozenRecord):
     __slots__ = ("in_gap", "k")
 

@@ -7,7 +7,7 @@ that `clear` produces, and that `polyspace.parse_cleared` reads from text;
 scaling by L changes neither a rank nor a zero test, and P / L gives the
 rational value back.  `pairing` builds the pairing
 polynomial of a map from its cleared components, and `vanishes_at` tests it
-at a witness candidate.
+at a witness candidate on Gaussian-integer pairs.
 
 The rank kernels are fraction-free (Bareiss 1968) on integer rows and on
 pair rows.  `span_rank` ranks sparse rows: it first peels singleton columns
@@ -61,11 +61,9 @@ def pairing(parts) -> tuple[int, dict]:
 
 
 def vanishes_at(P: dict, point) -> bool:
-    """Whether the homogeneous pair polynomial P is zero at a point of
-    Gaussian rationals.  The point is cleared by its common denominator D
-    first: P(D x) = D^deg P(x), so the value is computed exactly on
-    Gaussian integers."""
-    point = clear(point)[1]
+    """Whether the pair polynomial P is zero at a point of Gaussian-integer
+    pairs, computed exactly on integers.  A caller with a rational point of
+    a homogeneous P scales it to integers first: P(D x) = D^deg P(x)."""
     powers = [[(1, 0)] for _ in point]
     ta = tb = 0
     for exps, (a, b) in P.items():

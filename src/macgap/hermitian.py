@@ -332,6 +332,42 @@ def _divide_exact_ref(P: Poly, Q: Poly) -> Poly:
     return quo
 
 
+def _rand_grat(rng: random.Random) -> GRat:
+    im = rng.randint(-3, 3) if rng.random() < 0.4 else 0
+    return GRat(rng.randint(-5, 5), im)
+
+
+def _solve_chart(sig: Signature, z: list, wt: list, pivot: int) -> None:
+    """Overwrite wt[pivot] so that sum over non-null i of eps_i z_i wt_i is
+    zero, i.e. <z, conj(wt)> = 0: the solution chart z_pivot != 0."""
+    acc = GRat()
+    for i in range(sig.r + sig.s):
+        if i == pivot:
+            continue
+        term = z[i] * wt[i]
+        acc = acc + term if sig.eps(i) == 1 else acc - term
+    wt[pivot] = -acc / (GRat(sig.eps(pivot)) * z[pivot])
+
+
+def _witness_search_ref(f: SignedMap, P: dict, pivot: int):
+    """`_witness_search` in GRat arithmetic, each candidate tested with
+    `Poly.evaluate`; the reference."""
+    sig = f.source
+    nv = sig.n_vars
+    P = _from_pairs(2 * nv, 2 * f.degree, P, 1)
+    rng = rng_for(0, "witness")
+    for _ in range(500):
+        z = [_rand_grat(rng) for _ in range(nv)]
+        if not z[pivot]:
+            z[pivot] = GRat(1)
+        wt = [_rand_grat(rng) for _ in range(nv)]
+        _solve_chart(sig, z, wt, pivot)
+        if P.evaluate(z + wt):
+            w = [c.conjugate() for c in wt]
+            return tuple(z), tuple(w)
+    raise RuntimeError("no witness found in 500 samples")  # pragma: no cover
+
+
 class OrthCertificate(Record):
     """A verdict, with the quotient P/Q of a map that preserves
     orthogonality or the witness pair (z, w) of coordinate lists of one
@@ -391,40 +427,54 @@ def orthogonality_certificate(f: SignedMap, pivot: int = 0) -> OrthCertificate:
     )
 
 
-def _rand_grat(rng: random.Random) -> GRat:
-    im = rng.randint(-3, 3) if rng.random() < 0.4 else 0
-    return GRat(rng.randint(-5, 5), im)
-
-
-def _solve_chart(sig: Signature, z: list, wt: list, pivot: int) -> None:
-    """Overwrite wt[pivot] so that sum over non-null i of eps_i z_i wt_i is
-    zero, i.e. <z, conj(wt)> = 0: the solution chart z_pivot != 0."""
-    acc = GRat()
-    for i in range(sig.r + sig.s):
-        if i == pivot:
-            continue
-        term = z[i] * wt[i]
-        acc = acc + term if sig.eps(i) == 1 else acc - term
-    wt[pivot] = -acc / (GRat(sig.eps(pivot)) * z[pivot])
-
-
 def _witness_search(f: SignedMap, P: dict, pivot: int):
     """Point pair (z, w) with <z,w> = 0 and <f(z),f(w)> != 0, found by
-    sampling the rational solution chart z_pivot != 0; P is the cleared
-    pairing polynomial on pairs."""
+    sampling the solution chart z_pivot != 0; P is the cleared pairing
+    polynomial on pairs.
+
+    Each candidate draws z and w~ as Gaussian-integer pairs (`_rand_pairs`),
+    with the rng calls of `_witness_search_ref` in the same order.  The chart
+    solves w~_pivot = -eps_p acc / z_p with acc = sum over the other
+    non-null i of eps_i z_i w~_i; scaled by |z_p|^2, all of w~ stays
+    integral and w~_pivot = -eps_p acc conj(z_p).  P has bidegree (d, d),
+    so P(z, |z_p|^2 w~) = |z_p|^(2d) P(z, w~), and the zero test is exact on
+    the integer point.  `GRat`s are built only for the witness accepted."""
     sig = f.source
     nv = sig.n_vars
+    signs = [(i, sig.eps(i)) for i in range(sig.r + sig.s) if i != pivot]
+    ep = sig.eps(pivot)
     rng = rng_for(0, "witness")
     for _ in range(500):
-        z = [_rand_grat(rng) for _ in range(nv)]
-        if not z[pivot]:
-            z[pivot] = GRat(1)
-        wt = [_rand_grat(rng) for _ in range(nv)]
-        _solve_chart(sig, z, wt, pivot)
-        if not vanishes_at(P, z + wt):
-            w = [c.conjugate() for c in wt]
-            return tuple(z), tuple(w)
+        z = _rand_pairs(rng, nv)
+        if z[pivot] == (0, 0):
+            z[pivot] = (1, 0)
+        wt = _rand_pairs(rng, nv)
+        acc_a = acc_b = 0
+        for i, e in signs:
+            (a, b), (c, d) = z[i], wt[i]
+            acc_a += e * (a * c - b * d)
+            acc_b += e * (a * d + b * c)
+        pa, pb = z[pivot]
+        norm = pa * pa + pb * pb
+        point = z + [(norm * c, norm * d) for c, d in wt]
+        sa = -ep * (acc_a * pa + acc_b * pb)
+        sb = -ep * (acc_b * pa - acc_a * pb)
+        point[nv + pivot] = (sa, sb)
+        if not vanishes_at(P, point):
+            wt[pivot] = (Fraction(sa, norm), Fraction(sb, norm))
+            return (tuple(GRat(a, b) for a, b in z),
+                    tuple(GRat(c, -d) for c, d in wt))
     raise RuntimeError("no witness found in 500 samples")  # pragma: no cover
+
+
+def _rand_pairs(rng: random.Random, count: int) -> list[tuple[int, int]]:
+    """`count` Gaussian integers as pairs, with the rng calls of as many
+    `_rand_grat`s."""
+    out = []
+    for _ in range(count):
+        im = rng.randint(-3, 3) if rng.random() < 0.4 else 0
+        out.append((rng.randint(-5, 5), im))
+    return out
 
 
 def sample_orthogonal_pair(sig: Signature, rng: random.Random):
@@ -451,7 +501,7 @@ def sharpness_map(k: int, n: int) -> SignedMap:
     negatively for j >= k."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    _check_sharpness_size(n)
+    _check_map_space(n + 1, 3)
     nv = n + 1
     pos, neg = [], []
     for i in range(k):
@@ -468,13 +518,16 @@ def sharpness_map(k: int, n: int) -> SignedMap:
     )
 
 
-def _check_sharpness_size(n: int) -> None:
-    """Refuse an n whose n+1 variables in degree 3 span more monomials than
-    `parse_map` accepts, so every map written can be read back."""
-    if comb_upto(n + 3, 3, MAX_MAP_MONOMIALS) is None:
-        raise ValueError(
-            f"n = {n} gives maps whose n + 1 variables in degree 3 span more "
-            f"than the limit of {MAX_MAP_MONOMIALS} monomials"
+def _check_map_space(n_vars: int, degree: int, error=ValueError) -> None:
+    """Raise `error` if n_vars variables in `degree` span more than
+    MAX_MAP_MONOMIALS monomials C(n_vars-1+degree, degree), the space that
+    `parse_map` accepts, so every map written can be read back.  The count
+    stops once past the limit (`comb_upto`), so refusing is quick at any
+    degree."""
+    if comb_upto(n_vars - 1 + degree, degree, MAX_MAP_MONOMIALS) is None:
+        raise error(
+            f"{n_vars} variables in degree {degree} span more than the limit "
+            f"of {MAX_MAP_MONOMIALS} monomials"
         )
 
 
@@ -493,7 +546,9 @@ def sharpness_quotient(k: int, n: int) -> Poly:
 def null_prolongation(f: SignedMap, psi: Poly, phi: Poly) -> SignedMap:
     """Extend f by one positive and one negative copy of phi, scaling the
     old components by psi; requires deg(phi) = deg(psi) + deg(f) so the
-    result is homogeneous, and the two phi slots cancel in the pairing."""
+    result is homogeneous, and the two phi slots cancel in the pairing.  A
+    result degree whose monomial space `parse_map` would refuse raises
+    ValueError before anything is multiplied."""
     if f.target.t != 0:
         raise ValueError("prolongation needs a target without null weights")
     nv = f.source.n_vars
@@ -504,6 +559,7 @@ def null_prolongation(f: SignedMap, psi: Poly, phi: Poly) -> SignedMap:
             f"degree mismatch: deg(phi)={phi.degree}, "
             f"need deg(psi)+deg(f)={psi.degree + f.degree}"
         )
+    _check_map_space(nv, phi.degree)
     rp, sp = f.target.r, f.target.s
     scaled = [psi * p for p in f.components]
     comps = scaled[:rp] + [phi] + scaled[rp:rp + sp] + [phi]
@@ -604,7 +660,7 @@ def sharpness_suite(max_k: int = 4, max_n: int = 12) -> SharpnessSuiteReport:
     linear independence, certified orthogonality with the expected quotient,
     full span, and the two endpoint classifications.  A max_n whose maps
     `parse_map` would refuse raises ValueError before any map is built."""
-    _check_sharpness_size(max_n)
+    _check_map_space(max_n + 1, 3)
     report = SharpnessSuiteReport()
 
     def check(k, n, label, ok):
@@ -689,12 +745,7 @@ def parse_map(text: str) -> SignedMap:
         raise MapFormatError(str(exc)) from None
     if degree < 0:
         raise MapFormatError("degree must be nonnegative")
-    # C(n_vars-1+degree, degree), stopped once past the limit (`comb_upto`)
-    if comb_upto(source.n_vars - 1 + degree, degree, MAX_MAP_MONOMIALS) is None:
-        raise MapFormatError(
-            f"{source.n_vars} variables in degree {degree} span more than "
-            f"the limit of {MAX_MAP_MONOMIALS} monomials"
-        )
+    _check_map_space(source.n_vars, degree, MapFormatError)
 
     expected = [("%pos", target.r), ("%neg", target.s), ("%null", target.t)]
     components: list[tuple[int, dict]] = []

@@ -15,6 +15,7 @@ from macgap.cli import (
     EXIT_INTERNAL,
     LEMMA_COUNT_CAP,
     MAX_GAP_ARGUMENT_CHECKS,
+    MAX_GAP_ROWS,
     MAX_LEMMA_CHECKS,
     MAX_MACAULAY_DIGITS,
     MAX_MACAULAY_LEVEL,
@@ -22,7 +23,12 @@ from macgap.cli import (
     main,
 )
 from macgap.binom_core import LemmaSweepReport, lemma_checks
-from macgap.gap_calc import GapArgumentReport, GapSweepReport, gap_argument_checks
+from macgap.gap_calc import (
+    GapArgumentReport,
+    GapSweepReport,
+    gap_argument_checks,
+    interval_counts,
+)
 from macgap.hermitian import (
     MAX_MAP_MONOMIALS,
     MapFormatError,
@@ -156,6 +162,32 @@ class TestGap:
             assert time.perf_counter() - start < 1
             assert rc == 0
             assert records(out) == [{"cmd": "gap", "n": n, "N": N, "in_gap": in_gap, "k": want_k}]
+
+    def test_table_row_limit(self, capsys, monkeypatch):
+        # the largest n whose J and I rows together fit the limit; the count
+        # grows with n, so bisect on its closed form
+        lo, hi = 2, 10**12
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if sum(interval_counts(mid)) <= MAX_GAP_ROWS else (lo, mid - 1)
+        rc, out, _ = run(capsys, "gap", str(lo))
+        assert rc == 0
+        assert len(out.splitlines()) == sum(interval_counts(lo)) > MAX_GAP_ROWS - 3
+
+        def never(n):
+            raise AssertionError("a refused table was built")
+
+        monkeypatch.setattr(macgap.cli, "gap_intervals", never)
+        monkeypatch.setattr(macgap.cli, "comparison_intervals", never)
+        for n in (lo + 1, 10**20, 10**4000):
+            start = time.perf_counter()
+            rc, out, err = run(capsys, "gap", str(n), "--json")
+            assert time.perf_counter() - start < 1
+            assert (rc, out) == (2, "")
+            assert f"limit of {MAX_GAP_ROWS}" in err
+        # classifying needs no table, at any n
+        rc, out, _ = run(capsys, "gap", str(lo + 1), str(lo))
+        assert (rc, out) == (0, f"{lo} not in any gap interval\n")
 
     def test_small_n_rejected(self, capsys):
         rc, _, err = run(capsys, "gap", "1")
@@ -512,6 +544,30 @@ class TestMapTooling:
         assert F.target.r == 2 and F.target.s == 3
         rc, out, _ = run(capsys, "map", "check-orth", str(out_path))
         assert rc == 0 and "orthogonal: yes" in out
+
+    def test_prolong_size_boundary(self, capsys, tmp_path):
+        # two variables in degree d span d + 1 monomials: psi of degree
+        # MAX_MAP_MONOMIALS - 2 on a degree-1 map gives the largest readable map
+        src = tmp_path / "s.map"
+        src.write_text("source 1 1 0\ntarget 1 1 0\ndegree 1\n%pos\n1/1 1 0\n%neg\n1/1 0 1\n%null\n")
+        out_path = tmp_path / "p.map"
+        d = MAX_MAP_MONOMIALS - 2
+        rc, _, err = run(capsys, "map", "prolong", str(src), f"1/1 {d} 0",
+                         f"1/1 {d + 1} 0", "-o", str(out_path))
+        assert (rc, err) == (0, "")
+        # psi z0 = z0^(d+1), psi z1 = z0^d z1 and phi = z0^(d+1) twice
+        # span a projective line
+        rc, out, _ = run(capsys, "map", "span", str(out_path))
+        assert (rc, out) == (0, "1\n")
+        refused = tmp_path / "r.map"
+        for e in (d + 1, 10**20):
+            start = time.perf_counter()
+            rc, out, err = run(capsys, "map", "prolong", str(src), f"1/1 {e} 0",
+                               f"1/1 {e + 1} 0", "-o", str(refused))
+            assert time.perf_counter() - start < 1
+            assert (rc, out) == (2, "")
+            assert f"limit of {MAX_MAP_MONOMIALS} monomials" in err
+        assert not refused.exists()
 
     @pytest.mark.parametrize("pivot, z, w", [
         ("0", "3/1 0/1 -3/1", "-3/1 1/1,-3/1 3/1"),

@@ -18,6 +18,7 @@ from macgap.gap_calc import (
     gap_argument_sweep,
     gap_intervals,
     ineq1_b_range,
+    interval_counts,
     nab_decompose,
     nab_minus,
     nab_rep_terms,
@@ -188,6 +189,15 @@ class TestIntervals:
                 assert other.lo <= iv.lo and iv.hi <= other.hi
                 equal = (iv.lo, iv.hi) == (other.lo, other.hi)
                 assert equal == (iv.k == 1)
+
+    def test_counts_closed_form(self):
+        # every n up to 3000 crosses many thresholds of both families
+        for n in range(2, 3001):
+            assert interval_counts(n) == (len(gap_intervals(n)), len(comparison_intervals(n)))
+        for n in (10**6, 10**8 + 7):
+            assert interval_counts(n) == (len(gap_intervals(n)), len(comparison_intervals(n)))
+        with pytest.raises(ValueError):
+            interval_counts(1)
 
     def test_pairwise_disjoint(self):
         for n in range(3, 61):

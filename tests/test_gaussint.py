@@ -3,7 +3,8 @@
 - `span_rank` on sparse cleared rows against `exact_rank` of the dense
   coefficient rows;
 - the pairing built on pairs, over its L, against `pairing_poly`;
-- the zero test at a cleared point against `Poly.evaluate`.
+- the zero test at a rational point scaled to Gaussian-integer pairs
+  against `Poly.evaluate`.
 """
 
 from hypothesis import given, settings
@@ -174,6 +175,8 @@ class TestZeroTest:
         if on_zero:
             point[1] = point[0]
         want = not P.evaluate(point)
-        assert vanishes_at(clear(P.coeffs)[1], point) == want
+        # the point scaled to Gaussian-integer pairs by its common
+        # denominator D: P(D x) = D^deg P(x), so the zero test stays exact
+        assert vanishes_at(clear(P.coeffs)[1], clear(point)[1]) == want
         if on_zero:
             assert want

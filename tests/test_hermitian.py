@@ -285,6 +285,55 @@ class TestIntegerPairCertificate:
             z, w = cert.witness
             assert inner_product(z, w, f.source) == GRat()
             assert inner_product(f.evaluate(z), f.evaluate(w), f.target) != GRat()
+            P = hermitian._pairing_pairs(f)[1]
+            assert cert.witness == hermitian._witness_search_ref(f, P, pivot)
+
+    def test_witness_with_a_null_source_coordinate(self):
+        # z3 is null: the chart sum skips it, and only the pivot is solved
+        sig = Signature(1, 2, 1)
+        f = SignedMap(sig, Signature(2, 0, 1), 1, [
+            mono(4, (1, 0, 0, 0)), mono(4, (0, 1, 0, 0)), mono(4, (0, 0, 0, 1)),
+        ])
+        P = hermitian._pairing_pairs(f)[1]
+        for pivot in range(3):
+            cert = orthogonality_certificate(f, pivot=pivot)
+            assert not cert.verdict
+            assert cert.witness == hermitian._witness_search_ref(f, P, pivot)
+            z, w = cert.witness
+            assert inner_product(z, w, sig) == GRat()
+            assert inner_product(f.evaluate(z), f.evaluate(w), f.target) != GRat()
+
+    def test_witness_search_stays_on_integers(self, monkeypatch):
+        # no GRat or Fraction is built before the zero test accepts a
+        # candidate, and every candidate reaches it as Gaussian-integer pairs
+        events = []
+        zero_test = hermitian.vanishes_at
+
+        def spy(P, point):
+            assert all(type(a) is int and type(b) is int for a, b in point)
+            events.append("test")
+            return zero_test(P, point)
+
+        def recorder(name, make):
+            def build(*args):
+                events.append(name)
+                return make(*args)
+            return build
+
+        monkeypatch.setattr(hermitian, "vanishes_at", spy)
+        monkeypatch.setattr(hermitian, "GRat", recorder("GRat", GRat))
+        monkeypatch.setattr(hermitian, "Fraction", recorder("Fraction", Fraction))
+        f = sharpness_map(2, 5)
+        comps = f.components
+        comps[0] = comps[0] + mono(6, (0, 0, 0, 3, 0, 0))
+        f = SignedMap(f.source, f.target, 3, comps)
+        P = hermitian._pairing_pairs(f)[1]
+        for pivot in range(6):
+            events.clear()
+            z, w = hermitian._witness_search(f, P, pivot)
+            last = len(events) - events[::-1].index("test")
+            assert "GRat" not in events[:last] and "Fraction" not in events[:last]
+            assert events[last:].count("GRat") == 12
 
     def test_rational_coefficients_cleared(self):
         # P = (1/4)(z0^2 w~0^2 - z1^2 w~1^2) = Q * (1/4)(z0 w~0 + z1 w~1)

@@ -27,17 +27,21 @@ a subspace, and almost every hyperplane is general, so the last check is
 what sees a wrong wiring between pieces that are each correct on their
 own, such as hyperplanes drawn from the wrong stream.
 
-The `map_reference_mode` fixture does the same for the map commands and
-`verify sharpness`: each component parsed straight to its cleared form for
-`parse_poly` cleared, the span rank with singleton peeling for
-`exact_rank(support_rows(...))`, the pairing polynomial built on pairs for
-`pairing_poly` cleared, the source form Q built on pairs for
-`source_form_poly` cleared, the zero test of a witness candidate on a
-cleared point for `Poly.evaluate`, and the certificate's division on pairs
-for the w~_0 pseudo-remainder, which decides, and the division in GRat,
-which gives the quotient.  The seed-0 `map-queries` plan of the
-benchmark runs both ways against its known answers, together with a third
-of its maps rewritten with repeated, cancelling and zero terms.  `lemma3_reference`
+The `map_reference_mode` context manager does the same for the map
+commands and `verify sharpness`: each component parsed straight to its
+cleared form for `parse_poly` cleared, the span rank with singleton peeling
+for `exact_rank(support_rows(...))`, the pairing polynomial built on pairs
+for `pairing_poly` cleared, the source form Q built on pairs for
+`source_form_poly` cleared, the witness search on Gaussian-integer pairs
+for `_witness_search_ref` (GRat candidates, each tested with
+`Poly.evaluate`), and the certificate's division on pairs for the w~_0
+pseudo-remainder, which decides, and the division in GRat, which gives the
+quotient.  The seed-0 `map-queries` plan of the benchmark runs both ways
+against its known answers, together with a third of its maps rewritten with
+repeated, cancelling and zero terms.  That plan checks orthogonality in the
+chart z_0 != 0 only, so refused maps drawn from the benchmark's generator
+(seed, shape, Gaussian or not) also run `map check-orth --pivot P` both
+ways, with P drawn over every source coordinate.  `lemma3_reference`
 swaps the lemma sweep for per-split shifts through `macaulay_rep`, and
 `gap_reference` the gap-argument sweep for one `verify_gap_argument`
 report per triple, with `dim_prop_bound` by iterated descent.  Both ways
@@ -50,10 +54,13 @@ import contextlib
 import hashlib
 import io
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import macgap.cli
 from macgap import binom_core, gap_calc, hermitian, polyspace
@@ -269,10 +276,10 @@ def test_suites_match_their_references(reference_mode):
     assert len(ranks) == 240 + 160 + 27 + 2 * 64
 
 
-@pytest.fixture
-def map_reference_mode(monkeypatch):
-    """Returns (spans, enter).  `spans` gets one entry (rows, rank) per span
-    rank computed; `enter()` switches the map kernel to its references."""
+@contextlib.contextmanager
+def recorded_spans():
+    """Yields a list that gets one entry (rows, rank) per span rank that the
+    fast path computes inside the block."""
     spans = []
     fast_span = polyspace.span_rank
 
@@ -281,7 +288,18 @@ def map_reference_mode(monkeypatch):
         spans.append((rows, rank))
         return rank
 
-    monkeypatch.setattr(polyspace, "span_rank", spy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyspace, "span_rank", spy)
+        yield spans
+
+
+@contextlib.contextmanager
+def map_reference_mode():
+    """Runs the map kernel on its references inside the block, and yields a
+    list that gets one entry (rows, rank) per span rank computed there.  A
+    context manager, not a fixture, so that a hypothesis test can enter it
+    once per example."""
+    spans = []
 
     def span_rank(rows):
         shape = next(e for row in rows for e in row)
@@ -300,10 +318,6 @@ def map_reference_mode(monkeypatch):
     def source_form_pairs(sig):
         return clear(hermitian.source_form_poly(sig).coeffs)[1]
 
-    def vanishes_at(P, point):
-        degree = sum(next(iter(P)))
-        return not hermitian._from_pairs(len(point), degree, P, 1).evaluate(point)
-
     def divide_exact(P, Q):
         if not P:
             return {}
@@ -319,15 +333,14 @@ def map_reference_mode(monkeypatch):
         # integral and clears with L = 1
         return clear(hermitian._divide_exact_ref(P, hermitian.source_form_poly(sig)).coeffs)[1]
 
-    def enter():
-        monkeypatch.setattr(hermitian, "parse_cleared", parse_cleared)
-        monkeypatch.setattr(polyspace, "span_rank", span_rank)
-        monkeypatch.setattr(hermitian, "_pairing_pairs", pairing_pairs)
-        monkeypatch.setattr(hermitian, "_source_form_pairs", source_form_pairs)
-        monkeypatch.setattr(hermitian, "vanishes_at", vanishes_at)
-        monkeypatch.setattr(hermitian, "_divide_exact", divide_exact)
-
-    return spans, enter
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hermitian, "parse_cleared", parse_cleared)
+        mp.setattr(polyspace, "span_rank", span_rank)
+        mp.setattr(hermitian, "_pairing_pairs", pairing_pairs)
+        mp.setattr(hermitian, "_source_form_pairs", source_form_pairs)
+        mp.setattr(hermitian, "_witness_search", hermitian._witness_search_ref)
+        mp.setattr(hermitian, "_divide_exact", divide_exact)
+        yield spans
 
 
 def _fraction_text(x: Fraction) -> str:
@@ -361,8 +374,7 @@ def _rewritten(text: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def test_map_queries_match_their_references(map_reference_mode, tmp_path, monkeypatch):
-    spans, enter = map_reference_mode
+def test_map_queries_match_their_references(tmp_path, monkeypatch):
     plan = load_workloads(monkeypatch).build("map-queries", 0, tmp_path)
     # a third of the maps again, rewritten, under the same commands
     files = sorted({op.argv[-1] for op in plan.ops if op.kind == "span"})[::3]
@@ -377,17 +389,15 @@ def test_map_queries_match_their_references(map_reference_mode, tmp_path, monkey
                 ["verify", "sharpness", "--json", "--max-k", "2", "--max-n", "16"],
                 ["verify", "restriction", "--json", "--trials", "2"]]
 
-    def run():
-        outputs = [cli_stdout(op.argv) for op in plan.ops]
-        outputs += [cli_stdout(argv) for _, argv in reruns]
-        outputs += [cli_stdout(argv) for argv in commands]
-        ranks = spans[:]
-        spans.clear()
+    def run(mode):
+        with mode() as ranks:
+            outputs = [cli_stdout(op.argv) for op in plan.ops]
+            outputs += [cli_stdout(argv) for _, argv in reruns]
+            outputs += [cli_stdout(argv) for argv in commands]
         return outputs, ranks
 
-    fast = run()
-    enter()
-    assert run() == fast
+    fast = run(recorded_spans)
+    assert run(map_reference_mode) == fast
     outputs, ranks = fast
     for op, (code, out) in zip(plan.ops, outputs):
         assert code == op.expect_code, op.argv
@@ -405,6 +415,33 @@ def test_map_queries_match_their_references(map_reference_mode, tmp_path, monkey
     # map and one per restriction cell
     kinds = [op.kind for op in plan.ops]
     assert len(ranks) >= kinds.count("span") + kinds.count("obstruct")
+
+
+@pytest.fixture(scope="module")
+def drawn_map_file(tmp_path_factory):
+    """(the benchmark's workloads module, loaded read-only, and one path
+    that each drawn example writes its map to)."""
+    with pytest.MonkeyPatch.context() as mp:
+        yield load_workloads(mp), tmp_path_factory.mktemp("drawn") / "drawn.map"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_witness_charts_match_their_references(drawn_map_file, seed, gaussian, data):
+    # the map-queries plan runs `check-orth` at pivot 0 only; here a refused
+    # map of a drawn shape is searched in a drawn chart z_pivot != 0
+    workloads, path = drawn_map_file
+    k, n = data.draw(st.sampled_from(workloads.MAP_SHAPES), label="shape")
+    m = workloads.gen_map(random.Random(seed), k, n, True, gaussian)
+    path.write_text(m.text())
+    pivot = data.draw(st.integers(0, n), label="pivot")
+    argv = ["map", "check-orth", "--json", "--pivot", str(pivot), str(path)]
+    fast = cli_stdout(argv)
+    with map_reference_mode():
+        assert cli_stdout(argv) == fast
+    code, out = fast
+    assert code == 1
+    assert workloads._check_orth(m)(out) is None
 
 
 @pytest.fixture
