@@ -162,9 +162,8 @@ def _report_records(suite: str, params: dict, checks: int,
     return [summary] + [{**head, "event": "violation", **v} for v in violations]
 
 
-def _lemma3(args):
-    max_m = args.max_m or 6
-    max_k = args.max_k or 6
+def _lemma3(opts):
+    max_m, max_k = opts["max_m"], opts["max_k"]
     checks = lemma_checks_upto(max_m, max_k, LEMMA_COUNT_CAP)
     if checks is None or checks > MAX_LEMMA_CHECKS:
         count = f"more than {LEMMA_COUNT_CAP}" if checks is None else checks
@@ -174,7 +173,7 @@ def _lemma3(args):
         )
     report = verify_lemma_binom(max_m, max_k)
     return _report_records(
-        "lemma3", {"max_m": max_m, "max_k": max_k}, report.checks,
+        "lemma3", opts, report.checks,
         [{"m": m, "k": k, "A": a, "B": b} for m, k, a, b in report.counterexamples],
     )
 
@@ -188,25 +187,22 @@ def _check_rank_work(run: str, lo: int, max_n: int, max_degree: int,
         )
 
 
-def _green(args):
-    max_n = args.max_n or 3
-    max_degree = args.max_degree or 3
+def _green(opts):
+    seed, subspaces, trials = opts["seed"], opts["subspaces"], opts["trials"]
     # each subspace ranks its M once and once per hyperplane; one whose
     # trials all miss draws up to `trials` more, so the uncounted worst
     # case is subspaces * (2 * trials + 1) ranks, at most twice the count
-    _check_rank_work(
-        f"green run --subspaces {args.subspaces} --trials {args.trials}",
-        2, max_n, max_degree, args.subspaces * (args.trials + 1),
-    )
+    _check_rank_work(f"green run --subspaces {subspaces} --trials {trials}",
+                     2, opts["max_n"], opts["max_degree"], subspaces * (trials + 1))
     records = []
     checks = 0
-    for n in range(2, max_n + 1):
-        for d in range(2, max_degree + 1):
-            cell = green_suite(ns=(n,), ds=(d,), subspaces=args.subspaces,
-                               trials=args.trials, seed=args.seed)
+    for n in range(2, opts["max_n"] + 1):
+        for d in range(2, opts["max_degree"] + 1):
+            cell = green_suite(ns=(n,), ds=(d,), subspaces=subspaces,
+                               trials=trials, seed=seed)
             checks += cell.checks
             params = {"n": n, "d": d, "subspaces": cell.subspace_count,
-                      "trials": args.trials, "seed": args.seed}
+                      "trials": trials, "seed": seed}
             records += _report_records("green", params, cell.checks, [
                 {"n": r.n, "d": r.d, "subspace": i, "c": r.c, "c_h": r.c_h,
                  "bound": r.bound}
@@ -214,74 +210,80 @@ def _green(args):
             ])
     ok = all(r.get("ok", True) for r in records)
     records.append({"cmd": "verify", "suite": "green", "event": "summary",
-                    "seed": args.seed, "trials": args.trials, "checks": checks, "ok": ok})
+                    "seed": seed, "trials": trials, "checks": checks, "ok": ok})
     return records
 
 
-def _restriction(args):
-    max_n = args.max_n or 4
-    max_degree = args.max_degree or 4
-    _check_rank_work(f"restriction run --trials {args.trials}",
-                     1, max_n, max_degree, args.trials)
-    report = veronese_suite(max_n=max_n, max_degree=max_degree,
-                            trials=args.trials, seed=args.seed)
-    params = {"max_n": max_n, "max_degree": max_degree,
-              "trials": args.trials, "seed": args.seed}
-    return _report_records("restriction", params, report.checks, [
+def _restriction(opts):
+    _check_rank_work(f"restriction run --trials {opts['trials']}",
+                     1, opts["max_n"], opts["max_degree"], opts["trials"])
+    report = veronese_suite(**opts)
+    return _report_records("restriction", opts, report.checks, [
         {"n": n, "d": d, "got": got, "expected": expected}
         for n, d, got, expected in report.violations
     ])
 
 
-def _gap_argument(args):
-    max_n = args.max_n or 60
+def _gap_argument(opts):
+    max_n = opts["max_n"]
     if gap_argument_checks(max_n) > MAX_GAP_ARGUMENT_CHECKS:
         raise ValueError(
             f"gap-argument sweep --max-n {max_n} needs more checks than "
             f"the limit of {MAX_GAP_ARGUMENT_CHECKS}"
         )
     report = gap_argument_sweep(max_n)
-    params = {"max_n": max_n, "case_i": report.case_i, "case_ii": report.case_ii}
+    params = {**opts, "case_i": report.case_i, "case_ii": report.case_ii}
     return _report_records("gap-argument", params, report.checks, [
         {"n": r.n, "a": r.a, "b": r.b, "total": r.total, "n_prime": r.n_prime}
         for r in report.violations
     ])
 
 
-def _sharpness(args):
-    max_k = args.max_k or 4
-    max_n = args.max_n or 12
-    report = sharpness_suite(max_k=max_k, max_n=max_n)
-    params = {"max_k": max_k, "max_n": max_n, "maps": report.maps}
-    return _report_records("sharpness", params, report.checks, [
+def _sharpness(opts):
+    report = sharpness_suite(**opts)
+    return _report_records("sharpness", {**opts, "maps": report.maps}, report.checks, [
         {"k": k, "n": n, "check": label} for k, n, label in report.violations
     ])
 
 
-# suite name -> (run, text line of each summary record).  A run calls its
-# library suite by its name in this module, so a caller that rebinds the
-# name (a test, a tracer) reaches every run.
+# option -> (type, help) of every option a suite may declare
+_OPTIONS = {
+    "seed": (_u64, "base seed for sampling"),
+    "subspaces": (_positive, "random subspaces per (n, d) cell"),
+    "trials": (_positive, "hyperplanes per sampled object"),
+    "max_m": (_positive, "sweep bound on m"),
+    "max_k": (_positive, "sweep bound on k"),
+    "max_n": (_positive, "sweep bound on n"),
+    "max_degree": (_positive, "sweep bound on degree"),
+}
+
+# suite name -> (run, its options with their defaults, text line of each
+# summary record).  This is the one place a suite's options and defaults
+# live: each suite's sub-command takes exactly its options, and its run gets
+# their values as a dict, which every summary record but green's echoes.  A
+# run calls its library suite by its name in this module, so a caller that
+# rebinds the name (a test, a tracer) reaches every run.
 _SUITES = {
-    "lemma3": (_lemma3, "lemma3: {checks} checks, {violations} violations"),
-    "green": (_green, "green n={n} d={d}: {subspaces} subspaces, {violations} violations"),
-    "restriction": (_restriction, "restriction: {checks} checks, {violations} violations"),
-    "gap-argument": (
-        _gap_argument,
-        "gap-argument: {checks} checks (case I {case_i}, case II {case_ii}), "
-        "{violations} violations",
-    ),
-    "sharpness": (
-        _sharpness, "sharpness: {maps} maps, {checks} checks, {violations} violations"
-    ),
+    "lemma3": (_lemma3, {"max_m": 6, "max_k": 6},
+               "lemma3: {checks} checks, {violations} violations"),
+    "green": (_green, {"seed": 0, "subspaces": 200, "trials": 20, "max_n": 3, "max_degree": 3},
+              "green n={n} d={d}: {subspaces} subspaces, {violations} violations"),
+    "restriction": (_restriction, {"seed": 0, "trials": 20, "max_n": 4, "max_degree": 4},
+                    "restriction: {checks} checks, {violations} violations"),
+    "gap-argument": (_gap_argument, {"max_n": 60},
+                     "gap-argument: {checks} checks (case I {case_i}, case II {case_ii}), "
+                     "{violations} violations"),
+    "sharpness": (_sharpness, {"max_k": 4, "max_n": 12},
+                  "sharpness: {maps} maps, {checks} checks, {violations} violations"),
 }
 # the text line of green's closing `event: "summary"` record
 _TOTAL_TEXT = "{suite}: {checks} checks, ok={ok}"
 
 
 def cmd_verify(args):
-    run, template = _SUITES[args.suite]
+    run, options, template = _SUITES[args.suite]
     start = time.perf_counter()
-    records = run(args)
+    records = run({name: getattr(args, name) for name in options})
     elapsed = time.perf_counter() - start
     text = []
     for record in records:
@@ -380,18 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
     gap.set_defaults(func=cmd_gap)
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("suite", choices=sorted(_SUITES))
-    ver.add_argument("--seed", type=_u64, default=0, help="base seed for sampling")
-    ver.add_argument("--trials", type=_positive, default=20,
-                     help="hyperplanes per sampled object")
-    ver.add_argument("--subspaces", type=_positive, default=200,
-                     help="random subspaces per (n, d) cell")
-    ver.add_argument("--max-m", type=_positive, help="sweep bound on m")
-    ver.add_argument("--max-k", type=_positive, help="sweep bound on k")
-    ver.add_argument("--max-n", type=_positive, help="sweep bound on n")
-    ver.add_argument("--max-degree", type=_positive, help="sweep bound on degree")
-    ver.add_argument("--json", action="store_true", help="line-delimited records")
-    ver.set_defaults(func=cmd_verify)
+    suites = ver.add_subparsers(dest="suite", required=True)
+    for name, (_, options, _) in _SUITES.items():
+        suite = suites.add_parser(name)
+        for option, default in options.items():
+            kind, text = _OPTIONS[option]
+            suite.add_argument("--" + option.replace("_", "-"), type=kind, default=default,
+                               help=f"{text} (default %(default)s)")
+        suite.add_argument("--json", action="store_true", help="line-delimited records")
+        suite.set_defaults(func=cmd_verify)
 
     mp = sub.add_parser("map", help="map file tooling")
     act = mp.add_subparsers(dest="action", required=True)

@@ -39,6 +39,13 @@ class MapFormatError(ValueError):
 # (exponent vectors of n_vars entries, P of degree 2d in 2 n_vars
 # variables); span ranks only the monomials that occur.
 MAX_MAP_MONOMIALS = 100_000
+# Largest pairing of `orthogonality_certificate`, in term products: the sum
+# of t_j^2 over the non-null components, t_j the term count of component j.
+# P has at most that many terms, and the division rescans its remainder at
+# every step, so time grows about as the square of the count.  The slowest
+# accepted shape found is two components z_0 g, z_1 g over a source with
+# two non-null coordinates (Q of two terms): 14 792 products took 2.5 s.
+MAX_PAIRING_TERMS = 15_000
 
 
 class Signature(FrozenRecord):
@@ -405,13 +412,21 @@ def orthogonality_certificate(f: SignedMap, pivot: int = 0) -> OrthCertificate:
     denominators.  A true verdict carries the exact quotient, checked by
     multiplying it back by Q (a mismatch raises RuntimeError); a false
     verdict carries a witness pair of orthogonal points whose images pair to
-    a nonzero value, sampled in the chart z_pivot != 0.
+    a nonzero value, sampled in the chart z_pivot != 0.  A map whose pairing
+    needs more than MAX_PAIRING_TERMS term products raises ValueError before
+    P is built.
     """
     sig = f.source
     if sig.r + sig.s < 2:
         raise ValueError("need at least two non-null source coordinates")
     if not 0 <= pivot < sig.r + sig.s:
         raise ValueError("pivot must index a non-null coordinate")
+    products = sum(len(P) ** 2 for j, (_, P) in enumerate(f.cleared) if f.target.eps(j))
+    if products > MAX_PAIRING_TERMS:
+        raise ValueError(
+            f"pairing polynomial needs {products} term products, above the "
+            f"limit of {MAX_PAIRING_TERMS}"
+        )
     # one positive integer L clears P, and Q | L * P iff Q | P
     L, P = _pairing_pairs(f)
     Q = _source_form_pairs(sig)
@@ -655,7 +670,7 @@ class SharpnessSuiteReport(SuiteReport):
         self.maps = maps
 
 
-def sharpness_suite(max_k: int = 4, max_n: int = 12) -> SharpnessSuiteReport:
+def sharpness_suite(max_k: int, max_n: int) -> SharpnessSuiteReport:
     """For each (k, n) with k(k+1) < n <= max_n: component count, exact
     linear independence, certified orthogonality with the expected quotient,
     full span, and the two endpoint classifications.  A max_n whose maps

@@ -553,8 +553,9 @@ def subspace_rank(W: PolySubspace) -> int:
 
 def cleared_rows(polys, n_vars: int, degree: int) -> list[list[tuple[int, int]]]:
     """The nonzero coefficient rows of `polys`, each scaled to Gaussian-integer
-    pairs.  Their real parts are the M_W that `_int_restricted_rank`
-    multiplies by R_H in `veronese_suite`."""
+    pairs.  For a real subspace their real parts are the integer rows M that
+    `_int_restricted_rank` multiplies by R_H (`_random_int_rows` draws them
+    directly)."""
     return [clear(r)[1] for r in coefficient_rows(polys, n_vars, degree) if any(r)]
 
 
@@ -725,14 +726,8 @@ def _green_subspace(rng: random.Random, n: int, d: int,
     return best, drawn
 
 
-def green_suite(
-    ns=(2, 3),
-    ds=(2, 3),
-    subspaces: int = 200,
-    trials: int = 20,
-    seed: int = 0,
-    keep_records: bool = False,
-) -> GreenSuiteReport:
+def green_suite(ns, ds, subspaces: int, trials: int, seed: int,
+                keep_records: bool = False) -> GreenSuiteReport:
     """Sampled check of the restriction codimension bound: for each random
     subspace, min over its hyperplanes (`_green_subspace`) of c_h must not
     exceed c_<d>.  `checks` counts every hyperplane drawn."""
@@ -785,23 +780,21 @@ def verify_restriction_theorem(
     )
 
 
-def veronese_suite(
-    max_n: int = 4,
-    max_degree: int = 4,
-    trials: int = 3,
-    seed: int = 0,
-) -> SuiteReport:
+def veronese_suite(max_n: int, max_degree: int, trials: int, seed: int) -> SuiteReport:
     """Equality case of the span bound: for the full monomial map every
     sampled hyperplane section spans exactly the shifted dimension.  A
-    violation is (n, d, dimension found, dimension expected)."""
+    violation is (n, d, dimension found, dimension expected).
+
+    The map is taken on integers alone: its components are the monomials
+    themselves, so they span the whole space, N = C(n+d, d) - 1, and their
+    coefficient rows in monomial_basis order are the identity M."""
     report = SuiteReport()
     for n in range(1, max_n + 1):
         for d in range(1, max_degree + 1):
-            comps = veronese_components(n + 1, d)
-            N = image_span_dim(comps)
-            expected = op_minus(N, n)
+            size = math.comb(n + d, d)
+            expected = op_minus(size - 1, n)
             rng = rng_for(seed, f"veronese|n{n}|d{d}")
-            M = [[a for a, _ in row] for row in cleared_rows(comps, n + 1, d)]
+            M = [[int(i == j) for j in range(size)] for i in range(size)]
             for _ in range(trials):
                 rank = _int_restricted_rank(M, *_random_form(rng, n + 1), d)
                 report.checks += 1

@@ -31,13 +31,14 @@ from macgap.gap_calc import (
 )
 from macgap.hermitian import (
     MAX_MAP_MONOMIALS,
+    MAX_PAIRING_TERMS,
     MapFormatError,
     SharpnessSuiteReport,
     format_map,
     parse_map,
     sharpness_map,
 )
-from macgap.polyspace import GreenRecord, GreenSuiteReport, rank_work_upto
+from macgap.polyspace import GreenRecord, GreenSuiteReport, monomial_basis, rank_work_upto
 from macgap.record import SuiteReport
 
 
@@ -401,9 +402,9 @@ class TestVerify:
         assert rank_work_upto(2, 3, 3, 2 * 4895, MAX_RANK_WORK) is None
         assert rank_work_upto(1, 4, 4, 224, MAX_RANK_WORK) == 224 * 446_156
         assert rank_work_upto(1, 4, 4, 225, MAX_RANK_WORK) is None
-        for suite, flag, below in (("green", "--subspaces", 4894),
-                                   ("restriction", "--trials", 224)):
-            argv = ["verify", suite, "--trials", "1", "--subspaces", "1"]
+        for suite, extra, flag, below in (("green", ["--trials", "1"], "--subspaces", 4894),
+                                          ("restriction", [], "--trials", 224)):
+            argv = ["verify", suite, *extra]
             rc, out, err = run(capsys, *argv, flag, str(below + 1))
             assert rc == 2 and out == "" and f"limit of {MAX_RANK_WORK}" in err
             assert ran == []
@@ -423,10 +424,98 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_bad_seed(self):
-        for bad in ("-1", str(2**64)):
+        for suite in ("green", "restriction"):
+            for bad in ("-1", str(2**64)):
+                with pytest.raises(SystemExit) as exc:
+                    main(["verify", suite, "--seed", bad])
+                assert exc.value.code == 2
+
+
+# each suite's options with their defaults; the other options of `verify`
+# are refused for it
+SUITE_OPTIONS = {
+    "lemma3": {"max_m": 6, "max_k": 6},
+    "green": {"seed": 0, "subspaces": 200, "trials": 20, "max_n": 3, "max_degree": 3},
+    "restriction": {"seed": 0, "trials": 20, "max_n": 4, "max_degree": 4},
+    "gap-argument": {"max_n": 60},
+    "sharpness": {"max_k": 4, "max_n": 12},
+}
+ALL_OPTIONS = {option for options in SUITE_OPTIONS.values() for option in options}
+UNDECLARED = [(suite, option) for suite, options in SUITE_OPTIONS.items()
+              for option in sorted(ALL_OPTIONS - set(options))]
+# the summary record keys that are not options: the common ones, then each
+# suite's own counts
+SUMMARY_KEYS = {"cmd", "suite", "checks", "violations", "ok"}
+SUMMARY_EXTRAS = {"lemma3": set(), "restriction": set(),
+                  "gap-argument": {"case_i", "case_ii"}, "sharpness": {"maps"}}
+
+
+def _flag(option):
+    return "--" + option.replace("_", "-")
+
+
+class TestVerifyOptions:
+    def test_every_suite_has_its_options(self):
+        assert sorted(macgap.cli._SUITES) == sorted(SUITE_OPTIONS)
+        assert len(ALL_OPTIONS) == 7 and len(UNDECLARED) == 21
+
+    @pytest.mark.parametrize("suite, option", UNDECLARED,
+                             ids=[f"{s}{_flag(o)}" for s, o in UNDECLARED])
+    def test_undeclared_option_exits_two(self, capsys, monkeypatch, suite, option):
+        def suite_ran(*args, **kwargs):
+            raise AssertionError("a suite ran with an option it does not read")
+
+        for name in ("verify_lemma_binom", "green_suite", "veronese_suite",
+                     "gap_argument_sweep", "sharpness_suite"):
+            monkeypatch.setattr(macgap.cli, name, suite_ran)
+        for argv in (["verify", suite, _flag(option), "1"],
+                     ["verify", suite, "--json", _flag(option), "1"]):
             with pytest.raises(SystemExit) as exc:
-                main(["verify", "lemma3", "--seed", bad])
+                main(argv)
             assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unrecognized arguments: {_flag(option)} 1" in captured.err
+
+    def test_options_follow_the_suite_name(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "5", "green"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("suite", SUITE_OPTIONS)
+    def test_defaults(self, suite):
+        args = vars(macgap.cli.build_parser().parse_args(["verify", suite]))
+        assert {o: args[o] for o in SUITE_OPTIONS[suite]} == SUITE_OPTIONS[suite]
+        assert not ALL_OPTIONS - set(SUITE_OPTIONS[suite]) & set(args)
+
+    @pytest.mark.parametrize("suite", SUITE_OPTIONS)
+    def test_help_lists_own_options_with_defaults(self, capsys, suite):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for option, default in SUITE_OPTIONS[suite].items():
+            flag = _flag(option)
+            assert re.search(rf"\n  {flag} {option.upper()}\s+[^\n]*\(default {default}\)\n", out)
+        for option in ALL_OPTIONS - set(SUITE_OPTIONS[suite]):
+            assert _flag(option) + " " not in out
+
+    @pytest.mark.parametrize("suite", SUMMARY_EXTRAS)
+    def test_summary_records_echo_the_options(self, capsys, monkeypatch, suite):
+        monkeypatch.setattr(macgap.cli, "verify_lemma_binom", _planted_lemma3)
+        monkeypatch.setattr(macgap.cli, "veronese_suite", _planted_restriction)
+        monkeypatch.setattr(macgap.cli, "gap_argument_sweep", _planted_gap_argument)
+        monkeypatch.setattr(macgap.cli, "sharpness_suite", _planted_sharpness)
+        # the defaults, then every option off its default
+        other = {"seed": 7, "trials": 2, "max_m": 3, "max_k": 2, "max_n": 5, "max_degree": 2}
+        for options in (SUITE_OPTIONS[suite], {o: other[o] for o in SUITE_OPTIONS[suite]}):
+            argv = [a for o, v in options.items() for a in (_flag(o), str(v))]
+            rc, out, _ = run(capsys, "verify", suite, "--json", *argv)
+            assert rc == 1
+            summary = records(out)[0]
+            assert set(summary) == SUMMARY_KEYS | set(options) | SUMMARY_EXTRAS[suite]
+            assert {o: summary[o] for o in options} == options
 
 
 class TestMapTooling:
@@ -663,6 +752,50 @@ class TestMapTooling:
         # the largest benchmark maps: 21 variables in degree 3, C(23, 3) = 1771
         big = "source 3 18 0\ntarget 1 0 0\ndegree 3\n%pos\n1/1 3" + " 0" * 20
         assert parse_map(big + "\n%neg\n%null\n").source.n_vars == 21
+
+    @staticmethod
+    def _orthogonal_map(n_vars):
+        """The map (z_i g) over n_vars source coordinates, one negative, for
+        g dense of degree 2 with coefficients 1-9: orthogonal, since its
+        pairing is Q g conj(g).  Each component has C(n_vars+1, 2) terms."""
+        g = [(1 + i % 9, e) for i, e in enumerate(monomial_basis(n_vars, 2))]
+        comps = ["; ".join(f"{c} " + " ".join(str(x + (j == i)) for j, x in enumerate(e))
+                           for c, e in g) for i in range(n_vars)]
+        sig = f"{n_vars - 1} 1 0"
+        return "\n".join([f"source {sig}", f"target {sig}", "degree 3", "%pos",
+                          *comps[:-1], "%neg", comps[-1], "%null", ""])
+
+    def test_pairing_limit_boundary(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "orth.map"
+        path.write_text(self._orthogonal_map(3))
+        products = 3 * 6**2
+        for limit, code in ((products, 0), (products - 1, 2)):
+            monkeypatch.setattr(macgap.hermitian, "MAX_PAIRING_TERMS", limit)
+            rc, out, err = run(capsys, "map", "check-orth", str(path))
+            assert rc == code
+            if code:
+                assert out == "" and f"{products} term products" in err
+            else:
+                assert out.startswith("orthogonal: yes")
+        monkeypatch.undo()
+        # at the limit's own value: 8 coordinates pair 8 * 36^2 = 10 368 products
+        path.write_text(self._orthogonal_map(8))
+        assert 8 * 36**2 <= MAX_PAIRING_TERMS
+        rc, out, _ = run(capsys, "map", "check-orth", str(path))
+        assert rc == 0 and out.startswith("orthogonal: yes")
+
+    def test_pairing_limit_refuses_before_pairing(self, capsys, tmp_path, monkeypatch):
+        def pairing(*args):
+            raise AssertionError("the pairing was built above the limit")
+
+        monkeypatch.setattr(macgap.hermitian, "_pairing_pairs", pairing)
+        path = tmp_path / "orth12.map"
+        path.write_text(self._orthogonal_map(12))
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "map", "check-orth", "--json", str(path))
+        assert time.perf_counter() - start < 1
+        assert rc == 2 and out == ""
+        assert f"73008 term products, above the limit of {MAX_PAIRING_TERMS}" in err
 
     def test_internal_check_failure(self, capsys, tmp_path, monkeypatch):
         def no_witness(*args):

@@ -1,8 +1,8 @@
 """The suites and the map commands run end to end on their reference
 implementations.
 
-The `reference_mode` fixture swaps every fast path of `verify green` and
-`verify restriction` for the slow reference it replaces:
+The `reference_mode` context manager swaps every fast path of `verify
+green` and `verify restriction` for the slow reference it replaces:
 
 - `green_suite` and `veronese_suite` for plain loops that draw each
   subspace with `random_subspace` and each hyperplane with
@@ -46,8 +46,8 @@ swaps the lemma sweep for per-split shifts through `macaulay_rep`, and
 `gap_reference` the gap-argument sweep for one `verify_gap_argument`
 report per triple, with `dim_prop_bound` by iterated descent.  Both ways
 compare only with each other, so the stdout of each command is also pinned
-by its sha256 in `STDOUT_SHA256`.  Nothing here adds a switch to the
-program.
+by its sha256 in `STDOUT_SHA256`.  Each suite also runs both ways on drawn
+values of its own options.  Nothing here adds a switch to the program.
 """
 
 import contextlib
@@ -120,11 +120,10 @@ def _no_template(*args):
     raise AssertionError("the restriction template was used in reference mode")
 
 
-@pytest.fixture
-def reference_mode(monkeypatch):
-    """Returns (calls, enter).  `calls` gets one entry (rows, form, pivot,
-    degree, rank) per restricted rank a suite computes; `enter()` switches
-    the fast paths to their references for the rest of the test."""
+@contextlib.contextmanager
+def recorded_ranks():
+    """Yields a list that gets one entry (rows, form, pivot, degree, rank)
+    per restricted rank that the fast path computes inside the block."""
     calls = []
     fast_rank = polyspace._int_restricted_rank
 
@@ -133,7 +132,19 @@ def reference_mode(monkeypatch):
         calls.append((M, form, pivot, degree, rank))
         return rank
 
-    monkeypatch.setattr(polyspace, "_int_restricted_rank", spy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyspace, "_int_restricted_rank", spy)
+        yield calls
+
+
+@contextlib.contextmanager
+def reference_mode():
+    """Runs `verify green` and `verify restriction` on their references
+    inside the block, and yields a list that gets one entry (rows, form,
+    pivot, degree, rank) per restricted rank computed there.  A context
+    manager, not a fixture, so that a hypothesis test can enter it once per
+    example."""
+    calls = []
 
     def int_restricted_rank(M, form, pivot, degree):
         H = Hyperplane(tuple(GRat(v) for v in form), pivot)
@@ -141,8 +152,7 @@ def reference_mode(monkeypatch):
         calls.append((M, form, pivot, degree, rank))
         return rank
 
-    def green_suite(ns=(2, 3), ds=(2, 3), subspaces=200, trials=20, seed=0,
-                    keep_records=False):
+    def green_suite(ns, ds, subspaces, trials, seed, keep_records=False):
         report = GreenSuiteReport()
         for n in ns:
             for d in ds:
@@ -170,7 +180,7 @@ def reference_mode(monkeypatch):
                         report.violations.append((i, best))
         return report
 
-    def veronese_suite(max_n=4, max_degree=4, trials=3, seed=0):
+    def veronese_suite(max_n, max_degree, trials, seed):
         report = SuiteReport()
         for n in range(1, max_n + 1):
             for d in range(1, max_degree + 1):
@@ -186,7 +196,7 @@ def reference_mode(monkeypatch):
                         report.violations.append((n, d, rank - 1, expected))
         return report
 
-    def enter():
+    with pytest.MonkeyPatch.context() as mp:
         for name, ref in [
             ("green_suite", green_suite),
             ("veronese_suite", veronese_suite),
@@ -195,11 +205,10 @@ def reference_mode(monkeypatch):
             ("_int_restricted_rank", int_restricted_rank),
             ("_restriction_template", _no_template),
         ]:
-            monkeypatch.setattr(polyspace, name, ref)
+            mp.setattr(polyspace, name, ref)
             if hasattr(macgap.cli, name):
-                monkeypatch.setattr(macgap.cli, name, ref)
-
-    return calls, enter
+                mp.setattr(macgap.cli, name, ref)
+        yield calls
 
 
 def cli_stdout(argv):
@@ -251,21 +260,17 @@ COMMANDS = [
 ]
 
 
-def test_suites_match_their_references(reference_mode):
-    calls, enter = reference_mode
-
-    def run():
-        report = polyspace.green_suite(
-            ns=(2, 3), ds=(1, 2, 3), subspaces=10, trials=4, seed=6, keep_records=True
-        )
-        outputs = [cli_stdout(argv) for argv in COMMANDS]
-        ranks = calls[:]
-        calls.clear()
+def test_suites_match_their_references():
+    def run(mode):
+        with mode() as ranks:
+            report = polyspace.green_suite(
+                ns=(2, 3), ds=(1, 2, 3), subspaces=10, trials=4, seed=6, keep_records=True
+            )
+            outputs = [cli_stdout(argv) for argv in COMMANDS]
         return outputs, report.records, ranks
 
-    fast = run()
-    enter()
-    assert run() == fast
+    fast = run(recorded_ranks)
+    assert run(reference_mode) == fast
     outputs, records, ranks = fast
     assert all(code == 0 for code, _ in outputs)
     for argv, (_, out) in zip(COMMANDS, outputs, strict=True):
@@ -444,8 +449,9 @@ def test_witness_charts_match_their_references(drawn_map_file, seed, gaussian, d
     assert workloads._check_orth(m)(out) is None
 
 
-@pytest.fixture
-def lemma3_reference(monkeypatch):
+@contextlib.contextmanager
+def lemma3_reference():
+    """Runs `verify lemma3` on per-split shifts inside the block."""
     def sweep(m_max, k_max, table=None):
         checks, bad = 0, []
         for m in range(1, m_max + 1):
@@ -458,15 +464,16 @@ def lemma3_reference(monkeypatch):
                         bad.append((m, k, A, total - A))
         return LemmaSweepReport(checks, bad)
 
-    def enter():
-        monkeypatch.setattr(binom_core, "verify_lemma_binom", sweep)
-        monkeypatch.setattr(macgap.cli, "verify_lemma_binom", sweep)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binom_core, "verify_lemma_binom", sweep)
+        mp.setattr(macgap.cli, "verify_lemma_binom", sweep)
+        yield
 
-    return enter
 
-
-@pytest.fixture
-def gap_reference(monkeypatch):
+@contextlib.contextmanager
+def gap_reference():
+    """Runs `verify gap-argument` on one `verify_gap_argument` report per
+    triple inside the block."""
     def dim_prop_bound(n, a, b, m):
         # D_m is the value reached by descent from N(n;a,b) to level m
         if not a + 1 <= m <= n - 1:
@@ -476,16 +483,15 @@ def gap_reference(monkeypatch):
             form = nab_minus(form)
         return nab_value(form)
 
-    def enter():
-        monkeypatch.setattr(gap_calc, "dim_prop_bound", dim_prop_bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gap_calc, "dim_prop_bound", dim_prop_bound)
         # one full verify_gap_argument report per admissible triple
-        monkeypatch.setattr(gap_calc, "gap_argument_sweep", gap_walk)
-        monkeypatch.setattr(macgap.cli, "gap_argument_sweep", gap_walk)
+        mp.setattr(gap_calc, "gap_argument_sweep", gap_walk)
+        mp.setattr(macgap.cli, "gap_argument_sweep", gap_walk)
+        yield
 
-    return enter
 
-
-def test_index_suites_match_their_references(lemma3_reference, gap_reference):
+def test_index_suites_match_their_references():
     commands = [
         ["verify", "lemma3", "--json"],
         ["verify", "lemma3", "--json", "--max-m", "3", "--max-k", "7"],
@@ -495,9 +501,69 @@ def test_index_suites_match_their_references(lemma3_reference, gap_reference):
         ["verify", "gap-argument", "--json", "--max-n", "120"],
     ]
     fast = [cli_stdout(argv) for argv in commands]
-    lemma3_reference()
-    gap_reference()
-    assert [cli_stdout(argv) for argv in commands] == fast
+    with lemma3_reference(), gap_reference():
+        assert [cli_stdout(argv) for argv in commands] == fast
     assert all(code == 0 for code, _ in fast)
     for argv, (_, out) in zip(commands, fast, strict=True):
         assert_pinned(argv, out)
+
+
+# Drawn `verify` inputs: each suite with its own options drawn, run both
+# ways.  The fixed commands above never redraw a green hyperplane, never
+# take --trials 1, and never sweep lemma3 with max_m > max_k.
+
+def _both_ways(suite, mode, **drawn):
+    """Runs `verify SUITE --json` with the drawn options fast and inside
+    `mode`, and compares stdout and, for a mode that records them, the
+    restricted ranks call by call."""
+    argv = ["verify", suite, "--json"]
+    for option, value in drawn.items():
+        argv += ["--" + option.replace("_", "-"), str(value)]
+    with recorded_ranks() as fast_ranks:
+        fast = cli_stdout(argv)
+    with mode() as ref_ranks:
+        assert cli_stdout(argv) == fast
+    if ref_ranks is not None:
+        assert ref_ranks == fast_ranks and fast_ranks
+    return fast
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(SEEDS, st.integers(1, 3), st.integers(1, 3), st.integers(2, 3), st.integers(2, 3),
+       st.booleans())
+def test_drawn_green_matches_its_reference(seed, subspaces, trials, max_n, max_degree, tight):
+    # a general hyperplane meets the bound, so a clean run never redraws;
+    # a bound one below the true one makes subspaces miss, and their
+    # redraws then run both ways too
+    op_lower = polyspace.op_lower
+    with pytest.MonkeyPatch.context() as mp:
+        if tight:
+            mp.setattr(polyspace, "op_lower", lambda c, d: op_lower(c, d) - 1)
+        code, _ = _both_ways("green", reference_mode, seed=seed, subspaces=subspaces,
+                             trials=trials, max_n=max_n, max_degree=max_degree)
+    assert code == 0 or tight and code == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+def test_drawn_restriction_matches_its_reference(seed, trials, max_n, max_degree):
+    code, _ = _both_ways("restriction", reference_mode, seed=seed, trials=trials,
+                         max_n=max_n, max_degree=max_degree)
+    assert code == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6))
+def test_drawn_lemma3_matches_its_reference(max_m, max_k):
+    code, _ = _both_ways("lemma3", lemma3_reference, max_m=max_m, max_k=max_k)
+    assert code == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 60))
+def test_drawn_gap_argument_matches_its_reference(max_n):
+    code, _ = _both_ways("gap-argument", gap_reference, max_n=max_n)
+    assert code == 0
