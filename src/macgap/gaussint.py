@@ -10,11 +10,15 @@ polynomial of a map from its cleared components, and `vanishes_at` tests it
 at a witness candidate on Gaussian-integer pairs.
 
 The rank kernels are fraction-free (Bareiss 1968) on integer rows and on
-pair rows.  `span_rank` ranks sparse rows: it first peels singleton columns
-and singleton rows, the first step of structured Gaussian elimination
-(LaMacchia-Odlyzko 1990), and hands only the remaining core to
-`_rank_pairs`.  The pair products inside the elimination loops are written
-out inline, since a call per scalar product would dominate them.
+pair rows.  `_rank_int_rows` eliminates integer rows one at a time as they
+arrive and stops once the rank reaches the width, so a caller that forms
+its rows lazily never forms the rest; the column-oriented `_rank_int` is
+its reference, and ranks every matrix that is held whole.  `span_rank`
+ranks sparse rows: it first peels singleton columns and singleton rows,
+the first step of structured Gaussian elimination (LaMacchia-Odlyzko
+1990), and hands only the remaining core to `_rank_pairs`.  The pair
+products inside the elimination loops are written out inline, since a
+call per scalar product would dominate them.
 """
 
 from __future__ import annotations
@@ -107,6 +111,36 @@ def _rank_int(rows: list[list[int]]) -> int:
         prev = pv
         rank += 1
     return rank
+
+
+def _rank_int_rows(rows, ncols: int) -> int:
+    """Rank of integer rows of width `ncols`, eliminated one row at a time
+    as `rows` yields them; `_rank_int` is its reference.
+
+    Each new row x is reduced by every basis row (c_j, b_j) in order, as
+    x <- (p_j*x - x[c_j]*b_j) // p_{j-1}, with p_j = b_j[c_j] and p_0 = 1;
+    this is Bareiss on the rows kept so far, so every division is exact.
+    x joins the basis with its first nonzero entry as pivot, if it has one
+    left.  The rank never exceeds `ncols`, so once the basis holds `ncols`
+    rows the rest of `rows` is never drawn."""
+    basis = []
+    for x in rows:
+        prev = 1
+        for c, b, p in basis:
+            f = x[c]
+            # every basis row gets applied, even with f == 0: the division
+            # by the previous pivot is only exact on the full form p*x - f*b
+            if f:
+                x = [(p * u - f * v) // prev for u, v in zip(x, b)]
+            else:
+                x = [p * u // prev for u in x]
+            prev = p
+        lead = next(filter(None, x), 0)
+        if lead:
+            basis.append((x.index(lead), x, lead))
+            if len(basis) == ncols:
+                break
+    return len(basis)
 
 
 def _rank_gauss_int(rows: list[list[tuple[int, int]]]) -> int:

@@ -18,12 +18,14 @@ coefficient rows times the restriction matrix of an integer hyperplane.
 R_H comes from a template cached per (n_vars, degree, pivot), which holds
 the multinomial terms of every power of the substituted form and the
 column each term lands on; a hyperplane only fills in the powers of its
-own coefficients.  The suites draw M_W and the hyperplanes as plain
-integers, with the same RNG calls as `random_subspace` and
-`random_hyperplane`.  Everything else, Gaussian input and the library
-verifiers included, restricts with the plain `GRat` substitution of
-`restrict` and ranks with `exact_rank`: the reference that the kernel and
-its draws must reproduce.
+own coefficients.  The rows of M_W . R_H are formed one at a time and
+eliminated as they come (`gaussint._rank_int_rows`), which stops once the
+rank reaches the width.  The suites draw M_W and the hyperplanes as plain
+integers, with the same RNG draws as `random_subspace` and
+`random_hyperplane`, taken by `_small_ints` rather than `randint`.
+Everything else, Gaussian input and the library verifiers included,
+restricts with the plain `GRat` substitution of `restrict` and ranks with
+`exact_rank`: the reference that the kernel and its draws must reproduce.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import re
 from fractions import Fraction
 
 from .binom_core import comb_upto, op_lower, op_minus
-from .gaussint import _rank_int, _rank_pairs, clear, span_rank
+from .gaussint import _rank_int, _rank_int_rows, _rank_pairs, clear, span_rank
 from .record import FrozenRecord, Record, SuiteReport
 
 
@@ -461,6 +463,20 @@ def _restriction_template(n_vars: int, degree: int, pivot: int):
     return len(cols), terms, tuple(rows)
 
 
+def _small_ints(rng: random.Random, k: int) -> list[int]:
+    """k draws of [rng.randint(-9, 9) for _ in range(k)], with the same
+    values and the same rng state after: randint(-9, 9) is -9 plus
+    getrandbits(5), drawn again while it is 19 or more."""
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(k):
+        r = getrandbits(5)
+        while r >= 19:
+            r = getrandbits(5)
+        out.append(r - 9)
+    return out
+
+
 def random_hyperplane(rng: random.Random, n_vars: int) -> Hyperplane:
     """Small-integer coefficients in [-9, 9], resampled while identically
     zero; pivot = first nonzero coefficient."""
@@ -474,9 +490,9 @@ def random_hyperplane(rng: random.Random, n_vars: int) -> Hyperplane:
 
 def _random_form(rng: random.Random, n_vars: int) -> tuple[list[int], int]:
     """The integer coefficients and the pivot of `random_hyperplane`, from
-    the same draws, without building the `Hyperplane`."""
+    the same draws (`_small_ints`), without building the `Hyperplane`."""
     while True:
-        ints = [rng.randint(-9, 9) for _ in range(n_vars)]
+        ints = _small_ints(rng, n_vars)
         if any(ints):
             return ints, next(i for i, v in enumerate(ints) if v)
 
@@ -595,30 +611,36 @@ def _int_restricted_rank(
     """The suites' restriction kernel: the rank of the restrictions of the
     polynomials with integer coefficient rows M (over monomial_basis order)
     to the hyperplane of the integer form `form` with that pivot.  It is
-    the rank of M . R_H, with M multiplied by the sparse R_H directly, and
-    equals exact_rank(coefficient_rows([restrict(p, H) ...])), its
-    reference; M is not modified, so one M serves many hyperplanes."""
+    the rank of M . R_H, with each row of M multiplied by the sparse R_H
+    directly as `_rank_int_rows` asks for it, so the rows past the point
+    where the rank reaches the width C(n_vars-2+degree, degree) are never
+    multiplied.  It equals exact_rank(coefficient_rows([restrict(p, H)
+    ...])), its reference; M is not modified, so one M serves many
+    hyperplanes."""
     if not M:
         return 0
     ncols, R = _int_restriction_rows(form, pivot, degree)
-    product = []
-    for row in M:
-        out = [0] * ncols
-        for v, entries in zip(row, R):
-            if v:
-                for col, r in entries:
-                    out[col] += v * r
-        product.append(out)
-    return _rank_int(product)
+
+    def product():
+        for row in M:
+            out = [0] * ncols
+            for v, entries in zip(row, R):
+                if v:
+                    for col, r in entries:
+                        out[col] += v * r
+            yield out
+
+    return _rank_int_rows(product(), ncols)
 
 
 def _random_int_rows(rng: random.Random, n_vars: int, degree: int) -> list[list[int]]:
-    """The M_W of `random_subspace`, from the same draws: the basis drawn as
-    integer coefficient rows, the all-zero ones dropped as `cleared_rows`
-    drops them."""
+    """The M_W of `random_subspace`, from the same draws (`_small_ints`
+    for the entries): the basis drawn as integer coefficient rows, the
+    all-zero ones dropped as `cleared_rows` drops them."""
     size = math.comb(n_vars - 1 + degree, degree)
     count = rng.randint(1, size + 2)
-    rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(count)]
+    entries = _small_ints(rng, count * size)
+    rows = (entries[i:i + size] for i in range(0, count * size, size))
     return [row for row in rows if any(row)]
 
 

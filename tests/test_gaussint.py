@@ -1,5 +1,6 @@
 """The Gaussian-integer kernel against its GRat references.
 
+- the row-by-row integer rank `_rank_int_rows` against `_rank_int`;
 - `span_rank` on sparse cleared rows against `exact_rank` of the dense
   coefficient rows;
 - the pairing built on pairs, over its L, against `pairing_poly`;
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macgap import hermitian
-from macgap.gaussint import clear, span_rank, vanishes_at
+from macgap.gaussint import _rank_int, _rank_int_rows, clear, span_rank, vanishes_at
 from macgap.hermitian import Signature, SignedMap, pairing_poly
 from macgap.polyspace import (
     GRat,
@@ -61,6 +62,37 @@ def sparse_rows_st(draw):
             row[c] = (u * a + v * x, u * b + v * y)
         rows.insert(draw(st.integers(0, len(rows))), row)
     return ncols, rows
+
+
+class TestRankIntRows:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_rows_st())
+    def test_matches_rank_int(self, case):
+        # the real parts of the sparse rows, laid out densely: small entries
+        # next to large pivots are where an inexact division shows
+        ncols, rows = case
+        dense = [[row.get(c, (0, 0))[0] for c in range(ncols)] for row in rows]
+        drawn = []
+        rank = _rank_int_rows((drawn.append(row) or row for row in dense), ncols)
+        assert rank == _rank_int([row[:] for row in dense])
+        if rank == ncols:
+            # the rows past the one that reached the width are never drawn
+            assert _rank_int([row[:] for row in drawn[:-1]] or [[0]]) < ncols
+
+    def test_edge_cases(self):
+        # the third row has a zero in the first pivot column; scaled by that
+        # pivot anyway it stays exact and independent, left as it is the
+        # division by -3 floors it to zero
+        rows = [[0, 0, 0, -3], [0, -2, -1, 0], [0, -1, 0, 0]]
+        assert _rank_int_rows(rows, 4) == _rank_int([row[:] for row in rows]) == 3
+        assert _rank_int_rows([], 3) == 0
+        assert _rank_int_rows([[0, 0], [0, 0]], 2) == 0
+
+        def identity_then_refuse():
+            yield from ([int(i == j) for j in range(3)] for i in range(3))
+            raise AssertionError("a row past the width was drawn")
+
+        assert _rank_int_rows(identity_then_refuse(), 3) == 3
 
 
 class TestSpanRank:

@@ -10,11 +10,14 @@ green` and `verify restriction` for the slow reference it replaces:
   suites are specified (a green subspace whose `trials` hyperplanes all
   miss the bound draws up to `trials` more, stopping at the first that
   meets it);
-- the integer draws for `random_subspace` + `cleared_rows` and
-  `random_hyperplane`;
-- the integer restricted rank (the template R_H times M) for `exact_rank`
-  of the `restrict`ed members, which is also what the reference green loop
-  runs through `verify_green`;
+- the integer draws, `_random_int_rows` and `_random_form`, which draw
+  each entry with `_small_ints` (`getrandbits(5)` in place of
+  `randint(-9, 9)`), for `random_subspace` + `cleared_rows` and
+  `random_hyperplane`, which call `randint`;
+- the integer restricted rank, `_int_restricted_rank` (the template R_H
+  times M, each product row eliminated by `_rank_int_rows` as it is formed,
+  stopping at the width), for `exact_rank` of the `restrict`ed members,
+  which is also what the reference green loop runs through `verify_green`;
 - the restriction template for a stub that fails if anything still
   reaches it.
 
