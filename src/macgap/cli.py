@@ -41,7 +41,6 @@ from .hermitian import (
 )
 from .polyspace import (
     cleared_span_dim,
-    format_grat,
     format_poly,
     green_suite,
     parse_poly,
@@ -300,10 +299,6 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # map
 
-def _point_text(point) -> str:
-    return " ".join(format_grat(c) for c in point)
-
-
 def cmd_map_gen(args):
     _write_text(args.output, format_map(sharpness_map(args.k, args.n)))
     return EXIT_OK, [], []
@@ -315,8 +310,8 @@ def cmd_map_check(args):
     record = {"cmd": "map", "action": "check-orth", "verdict": cert.verdict}
     if cert.quotient is not None:
         record["quotient"] = format_poly(cert.quotient)
-    if cert.witness is not None:
-        record["witness_z"], record["witness_w"] = map(_point_text, cert.witness)
+    if cert.witness_pairs is not None:
+        record["witness_z"], record["witness_w"] = cert.witness_text()
     text = [f"orthogonal: {'yes' if cert.verdict else 'no'}"]
     for key, label in (("quotient", "quotient"), ("witness_z", "witness z"),
                        ("witness_w", "witness w")):

@@ -6,8 +6,9 @@ positive integer L.  A cleared polynomial is the form (L, {exps: (re, im)})
 that `clear` produces, and that `polyspace.parse_cleared` reads from text;
 scaling by L changes neither a rank nor a zero test, and P / L gives the
 rational value back.  `pairing` builds the pairing
-polynomial of a map from its cleared components, and `vanishes_at` tests it
-at a witness candidate on Gaussian-integer pairs.
+polynomial of a map from its cleared components on packed monomial keys
+(`Packing`), and `vanishes_at` tests it at a witness candidate on
+Gaussian-integer pairs.
 
 The rank kernels are fraction-free (Bareiss 1968) on integer rows and on
 pair rows.  `_rank_int_rows` eliminates integer rows one at a time as they
@@ -24,6 +25,8 @@ call per scalar product would dominate them.
 from __future__ import annotations
 
 import math
+
+from .record import FrozenRecord
 
 
 def clear(coeffs):
@@ -43,22 +46,58 @@ def clear(coeffs):
     return L, dict(zip(coeffs, pairs)) if isinstance(coeffs, dict) else pairs
 
 
-def pairing(parts) -> tuple[int, dict]:
+class Packing(FrozenRecord):
+    """Exponent vectors of `n` entries, each at most `degree`, packed into
+    one int each (Monagan and Pearce, CASC 2007): big-endian, in fields of
+    `nb` whole bytes, with the top bit of every field to spare as a guard.
+
+    Int order is the lexicographic order of the vectors, and the key of a
+    product of monomials is the sum of their keys.  For keys a and b, a - b
+    has a bit of `guard` set iff some entry of a is below that of b: the
+    lowest such field borrows from the one above and keeps its guard bit
+    set, and no field below it borrows."""
+
+    __slots__ = ("n", "nb", "guard")
+
+    def __init__(self, n: int, degree: int):
+        nb = degree.bit_length() // 8 + 1
+        self._freeze(n, nb, int.from_bytes(bytes([0x80] + [0] * (nb - 1)) * n, "big"))
+
+    def pack(self, exps) -> int:
+        """The key of `exps`; a vector of fewer than n entries packs into
+        as many low fields."""
+        if self.nb == 1:
+            return int.from_bytes(bytes(exps), "big")
+        return int.from_bytes(b"".join(e.to_bytes(self.nb, "big") for e in exps), "big")
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        nb = self.nb
+        raw = key.to_bytes(self.n * nb, "big")
+        if nb == 1:
+            return tuple(raw)
+        return tuple(int.from_bytes(raw[i:i + nb], "big") for i in range(0, len(raw), nb))
+
+
+def pairing(parts, keys: Packing) -> tuple[int, dict]:
     """The pairing sum of cleared polynomials, cleared again.
 
-    `parts` lists (sign, L_j, F_j) with F_j = L_j * f_j cleared.  Returns
+    `parts` lists (sign, L_j, F_j) with F_j = L_j * f_j cleared and keyed
+    by `keys.pack` of its exponent vectors, of keys.n / 2 entries.  Returns
     (L, pairs) with L = lcm of the L_j^2 and pairs = L * sum_j sign_j *
-    f_j(z) * conj-coeffs(f_j)(w~): the exponent vector of a term is the z
-    exponents followed by the w~ exponents, and zero terms are dropped."""
+    f_j(z) * conj-coeffs(f_j)(w~), keyed by `keys`: the z exponents come
+    first, so the key of a term is that of its z exponents shifted up by
+    keys.n / 2 fields plus that of its w~ exponents.  Zero terms are
+    dropped."""
+    shift = 8 * keys.nb * (keys.n // 2)
     L = math.lcm(*(Lj * Lj for _, Lj, _ in parts))
-    out: dict[tuple, tuple[int, int]] = {}
+    out: dict[int, tuple[int, int]] = {}
     for sign, Lj, F in parts:
         s = sign * (L // (Lj * Lj))
         conj = [(e, a, -b) for e, (a, b) in F.items()]
         for e1, (a1, b1) in F.items():
-            a1, b1 = s * a1, s * b1
+            a1, b1, hi = s * a1, s * b1, e1 << shift
             for e2, a2, b2 in conj:
-                key = e1 + e2
+                key = hi + e2
                 x, y = out.get(key, (0, 0))
                 out[key] = (x + a1 * a2 - b1 * b2, y + a1 * b2 + b1 * a2)
     return L, {e: c for e, c in out.items() if c != (0, 0)}

@@ -6,25 +6,28 @@ is certified algebraically: with conjugate variables w~ treated as fresh
 indeterminates, the target pairing P(z, w~) must be divisible by the source
 pairing Q(z, w~).  One exact division of P by Q decides divisibility and
 yields the quotient, which is checked by multiplying it back; refuted maps
-come with an exact witness pair.
+come with an exact witness pair.  The division and the check run on packed
+monomial keys (`gaussint.Packing`), one int per term.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 from .binom_core import comb_upto
 from .gap_calc import classify_gap
-from .gaussint import clear, pairing, vanishes_at
+from .gaussint import Packing, clear, pairing, vanishes_at
 from .polyspace import (
     GRat,
     Poly,
     PolyFormatError,
+    cleared_parser,
     cleared_span_dim,
     format_poly,
     mono,
-    parse_cleared,
     rng_for,
 )
 from .record import FrozenRecord, Record, SuiteReport
@@ -44,7 +47,9 @@ MAX_MAP_MONOMIALS = 100_000
 # P has at most that many terms, and the division rescans its remainder at
 # every step, so time grows about as the square of the count.  The slowest
 # accepted shape found is two components z_0 g, z_1 g over a source with
-# two non-null coordinates (Q of two terms): 14 792 products took 2.5 s.
+# two non-null coordinates (Q of two terms), g linear in 86 variables:
+# 14 792 products took 1.3 s on packed keys (2 vCPUs, Python 3.11), 84% of
+# it in the rescans, against 5.4 s on exponent tuples.
 MAX_PAIRING_TERMS = 15_000
 
 
@@ -200,15 +205,16 @@ def pairing_poly(f: SignedMap) -> Poly:
     return total
 
 
-def _pairing_pairs(f: SignedMap) -> tuple[int, dict]:
+def _pairing_pairs(f: SignedMap, keys: Packing) -> tuple[int, dict]:
     """(L, L * P) for P = pairing_poly(f), built on Gaussian-integer pairs
-    from the cleared components, and L is the lcm of the squares of their
-    denominators."""
+    from the cleared components and keyed by `keys`, and L is the lcm of
+    the squares of their denominators."""
+    pack = keys.pack
     return pairing([
-        (f.target.eps(j), L, P)
+        (f.target.eps(j), L, {pack(e): c for e, c in P.items()})
         for j, (L, P) in enumerate(f.cleared)
         if f.target.eps(j)
-    ])
+    ], keys)
 
 
 def source_form_poly(sig: Signature) -> Poly:
@@ -224,16 +230,16 @@ def source_form_poly(sig: Signature) -> Poly:
     return Poly(2 * nv, 2, coeffs)
 
 
-def _source_form_pairs(sig: Signature) -> dict:
-    """Q of `source_form_poly` as exponent -> Gaussian-integer pair:
-    eps_i at z_i w~_i for each non-null i.  Its coefficients are +-1, so
-    this is Q cleared with L = 1."""
+def _source_form_pairs(sig: Signature, keys: Packing) -> dict:
+    """Q of `source_form_poly` as packed key (`keys`) -> Gaussian-integer
+    pair: eps_i at z_i w~_i for each non-null i.  Its coefficients are +-1,
+    so this is Q cleared with L = 1."""
     nv = sig.n_vars
     pairs = {}
     for i in range(sig.r + sig.s):
         e = [0] * (2 * nv)
         e[i] = e[nv + i] = 1
-        pairs[tuple(e)] = (sig.eps(i), 0)
+        pairs[keys.pack(e)] = (sig.eps(i), 0)
     return pairs
 
 
@@ -263,26 +269,28 @@ def _from_pairs(n_vars: int, degree: int, pairs: dict, L: int) -> Poly:
     return p
 
 
-def _divide_exact(P: dict, Q: dict) -> dict:
-    """Quotient P/Q on exponent -> Gaussian-integer pair dicts, for Q whose
-    lexicographically leading coefficient is +-1, so the quotient is
-    integral.  Raises ArithmeticError if Q does not divide P."""
+def _divide_exact(P: dict, Q: dict, keys: Packing) -> dict:
+    """Quotient P/Q on packed key (`keys`) -> Gaussian-integer pair dicts,
+    for Q whose lexicographically leading coefficient is +-1, so the
+    quotient is integral.  lt(Q) divides lt(R) iff lt(R) - lt(Q) has no
+    guard bit set.  Raises ArithmeticError if Q does not divide P."""
     lt_q = max(Q)
     u, ui = Q[lt_q]
     if ui or u not in (1, -1):
         raise ValueError("leading coefficient of the divisor is not +-1")
+    guard = keys.guard
     tail = [(e, a, b) for e, (a, b) in Q.items() if e != lt_q]
     rem = dict(P)
     quo = {}
     while rem:
         lt_r = max(rem)
-        diff = tuple(a - b for a, b in zip(lt_r, lt_q))
-        if min(diff) < 0:
+        diff = lt_r - lt_q
+        if diff & guard:
             raise ArithmeticError("leading term not divisible")
         ra, rb = rem.pop(lt_r)
         ta, tb = quo[diff] = (ra * u, rb * u)
         for e, qa, qb in tail:
-            key = tuple(a + b for a, b in zip(diff, e))
+            key = diff + e
             xa, xb = rem.get(key, (0, 0))
             xa -= ta * qa - tb * qb
             xb -= ta * qb + tb * qa
@@ -319,7 +327,8 @@ def _pseudo_remainder_ref(P: Poly, sig: Signature, pivot: int) -> Poly:
 
 
 def _divide_exact_ref(P: Poly, Q: Poly) -> Poly:
-    """`_divide_exact` in GRat polynomial arithmetic; the reference.
+    """`_divide_exact` in GRat polynomial arithmetic, on exponent tuples;
+    the reference.
     Quotient P/Q for known-divisible homogeneous P; leading terms in
     lexicographic order.  Raises ArithmeticError if divisibility fails."""
     if Q.is_zero:
@@ -375,29 +384,59 @@ def _witness_search_ref(f: SignedMap, P: dict, pivot: int):
     raise RuntimeError("no witness found in 500 samples")  # pragma: no cover
 
 
+def _grat_text(a: int, b: int, D: int) -> str:
+    """`format_grat` of the Gaussian rational (a + b i) / D, D > 0."""
+    g = math.gcd(a, D)
+    out = f"{a // g}/{D // g}"
+    if b:
+        g = math.gcd(b, D)
+        out += f",{b // g}/{D // g}"
+    return out
+
+
 class OrthCertificate(Record):
     """A verdict, with the quotient P/Q of a map that preserves
-    orthogonality or the witness pair (z, w) of coordinate lists of one
-    that does not."""
+    orthogonality or a witness pair (z, w) for one that does not.
 
-    __slots__ = ("verdict", "quotient", "witness")
+    The witness is kept as `witness_pairs` = (z, W, D) on integers: z and
+    W lists of Gaussian-integer pairs and D > 0, with w = conj(W) / D.
+    `witness` gives (z, w) as tuples of `GRat`s, and `witness_text` their
+    `format_grat` text, read off the integers."""
+
+    __slots__ = ("verdict", "quotient", "witness_pairs")
 
     def __init__(self, verdict: bool, quotient: Poly | None = None,
-                 witness: tuple | None = None):
-        self.verdict, self.quotient, self.witness = verdict, quotient, witness
+                 witness_pairs: tuple | None = None):
+        self.verdict, self.quotient, self.witness_pairs = verdict, quotient, witness_pairs
+
+    @property
+    def witness(self) -> tuple | None:
+        if self.witness_pairs is None:
+            return None
+        z, W, D = self.witness_pairs
+        return (tuple(GRat(a, b) for a, b in z),
+                tuple(GRat(Fraction(a, D), Fraction(-b, D)) for a, b in W))
+
+    def witness_text(self) -> tuple[str, str]:
+        """The coordinates of z and of w, each joined by spaces."""
+        z, W, D = self.witness_pairs
+        return (" ".join(_grat_text(a, b, 1) for a, b in z),
+                " ".join(_grat_text(a, -b, D) for a, b in W))
 
 
-def _check_quotient(P: dict, Q: dict, quo: dict) -> None:
-    """Raise RuntimeError unless quo * Q == P, on exponent -> Gaussian-integer
+def _check_quotient(P: dict, Q: dict, quo: dict, keys: Packing) -> None:
+    """Raise RuntimeError unless every key of quo is a monomial of `keys`
+    (no guard bit set) and quo * Q == P, on packed key -> Gaussian-integer
     pair dicts; the product is expanded term by term, apart from the
     division that found quo."""
-    prod: dict[tuple, tuple[int, int]] = {}
+    prod: dict[int, tuple[int, int]] = {}
     for e, (a, b) in quo.items():
         for eq, (qa, qb) in Q.items():
-            key = tuple(x + y for x, y in zip(e, eq))
+            key = e + eq
             xa, xb = prod.get(key, (0, 0))
             prod[key] = (xa + a * qa - b * qb, xb + a * qb + b * qa)
-    if {e: c for e, c in prod.items() if c != (0, 0)} != P:
+    if (any(e & keys.guard for e in quo)
+            or {e: c for e, c in prod.items() if c != (0, 0)} != P):
         raise RuntimeError("certificate quotient times Q is not the pairing polynomial")
 
 
@@ -409,7 +448,9 @@ def orthogonality_certificate(f: SignedMap, pivot: int = 0) -> OrthCertificate:
     remainder zero exactly when Q divides P, and `_divide_exact` stops at the
     first leading term that the leading term of Q does not divide.  P is
     built, and the division runs, on Gaussian-integer pairs after clearing
-    denominators.  A true verdict carries the exact quotient, checked by
+    denominators, each term keyed by its packed exponent vector; keys are
+    unpacked only for the quotient and for the witness search.  A true
+    verdict carries the exact quotient, checked by
     multiplying it back by Q (a mismatch raises RuntimeError); a false
     verdict carries a witness pair of orthogonal points whose images pair to
     a nonzero value, sampled in the chart z_pivot != 0.  A map whose pairing
@@ -427,16 +468,21 @@ def orthogonality_certificate(f: SignedMap, pivot: int = 0) -> OrthCertificate:
             f"pairing polynomial needs {products} term products, above the "
             f"limit of {MAX_PAIRING_TERMS}"
         )
+    # P has bidegree (d, d), so no exponent of P, Q or the quotient
+    # exceeds the map degree d
+    keys = Packing(2 * sig.n_vars, f.degree)
     # one positive integer L clears P, and Q | L * P iff Q | P
-    L, P = _pairing_pairs(f)
-    Q = _source_form_pairs(sig)
+    L, P = _pairing_pairs(f, keys)
+    Q = _source_form_pairs(sig, keys)
     try:
-        quo = _divide_exact(P, Q)
+        quo = _divide_exact(P, Q, keys)
     except ArithmeticError:
-        return OrthCertificate(False, witness=_witness_search(f, P, pivot))
-    _check_quotient(P, Q, quo)
+        P = {keys.unpack(e): c for e, c in P.items()}
+        return OrthCertificate(False, witness_pairs=_witness_search(f, P, pivot))
+    _check_quotient(P, Q, quo, keys)
     if not f.degree:
         return OrthCertificate(True)  # P = 0: no quotient of degree -2
+    quo = {keys.unpack(e): c for e, c in quo.items()}
     return OrthCertificate(
         True, quotient=_from_pairs(2 * sig.n_vars, 2 * f.degree - 2, quo, L)
     )
@@ -445,7 +491,8 @@ def orthogonality_certificate(f: SignedMap, pivot: int = 0) -> OrthCertificate:
 def _witness_search(f: SignedMap, P: dict, pivot: int):
     """Point pair (z, w) with <z,w> = 0 and <f(z),f(w)> != 0, found by
     sampling the solution chart z_pivot != 0; P is the cleared pairing
-    polynomial on pairs.
+    polynomial on pairs, keyed by exponent tuples.  Returns (z, W, D) on
+    integers, with w = conj(W) / D, as `OrthCertificate.witness_pairs`.
 
     Each candidate draws z and w~ as Gaussian-integer pairs (`_rand_pairs`),
     with the rng calls of `_witness_search_ref` in the same order.  The chart
@@ -453,7 +500,7 @@ def _witness_search(f: SignedMap, P: dict, pivot: int):
     non-null i of eps_i z_i w~_i; scaled by |z_p|^2, all of w~ stays
     integral and w~_pivot = -eps_p acc conj(z_p).  P has bidegree (d, d),
     so P(z, |z_p|^2 w~) = |z_p|^(2d) P(z, w~), and the zero test is exact on
-    the integer point.  `GRat`s are built only for the witness accepted."""
+    the integer point, which the search returns with D = |z_p|^2."""
     sig = f.source
     nv = sig.n_vars
     signs = [(i, sig.eps(i)) for i in range(sig.r + sig.s) if i != pivot]
@@ -476,19 +523,29 @@ def _witness_search(f: SignedMap, P: dict, pivot: int):
         sb = -ep * (acc_b * pa - acc_a * pb)
         point[nv + pivot] = (sa, sb)
         if not vanishes_at(P, point):
-            wt[pivot] = (Fraction(sa, norm), Fraction(sb, norm))
-            return (tuple(GRat(a, b) for a, b in z),
-                    tuple(GRat(c, -d) for c, d in wt))
+            return z, point[nv:], norm
     raise RuntimeError("no witness found in 500 samples")  # pragma: no cover
 
 
 def _rand_pairs(rng: random.Random, count: int) -> list[tuple[int, int]]:
-    """`count` Gaussian integers as pairs, with the rng calls of as many
-    `_rand_grat`s."""
+    """`count` Gaussian integers as pairs: the values of as many
+    `_rand_grat`s, and the same rng state after.  As in
+    `polyspace._small_ints`, randint(-3, 3) is -3 plus getrandbits(3),
+    drawn again while it is 7 or more, and randint(-5, 5) is -5 plus
+    getrandbits(4), drawn again while it is 11 or more."""
+    uniform, getrandbits = rng.random, rng.getrandbits
     out = []
     for _ in range(count):
-        im = rng.randint(-3, 3) if rng.random() < 0.4 else 0
-        out.append((rng.randint(-5, 5), im))
+        im = 0
+        if uniform() < 0.4:
+            im = getrandbits(3)
+            while im >= 7:
+                im = getrandbits(3)
+            im -= 3
+        re = getrandbits(4)
+        while re >= 11:
+            re = getrandbits(4)
+        out.append((re - 5, im))
     return out
 
 
@@ -597,18 +654,22 @@ class ObstructionRecord(FrozenRecord):
         self._freeze(dim_e_span, dim_eperp_span, bound, degenerate, holds)
 
 
+def _getter(indices: list[int]):
+    """operator.itemgetter of `indices` that gives a tuple at every length
+    (an itemgetter of one index gives the entry itself)."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices) if indices else lambda exps: ()
+
+
 def _restrict_to_coords(cleared, n_vars: int, keep: list[int]):
     """Set the variables outside `keep` to zero in the cleared components
     and reindex to len(keep) variables.  Returns the pairs dicts (L does not
     change, and a rank does not need it), or None when every component
     dies."""
-    dropped = sorted(set(range(n_vars)) - set(keep))
+    pick, drop = _getter(keep), _getter(sorted(set(range(n_vars)) - set(keep)))
     out = [
-        {
-            tuple(exps[i] for i in keep): c
-            for exps, c in P.items()
-            if not any(exps[i] for i in dropped)
-        }
+        {pick(exps): c for exps, c in P.items() if not any(drop(exps))}
         for _, P in cleared
     ]
     return out if any(out) else None
@@ -764,6 +825,7 @@ def parse_map(text: str) -> SignedMap:
 
     expected = [("%pos", target.r), ("%neg", target.s), ("%null", target.t)]
     components: list[tuple[int, dict]] = []
+    parse_cleared = cleared_parser()
     block = None
     taken = 0
     block_iter = iter(expected)

@@ -360,25 +360,45 @@ def parse_cleared(
     positive integer that makes every coefficient a Gaussian integer, and
     the terms in the order `parse_poly` keeps them.  Same accepted text and
     same messages as `parse_poly`."""
-    _, _, terms = _parse_terms(text, n_vars, degree, _coefficient_ratios)
-    acc = dict(terms)
-    if len(acc) < len(terms):
-        # a repeated monomial: sum its coefficients
-        acc = {}
-        for exps, (p, q, u, v) in terms:
-            if exps in acc:
-                a, b, x, y = acc[exps]
-                p, q, u, v = a * q + p * b, b * q, x * v + u * y, y * v
-            acc[exps] = p, q, u, v
-    # a/b in lowest terms has denominator b // gcd(a, b), and L is the lcm
-    # of those; a zero part has denominator 1, and a zero term is dropped
-    L = 1
-    for a, b, x, y in acc.values():
-        if b != 1:
-            L = math.lcm(L, b // math.gcd(a, b))
-        if y != 1:
-            L = math.lcm(L, y // math.gcd(x, y))
-    return L, {e: (a * L // b, x * L // y) for e, (a, b, x, y) in acc.items() if a or x}
+    return cleared_parser()(text, n_vars, degree)
+
+
+def cleared_parser():
+    """A `parse_cleared` that reads each distinct coefficient token once
+    over all its calls; `parse_map` takes one per map, whose components
+    share most of their tokens.  A token that is refused is not kept, so
+    it is refused again with the same message."""
+    seen: dict[str, tuple[int, int, int, int]] = {}
+
+    def ratios(token: str) -> tuple[int, int, int, int]:
+        r = seen.get(token)
+        if r is None:
+            r = seen[token] = _coefficient_ratios(token)
+        return r
+
+    def parse(text: str, n_vars: int | None = None, degree: int | None = None):
+        _, _, terms = _parse_terms(text, n_vars, degree, ratios)
+        acc = dict(terms)
+        if len(acc) < len(terms):
+            # a repeated monomial: sum its coefficients
+            acc = {}
+            for exps, (p, q, u, v) in terms:
+                if exps in acc:
+                    a, b, x, y = acc[exps]
+                    p, q, u, v = a * q + p * b, b * q, x * v + u * y, y * v
+                acc[exps] = p, q, u, v
+        # a/b in lowest terms has denominator b // gcd(a, b), and L is the
+        # lcm of those; a zero part has denominator 1, and a zero term is
+        # dropped
+        L = 1
+        for a, b, x, y in acc.values():
+            if b != 1:
+                L = math.lcm(L, b // math.gcd(a, b))
+            if y != 1:
+                L = math.lcm(L, y // math.gcd(x, y))
+        return L, {e: (a * L // b, x * L // y) for e, (a, b, x, y) in acc.items() if a or x}
+
+    return parse
 
 
 # ---------------------------------------------------------------------------

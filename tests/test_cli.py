@@ -689,8 +689,8 @@ class TestMapTooling:
         # the quotient is multiplied back by Q before a "yes" is printed
         real = macgap.hermitian._divide_exact
 
-        def planted(P, Q):
-            quo = real(P, Q)
+        def planted(P, Q, keys):
+            quo = real(P, Q, keys)
             top = max(quo)
             if plant == "drop":
                 del quo[top]

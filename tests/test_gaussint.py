@@ -3,7 +3,11 @@
 - the row-by-row integer rank `_rank_int_rows` against `_rank_int`;
 - `span_rank` on sparse cleared rows against `exact_rank` of the dense
   coefficient rows;
-- the pairing built on pairs, over its L, against `pairing_poly`;
+- packed monomial keys against exponent tuples: round trip, order, and the
+  guard-bit divisibility test against a componentwise >=, on one-byte and
+  two-byte fields;
+- the pairing built on pairs and packed keys, over its L, against
+  `pairing_poly`;
 - the zero test at a rational point scaled to Gaussian-integer pairs
   against `Poly.evaluate`.
 """
@@ -12,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macgap import hermitian
-from macgap.gaussint import _rank_int, _rank_int_rows, clear, span_rank, vanishes_at
+from macgap.gaussint import (
+    Packing,
+    _rank_int,
+    _rank_int_rows,
+    clear,
+    span_rank,
+    vanishes_at,
+)
 from macgap.hermitian import Signature, SignedMap, pairing_poly
 from macgap.polyspace import (
     GRat,
@@ -172,14 +183,66 @@ def signed_map_st(draw):
     return SignedMap(source, target, d, comps)
 
 
+@st.composite
+def exponent_pair_st(draw):
+    """(packing, a, b): two exponent vectors of one length with entries at
+    most the packing's degree, b often close to a, so that both outcomes of
+    the componentwise comparison are drawn."""
+    degree = draw(st.sampled_from([0, 1, 3, 127, 128, 300, 40000]), label="degree")
+    n = draw(st.integers(1, 8), label="n")
+    entry = st.integers(0, degree)
+    a = draw(st.lists(entry, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        b = [max(0, min(degree, x - draw(st.integers(-1, 2)))) for x in a]
+    else:
+        b = draw(st.lists(entry, min_size=n, max_size=n))
+    return Packing(n, degree), tuple(a), tuple(b)
+
+
+class TestPacking:
+    def test_field_widths(self):
+        # one guard bit on top of the degree, in whole bytes
+        assert [Packing(3, d).nb for d in (0, 3, 127, 128, 32767, 32768)] == [1, 1, 1, 2, 2, 3]
+        assert Packing(2, 3).guard == 0x8080
+        assert Packing(2, 200).guard == 0x80008000
+
+    @settings(max_examples=300, deadline=None)
+    @given(exponent_pair_st())
+    def test_keys_match_tuples(self, case):
+        keys, a, b = case
+        ka, kb = keys.pack(a), keys.pack(b)
+        assert keys.unpack(ka) == a and keys.unpack(kb) == b
+        assert (ka < kb) == (a < b) and (ka == kb) == (a == b)
+        # lt(b) divides lt(a) iff a >= b in every entry
+        assert (not (ka - kb) & keys.guard) == all(x >= y for x, y in zip(a, b))
+        if not (ka - kb) & keys.guard:
+            assert keys.unpack(ka - kb) == tuple(x - y for x, y in zip(a, b))
+        # a product of monomials is the sum of their keys
+        wide = Packing(keys.n, max(a) + max(b))
+        assert wide.unpack(wide.pack(a) + wide.pack(b)) == tuple(x + y for x, y in zip(a, b))
+
+    def test_degree_128_map_uses_two_byte_fields(self):
+        # z0^128 is the first degree with two-byte fields; P = |z0^128|^2
+        # pairs to the exponent 128 in a field of its own
+        f = SignedMap(Signature(1, 1), Signature(1, 1), 128, [
+            Poly(2, 128, {(128, 0): GRat(1)}), Poly(2, 128, {(0, 128): GRat(1)}),
+        ])
+        keys = Packing(4, 128)
+        L, pairs = hermitian._pairing_pairs(f, keys)
+        assert {keys.unpack(e): c for e, c in pairs.items()} == clear(pairing_poly(f).coeffs)[1]
+        assert keys.nb == 2 and max(pairs) == 128 << 48 | 128 << 16
+
+
 class TestPairing:
     @settings(max_examples=80, deadline=None)
     @given(signed_map_st())
     def test_matches_pairing_poly(self, f):
         P = pairing_poly(f)
-        L, pairs = hermitian._pairing_pairs(f)
+        keys = Packing(2 * f.source.n_vars, f.degree)
+        L, pairs = hermitian._pairing_pairs(f, keys)
         assert L >= 1
-        assert hermitian._from_pairs(P.n_vars, P.degree, pairs, L) == P
+        unpacked = {keys.unpack(e): c for e, c in pairs.items()}
+        assert hermitian._from_pairs(P.n_vars, P.degree, unpacked, L) == P
         assert (0, 0) not in pairs.values()
 
     def test_denominators_squared(self):
@@ -188,8 +251,9 @@ class TestPairing:
             Poly(2, 1, {(1, 0): GRat("1/2")}),
             Poly(2, 1, {(0, 1): GRat("1/3")}),
         ])
-        assert hermitian._pairing_pairs(f) == (36, {(1, 0, 1, 0): (9, 0),
-                                                    (0, 1, 0, 1): (4, 0)})
+        keys = Packing(4, 1)
+        assert hermitian._pairing_pairs(f, keys) == (36, {keys.pack((1, 0, 1, 0)): (9, 0),
+                                                          keys.pack((0, 1, 0, 1)): (4, 0)})
 
 
 class TestZeroTest:

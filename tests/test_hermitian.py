@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from macgap import hermitian, polyspace
 from macgap.binom_core import op_minus
-from macgap.gaussint import clear
+from macgap.gaussint import Packing, clear
 from macgap.hermitian import (
     MapFormatError,
     ObstructionRecord,
@@ -33,6 +34,7 @@ from macgap.polyspace import (
     Poly,
     image_span_dim,
     mono,
+    monomial_basis,
     parse_poly,
     rng_for,
     verify_restriction_theorem,
@@ -119,7 +121,11 @@ class TestPairingPolys:
     @pytest.mark.parametrize("sig", [(1, 1), (2, 1, 1), (1, 3), (3, 0, 2), (2, 2, 3)])
     def test_source_form_pairs_match_reference(self, sig):
         sig = Signature(*sig)
-        assert hermitian._source_form_pairs(sig) == clear(source_form_poly(sig).coeffs)[1]
+        for degree in (1, 3, 200):
+            keys = Packing(2 * sig.n_vars, degree)
+            pairs = hermitian._source_form_pairs(sig, keys)
+            assert ({keys.unpack(e): c for e, c in pairs.items()}
+                    == clear(source_form_poly(sig).coeffs)[1])
 
     def test_conjugation_in_second_block(self):
         i = GRat(0, 1)
@@ -266,6 +272,18 @@ def disguised_sharpness_st(draw):
     return SignedMap(f.source, f.target, 3, comps), perturbed, pivot
 
 
+def _keys(f):
+    """The packing of the certificate of f."""
+    return Packing(2 * f.source.n_vars, f.degree)
+
+
+def _tuple_pairing(f):
+    """P of `_pairing_pairs` keyed by exponent tuples, as the witness
+    searches read it."""
+    keys = _keys(f)
+    return {keys.unpack(e): c for e, c in hermitian._pairing_pairs(f, keys)[1].items()}
+
+
 class TestIntegerPairCertificate:
     @settings(max_examples=60, deadline=None)
     @given(disguised_sharpness_st())
@@ -285,7 +303,7 @@ class TestIntegerPairCertificate:
             z, w = cert.witness
             assert inner_product(z, w, f.source) == GRat()
             assert inner_product(f.evaluate(z), f.evaluate(w), f.target) != GRat()
-            P = hermitian._pairing_pairs(f)[1]
+            P = _tuple_pairing(f)
             assert cert.witness == hermitian._witness_search_ref(f, P, pivot)
 
     def test_witness_with_a_null_source_coordinate(self):
@@ -294,7 +312,7 @@ class TestIntegerPairCertificate:
         f = SignedMap(sig, Signature(2, 0, 1), 1, [
             mono(4, (1, 0, 0, 0)), mono(4, (0, 1, 0, 0)), mono(4, (0, 0, 0, 1)),
         ])
-        P = hermitian._pairing_pairs(f)[1]
+        P = _tuple_pairing(f)
         for pivot in range(3):
             cert = orthogonality_certificate(f, pivot=pivot)
             assert not cert.verdict
@@ -304,8 +322,10 @@ class TestIntegerPairCertificate:
             assert inner_product(f.evaluate(z), f.evaluate(w), f.target) != GRat()
 
     def test_witness_search_stays_on_integers(self, monkeypatch):
-        # no GRat or Fraction is built before the zero test accepts a
-        # candidate, and every candidate reaches it as Gaussian-integer pairs
+        # the search builds no GRat or Fraction, and every candidate reaches
+        # the zero test as Gaussian-integer pairs; the certificate builds
+        # the 12 GRats of the witness only when `witness` is read, and its
+        # text reads the integers
         events = []
         zero_test = hermitian.vanishes_at
 
@@ -327,13 +347,18 @@ class TestIntegerPairCertificate:
         comps = f.components
         comps[0] = comps[0] + mono(6, (0, 0, 0, 3, 0, 0))
         f = SignedMap(f.source, f.target, 3, comps)
-        P = hermitian._pairing_pairs(f)[1]
+        P = _tuple_pairing(f)
         for pivot in range(6):
             events.clear()
-            z, w = hermitian._witness_search(f, P, pivot)
-            last = len(events) - events[::-1].index("test")
-            assert "GRat" not in events[:last] and "Fraction" not in events[:last]
-            assert events[last:].count("GRat") == 12
+            cert = hermitian.OrthCertificate(
+                False, witness_pairs=hermitian._witness_search(f, P, pivot))
+            assert set(events) == {"test"}
+            text = cert.witness_text()
+            assert set(events) == {"test"}
+            witness = cert.witness
+            assert events.count("GRat") == 12
+            assert witness == hermitian._witness_search_ref(f, P, pivot)
+            assert text == tuple(" ".join(map(polyspace.format_grat, p)) for p in witness)
 
     def test_rational_coefficients_cleared(self):
         # P = (1/4)(z0^2 w~0^2 - z1^2 w~1^2) = Q * (1/4)(z0 w~0 + z1 w~1)
@@ -345,21 +370,111 @@ class TestIntegerPairCertificate:
         cert = orthogonality_certificate(f)
         P = pairing_poly(f)
         Q = source_form_poly(f.source)
-        assert clear(P.coeffs)[0] == hermitian._pairing_pairs(f)[0] == 4
+        assert clear(P.coeffs)[0] == hermitian._pairing_pairs(f, _keys(f))[0] == 4
         assert cert.quotient == hermitian._divide_exact_ref(P, Q)
         want = Poly(4, 2, {(1, 0, 1, 0): GRat(Fraction(1, 4)),
                            (0, 1, 0, 1): GRat(Fraction(1, 4))})
         assert cert.quotient == want
 
     def test_divide_exact_checks(self):
-        Q = {(1, 1): (2, 0)}
+        keys = Packing(2, 3)
+        k = keys.pack
         with pytest.raises(ValueError):
-            hermitian._divide_exact({(2, 2): (4, 0)}, Q)
+            hermitian._divide_exact({k((2, 2)): (4, 0)}, {k((1, 1)): (2, 0)}, keys)
         with pytest.raises(ArithmeticError):
-            hermitian._divide_exact({(2, 0): (1, 0)}, {(1, 1): (1, 0)})
-        assert hermitian._divide_exact({(2, 1): (3, -2)}, {(1, 1): (-1, 0)}) == {
-            (1, 0): (-3, 2)
+            hermitian._divide_exact({k((2, 0)): (1, 0)}, {k((1, 1)): (1, 0)}, keys)
+        assert hermitian._divide_exact({k((2, 1)): (3, -2)}, {k((1, 1)): (-1, 0)}, keys) == {
+            k((1, 0)): (-3, 2)
         }
+
+    def test_check_quotient_refuses_a_key_off_the_packing(self):
+        keys = Packing(2, 2)
+        k = keys.pack
+        # z0^2 - z0 z1 = z0 (z0 - z1)
+        P, Q = {k((2, 0)): (1, 0), k((1, 1)): (-1, 0)}, {k((1, 0)): (1, 0), k((0, 1)): (-1, 0)}
+        hermitian._check_quotient(P, Q, {k((1, 0)): (1, 0)}, keys)
+        with pytest.raises(RuntimeError):
+            hermitian._check_quotient(P, Q, {k((1, 0)): (2, 0)}, keys)
+        # z0 = (z0 / z1) z1 on keys alone: the key of z0 / z1 borrows across
+        # fields, and its product with z1 is the key of z0, but it is no
+        # monomial
+        odd = k((1, 0)) - k((0, 1))
+        assert odd & keys.guard and odd + k((0, 1)) == k((1, 0))
+        with pytest.raises(RuntimeError):
+            hermitian._check_quotient({k((1, 0)): (1, 0)}, {k((0, 1)): (1, 0)}, {odd: (1, 0)},
+                                      keys)
+
+
+@st.composite
+def source_multiple_st(draw):
+    """(sig, P, pivot): P = Q g for the source form Q of sig and a drawn g
+    of bidegree (d-1, d-1) with Gaussian-integer coefficients, plus, half
+    the time, drawn terms of bidegree (d, d), which mostly break Q | P.
+    Degree 129 takes two-byte fields, on two source coordinates.  Two
+    non-null coordinates or more make Q irreducible, so that the
+    pseudo-remainder decides Q | P, as the certificate requires."""
+    d = draw(st.sampled_from([1, 2, 3, 129]), label="d")
+    if d == 129:
+        sig = draw(st.sampled_from([Signature(1, 1), Signature(2, 0)]))
+    else:
+        r = draw(st.integers(1, 3))
+        sig = Signature(r, draw(st.integers(max(0, 2 - r), 2)), draw(st.integers(0, 1)))
+    nv = sig.n_vars
+    unit = st.builds(GRat, st.integers(-3, 3), st.integers(-3, 3))
+
+    def terms(deg, min_size, max_size):
+        basis = st.sampled_from(monomial_basis(nv, deg))
+        drawn = draw(st.lists(st.tuples(basis, basis, unit), min_size=min_size,
+                              max_size=max_size))
+        return Poly(2 * nv, 2 * deg, {a + b: c for a, b, c in drawn})
+
+    P = source_form_poly(sig) * terms(d - 1, 0, 4)
+    if draw(st.booleans(), label="perturbed"):
+        P = P + terms(d, 1, 2)
+    return sig, P, draw(st.integers(0, sig.r + sig.s - 1), label="pivot")
+
+
+class TestPackedDivision:
+    @settings(max_examples=120, deadline=None)
+    @given(source_multiple_st())
+    def test_matches_references(self, case):
+        sig, P, pivot = case
+        Q = source_form_poly(sig)
+        keys = Packing(2 * sig.n_vars, P.degree // 2)
+        L, pairs = clear(P.coeffs)
+        assert L == 1
+        Pk = {keys.pack(e): c for e, c in pairs.items()}
+        Qk = hermitian._source_form_pairs(sig, keys)
+        divisible = P.is_zero or hermitian._pseudo_remainder_ref(P, sig, pivot).is_zero
+        if not divisible:
+            with pytest.raises(ArithmeticError):
+                hermitian._divide_exact(Pk, Qk, keys)
+            with pytest.raises(ArithmeticError):
+                hermitian._divide_exact_ref(P, Q)
+            return
+        quo = hermitian._divide_exact(Pk, Qk, keys)
+        # Q has leading coefficient +-1, so the quotient stays integral
+        L, ref = clear(hermitian._divide_exact_ref(P, Q).coeffs)
+        assert L == 1 and {keys.unpack(e): c for e, c in quo.items()} == ref
+        hermitian._check_quotient(Pk, Qk, quo, keys)
+        for e in quo:
+            a, b = quo[e]
+            wrong = {**quo, e: (a, b + 1)}
+            with pytest.raises(RuntimeError):
+                hermitian._check_quotient(Pk, Qk, wrong, keys)
+
+
+class TestWitnessDraws:
+    def test_rand_pairs_match_randint(self):
+        """`_rand_pairs` pins CPython's `_randbelow_with_getrandbits`, which
+        the `randint` calls of `_rand_grat` run on; a CPython that draws
+        otherwise fails here, not in the witnesses."""
+        for seed in range(2000):
+            fast, ref = random.Random(seed), random.Random(seed)
+            k = 1 + seed % 23
+            want = [hermitian._rand_grat(ref) for _ in range(k)]
+            assert hermitian._rand_pairs(fast, k) == [(int(c.re), int(c.im)) for c in want]
+            assert fast.getstate() == ref.getstate()
 
 
 class TestSampling:
@@ -500,6 +615,20 @@ class TestObstruction:
                 rec = span_obstruction_check(f, list(range(cut)))
                 assert rec.holds
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 3), st.data())
+    def test_restrict_to_coords_matches_generators(self, nv, d, data):
+        # one kept coordinate, and none dropped, are drawn too
+        basis = st.sampled_from(monomial_basis(nv, d))
+        cleared = [(1, {e: (i + 1, -i) for i, e in enumerate(data.draw(st.lists(basis)))})
+                   for _ in range(data.draw(st.integers(1, 3)))]
+        keep = sorted(data.draw(st.sets(st.integers(0, nv - 1), min_size=1)))
+        dropped = [i for i in range(nv) if i not in keep]
+        want = [{tuple(e[i] for i in keep): c for e, c in P.items()
+                 if not any(e[i] for i in dropped)} for _, P in cleared]
+        got = hermitian._restrict_to_coords(cleared, nv, keep)
+        assert got == (want if any(want) else None)
+
     def test_validation(self):
         sig = Signature(1, 1, 1)
         f = SignedMap(sig, sig, 1, identity_map(sig).components)
@@ -564,7 +693,7 @@ def _parse_map_by_reference(text):
     def parse_cleared(text, n_vars=None, degree=None):
         return clear(parse_poly(text, n_vars, degree).coeffs)
 
-    with mock.patch.object(hermitian, "parse_cleared", parse_cleared):
+    with mock.patch.object(hermitian, "cleared_parser", lambda: parse_cleared):
         return parse_map(text)
 
 

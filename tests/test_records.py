@@ -60,7 +60,7 @@ FROZEN = {
 MUTABLE = {
     "LemmaSweepReport": lambda: LemmaSweepReport(10, [(1, 2, 3, 4)]),
     "GapSweepReport": lambda: GapSweepReport(checks=3),
-    "OrthCertificate": lambda: OrthCertificate(False, witness=((GRat(1),), (GRat(2),))),
+    "OrthCertificate": lambda: OrthCertificate(False, witness_pairs=([(1, 0)], [(2, 0)], 1)),
     "SharpnessSuiteReport": lambda: SharpnessSuiteReport(maps=1),
     "PolySubspace": lambda: PolySubspace(3, 2, []),
     "GreenSuiteReport": lambda: GreenSuiteReport(checks=6),

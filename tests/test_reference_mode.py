@@ -32,15 +32,20 @@ own, such as hyperplanes drawn from the wrong stream.
 
 The `map_reference_mode` context manager does the same for the map
 commands and `verify sharpness`: each component parsed straight to its
-cleared form for `parse_poly` cleared, the span rank with singleton peeling
-for `exact_rank(support_rows(...))`, the pairing polynomial built on pairs
-for `pairing_poly` cleared, the source form Q built on pairs for
-`source_form_poly` cleared, the witness search on Gaussian-integer pairs
-for `_witness_search_ref` (GRat candidates, each tested with
-`Poly.evaluate`), and the certificate's division on pairs for the w~_0
-pseudo-remainder, which decides, and the division in GRat, which gives the
-quotient.  The seed-0 `map-queries` plan of the benchmark runs both ways
-against its known answers, together with a third of its maps rewritten with
+cleared form, each distinct coefficient token read once per map, for
+`parse_poly` cleared, the span rank with singleton peeling for
+`exact_rank(support_rows(...))`, the pairing polynomial built on pairs and
+packed keys for `pairing_poly` cleared, the source form Q built on packed
+keys for `source_form_poly` cleared, the witness search on Gaussian-integer
+pairs for `_witness_search_ref` (GRat candidates, each tested with
+`Poly.evaluate`), the witness text read off integers for `format_grat` of
+the witness `GRat`s, the certificate's division on packed keys for the
+w~_0 pseudo-remainder, which decides, and the division in GRat, which gives
+the quotient, and the multiply-back check on packed keys for the product in
+GRat.  Every packed dict is unpacked to exponent tuples before a reference
+reads it, and what a reference returns is packed again.  The seed-0
+`map-queries` plan of the benchmark runs both ways against its known
+answers, together with a third of its maps rewritten with
 repeated, cancelling and zero terms.  That plan checks orthogonality in the
 chart z_0 != 0 only, so refused maps drawn from the benchmark's generator
 (seed, shape, Gaussian or not) also run `map check-orth --pivot P` both
@@ -79,6 +84,7 @@ from macgap.polyspace import (
     cleared_rows,
     coefficient_rows,
     exact_rank,
+    format_grat,
     image_span_dim,
     monomial_basis,
     parse_poly,
@@ -320,34 +326,63 @@ def map_reference_mode():
     def parse_cleared(text, n_vars=None, degree=None):
         return clear(parse_poly(text, n_vars, degree).coeffs)
 
-    def pairing_pairs(f):
-        return clear(hermitian.pairing_poly(f).coeffs)
+    def packed(pairs, keys):
+        return {keys.pack(e): c for e, c in pairs.items()}
 
-    def source_form_pairs(sig):
-        return clear(hermitian.source_form_poly(sig).coeffs)[1]
+    def poly(pairs, keys):
+        """The Poly of a packed dict of Gaussian-integer pairs."""
+        pairs = {keys.unpack(e): c for e, c in pairs.items()}
+        degree = sum(next(iter(pairs), ()))
+        return hermitian._from_pairs(keys.n, degree, pairs, 1)
 
-    def divide_exact(P, Q):
+    def pairing_pairs(f, keys):
+        L, pairs = clear(hermitian.pairing_poly(f).coeffs)
+        return L, packed(pairs, keys)
+
+    def source_form_pairs(sig, keys):
+        return packed(clear(hermitian.source_form_poly(sig).coeffs)[1], keys)
+
+    def source_form(Q, keys):
+        """The source form Q and its signature: eps_i is its coefficient of
+        z_i w~_i."""
+        Q = poly(Q, keys)
+        nv = keys.n // 2
+        eps = [int(Q.coeffs.get(tuple(int(j in (i, nv + i)) for j in range(2 * nv)),
+                                GRat()).re) for i in range(nv)]
+        return Q, Signature(eps.count(1), eps.count(-1), eps.count(0))
+
+    def divide_exact(P, Q, keys):
         if not P:
             return {}
-        # Q is the source form: eps_i is its coefficient of z_i w~_i
-        nv = len(next(iter(Q))) // 2
-        eps = [Q.get(tuple(int(j in (i, nv + i)) for j in range(2 * nv)), (0, 0))[0]
-               for i in range(nv)]
-        sig = Signature(eps.count(1), eps.count(-1), eps.count(0))
-        P = hermitian._from_pairs(2 * nv, sum(next(iter(P))), P, 1)
+        Q, sig = source_form(Q, keys)
+        P = poly(P, keys)
         if not hermitian._pseudo_remainder_ref(P, sig, 0).is_zero:
             raise ArithmeticError("the pseudo-remainder is not zero")
         # Q has leading coefficient +-1, so the quotient of integral P is
         # integral and clears with L = 1
-        return clear(hermitian._divide_exact_ref(P, hermitian.source_form_poly(sig)).coeffs)[1]
+        return packed(clear(hermitian._divide_exact_ref(P, Q).coeffs)[1], keys)
+
+    def check_quotient(P, Q, quo, keys):
+        if (poly(quo, keys) * poly(Q, keys)).coeffs != poly(P, keys).coeffs:
+            raise RuntimeError("certificate quotient times Q is not the pairing polynomial")
+
+    def witness_search(f, P, pivot):
+        z, w = hermitian._witness_search_ref(f, P, pivot)
+        D, W = clear([c.conjugate() for c in w])
+        return clear(z)[1], W, D
+
+    def witness_text(cert):
+        return tuple(" ".join(map(format_grat, point)) for point in cert.witness)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hermitian, "parse_cleared", parse_cleared)
+        mp.setattr(hermitian, "cleared_parser", lambda: parse_cleared)
         mp.setattr(polyspace, "span_rank", span_rank)
         mp.setattr(hermitian, "_pairing_pairs", pairing_pairs)
         mp.setattr(hermitian, "_source_form_pairs", source_form_pairs)
-        mp.setattr(hermitian, "_witness_search", hermitian._witness_search_ref)
+        mp.setattr(hermitian, "_witness_search", witness_search)
+        mp.setattr(hermitian.OrthCertificate, "witness_text", witness_text)
         mp.setattr(hermitian, "_divide_exact", divide_exact)
+        mp.setattr(hermitian, "_check_quotient", check_quotient)
         yield spans
 
 
