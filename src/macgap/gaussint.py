@@ -3,7 +3,7 @@
 A Gaussian rational a/p + (b/q) i is carried as the pair (a', b') of
 Gaussian-integer parts after a whole row or polynomial is scaled by one
 positive integer L.  A cleared polynomial is the form (L, {exps: (re, im)})
-that `clear` produces, and that `polyspace.parse_cleared` reads from text;
+that `clear` produces, and that `polyspace.cleared_parser` reads from text;
 scaling by L changes neither a rank nor a zero test, and P / L gives the
 rational value back.  `pairing` builds the pairing
 polynomial of a map from its cleared components on packed monomial keys

@@ -126,9 +126,9 @@ class SignedMap:
     @classmethod
     def from_cleared(cls, source: Signature, target: Signature, degree: int,
                      cleared: list[tuple[int, dict]]) -> "SignedMap":
-        """The map with cleared components `cleared`, each (L, pairs) as
-        `parse_cleared` returns it for `source.n_vars` variables and degree
-        `degree`; they are not checked again."""
+        """The map with cleared components `cleared`, each (L, pairs) as a
+        `cleared_parser` parser returns it for `source.n_vars` variables
+        and degree `degree`; they are not checked again."""
         f = cls.__new__(cls)
         f.source, f.target, f.degree = source, target, degree
         f.cleared = cleared

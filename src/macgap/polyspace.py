@@ -272,7 +272,7 @@ def format_poly(p: Poly) -> str:
 
 def _parse_terms(text: str, n_vars: int | None, degree: int | None, coefficient):
     """Split polynomial text into terms and check their exponents; the one
-    splitter behind `parse_poly` and `parse_cleared`.  Returns (n_vars,
+    splitter behind `parse_poly` and `cleared_parser`.  Returns (n_vars,
     degree, terms) with terms the (exps, coefficient(token)) of every term
     in text order; "0" gives no terms."""
     stripped = text.strip()
@@ -319,7 +319,7 @@ def parse_poly(
 ) -> Poly:
     """Inverse of format_poly.  n_vars/degree are required to disambiguate
     the zero polynomial and otherwise act as validation.  The reference for
-    `parse_cleared`."""
+    `cleared_parser`."""
     n_vars, degree, terms = _parse_terms(text, n_vars, degree, parse_grat)
     coeffs: dict[tuple[int, ...], GRat] = {}
     for exps, c in terms:
@@ -352,22 +352,16 @@ def _coefficient_ratios(token: str) -> tuple[int, int, int, int]:
     return g.re.numerator, g.re.denominator, g.im.numerator, g.im.denominator
 
 
-def parse_cleared(
-    text: str, n_vars: int | None = None, degree: int | None = None
-) -> tuple[int, dict]:
-    """clear(parse_poly(text, n_vars, degree).coeffs) without a Fraction or
-    a GRat for a plain coefficient: (L, {exps: (re, im)}) with L the least
-    positive integer that makes every coefficient a Gaussian integer, and
-    the terms in the order `parse_poly` keeps them.  Same accepted text and
-    same messages as `parse_poly`."""
-    return cleared_parser()(text, n_vars, degree)
-
-
 def cleared_parser():
-    """A `parse_cleared` that reads each distinct coefficient token once
-    over all its calls; `parse_map` takes one per map, whose components
-    share most of their tokens.  A token that is refused is not kept, so
-    it is refused again with the same message."""
+    """A parser parse(text, n_vars=None, degree=None) that gives
+    clear(parse_poly(text, n_vars, degree).coeffs) without a Fraction or a
+    GRat for a plain coefficient: (L, {exps: (re, im)}) with L the least
+    positive integer that makes every coefficient a Gaussian integer, and
+    the terms in the order `parse_poly` keeps them.  Same accepted text
+    and same messages as `parse_poly`.  It reads each distinct coefficient
+    token once over all its calls; `parse_map` takes one per map, whose
+    components share most of their tokens.  A token that is refused is not
+    kept, so it is refused again with the same message."""
     seen: dict[str, tuple[int, int, int, int]] = {}
 
     def ratios(token: str) -> tuple[int, int, int, int]:
@@ -668,14 +662,9 @@ def image_span_dim(components: list[Poly]) -> int:
     """Projective dimension of the linear span of the component list, from
     the `span_rank` of their sparse cleared coefficients; the reference is
     exact_rank(support_rows(components)) - 1."""
-    if not components:
-        raise ValueError("no components")
-    if all(p.is_zero for p in components):
-        raise ValueError("all components are zero")
-    n_vars, degree = components[0].n_vars, components[0].degree
     for p in components:
-        _check_member(p, n_vars, degree)
-    return span_rank([clear(p.coeffs)[1] for p in components]) - 1
+        _check_member(p, components[0].n_vars, components[0].degree)
+    return cleared_span_dim([clear(p.coeffs)[1] for p in components])
 
 
 def cleared_span_dim(rows: list[dict]) -> int:

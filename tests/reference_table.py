@@ -1,0 +1,414 @@
+"""The fast paths of macgap, each with the slow reference it replaces.
+
+`TABLE` has one row per fast path: the module that defines it (the class,
+for a method), its name there, its reference, and why the reference is
+the right one to compare against.  `reference_mode` swaps every row for
+its reference, in every `macgap` module that holds the fast object, so a
+command run inside it computes its answer the slow way.
+`tests/test_reference_mode.py` runs the same commands both ways, compares
+what they print byte for byte, and checks by profiling that the table
+misses no fast path and that every function here but the stub
+`_no_template` runs in reference mode, so a row left out of the table
+leaves its reference unused.
+The suite references reach the `_random_int_rows`, `_random_form` and
+`_int_restricted_rank` rows by module name, so a swap left out of reference
+mode runs a fast path there, which the profile sees.
+
+`recorded` is the spy: it yields one entry per restricted rank, (M, form,
+pivot, degree, rank), and per span rank, (rows, rank).  Fast, it wraps
+the two kernels; in reference mode the references record the same entries
+themselves, so the two lists can be compared call by call.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import math
+import sys
+from typing import NamedTuple
+
+import pytest
+
+from macgap import binom_core, gap_calc, gaussint, hermitian, polyspace
+from macgap.binom_core import LemmaSweepReport, op_minus
+from macgap.gap_calc import (
+    GapSweepReport,
+    NabForm,
+    ineq1_b_range,
+    nab_minus,
+    nab_value,
+    verify_gap_argument,
+)
+from macgap.gaussint import clear
+from macgap.hermitian import Signature
+from macgap.polyspace import (
+    GRat,
+    GreenSuiteReport,
+    Hyperplane,
+    Poly,
+    PolySubspace,
+    cleared_rows,
+    coefficient_rows,
+    exact_rank,
+    format_grat,
+    monomial_basis,
+    parse_poly,
+    random_hyperplane,
+    random_subspace,
+    restrict,
+    rng_for,
+    support_rows,
+    verify_green,
+    veronese_components,
+)
+from macgap.record import SuiteReport
+
+# the call lists of the `recorded` blocks that are open, innermost last
+_OPEN = []
+
+
+def _record(*entry):
+    if _OPEN:
+        _OPEN[-1].append(entry)
+
+
+# ---------------------------------------------------------------------------
+# `verify green` and `verify restriction`
+
+def _int_form(H):
+    return [int(c.re) for c in H.coeffs]
+
+
+def _reference_rank(rows, H, degree):
+    """Rank of the restrictions of the polynomials with coefficient rows
+    `rows` (GRat entries over monomial_basis order), through `restrict`."""
+    n_vars = len(H.coeffs)
+    basis = monomial_basis(n_vars, degree)
+    polys = [Poly(n_vars, degree, dict(zip(basis, row))) for row in rows]
+    restricted = [restrict(p, H) for p in polys]
+    return exact_rank(coefficient_rows(restricted, n_vars - 1, degree))
+
+
+def int_restricted_rank(M, form, pivot, degree):
+    H = Hyperplane(tuple(GRat(v) for v in form), pivot)
+    rank = _reference_rank([[GRat(v) for v in row] for row in M], H, degree)
+    _record(M, form, pivot, degree, rank)
+    return rank
+
+
+def green_suite(ns, ds, subspaces, trials, seed, keep_records=False):
+    report = GreenSuiteReport()
+    for n in ns:
+        for d in ds:
+            basis = monomial_basis(n + 1, d)
+            for i in range(subspaces):
+                rng = rng_for(seed, f"green|n{n}|d{d}|s{i}")
+                # by module name, which reference mode binds to `_int_rows`:
+                # the members of random_subspace as integer rows, all-zero
+                # ones dropped, which changes no rank
+                rows = polyspace._random_int_rows(rng, n + 1, d)
+                W = PolySubspace(n + 1, d, [
+                    Poly(n + 1, d, dict(zip(basis, map(GRat, row)))) for row in rows
+                ])
+
+                def check(H):
+                    rec = verify_green(W, H)
+                    rank = math.comb(n - 1 + d, d) - rec.c_h
+                    _record(rows, _int_form(H), H.pivot, d, rank)
+                    return rec
+
+                recs = [check(random_hyperplane(rng, n + 1)) for _ in range(trials)]
+                while not any(r.holds for r in recs) and len(recs) < 2 * trials:
+                    recs.append(check(random_hyperplane(rng, n + 1)))
+                best = min(recs, key=lambda r: r.c_h)
+                report.subspace_count += 1
+                report.checks += len(recs)
+                if keep_records:
+                    report.records.append(best)
+                if not best.holds:
+                    report.violations.append((i, best))
+    return report
+
+
+def veronese_suite(max_n, max_degree, trials, seed):
+    report = SuiteReport()
+    for n in range(1, max_n + 1):
+        for d in range(1, max_degree + 1):
+            comps = veronese_components(n + 1, d)
+            # what image_span_dim gives in reference mode, but without
+            # recording a span rank, which the fast suite never computes
+            expected = op_minus(exact_rank(support_rows(comps)) - 1, n)
+            rng = rng_for(seed, f"veronese|n{n}|d{d}")
+            M = [[a for a, _ in row] for row in cleared_rows(comps, n + 1, d)]
+            for _ in range(trials):
+                # by module name, which reference mode binds to `_form` and
+                # `int_restricted_rank`, so a swap left out runs a fast path
+                rank = polyspace._int_restricted_rank(M, *polyspace._random_form(rng, n + 1), d)
+                report.checks += 1
+                if rank - 1 != expected:
+                    report.violations.append((n, d, rank - 1, expected))
+    return report
+
+
+def _int_rows(rng, n_vars, degree):
+    W = random_subspace(rng, n_vars, degree)
+    return [[a for a, _ in row] for row in cleared_rows(W.basis, n_vars, degree)]
+
+
+def _form(rng, n_vars):
+    H = random_hyperplane(rng, n_vars)
+    return _int_form(H), H.pivot
+
+
+def _no_template(*args):
+    raise AssertionError("the restriction template was used in reference mode")
+
+
+# ---------------------------------------------------------------------------
+# the map commands and `verify sharpness`
+
+def parse_cleared(text, n_vars=None, degree=None):
+    return clear(parse_poly(text, n_vars, degree).coeffs)
+
+
+def cleared_parser():
+    return parse_cleared
+
+
+def span_rank(rows):
+    shape = next(e for row in rows for e in row)
+    polys = [Poly(len(shape), sum(shape), {e: GRat(a, b) for e, (a, b) in row.items()})
+             for row in rows]
+    rank = exact_rank(support_rows(polys))
+    _record(rows, rank)
+    return rank
+
+
+def packed(pairs, keys):
+    return {keys.pack(e): c for e, c in pairs.items()}
+
+
+def poly(pairs, keys):
+    """The Poly of a packed dict of Gaussian-integer pairs."""
+    pairs = {keys.unpack(e): c for e, c in pairs.items()}
+    degree = sum(next(iter(pairs), ()))
+    return hermitian._from_pairs(keys.n, degree, pairs, 1)
+
+
+def pairing_pairs(f, keys):
+    L, pairs = clear(hermitian.pairing_poly(f).coeffs)
+    return L, packed(pairs, keys)
+
+
+def source_form_pairs(sig, keys):
+    return packed(clear(hermitian.source_form_poly(sig).coeffs)[1], keys)
+
+
+def source_form(Q, keys):
+    """The source form Q and its signature: eps_i is its coefficient of
+    z_i w~_i."""
+    Q = poly(Q, keys)
+    nv = keys.n // 2
+    eps = [int(Q.coeffs.get(tuple(int(j in (i, nv + i)) for j in range(2 * nv)),
+                            GRat()).re) for i in range(nv)]
+    return Q, Signature(eps.count(1), eps.count(-1), eps.count(0))
+
+
+def divide_exact(P, Q, keys):
+    if not P:
+        return {}
+    Q, sig = source_form(Q, keys)
+    P = poly(P, keys)
+    if not hermitian._pseudo_remainder_ref(P, sig, 0).is_zero:
+        raise ArithmeticError("the pseudo-remainder is not zero")
+    # Q has leading coefficient +-1, so the quotient of integral P is
+    # integral and clears with L = 1
+    return packed(clear(hermitian._divide_exact_ref(P, Q).coeffs)[1], keys)
+
+
+def check_quotient(P, Q, quo, keys):
+    if (poly(quo, keys) * poly(Q, keys)).coeffs != poly(P, keys).coeffs:
+        raise RuntimeError("certificate quotient times Q is not the pairing polynomial")
+
+
+def witness_search(f, P, pivot):
+    z, w = hermitian._witness_search_ref(f, P, pivot)
+    D, W = clear([c.conjugate() for c in w])
+    return clear(z)[1], W, D
+
+
+def witness_text(cert):
+    return tuple(" ".join(map(format_grat, point)) for point in cert.witness)
+
+
+# ---------------------------------------------------------------------------
+# `verify lemma3` and `verify gap-argument`
+
+def lemma_splits(m_max, k_max, table=None):
+    checks, bad = 0, []
+    for m in range(1, m_max + 1):
+        for k in range(1, k_max + 1):
+            total = math.comb(m + k, k) - 1
+            target = math.comb(m + k - 1, k) - 1
+            for A in range(total + 1):
+                checks += 1
+                if op_minus(A, m) + binom_core.op_lower(total - A, k) != target:
+                    bad.append((m, k, A, total - A))
+    return LemmaSweepReport(checks, bad)
+
+
+def descent(n, a, b, m):
+    """D_m as the value reached by descent from N(n;a,b) to level m."""
+    if not a + 1 <= m <= n - 1:
+        raise ValueError(f"m={m} outside [a+1, n-1]")
+    form = NabForm(n, a, b)
+    while form.n > m:
+        form = nab_minus(form)
+    return nab_value(form)
+
+
+def gap_walk(max_n):
+    """The sweep as one `verify_gap_argument` report per admissible triple."""
+    report = GapSweepReport()
+    for n in range(1, max_n + 1):
+        a = 0
+        while True:
+            lo, hi = ineq1_b_range(n, a)
+            if lo > hi:
+                break
+            for b in range(lo, hi + 1):
+                r = verify_gap_argument(n, a, b)
+                report.checks += 1
+                if r.case == "I":
+                    report.case_i += 1
+                else:
+                    report.case_ii += 1
+                if not r.holds:
+                    report.violations.append(r)
+            a += 1
+    return report
+
+
+# ---------------------------------------------------------------------------
+# the table
+
+class Row(NamedTuple):
+    owner: object
+    name: str
+    reference: object
+    reason: str
+
+
+TABLE = [
+    Row(polyspace, "green_suite", green_suite,
+        "plain loops as the suite is specified: each hyperplane drawn with "
+        "random_hyperplane and checked one at a time by verify_green; a "
+        "subspace whose trials all miss the bound draws up to trials more, "
+        "stopping at the first that meets it"),
+    Row(polyspace, "veronese_suite", veronese_suite,
+        "the expected dimension from the rank of the monomial map's own "
+        "components, not the closed form C(n+d, d) - 1"),
+    Row(polyspace, "_random_int_rows", _int_rows,
+        "random_subspace + cleared_rows, which draw each entry with randint, "
+        "for the same draws taken by _small_ints"),
+    Row(polyspace, "_random_form", _form,
+        "random_hyperplane, which draws with randint, for the same draws taken "
+        "by _small_ints"),
+    Row(polyspace, "_int_restricted_rank", int_restricted_rank,
+        "each member restricted by restrict, a plain GRat substitution, and the "
+        "restrictions ranked by exact_rank, for M . R_H eliminated row by row"),
+    Row(polyspace, "_restriction_template", _no_template,
+        "a stub that fails: in reference mode nothing may reach the template, "
+        "which only the fast _int_restricted_rank reads"),
+    Row(polyspace, "cleared_parser", cleared_parser,
+        "parse_poly cleared by clear, for text read straight to integers with "
+        "each distinct coefficient token read once per map"),
+    Row(gaussint, "span_rank", span_rank,
+        "exact_rank of the support_rows, dense elimination with no singleton "
+        "peeling"),
+    Row(hermitian, "_pairing_pairs", pairing_pairs,
+        "pairing_poly in GRat arithmetic, cleared, for the pairing built on "
+        "pairs and packed keys"),
+    Row(hermitian, "_source_form_pairs", source_form_pairs,
+        "source_form_poly cleared, for Q built on packed keys"),
+    Row(hermitian, "_divide_exact", divide_exact,
+        "the w~_0 pseudo-remainder, which decides, and the division in GRat, "
+        "which gives the quotient, on exponent tuples"),
+    Row(hermitian, "_check_quotient", check_quotient,
+        "the product of quotient and Q in GRat, for the product on packed keys"),
+    Row(hermitian, "_witness_search", witness_search,
+        "_witness_search_ref: GRat candidates, each tested with Poly.evaluate, "
+        "for candidates drawn and tested on Gaussian-integer pairs"),
+    Row(hermitian.OrthCertificate, "witness_text", witness_text,
+        "format_grat of the witness GRats, for the text read off integers"),
+    Row(binom_core, "verify_lemma_binom", lemma_splits,
+        "every split shifted through op_minus and op_lower, for the sweep"),
+    Row(gap_calc, "dim_prop_bound", descent,
+        "iterated descent; the fast sweep and verify_gap_argument both end in "
+        "_dim_bound, so without this row a wrong _dim_bound would pass both "
+        "ways"),
+    Row(gap_calc, "gap_argument_sweep", gap_walk,
+        "one verify_gap_argument report per admissible triple, for the sweep "
+        "that decides a block of b values from its two ends"),
+]
+
+# each fast object, taken before anything is swapped
+FAST = {row.name: vars(row.owner)[row.name] for row in TABLE}
+
+# the kernels whose calls `recorded` lists
+SPIED = ("_int_restricted_rank", "span_rank")
+
+
+def macgap_modules():
+    return [m for name, m in sys.modules.items() if name.split(".")[0] == "macgap"]
+
+
+def swap(mp, fast, new, owner=None):
+    """Rebinds, through the MonkeyPatch `mp`, every name that holds the
+    object `fast` in `owner` and in every loaded `macgap` module to `new`,
+    and returns how many names it rebound."""
+    holders = macgap_modules()
+    if owner is not None:
+        holders.append(owner)
+    count = 0
+    for holder in holders:
+        for attr, value in list(vars(holder).items()):
+            if value is fast:
+                mp.setattr(holder, attr, new)
+                count += 1
+    return count
+
+
+@contextlib.contextmanager
+def reference_mode():
+    """Every fast path of `TABLE` swapped for its reference inside the
+    block.  A context manager, not a fixture, so that a hypothesis test can
+    enter it once per example."""
+    with pytest.MonkeyPatch.context() as mp:
+        for row in TABLE:
+            if not swap(mp, FAST[row.name], row.reference, row.owner):
+                raise AssertionError(f"{row.name} is not bound to its fast path")
+        yield
+
+
+@contextlib.contextmanager
+def recorded():
+    """Yields a list that gets one entry per restricted rank and per span
+    rank computed inside the block."""
+    calls = []
+
+    def spy(fast):
+        def recording(*args):
+            result = fast(*args)
+            calls.append((*args, result))
+            return result
+        return recording
+
+    _OPEN.append(calls)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            for name in SPIED:
+                swap(mp, FAST[name], spy(FAST[name]))
+            yield calls
+    finally:
+        _OPEN.pop()

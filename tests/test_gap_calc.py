@@ -8,7 +8,6 @@ from macgap import gap_calc
 from macgap.binom_core import macaulay_rep, op_minus
 from macgap.gap_calc import (
     GapInterval,
-    GapSweepReport,
     NabForm,
     classify_gap,
     comparison_intervals,
@@ -28,6 +27,7 @@ from macgap.gap_calc import (
     plane_step,
     verify_gap_argument,
 )
+from reference_table import descent, gap_walk
 
 
 def admissible_forms(n):
@@ -318,38 +318,10 @@ class TestGapArgument:
     def test_sweep_refuses_to_disagree_with_the_report(self, monkeypatch):
         # the integer check under-reports, the per-triple report (D_m by
         # descent) says the bound holds: an internal error, not a violation
-        def descent(n, a, b, m):
-            form = NabForm(n, a, b)
-            while form.n > m:
-                form = nab_minus(form)
-            return nab_value(form)
-
         monkeypatch.setattr(gap_calc, "_dim_bound", lambda a, b, m: 1)
         monkeypatch.setattr(gap_calc, "dim_prop_bound", descent)
         with pytest.raises(RuntimeError, match="disagree"):
             gap_argument_sweep(12)
-
-
-def gap_walk(max_n):
-    """The sweep as one `verify_gap_argument` report per admissible triple."""
-    report = GapSweepReport()
-    for n in range(1, max_n + 1):
-        a = 0
-        while True:
-            lo, hi = ineq1_b_range(n, a)
-            if lo > hi:
-                break
-            for b in range(lo, hi + 1):
-                r = verify_gap_argument(n, a, b)
-                report.checks += 1
-                if r.case == "I":
-                    report.case_i += 1
-                else:
-                    report.case_ii += 1
-                if not r.holds:
-                    report.violations.append(r)
-            a += 1
-    return report
 
 
 # concave dips planted in D_m: real value minus a convex function of b

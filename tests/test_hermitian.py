@@ -35,10 +35,10 @@ from macgap.polyspace import (
     image_span_dim,
     mono,
     monomial_basis,
-    parse_poly,
     rng_for,
     verify_restriction_theorem,
 )
+import reference_table
 
 
 def g(*vals):
@@ -690,10 +690,7 @@ def mutated_map_text(draw):
 
 def _parse_map_by_reference(text):
     """parse_map with every component read by parse_poly and cleared."""
-    def parse_cleared(text, n_vars=None, degree=None):
-        return clear(parse_poly(text, n_vars, degree).coeffs)
-
-    with mock.patch.object(hermitian, "cleared_parser", lambda: parse_cleared):
+    with mock.patch.object(hermitian, "cleared_parser", reference_table.cleared_parser):
         return parse_map(text)
 
 

@@ -1,68 +1,30 @@
-"""The suites and the map commands run end to end on their reference
-implementations.
+"""The commands run end to end on the references of `reference_table.TABLE`.
 
-The `reference_mode` context manager swaps every fast path of `verify
-green` and `verify restriction` for the slow reference it replaces:
-
-- `green_suite` and `veronese_suite` for plain loops that draw each
-  subspace with `random_subspace` and each hyperplane with
-  `random_hyperplane`, and check them one hyperplane at a time, as the
-  suites are specified (a green subspace whose `trials` hyperplanes all
-  miss the bound draws up to `trials` more, stopping at the first that
-  meets it);
-- the integer draws, `_random_int_rows` and `_random_form`, which draw
-  each entry with `_small_ints` (`getrandbits(5)` in place of
-  `randint(-9, 9)`), for `random_subspace` + `cleared_rows` and
-  `random_hyperplane`, which call `randint`;
-- the integer restricted rank, `_int_restricted_rank` (the template R_H
-  times M, each product row eliminated by `_rank_int_rows` as it is formed,
-  stopping at the width), for `exact_rank` of the `restrict`ed members,
-  which is also what the reference green loop runs through `verify_green`;
-- the restriction template for a stub that fails if anything still
-  reaches it.
-
-The same commands then run both ways and must print the same bytes,
-`green_suite` must keep the same records, which carry the codimensions
-that the command's summary lines do not show, and the suites must compute
-the same restricted ranks, call by call: the same rows, the same
-hyperplane and the same rank.  A suite reports only the best hyperplane of
-a subspace, and almost every hyperplane is general, so the last check is
-what sees a wrong wiring between pieces that are each correct on their
-own, such as hyperplanes drawn from the wrong stream.
-
-The `map_reference_mode` context manager does the same for the map
-commands and `verify sharpness`: each component parsed straight to its
-cleared form, each distinct coefficient token read once per map, for
-`parse_poly` cleared, the span rank with singleton peeling for
-`exact_rank(support_rows(...))`, the pairing polynomial built on pairs and
-packed keys for `pairing_poly` cleared, the source form Q built on packed
-keys for `source_form_poly` cleared, the witness search on Gaussian-integer
-pairs for `_witness_search_ref` (GRat candidates, each tested with
-`Poly.evaluate`), the witness text read off integers for `format_grat` of
-the witness `GRat`s, the certificate's division on packed keys for the
-w~_0 pseudo-remainder, which decides, and the division in GRat, which gives
-the quotient, and the multiply-back check on packed keys for the product in
-GRat.  Every packed dict is unpacked to exponent tuples before a reference
-reads it, and what a reference returns is packed again.  The seed-0
-`map-queries` plan of the benchmark runs both ways against its known
-answers, together with a third of its maps rewritten with
-repeated, cancelling and zero terms.  That plan checks orthogonality in the
-chart z_0 != 0 only, so refused maps drawn from the benchmark's generator
-(seed, shape, Gaussian or not) also run `map check-orth --pivot P` both
-ways, with P drawn over every source coordinate.  `lemma3_reference`
-swaps the lemma sweep for per-split shifts through `macaulay_rep`, and
-`gap_reference` the gap-argument sweep for one `verify_gap_argument`
-report per triple, with `dim_prop_bound` by iterated descent.  Both ways
-compare only with each other, so the stdout of each command is also pinned
-by its sha256 in `STDOUT_SHA256`.  Each suite also runs both ways on drawn
-values of its own options.  Nothing here adds a switch to the program.
+Each test runs the same commands fast and in reference mode, where every
+fast path is swapped for its reference (the table gives each one's reason),
+and requires the same stdout, byte for byte.  The restricted ranks and span
+ranks are also compared call by call (`reference_table.recorded`): a suite
+reports only the best hyperplane of a subspace, and almost every hyperplane
+is general, so that is what sees a wrong wiring between pieces that are each
+correct on their own, such as hyperplanes drawn from the wrong stream.  Both
+ways compare only with each other, so each command's stdout is also pinned
+by its sha256 in `STDOUT_SHA256`, and each suite also runs both ways on
+drawn values of its own options.  `test_the_table_misses_no_fast_path`
+profiles a small plan both ways: every function that runs only fast must
+run under a table row, no row's fast path may run in reference mode, every
+reference must run there, and every span a map command computes must go
+through the table's `span_rank`.  Nothing here adds a switch to the
+program.
 """
 
 import contextlib
 import hashlib
+import inspect
 import io
-import math
+import json
 import random
+import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,153 +33,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import macgap.cli
-from macgap import binom_core, gap_calc, hermitian, polyspace
-from macgap.binom_core import LemmaSweepReport, op_minus
-from macgap.gap_calc import NabForm, nab_minus, nab_value
-from macgap.gaussint import clear
-from macgap.hermitian import Signature
-from macgap.polyspace import (
-    GRat,
-    GreenSuiteReport,
-    Hyperplane,
-    Poly,
-    cleared_rows,
-    coefficient_rows,
-    exact_rank,
-    format_grat,
-    image_span_dim,
-    monomial_basis,
-    parse_poly,
-    random_hyperplane,
-    random_subspace,
-    restrict,
-    rng_for,
-    support_rows,
-    verify_green,
-    veronese_components,
-)
-from macgap.record import SuiteReport
+from macgap import polyspace
+import reference_table
+from reference_table import FAST, TABLE, recorded, reference_mode, swap
 from test_bench_smoke import load_workloads
-from test_gap_calc import gap_walk
-
-
-def _reference_rank(rows, H, degree):
-    """Rank of the restrictions of the polynomials with coefficient rows
-    `rows` (GRat entries over monomial_basis order), through `restrict`."""
-    n_vars = len(H.coeffs)
-    basis = monomial_basis(n_vars, degree)
-    polys = [Poly(n_vars, degree, dict(zip(basis, row))) for row in rows]
-    restricted = [restrict(p, H) for p in polys]
-    return exact_rank(coefficient_rows(restricted, n_vars - 1, degree))
-
-
-def _int_rows(rng, n_vars, degree):
-    W = random_subspace(rng, n_vars, degree)
-    return [[a for a, _ in row] for row in cleared_rows(W.basis, n_vars, degree)]
-
-
-def _int_form(H):
-    return [int(c.re) for c in H.coeffs]
-
-
-def _form(rng, n_vars):
-    H = random_hyperplane(rng, n_vars)
-    return _int_form(H), H.pivot
-
-
-def _no_template(*args):
-    raise AssertionError("the restriction template was used in reference mode")
-
-
-@contextlib.contextmanager
-def recorded_ranks():
-    """Yields a list that gets one entry (rows, form, pivot, degree, rank)
-    per restricted rank that the fast path computes inside the block."""
-    calls = []
-    fast_rank = polyspace._int_restricted_rank
-
-    def spy(M, form, pivot, degree):
-        rank = fast_rank(M, form, pivot, degree)
-        calls.append((M, form, pivot, degree, rank))
-        return rank
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyspace, "_int_restricted_rank", spy)
-        yield calls
-
-
-@contextlib.contextmanager
-def reference_mode():
-    """Runs `verify green` and `verify restriction` on their references
-    inside the block, and yields a list that gets one entry (rows, form,
-    pivot, degree, rank) per restricted rank computed there.  A context
-    manager, not a fixture, so that a hypothesis test can enter it once per
-    example."""
-    calls = []
-
-    def int_restricted_rank(M, form, pivot, degree):
-        H = Hyperplane(tuple(GRat(v) for v in form), pivot)
-        rank = _reference_rank([[GRat(v) for v in row] for row in M], H, degree)
-        calls.append((M, form, pivot, degree, rank))
-        return rank
-
-    def green_suite(ns, ds, subspaces, trials, seed, keep_records=False):
-        report = GreenSuiteReport()
-        for n in ns:
-            for d in ds:
-                for i in range(subspaces):
-                    rng = rng_for(seed, f"green|n{n}|d{d}|s{i}")
-                    W = random_subspace(rng, n + 1, d)
-                    # the suites restrict real subspaces to integer forms only
-                    rows = [[a for a, _ in row] for row in cleared_rows(W.basis, n + 1, d)]
-
-                    def check(H):
-                        rec = verify_green(W, H)
-                        rank = math.comb(n - 1 + d, d) - rec.c_h
-                        calls.append((rows, _int_form(H), H.pivot, d, rank))
-                        return rec
-
-                    recs = [check(random_hyperplane(rng, n + 1)) for _ in range(trials)]
-                    while not any(r.holds for r in recs) and len(recs) < 2 * trials:
-                        recs.append(check(random_hyperplane(rng, n + 1)))
-                    best = min(recs, key=lambda r: r.c_h)
-                    report.subspace_count += 1
-                    report.checks += len(recs)
-                    if keep_records:
-                        report.records.append(best)
-                    if not best.holds:
-                        report.violations.append((i, best))
-        return report
-
-    def veronese_suite(max_n, max_degree, trials, seed):
-        report = SuiteReport()
-        for n in range(1, max_n + 1):
-            for d in range(1, max_degree + 1):
-                comps = veronese_components(n + 1, d)
-                expected = op_minus(image_span_dim(comps), n)
-                rng = rng_for(seed, f"veronese|n{n}|d{d}")
-                M = [[a for a, _ in row] for row in cleared_rows(comps, n + 1, d)]
-                for _ in range(trials):
-                    H = random_hyperplane(rng, n + 1)
-                    rank = int_restricted_rank(M, _int_form(H), H.pivot, d)
-                    report.checks += 1
-                    if rank - 1 != expected:
-                        report.violations.append((n, d, rank - 1, expected))
-        return report
-
-    with pytest.MonkeyPatch.context() as mp:
-        for name, ref in [
-            ("green_suite", green_suite),
-            ("veronese_suite", veronese_suite),
-            ("_random_int_rows", _int_rows),
-            ("_random_form", _form),
-            ("_int_restricted_rank", int_restricted_rank),
-            ("_restriction_template", _no_template),
-        ]:
-            mp.setattr(polyspace, name, ref)
-            if hasattr(macgap.cli, name):
-                mp.setattr(macgap.cli, name, ref)
-        yield calls
 
 
 def cli_stdout(argv):
@@ -271,14 +90,14 @@ COMMANDS = [
 
 def test_suites_match_their_references():
     def run(mode):
-        with mode() as ranks:
+        with mode(), recorded() as ranks:
             report = polyspace.green_suite(
                 ns=(2, 3), ds=(1, 2, 3), subspaces=10, trials=4, seed=6, keep_records=True
             )
             outputs = [cli_stdout(argv) for argv in COMMANDS]
         return outputs, report.records, ranks
 
-    fast = run(recorded_ranks)
+    fast = run(contextlib.nullcontext)
     assert run(reference_mode) == fast
     outputs, records, ranks = fast
     assert all(code == 0 for code, _ in outputs)
@@ -288,102 +107,6 @@ def test_suites_match_their_references():
     # 60 subspaces * 4 hyperplanes, the two green commands (4 cells * 8 * 5
     # and 3 cells * 3 * 3) and the two restriction ones (16 cells * 4)
     assert len(ranks) == 240 + 160 + 27 + 2 * 64
-
-
-@contextlib.contextmanager
-def recorded_spans():
-    """Yields a list that gets one entry (rows, rank) per span rank that the
-    fast path computes inside the block."""
-    spans = []
-    fast_span = polyspace.span_rank
-
-    def spy(rows):
-        rank = fast_span(rows)
-        spans.append((rows, rank))
-        return rank
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyspace, "span_rank", spy)
-        yield spans
-
-
-@contextlib.contextmanager
-def map_reference_mode():
-    """Runs the map kernel on its references inside the block, and yields a
-    list that gets one entry (rows, rank) per span rank computed there.  A
-    context manager, not a fixture, so that a hypothesis test can enter it
-    once per example."""
-    spans = []
-
-    def span_rank(rows):
-        shape = next(e for row in rows for e in row)
-        polys = [Poly(len(shape), sum(shape), {e: GRat(a, b) for e, (a, b) in row.items()})
-                 for row in rows]
-        rank = exact_rank(support_rows(polys))
-        spans.append((rows, rank))
-        return rank
-
-    def parse_cleared(text, n_vars=None, degree=None):
-        return clear(parse_poly(text, n_vars, degree).coeffs)
-
-    def packed(pairs, keys):
-        return {keys.pack(e): c for e, c in pairs.items()}
-
-    def poly(pairs, keys):
-        """The Poly of a packed dict of Gaussian-integer pairs."""
-        pairs = {keys.unpack(e): c for e, c in pairs.items()}
-        degree = sum(next(iter(pairs), ()))
-        return hermitian._from_pairs(keys.n, degree, pairs, 1)
-
-    def pairing_pairs(f, keys):
-        L, pairs = clear(hermitian.pairing_poly(f).coeffs)
-        return L, packed(pairs, keys)
-
-    def source_form_pairs(sig, keys):
-        return packed(clear(hermitian.source_form_poly(sig).coeffs)[1], keys)
-
-    def source_form(Q, keys):
-        """The source form Q and its signature: eps_i is its coefficient of
-        z_i w~_i."""
-        Q = poly(Q, keys)
-        nv = keys.n // 2
-        eps = [int(Q.coeffs.get(tuple(int(j in (i, nv + i)) for j in range(2 * nv)),
-                                GRat()).re) for i in range(nv)]
-        return Q, Signature(eps.count(1), eps.count(-1), eps.count(0))
-
-    def divide_exact(P, Q, keys):
-        if not P:
-            return {}
-        Q, sig = source_form(Q, keys)
-        P = poly(P, keys)
-        if not hermitian._pseudo_remainder_ref(P, sig, 0).is_zero:
-            raise ArithmeticError("the pseudo-remainder is not zero")
-        # Q has leading coefficient +-1, so the quotient of integral P is
-        # integral and clears with L = 1
-        return packed(clear(hermitian._divide_exact_ref(P, Q).coeffs)[1], keys)
-
-    def check_quotient(P, Q, quo, keys):
-        if (poly(quo, keys) * poly(Q, keys)).coeffs != poly(P, keys).coeffs:
-            raise RuntimeError("certificate quotient times Q is not the pairing polynomial")
-
-    def witness_search(f, P, pivot):
-        z, w = hermitian._witness_search_ref(f, P, pivot)
-        D, W = clear([c.conjugate() for c in w])
-        return clear(z)[1], W, D
-
-    def witness_text(cert):
-        return tuple(" ".join(map(format_grat, point)) for point in cert.witness)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hermitian, "cleared_parser", lambda: parse_cleared)
-        mp.setattr(polyspace, "span_rank", span_rank)
-        mp.setattr(hermitian, "_pairing_pairs", pairing_pairs)
-        mp.setattr(hermitian, "_source_form_pairs", source_form_pairs)
-        mp.setattr(hermitian, "_witness_search", witness_search)
-        mp.setattr(hermitian.OrthCertificate, "witness_text", witness_text)
-        mp.setattr(hermitian, "_divide_exact", divide_exact)
-        mp.setattr(hermitian, "_check_quotient", check_quotient)
-        yield spans
 
 
 def _fraction_text(x: Fraction) -> str:
@@ -433,14 +156,14 @@ def test_map_queries_match_their_references(tmp_path, monkeypatch):
                 ["verify", "restriction", "--json", "--trials", "2"]]
 
     def run(mode):
-        with mode() as ranks:
+        with mode(), recorded() as ranks:
             outputs = [cli_stdout(op.argv) for op in plan.ops]
             outputs += [cli_stdout(argv) for _, argv in reruns]
             outputs += [cli_stdout(argv) for argv in commands]
         return outputs, ranks
 
-    fast = run(recorded_spans)
-    assert run(map_reference_mode) == fast
+    fast = run(contextlib.nullcontext)
+    assert run(reference_mode) == fast
     outputs, ranks = fast
     for op, (code, out) in zip(plan.ops, outputs):
         assert code == op.expect_code, op.argv
@@ -454,8 +177,8 @@ def test_map_queries_match_their_references(tmp_path, monkeypatch):
     for argv, (_, out) in zip(commands, outputs[n + len(reruns):], strict=True):
         assert_pinned(argv, out)
     # the span ranks were compared call by call: one per `map span`, one or
-    # two per `map obstruct` (a vanished side has none), one per sharpness
-    # map and one per restriction cell
+    # two per `map obstruct` (a vanished side has none) and one per
+    # sharpness map; and the restricted ranks, one per restriction trial
     kinds = [op.kind for op in plan.ops]
     assert len(ranks) >= kinds.count("span") + kinds.count("obstruct")
 
@@ -480,53 +203,11 @@ def test_witness_charts_match_their_references(drawn_map_file, seed, gaussian, d
     pivot = data.draw(st.integers(0, n), label="pivot")
     argv = ["map", "check-orth", "--json", "--pivot", str(pivot), str(path)]
     fast = cli_stdout(argv)
-    with map_reference_mode():
+    with reference_mode():
         assert cli_stdout(argv) == fast
     code, out = fast
     assert code == 1
     assert workloads._check_orth(m)(out) is None
-
-
-@contextlib.contextmanager
-def lemma3_reference():
-    """Runs `verify lemma3` on per-split shifts inside the block."""
-    def sweep(m_max, k_max, table=None):
-        checks, bad = 0, []
-        for m in range(1, m_max + 1):
-            for k in range(1, k_max + 1):
-                total = math.comb(m + k, k) - 1
-                target = math.comb(m + k - 1, k) - 1
-                for A in range(total + 1):
-                    checks += 1
-                    if op_minus(A, m) + binom_core.op_lower(total - A, k) != target:
-                        bad.append((m, k, A, total - A))
-        return LemmaSweepReport(checks, bad)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(binom_core, "verify_lemma_binom", sweep)
-        mp.setattr(macgap.cli, "verify_lemma_binom", sweep)
-        yield
-
-
-@contextlib.contextmanager
-def gap_reference():
-    """Runs `verify gap-argument` on one `verify_gap_argument` report per
-    triple inside the block."""
-    def dim_prop_bound(n, a, b, m):
-        # D_m is the value reached by descent from N(n;a,b) to level m
-        if not a + 1 <= m <= n - 1:
-            raise ValueError(f"m={m} outside [a+1, n-1]")
-        form = NabForm(n, a, b)
-        while form.n > m:
-            form = nab_minus(form)
-        return nab_value(form)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gap_calc, "dim_prop_bound", dim_prop_bound)
-        # one full verify_gap_argument report per admissible triple
-        mp.setattr(gap_calc, "gap_argument_sweep", gap_walk)
-        mp.setattr(macgap.cli, "gap_argument_sweep", gap_walk)
-        yield
 
 
 def test_index_suites_match_their_references():
@@ -539,7 +220,7 @@ def test_index_suites_match_their_references():
         ["verify", "gap-argument", "--json", "--max-n", "120"],
     ]
     fast = [cli_stdout(argv) for argv in commands]
-    with lemma3_reference(), gap_reference():
+    with reference_mode():
         assert [cli_stdout(argv) for argv in commands] == fast
     assert all(code == 0 for code, _ in fast)
     for argv, (_, out) in zip(commands, fast, strict=True):
@@ -550,19 +231,19 @@ def test_index_suites_match_their_references():
 # ways.  The fixed commands above never redraw a green hyperplane, never
 # take --trials 1, and never sweep lemma3 with max_m > max_k.
 
-def _both_ways(suite, mode, **drawn):
-    """Runs `verify SUITE --json` with the drawn options fast and inside
-    `mode`, and compares stdout and, for a mode that records them, the
-    restricted ranks call by call."""
+def _both_ways(suite, **drawn):
+    """Runs `verify SUITE --json` with the drawn options fast and in
+    reference mode, and compares stdout and the ranks call by call; only
+    `green` and `restriction` compute ranks."""
     argv = ["verify", suite, "--json"]
     for option, value in drawn.items():
         argv += ["--" + option.replace("_", "-"), str(value)]
-    with recorded_ranks() as fast_ranks:
+    with recorded() as fast_ranks:
         fast = cli_stdout(argv)
-    with mode() as ref_ranks:
+    with reference_mode(), recorded() as ref_ranks:
         assert cli_stdout(argv) == fast
-    if ref_ranks is not None:
-        assert ref_ranks == fast_ranks and fast_ranks
+    assert ref_ranks == fast_ranks
+    assert bool(fast_ranks) == (suite in ("green", "restriction"))
     return fast
 
 
@@ -579,29 +260,139 @@ def test_drawn_green_matches_its_reference(seed, subspaces, trials, max_n, max_d
     op_lower = polyspace.op_lower
     with pytest.MonkeyPatch.context() as mp:
         if tight:
-            mp.setattr(polyspace, "op_lower", lambda c, d: op_lower(c, d) - 1)
-        code, _ = _both_ways("green", reference_mode, seed=seed, subspaces=subspaces,
-                             trials=trials, max_n=max_n, max_degree=max_degree)
+            swap(mp, op_lower, lambda c, d: op_lower(c, d) - 1)
+        code, _ = _both_ways("green", seed=seed, subspaces=subspaces, trials=trials,
+                             max_n=max_n, max_degree=max_degree)
     assert code == 0 or tight and code == 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(SEEDS, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 def test_drawn_restriction_matches_its_reference(seed, trials, max_n, max_degree):
-    code, _ = _both_ways("restriction", reference_mode, seed=seed, trials=trials,
-                         max_n=max_n, max_degree=max_degree)
+    code, _ = _both_ways("restriction", seed=seed, trials=trials, max_n=max_n,
+                         max_degree=max_degree)
     assert code == 0
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6))
 def test_drawn_lemma3_matches_its_reference(max_m, max_k):
-    code, _ = _both_ways("lemma3", lemma3_reference, max_m=max_m, max_k=max_k)
+    code, _ = _both_ways("lemma3", max_m=max_m, max_k=max_k)
     assert code == 0
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(1, 60))
 def test_drawn_gap_argument_matches_its_reference(max_n):
-    code, _ = _both_ways("gap-argument", gap_reference, max_n=max_n)
+    code, _ = _both_ways("gap-argument", max_n=max_n)
     assert code == 0
+
+
+# The guard: a small plan of every suite and of the map commands, profiled
+# fast and in reference mode.
+
+SRC = str(Path(macgap.cli.__file__).parent)
+
+GUARD_COMMANDS = [
+    ["verify", "green", "--json", "--subspaces", "2", "--trials", "2"],
+    ["verify", "restriction", "--json", "--trials", "2", "--max-n", "2", "--max-degree", "2"],
+    ["verify", "lemma3", "--json", "--max-m", "3", "--max-k", "3"],
+    ["verify", "gap-argument", "--json", "--max-n", "12"],
+    ["verify", "sharpness", "--json", "--max-k", "2", "--max-n", "8"],
+]
+
+
+def _nested(code):
+    """`code` and the code of every function, closure or comprehension
+    defined inside it."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _nested(const)
+
+
+def _profiled(run, covered=frozenset()):
+    """(what run() returns, {code: under}) for every function of
+    src/macgap and of the reference table that run() calls, where `under`
+    says whether each of its calls had a frame of `covered` among the
+    src/macgap frames on its stack, its own included."""
+    seen = {}
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event != "call" or not (code.co_filename.startswith(SRC)
+                                   or code.co_filename == reference_table.__file__):
+            return
+        under = False
+        if covered and seen.get(code, True):
+            f = frame
+            while f is not None and f.f_code.co_filename.startswith(SRC):
+                if f.f_code in covered:
+                    under = True
+                    break
+                f = f.f_back
+        seen[code] = seen.get(code, True) and under
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, seen
+
+
+def _where(code):
+    return f"{Path(code.co_filename).stem}:{code.co_firstlineno} {code.co_name}"
+
+
+def test_the_table_misses_no_fast_path(tmp_path, monkeypatch):
+    fast_ids = {id(fast) for fast in FAST.values()}
+    assert len(FAST) == len(TABLE) == len(fast_ids)
+    fast_code = {inspect.unwrap(fast).__code__ for fast in FAST.values()}
+    covered = {c for code in fast_code for c in _nested(code)}
+    plan = load_workloads(monkeypatch).build("map-queries", 0, tmp_path)
+    ops = [(argv, None) for argv in GUARD_COMMANDS] + [(op.argv, op.kind) for op in plan.ops[::10]]
+
+    def run(mode):
+        with mode(), recorded() as ranks:
+            outputs, counts = [], []
+            for argv, _ in ops:
+                before = len(ranks)
+                outputs.append(cli_stdout(argv))
+                counts.append(len(ranks) - before)
+        return outputs, counts, ranks
+
+    # in reference mode no module, and no class of a row, holds a fast path
+    holders = reference_table.macgap_modules() + [row.owner for row in TABLE]
+    with reference_mode():
+        assert [attr for h in holders for attr, v in vars(h).items() if id(v) in fast_ids] == []
+    # the first call builds the parser that every later one shares
+    cli_stdout(["gap", "10"])
+    out, fast = _profiled(lambda: run(contextlib.nullcontext), covered)
+    ref_out, ref = _profiled(lambda: run(reference_mode))
+    assert ref_out == out
+    in_src = {c for c in fast.keys() | ref.keys() if c.co_filename.startswith(SRC)}
+    # a function that runs only fast is a fast path or part of one
+    assert sorted(_where(c) for c in in_src if c in fast and c not in ref
+                  and not fast[c]) == []
+    # no fast path runs in reference mode
+    assert sorted(_where(c) for c in in_src & ref.keys() & fast_code) == []
+    # every function of the table module runs there, so a row left out of
+    # the table leaves its reference unused; the one that must not run is
+    # the stub of the `_restriction_template` row
+    unused = [name for name, f in vars(reference_table).items()
+              if inspect.isfunction(f) and f.__module__ == reference_table.__name__
+              and inspect.unwrap(f).__code__ not in ref]
+    assert unused == ["_no_template"]
+    assert ("_restriction_template", reference_table._no_template) in [
+        (row.name, row.reference) for row in TABLE]
+    # every span a map command computes goes through the `span_rank` row,
+    # so reference mode compares it: one per `map span`, one per side of
+    # `map obstruct` that does not vanish, none for `map check-orth`
+    outputs, counts, _ = out
+    for (argv, kind), (_, text), count in zip(ops, outputs, counts, strict=True):
+        if kind == "obstruct":
+            record = json.loads(text)
+            assert count == (record["dim_e"] >= 0) + (record["dim_eperp"] >= 0), argv
+        elif kind is not None:
+            assert count == (kind == "span"), argv
