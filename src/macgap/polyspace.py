@@ -16,9 +16,10 @@ There are two ways to restrict.  The suites use one integer kernel,
 `_int_restricted_rank`: the rank of M_W . R_H, a subspace's integer
 coefficient rows times the restriction matrix of an integer hyperplane.
 R_H comes from a template cached per (n_vars, degree, pivot), which holds
-the multinomial terms of every power of the substituted form and the
-column each term lands on; a hyperplane only fills in the powers of its
-own coefficients.  The rows of M_W . R_H are formed one at a time and
+the multinomial terms of every power of the substituted form, the column
+each term lands on and the term of the power below that each extends; a
+hyperplane only fills in the products of its own coefficients, one
+multiplication per term.  The rows of M_W . R_H are formed one at a time and
 eliminated as they come (`gaussint._rank_int_rows`), which stops once the
 rank reaches the width.  The suites draw M_W and the hyperplanes as plain
 integers, with the same RNG draws as `random_subspace` and
@@ -26,6 +27,13 @@ integers, with the same RNG draws as `random_subspace` and
 Everything else, Gaussian input and the library verifiers included,
 restricts with the plain `GRat` substitution of `restrict` and ranks with
 `exact_rank`: the reference that the kernel and its draws must reproduce.
+
+Polynomial text is read by `parse_poly`, and straight to the cleared form
+by `cleared_parser`.  Given the variable count and a degree of at most 9,
+the latter reads a canonical line (ASCII, terms joined by "; ", single
+spaces, one-digit exponents, as `format_poly` writes it) by fixed offsets;
+all other text goes through `_parse_terms`, the splitter `parse_poly`
+uses, and is read and refused exactly as `parse_poly` reads and refuses it.
 """
 
 from __future__ import annotations
@@ -272,7 +280,8 @@ def format_poly(p: Poly) -> str:
 
 def _parse_terms(text: str, n_vars: int | None, degree: int | None, coefficient):
     """Split polynomial text into terms and check their exponents; the one
-    splitter behind `parse_poly` and `cleared_parser`.  Returns (n_vars,
+    splitter behind `parse_poly`, and behind `cleared_parser` for every
+    line that it does not read by fixed offsets.  Returns (n_vars,
     degree, terms) with terms the (exps, coefficient(token)) of every term
     in text order; "0" gives no terms."""
     stripped = text.strip()
@@ -352,6 +361,11 @@ def _coefficient_ratios(token: str) -> tuple[int, int, int, int]:
     return g.re.numerator, g.re.denominator, g.im.numerator, g.im.denominator
 
 
+# ASCII byte -> its digit value for "0".."9"; every other byte maps to 255,
+# past any exponent sum of degree <= 9
+_DIGIT_VALUES = bytes(b - 48 if 48 <= b <= 57 else 255 for b in range(256))
+
+
 def cleared_parser():
     """A parser parse(text, n_vars=None, degree=None) that gives
     clear(parse_poly(text, n_vars, degree).coeffs) without a Fraction or a
@@ -361,7 +375,14 @@ def cleared_parser():
     and same messages as `parse_poly`.  It reads each distinct coefficient
     token once over all its calls; `parse_map` takes one per map, whose
     components share most of their tokens.  A token that is refused is not
-    kept, so it is refused again with the same message."""
+    kept, so it is refused again with the same message.
+
+    A canonical line, as `format_poly` writes it, is read by fixed offsets
+    (`canonical_terms`) when n_vars and a degree of at most 9 are given:
+    ASCII text, terms joined by "; ", each a coefficient token and
+    n_vars one-digit exponents after single spaces.  Every other text goes
+    through `_parse_terms`, and so is read and refused as `parse_poly`
+    reads and refuses it."""
     seen: dict[str, tuple[int, int, int, int]] = {}
 
     def ratios(token: str) -> tuple[int, int, int, int]:
@@ -370,8 +391,51 @@ def cleared_parser():
             r = seen[token] = _coefficient_ratios(token)
         return r
 
+    def canonical_terms(text: str, n_vars: int, degree: int):
+        """The terms of `_parse_terms` for a canonical line, or None for
+        any other text.  Every term's exponents are checked before the
+        first coefficient is read, and the coefficients are read in text
+        order, each once it is known to be one word, so a refused
+        coefficient is the one `_parse_terms` refuses first."""
+        if not text.isascii():
+            return None
+        line = text.encode("ascii")
+        width = 2 * n_vars
+        spaces = b" " * n_vars
+        shaped = []
+        for term in line.split(b"; "):
+            if len(term) <= width or term[-width::2] != spaces:
+                return None
+            # a byte other than a digit reads 255, so this sum is the
+            # degree only when every slot holds a digit
+            exps = tuple(term[1 - width::2].translate(_DIGIT_VALUES))
+            if sum(exps) != degree:
+                return None
+            shaped.append((exps, term[:-width]))
+        # a ";" that does not start a "; " separator splits a term for
+        # `_parse_terms`, but sits inside one here
+        if line.count(b";") != len(shaped) - 1:
+            return None
+        terms = []
+        for exps, token in shaped:
+            word = token.decode("ascii")
+            r = seen.get(word)
+            if r is None:
+                # `_parse_terms` reads the first word that str.split gives,
+                # which splits at \x1c-\x1f too; every token in `seen` is
+                # one whole word
+                if word.split() != [word]:
+                    return None
+                r = ratios(word)
+            terms.append((exps, r))
+        return terms
+
     def parse(text: str, n_vars: int | None = None, degree: int | None = None):
-        _, _, terms = _parse_terms(text, n_vars, degree, ratios)
+        terms = None
+        if n_vars is not None and n_vars > 0 and degree is not None and degree <= 9:
+            terms = canonical_terms(text, n_vars, degree)
+        if terms is None:
+            _, _, terms = _parse_terms(text, n_vars, degree, ratios)
         acc = dict(terms)
         if len(acc) < len(terms):
             # a repeated monomial: sum its coefficients
@@ -449,32 +513,41 @@ def _restriction_template(n_vars: int, degree: int, pivot: int):
     """The restriction matrix R_H of every hyperplane of one shape, as a
     function of its substitution z_pivot = sum_k r_k z_k.
 
-    Returns (ncols, terms, rows).  terms[e], for e = 0..degree, lists the
-    terms of (sum_k r_k z_k)^e as (multinomial(e; beta), beta), one per
-    exponent vector beta of monomial_basis(n_vars-1, e).  rows has one entry
-    per monomial z^e of monomial_basis(n_vars, degree), in that order:
-    (e_pivot, cols).  The restriction of z^e is (sum_k r_k z_k)^e_pivot times
-    the other factors of z^e, so its i-th term lands on column cols[i] of
+    Returns (ncols, powers, rows).  powers[e], for e = 0..degree, describes
+    the terms of (sum_k r_k z_k)^e, one per exponent vector beta of
+    monomial_basis(n_vars-1, e), as (mults, links): mults lists the
+    multinomials multinomial(e; beta), and links, for e >= 1, lists for each
+    beta the pair (i, k) with beta = beta_i of power e-1 plus one in
+    coordinate k, so that prod_k r_k**beta_k is the product for beta_i
+    times r_k.  rows has one entry per monomial z^e of
+    monomial_basis(n_vars, degree), in that order: (e_pivot, cols).  The
+    restriction of z^e is (sum_k r_k z_k)^e_pivot times the other factors
+    of z^e, so its i-th term lands on column cols[i] of
     monomial_basis(n_vars-1, degree), which has ncols monomials: the column
     of beta_i plus the remaining exponents of e.  Distinct beta of one row
     land on distinct columns.
     """
     m = n_vars - 1
     cols = {e: j for j, e in enumerate(monomial_basis(m, degree))}
-    terms = tuple(
-        tuple(
-            (math.factorial(e) // math.prod(map(math.factorial, beta)), beta)
-            for beta in monomial_basis(m, e)
-        )
-        for e in range(degree + 1)
-    )
+    bases = [monomial_basis(m, e) for e in range(degree + 1)]
+    powers = []
+    for e, basis in enumerate(bases):
+        mults = tuple(math.factorial(e) // math.prod(map(math.factorial, beta)) for beta in basis)
+        links = []
+        if e:
+            parent = {beta: i for i, beta in enumerate(bases[e - 1])}
+            for beta in basis:
+                # the parent takes one off the first nonzero exponent
+                k = next(k for k, x in enumerate(beta) if x)
+                links.append((parent[beta[:k] + (beta[k] - 1,) + beta[k + 1:]], k))
+        powers.append((mults, tuple(links)))
     rows = []
     for exps in monomial_basis(n_vars, degree):
         ep = exps[pivot]
         rest = exps[:pivot] + exps[pivot + 1:]
-        targets = (tuple(x + y for x, y in zip(beta, rest)) for _, beta in terms[ep])
+        targets = (tuple(x + y for x, y in zip(beta, rest)) for beta in bases[ep])
         rows.append((ep, tuple(cols[e] for e in targets)))
-    return len(cols), terms, tuple(rows)
+    return len(cols), tuple(powers), tuple(rows)
 
 
 def _small_ints(rng: random.Random, k: int) -> list[int]:
@@ -599,23 +672,22 @@ def _int_restriction_rows(form: list[int], pivot: int, degree: int):
     The substitution z_pivot = sum_j r_j z_j has r_j = -c_j/c_pivot, which
     t = |c_pivot| / g clears: t*r_j = -sign(c_pivot) * c_j / g, g the gcd
     of the form.  The entry of term (multinomial, beta) of a row with
-    e_pivot = e is t**(degree-e) * multinomial * prod_k (t*r_k)**beta_k."""
-    ncols, terms, rows = _restriction_template(len(form), degree, pivot)
+    e_pivot = e is t**(degree-e) * multinomial * prod_k (t*r_k)**beta_k.
+    The products are built power by power from the template's links, each
+    one its parent's times one t*r_k, and the multinomials and the power of
+    t are multiplied in once per power."""
+    ncols, powers, rows = _restriction_template(len(form), degree, pivot)
     g = math.gcd(*form)
     sign = -1 if form[pivot] > 0 else 1
     t = abs(form[pivot]) // g
-    pw = [
-        [(sign * c // g) ** e for e in range(degree + 1)]
-        for j, c in enumerate(form)
-        if j != pivot
-    ]
-    values = [
-        [
-            t ** (degree - e) * mult * math.prod(map(list.__getitem__, pw, beta))
-            for mult, beta in terms[e]
-        ]
-        for e in range(degree + 1)
-    ]
+    tr = [sign * c // g for j, c in enumerate(form) if j != pivot]
+    products = [1]
+    values = []
+    for e, (mults, links) in enumerate(powers):
+        if e:
+            products = [products[i] * tr[k] for i, k in links]
+        scale = t ** (degree - e)
+        values.append([scale * mult * x for mult, x in zip(mults, products)])
     return ncols, [tuple(zip(cols, values[e])) for e, cols in rows]
 
 

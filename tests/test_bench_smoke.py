@@ -1,13 +1,15 @@
-"""The `index-calc` and `green-sweep` benchmark plans, run through the
-command line, and the names the traced benchmark pass wraps.
+"""The benchmark plans, run through the command line, and the names the
+traced benchmark pass wraps.
 
 Every op of the seed-0, seed-1 and seed-2 `index-calc` plans (both sweeps,
 `macaulay 1000000 2`, the small `macaulay` and `gap` ops) and of the seed-0
 `green-sweep` plan (180 `verify green` and 4 `verify restriction` ops) goes
 through `macgap.cli.main` with its output captured, and must give the exit
 code and the known answer that the benchmark's own checks in
-bench/workloads.py expect.  The seed-0 `map-queries` plan runs against its
-known answers in test_reference_mode.py.  Every (module, attribute) that
+bench/workloads.py expect, and so does every op of the seed-1 and seed-2
+`map-queries` plans (span, check-orth and obstruct on 96 generated maps).
+The seed-0 `map-queries` plan runs against its known answers, fast and in
+reference mode, in test_reference_mode.py.  Every (module, attribute) that
 bench/layers.py traces must resolve, since `Tracer.install` would raise
 AttributeError on a name that is gone.  Both modules are only imported,
 never changed.
@@ -67,6 +69,19 @@ def test_green_sweep_known_answers(tmp_path, monkeypatch):
     kinds = [op.kind for op in plan.ops]
     assert (kinds.count("green"), kinds.count("restriction")) == (180, 4)
     assert _failures(plan, 0) == []
+
+
+def test_map_queries_known_answers(tmp_path, monkeypatch):
+    failures = []
+    for seed in (1, 2):
+        workdir = tmp_path / f"seed{seed}"
+        workdir.mkdir()
+        plan = load_workloads(monkeypatch).build("map-queries", seed, workdir)
+        kinds = [op.kind for op in plan.ops]
+        counts = [kinds.count(kind) for kind in ("span", "check-orth", "obstruct")]
+        assert counts == [96, 96, 48]
+        failures += _failures(plan, seed)
+    assert failures == []
 
 
 def test_traced_names_resolve(monkeypatch):

@@ -39,6 +39,7 @@ from macgap.polyspace import (
     verify_restriction_theorem,
 )
 import reference_table
+from test_bench_smoke import load_workloads
 
 
 def g(*vals):
@@ -757,6 +758,19 @@ class TestMapFiles:
         assert cert.verdict and built == [2 * f.source.n_vars]
         assert cert.quotient == sharpness_quotient(2, 5)
         assert f == sharpness_map(2, 5)
+
+    def test_written_maps_take_the_fixed_offset_read(self, tmp_path, monkeypatch):
+        # every component line of the seed-0 map-queries maps and of
+        # `format_map` output is canonical, so the benchmark's parses never
+        # reach `_parse_terms`, and they read as they do through it
+        load_workloads(monkeypatch).build("map-queries", 0, tmp_path)
+        texts = [path.read_text() for path in sorted(tmp_path.glob("*.map"))]
+        assert len(texts) == 96
+        texts += [format_map(sharpness_map(k, n)) for n in range(1, 7) for k in range(1, n + 1)]
+        want = [_map_outcome(parse_map, text) for text in texts]
+        assert not any(outcome[0] == "error" for outcome in want)
+        monkeypatch.setattr(polyspace, "_parse_terms", mock.Mock(side_effect=AssertionError))
+        assert [_map_outcome(parse_map, text) for text in texts] == want
 
     def test_round_trip_sharpness(self):
         f = sharpness_map(2, 3)

@@ -341,6 +341,48 @@ def poly_text_st(draw):
     return "; ".join(terms), nv, d
 
 
+# characters that one-character edits of a canonical line insert or
+# substitute: control bytes, whitespace that str.split splits at or not,
+# separators, signs and digits of several scripts
+EDIT_CHARS = ["\x05", "\t", "\x0b", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", " ", ";",
+              ",", "/", "+", "-", "0", "7", "\u0663", "e", "x"]
+
+
+@st.composite
+def canonical_line_st(draw):
+    """(text, n_vars, degree): a line in the layout `format_poly` writes,
+    with coefficients in any notation of `coeff_part_st`; the degree runs
+    up to 12, so that some exponents have two digits, and monomials may
+    repeat."""
+    nv = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 12))
+    basis = monomial_basis(nv, d)
+    terms = []
+    for exps in draw(st.lists(st.sampled_from(basis), min_size=1, max_size=5)):
+        token = draw(coeff_part_st())[0]
+        if draw(st.booleans()):
+            token += "," + draw(coeff_part_st())[0]
+        terms.append(token + " " + " ".join(map(str, exps)))
+    return "; ".join(terms), nv, d
+
+
+@st.composite
+def mutated_line_st(draw):
+    """A `canonical_line_st` case with at most one character replaced,
+    inserted or deleted."""
+    text, nv, d = draw(canonical_line_st())
+    i = draw(st.integers(0, len(text) - 1))
+    edit = draw(st.sampled_from(["none", "replace", "insert", "delete"]))
+    char = draw(st.sampled_from(EDIT_CHARS))
+    if edit == "replace":
+        text = text[:i] + char + text[i + 1:]
+    elif edit == "insert":
+        text = text[:i] + char + text[i:]
+    elif edit == "delete":
+        text = text[:i] + text[i + 1:]
+    return text, nv, d
+
+
 class TestParseCleared:
     @settings(max_examples=300, deadline=None)
     @given(poly_text_st())
@@ -362,6 +404,73 @@ class TestParseCleared:
     def test_hostile_coefficients(self, token):
         assert_parsers_agree(f"{token} 1 0")
         assert_parsers_agree(f"1/1 1 0; {token} 0 1", 2, 1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_line_st())
+    def test_one_character_edits_of_canonical_lines(self, case):
+        text, n_vars, degree = case
+        assert_parsers_agree(text, n_vars, degree)
+
+    @pytest.mark.parametrize("text, fast", [
+        # a line as `format_poly` writes it
+        ("1/2 2 1 0; -3/4,1/5 0 0 3", True),
+        # bytes below "0" in a digit slot, where a table that clipped
+        # them to 0 or kept their low four bits would give the degree
+        ("1/2 3 \x05 0; -3/4,1/5 0 0 3", False),
+        ("1/2 \x03 0 0; -3/4,1/5 0 0 3", False),
+        ("1/2 2 ! 0; -3/4,1/5 0 0 3", False),
+        # whitespace in the coefficient token: str.split also splits at \x1c-\x1f
+        ("1/\t2 2 1 0; -3/4,1/5 0 0 3", False),
+        ("1/\x1c2 2 1 0; -3/4,1/5 0 0 3", False),
+        ("1/2 2 1 0; -3/4,\x0b1/5 0 0 3", False),
+        ("\t1/2 2 1 0; -3/4,1/5 0 0 3", False),
+        # a bad shape in a term before, in or after a bad coefficient
+        ("1/2 2 1 0 0; x 0 0 3", False),
+        ("1/2 2 1; 1/0 0 0 3", False),
+        ("x 2 1; -3/4,1/5 0 0 3", False),
+        # every term has a coefficient and three one-digit exponents at
+        # the fixed offsets, so the first bad coefficient is refused first
+        ("x 2 1 0; 1/2 0 0 3 0", True),
+        ("x 2 1 0; 1/0 0 0 3", True),
+        ("1/2 2 1 0; 1/0 0 0 3; x 1 1 1", True),
+        ("1/2 2 1 0; 1e3 0 0 3", True),
+        # spacing and separators
+        ("1/2  2 1 0; -3/4,1/5 0 0 3", False),
+        ("1/2 2 1 0;  -3/4,1/5 0 0 3", False),
+        ("1/2 2 1 0 ; -3/4,1/5 0 0 3", False),
+        ("1/2 2 1 0;-3/4,1/5 0 0 3", False),
+        ("1/2;3 2 1 0", False),
+        ("1/2 2 1 0; ", False),
+        # signs, other digits and two-digit exponents
+        ("1/2 2 + 0; -3/4,1/5 0 0 3", False),
+        ("1/2 2 -1 2", False),
+        ("1/2 2 \u0661 0; -3/4,1/5 0 0 3", False),
+        ("\u0661/2 2 1 0; -3/4,1/5 0 0 3", False),
+        ("1/2 2 1 00; -3/4,1/5 0 0 3", False),
+        ("00 2 1 0; -3/4,1/5 0 0 3", True),
+        # a repeated monomial, and the zero line
+        ("1/2 2 1 0; -3/4,1/5 2 1 0; 1/4 2 1 0", True),
+        ("0", False),
+    ])
+    def test_fixed_offset_traps(self, text, fast, monkeypatch):
+        # same result or message on both paths; `fast` says whether the
+        # fixed-offset read takes the line without `_parse_terms`
+        want = assert_parsers_agree(text, 3, 3)
+        slow = []
+        parse_terms = polyspace._parse_terms
+
+        def counted(*args):
+            slow.append(args[0])
+            return parse_terms(*args)
+
+        monkeypatch.setattr(polyspace, "_parse_terms", counted)
+        assert _outcome(cleared_parser(), text, 3, 3) == want
+        assert (not slow) == fast
+
+    def test_two_digit_exponents_above_degree_nine(self):
+        for text in ("1/2 10 0; 1/3 5 5", "1/2 9 1; 1/3 5 5", "1/2 1 0; 1/3 10 0"):
+            assert_parsers_agree(text, 2, 10)
+        assert assert_parsers_agree("1/2 10 0", 2, 10) == (2, [((10, 0), (1, 0))])
 
 
 def plane(ints, pivot=None):
