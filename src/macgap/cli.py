@@ -59,6 +59,8 @@ MAX_MACAULAY_LEVEL = 1000
 # Most digits of a `macaulay` value A: the upper shift at level 1 is about
 # A^2/2, which must stay below Python's 4300-digit int-to-str limit.
 MAX_MACAULAY_DIGITS = 2000
+# |A| must stay below it; computed once, not on every `macaulay` call
+_MACAULAY_VALUE_BOUND = 10**MAX_MACAULAY_DIGITS
 # Largest `gap n` table, in J_k and I_k rows together: about sqrt(n) +
 # sqrt(2n), so n up to about 1.7 * 10^9 (`--json` at the limit takes about
 # a second).
@@ -109,7 +111,7 @@ def _write_text(path: str | None, text: str) -> None:
 def cmd_macaulay(args):
     if args.n > MAX_MACAULAY_LEVEL:
         raise ValueError(f"level {args.n} is above the limit of {MAX_MACAULAY_LEVEL}")
-    if abs(args.A) >= 10**MAX_MACAULAY_DIGITS:
+    if abs(args.A) >= _MACAULAY_VALUE_BOUND:
         raise ValueError(f"A has more than the limit of {MAX_MACAULAY_DIGITS} digits")
     rep = macaulay_rep(args.A, args.n)
     record = {"cmd": "macaulay", "A": args.A, "n": args.n, "rep": str(rep),
@@ -432,8 +434,149 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# ---------------------------------------------------------------------------
+# fast argv path: plain command lines parsed from a table read off the
+# parser's own actions, so the grammar is declared once, in `build_parser`.
+# Every other command line goes to argparse, which stays the only path for
+# help, usage errors, abbreviations and negative numbers.
+
+# positional nargs -> (fewest, most) tokens; any other nargs goes to argparse
+_NARGS = {None: (1, 1), "?": (0, 1), "+": (1, sys.maxsize)}
+
+
+def _grammar_of(parser, base):
+    """The table that `_fast_args` reads for `parser`, when argparse enters
+    it with the namespace values `base`, or None if argparse must parse
+    every command line that reaches it.
+
+    A parser with sub-commands gives a dict from each name to the table of
+    its parser.  One without gives a leaf (values, options, positionals,
+    fewest, most): `values` is the namespace before any token is read;
+    `options` maps each exact option string to (dest, type), type None for
+    a store-true flag; `positionals` is (dest, takes a list, type, most,
+    fewest of the later ones) in order; `fewest` and `most` bound the
+    count of positional tokens.  A parser, or any of its actions, of a kind
+    not listed here makes this None.
+    """
+    if (parser.prefix_chars != "-" or parser.fromfile_prefix_chars is not None
+            or parser._mutually_exclusive_groups):
+        return None
+    values, options, positionals, commands = {}, {}, [], None
+    for action in parser._actions:
+        kind = type(action)
+        if kind is argparse._HelpAction:
+            continue
+        if (action.dest is argparse.SUPPRESS or action.default is argparse.SUPPRESS
+                or action.option_strings and action.required):
+            return None
+        # what argparse sets before it reads a token: the first default of
+        # each dest
+        values.setdefault(action.dest, action.default)
+        if kind is argparse._SubParsersAction and commands is None:
+            commands = action
+        elif kind is argparse._StoreTrueAction:
+            options.update(dict.fromkeys(action.option_strings, (action.dest, None)))
+        elif (kind is not argparse._StoreAction or action.choices is not None
+              # argparse converts a string default that it leaves in place
+              or isinstance(action.default, str) and action.type is not None):
+            return None
+        elif action.option_strings and action.nargs is None:
+            options.update(dict.fromkeys(action.option_strings,
+                                         (action.dest, action.type or str)))
+        elif not action.option_strings and action.nargs in _NARGS:
+            positionals.append((action.dest, action.nargs == "+", action.type or str,
+                                *_NARGS[action.nargs]))
+        else:
+            return None
+    for dest, value in parser._defaults.items():
+        values.setdefault(dest, value)
+    # a sub-command's namespace is merged over its parent's
+    values = {**base, **values}
+    if commands is None:
+        fewest = rest = sum(lo for *_, lo, _ in positionals)
+        spec = []
+        for dest, many, convert, lo, hi in positionals:
+            rest -= lo
+            spec.append((dest, many, convert, hi, rest))
+        return values, options, spec, fewest, sum(hi for *_, hi in positionals)
+    if options or positionals:
+        return None
+    table = {}
+    for name, sub in commands.choices.items():
+        entry = _grammar_of(sub, {**values, commands.dest: name})
+        if entry is not None:
+            table[name] = entry
+    return table
+
+
+@functools.lru_cache(maxsize=1)
+def _grammar(parser):
+    """The table of `parser`, read off it on first use."""
+    return _grammar_of(parser, {})
+
+
+def _fast_args(argv):
+    """The namespace that `_parser().parse_args(argv)` returns, or None to
+    leave `argv` to argparse.  None comes for any token that starts with "-"
+    but is not an exact option string, an option value that starts with
+    "-", positionals that are not one contiguous run or whose count does
+    not fit their nargs, and a type call that raises."""
+    node = _grammar(_parser())
+    i = 0
+    while isinstance(node, dict):
+        if i == len(argv):
+            return None
+        node = node.get(argv[i])
+        i += 1
+    if node is None:
+        return None
+    values, options, positionals, fewest, most = node
+    values = dict(values)
+    run, closed = [], False
+    try:
+        while i < len(argv):
+            token = argv[i]
+            i += 1
+            if token[:1] != "-":
+                if closed:
+                    return None
+                run.append(token)
+                continue
+            option = options.get(token)
+            if option is None:
+                return None
+            closed = bool(run)
+            dest, convert = option
+            if convert is None:
+                values[dest] = True
+            elif i == len(argv) or argv[i][:1] == "-":
+                return None
+            else:
+                values[dest] = convert(argv[i])
+                i += 1
+        if not fewest <= len(run) <= most:
+            return None
+        # argparse's greedy match: each positional takes all it can and
+        # leaves the later ones their fewest
+        start = 0
+        for dest, many, convert, hi, rest in positionals:
+            take = min(hi, len(run) - start - rest)
+            if many:
+                values[dest] = [convert(token) for token in run[start:start + take]]
+            elif take:
+                values[dest] = convert(run[start])
+            start += take
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         code, records, text = args.func(args)
         if getattr(args, "json", False):

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import pytest
 
-from macgap import binom_core, gap_calc, gaussint, hermitian, polyspace
+from macgap import binom_core, cli, gap_calc, gaussint, hermitian, polyspace
 from macgap.binom_core import LemmaSweepReport, op_minus
 from macgap.gap_calc import (
     GapSweepReport,
@@ -290,6 +290,13 @@ def gap_walk(max_n):
 
 
 # ---------------------------------------------------------------------------
+# command lines
+
+def no_fast_args(argv):
+    return None
+
+
+# ---------------------------------------------------------------------------
 # the table
 
 class Row(NamedTuple):
@@ -350,6 +357,10 @@ TABLE = [
     Row(gap_calc, "gap_argument_sweep", gap_walk,
         "one verify_gap_argument report per admissible triple, for the sweep "
         "that decides a block of b values from its two ends"),
+    Row(cli, "_fast_args", no_fast_args,
+        "every command line parsed by argparse, for the table read off the "
+        "parser's actions; main runs the fast path in both modes, so without "
+        "this row the profile could not see it"),
 ]
 
 # each fast object, taken before anything is swapped

@@ -9,10 +9,13 @@ code and the known answer that the benchmark's own checks in
 bench/workloads.py expect, and so does every op of the seed-1 and seed-2
 `map-queries` plans (span, check-orth and obstruct on 96 generated maps).
 The seed-0 `map-queries` plan runs against its known answers, fast and in
-reference mode, in test_reference_mode.py.  Every (module, attribute) that
-bench/layers.py traces must resolve, since `Tracer.install` would raise
-AttributeError on a name that is gone.  Both modules are only imported,
-never changed.
+reference mode, in test_reference_mode.py.  Every op of the three seed-0
+plans must take the fast argv path of `macgap.cli`, and each command line
+of test_cli.PROCESS_SEQUENCE the side it is marked with, so a change to
+`build_parser` cannot send the traffic back through argparse unseen.  Every
+(module, attribute) that bench/layers.py traces must resolve, since
+`Tracer.install` would raise AttributeError on a name that is gone.  Both
+modules are only imported, never changed.
 """
 
 import contextlib
@@ -23,6 +26,7 @@ import sys
 from pathlib import Path
 
 import macgap.cli
+from test_cli import PROCESS_SEQUENCE
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -82,6 +86,18 @@ def test_map_queries_known_answers(tmp_path, monkeypatch):
         assert counts == [96, 96, 48]
         failures += _failures(plan, seed)
     assert failures == []
+
+
+def test_plans_take_the_fast_argv_path(tmp_path, monkeypatch):
+    declined = []
+    for name in ("index-calc", "map-queries", "green-sweep"):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        plan = load_workloads(monkeypatch).build(name, 0, workdir)
+        declined += [op.argv for op in plan.ops if macgap.cli._fast_args(op.argv) is None]
+    assert declined == []
+    sides = [(argv, macgap.cli._fast_args(argv) is not None) for argv, _, _ in PROCESS_SEQUENCE]
+    assert sides == [(argv, fast) for argv, _, fast in PROCESS_SEQUENCE]
 
 
 def test_traced_names_resolve(monkeypatch):

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import re
@@ -6,6 +9,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import macgap.cli
 import macgap.gap_calc
@@ -883,22 +888,31 @@ def test_map_commands_survive_optimize(tmp_path, extra, verdict_code):
         assert optimized.stdout == normal.stdout != ""
 
 
-# (argv, expected exit code); the text-mode `verify` line carries a timing,
-# so the verify runs here are JSON
+# (argv, expected exit code, whether `_fast_args` parses it rather than
+# argparse); "<file>" stands for a map file.  The text-mode `verify` line
+# carries a timing, so the verify runs here are JSON.
 PROCESS_SEQUENCE = [
-    (["macaulay", "8", "3"], 0),
-    (["gap", "13", "42", "--json"], 0),
-    (["verify", "lemma3", "--max-m", "3", "--max-k", "3", "--json"], 0),
-    (["verify", "nope"], 2),
-    (["map", "gen-sharpness", "1", "2"], 0),
-    (["verify", "restriction", "--json", "--max-n", "2", "--max-degree", "2", "--trials", "2"], 0),
-    (["macaulay", "--json"], 2),
-    (["gap", "1", "5"], 2),
-    (["macaulay", "8", "3", "--json"], 0),
+    (["macaulay", "8", "3"], 0, True),
+    (["gap", "13", "42", "--json"], 0, True),
+    (["verify", "lemma3", "--max-m", "3", "--max-k", "3", "--json"], 0, True),
+    (["verify", "nope"], 2, False),
+    (["map", "gen-sharpness", "1", "2"], 0, True),
+    (["verify", "restriction", "--json", "--max-n", "2", "--max-degree", "2", "--trials", "2"],
+     0, True),
+    (["macaulay", "--json"], 2, False),
+    (["gap", "1", "5"], 2, True),
+    (["macaulay", "8", "3", "--json"], 0, True),
+    # a negative number, positionals split by an option, an option value
+    # after "=", and an abbreviation
+    (["macaulay", "-5", "3"], 2, False),
+    (["gap", "5", "--json", "7"], 2, False),
+    (["verify", "lemma3", "--max-m=3", "--max-k", "3", "--json"], 0, False),
+    (["map", "span", "--js", "<file>"], 0, False),
+    (["map", "span", "--json", "<file>"], 0, True),
 ]
 
 
-def test_one_parser_serves_a_whole_process(capsys, monkeypatch):
+def test_one_parser_serves_a_whole_process(capsys, monkeypatch, tmp_path):
     builds = []
     real = macgap.cli.build_parser
 
@@ -906,24 +920,120 @@ def test_one_parser_serves_a_whole_process(capsys, monkeypatch):
         builds.append(1)
         return real()
 
+    tried = []
+    fast_args = macgap.cli._fast_args
+
+    def trying(argv):
+        tried.append(argv)
+        return fast_args(argv)
+
+    path = tmp_path / "s.map"
+    path.write_text(format_map(sharpness_map(1, 2)))
+    sequence = [([str(path) if a == "<file>" else a for a in argv], rc)
+                for argv, rc, _ in PROCESS_SEQUENCE]
     monkeypatch.setattr(macgap.cli, "build_parser", counting)
+    monkeypatch.setattr(macgap.cli, "_fast_args", trying)
     macgap.cli._parser.cache_clear()
     in_process = []
-    for argv, _ in PROCESS_SEQUENCE:
+    for argv, _ in sequence:
+        # main() reads sys.argv, as `python -m macgap` does
+        monkeypatch.setattr(sys, "argv", ["macgap", *argv])
         try:
-            rc = main(argv)
+            rc = main()
         except SystemExit as exc:  # argparse usage errors
             rc = exc.code
         captured = capsys.readouterr()
         in_process.append((rc, captured.out, captured.err))
     macgap.cli._parser.cache_clear()
     assert builds == [1]
-    for (argv, want_rc), (rc, out, err) in zip(PROCESS_SEQUENCE, in_process):
+    assert tried == [argv for argv, _ in sequence]
+    for (argv, want_rc), (rc, out, err) in zip(sequence, in_process):
         fresh = subprocess.run([sys.executable, "-m", "macgap", *argv],
                                capture_output=True, text=True)
         assert rc == fresh.returncode == want_rc, argv
         assert out == fresh.stdout, argv
         assert err == fresh.stderr, argv
+
+
+# Drawn command lines: the fast path gives argparse's namespace or declines.
+
+def _leaves(parser, path=()):
+    """(command path, parser) of every parser that takes no sub-command."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaves(sub, (*path, name))
+            return
+    yield path, parser
+
+
+LEAVES = list(_leaves(macgap.cli.build_parser()))
+_SIGNED = st.integers(-10**4, 10**4)
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                            "\u0665\u0666\u0667\u0668\u0669")
+# integers as text in the forms int() reads, and some it does not
+INT_TEXTS = st.one_of(
+    _SIGNED.map(str),
+    _SIGNED.map(lambda v: f"{v:+}"),
+    st.integers(0, 10**6).map(lambda v: "_".join(str(v))),
+    st.integers(0, 10**4).map(lambda v: str(v).translate(_ARABIC_INDIC)),
+    st.tuples(_SIGNED, st.sampled_from([" ", "\t", "  "])).map(lambda p: f"{p[1]}{p[0]}{p[1]}"),
+    st.sampled_from(["", "x", "1.5", "s.map", "1 0", "-"]),
+)
+
+
+PLAIN = st.integers(1, 50).map(str)
+
+
+@st.composite
+def argvs(draw):
+    """A command path, then its options but help (absent, once or repeated,
+    each with its value), about as many positionals as it takes, in one run or
+    scattered, and sometimes a token outside the plain shape, in a drawn
+    order.  Sometimes the path itself is cut short or abbreviated."""
+    path, parser = draw(st.sampled_from(LEAVES))
+    options = [a for a in parser._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    longs = [s for a in options for s in a.option_strings if s.startswith("--")]
+    # plain values in half the lines, so that a good share of them parse
+    values = PLAIN
+    if draw(st.booleans()):
+        values = st.one_of(PLAIN, INT_TEXTS, st.sampled_from(longs))
+    chunks = []
+    for action in options:
+        for _ in range(draw(st.integers(0, 2))):
+            flag = draw(st.sampled_from(action.option_strings))
+            chunks.append([flag] if action.nargs == 0 else [flag, draw(values)])
+    takes = len([a for a in parser._actions if not a.option_strings])
+    count = draw(st.sampled_from([takes, takes, takes + 1, max(0, takes - 1)]))
+    run = [draw(values) for _ in range(count)]
+    chunks += [run] if draw(st.booleans()) else [[token] for token in run]
+    if draw(st.integers(0, 3)) == 0:
+        chunks.append([draw(st.one_of(
+            st.sampled_from(longs).flatmap(
+                lambda s: st.integers(3, len(s) - 1).map(lambda k: s[:k])),
+            st.tuples(st.sampled_from(longs), values).map("=".join),
+            st.sampled_from(["--", "-h", "--help", "--nope"]),
+        ))])
+    path = list(path)
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(path) - 1))
+        path = path[:cut] + draw(st.lists(st.sampled_from([path[cut][:2], path[cut] + "x"]),
+                                          max_size=1))
+    return path + [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argvs())
+def test_fast_args_is_argparse_or_declines(argv):
+    fast = macgap.cli._fast_args(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = macgap.cli._parser().parse_args(argv)
+    except SystemExit:
+        assert fast is None, argv
+        return
+    assert fast is None or vars(fast) == vars(expected), argv
 
 
 # Each suite's library call replaced by one that returns a report with
