@@ -357,73 +357,91 @@ def cmd_map_prolong(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command grammar, declared once as data.  `_fast_args` parses a plain
+# command line from `_TABLE`, made from the declaration at import.  Any
+# other line goes to argparse, built from the same declaration by
+# `build_parser` on the first line that `_fast_args` declines, so help,
+# usage errors, abbreviations and negative numbers stay argparse's own.
+
+# group -> (dest of its sub-command, help in the command list)
+_GROUPS = {
+    ("verify",): ("suite", "run a verification suite"),
+    ("map",): ("action", "map file tooling"),
+}
+
+
+def _json(about=None):
+    """The store-true `--json` option, with help `about`."""
+    return ("--json",), "json", None, False, about
+
+
+_OUTPUT = ("-o", "--output"), "output", str, None, "output path (default stdout)"
+
+
+def _suite_options(options):
+    """The options of a suite's sub-command, for its `_SUITES` defaults."""
+    return [(("--" + name.replace("_", "-"),), name, _OPTIONS[name][0], default,
+             f"{_OPTIONS[name][1]} (default %(default)s)")
+            for name, default in options.items()] + [_json("line-delimited records")]
+
+
+# command path -> (handler, help or None, positionals, options), in the
+# order of the help text.  A positional is (dest, type, nargs, help) and an
+# option (flags, dest, type, default, help), type None for a store-true
+# flag.
+_COMMANDS = {
+    ("macaulay",): (cmd_macaulay, "print the representation and index shifts",
+                    [("A", int, None, "value to decompose"),
+                     ("n", int, None, "top level of the representation")],
+                    [_json("machine-readable output")]),
+    ("gap",): (cmd_gap, "gap interval table, or classify a value",
+               [("n", int, None, "source dimension"),
+                ("N", int, "?", "target dimension to classify")],
+               [_json("machine-readable output")]),
+    **{("verify", name): (cmd_verify, None, [], _suite_options(options))
+       for name, (_, options, _) in _SUITES.items()},
+    ("map", "gen-sharpness"): (cmd_map_gen, "write a gap-endpoint monomial map",
+                               [("k", int, None, None), ("n", int, None, None)], [_OUTPUT]),
+    ("map", "check-orth"): (cmd_map_check, "certify orthogonality of a map file",
+                            [("file", str, None, None)],
+                            [(("--pivot",), "pivot", int, 0,
+                              "source coordinate whose chart the witness search samples"),
+                             _json()]),
+    ("map", "span"): (cmd_map_span, "projective span dimension of the image",
+                      [("file", str, None, None)], [_json()]),
+    ("map", "obstruct"): (cmd_map_obstruct, "span bound for a coordinate split",
+                          [("file", str, None, None),
+                           ("indices", int, "+", "source coordinates spanning E")],
+                          [_json()]),
+    ("map", "prolong"): (cmd_map_prolong, "null prolongation by psi and phi",
+                         [("file", str, None, None),
+                          ("psi", str, None, "multiplier polynomial, text format"),
+                          ("phi", str, None, "null component polynomial, text format")],
+                         [_OUTPUT]),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of `_COMMANDS` and `_GROUPS`."""
     parser = argparse.ArgumentParser(
         prog="macgap",
         description="Macaulay representations, gap intervals, and signed map checks",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    mac = sub.add_parser("macaulay", help="print the representation and index shifts")
-    mac.add_argument("A", type=int, help="value to decompose")
-    mac.add_argument("n", type=int, help="top level of the representation")
-    mac.add_argument("--json", action="store_true", help="machine-readable output")
-    mac.set_defaults(func=cmd_macaulay)
-
-    gap = sub.add_parser("gap", help="gap interval table, or classify a value")
-    gap.add_argument("n", type=int, help="source dimension")
-    gap.add_argument("N", type=int, nargs="?", help="target dimension to classify")
-    gap.add_argument("--json", action="store_true", help="machine-readable output")
-    gap.set_defaults(func=cmd_gap)
-
-    ver = sub.add_parser("verify", help="run a verification suite")
-    suites = ver.add_subparsers(dest="suite", required=True)
-    for name, (_, options, _) in _SUITES.items():
-        suite = suites.add_parser(name)
-        for option, default in options.items():
-            kind, text = _OPTIONS[option]
-            suite.add_argument("--" + option.replace("_", "-"), type=kind, default=default,
-                               help=f"{text} (default %(default)s)")
-        suite.add_argument("--json", action="store_true", help="line-delimited records")
-        suite.set_defaults(func=cmd_verify)
-
-    mp = sub.add_parser("map", help="map file tooling")
-    act = mp.add_subparsers(dest="action", required=True)
-
-    gen = act.add_parser("gen-sharpness", help="write a gap-endpoint monomial map")
-    gen.add_argument("k", type=int)
-    gen.add_argument("n", type=int)
-    gen.add_argument("-o", "--output", help="output path (default stdout)")
-    gen.set_defaults(func=cmd_map_gen)
-
-    chk = act.add_parser("check-orth", help="certify orthogonality of a map file")
-    chk.add_argument("file")
-    chk.add_argument("--pivot", type=int, default=0,
-                     help="source coordinate whose chart the witness search samples")
-    chk.add_argument("--json", action="store_true")
-    chk.set_defaults(func=cmd_map_check)
-
-    spn = act.add_parser("span", help="projective span dimension of the image")
-    spn.add_argument("file")
-    spn.add_argument("--json", action="store_true")
-    spn.set_defaults(func=cmd_map_span)
-
-    obs = act.add_parser("obstruct", help="span bound for a coordinate split")
-    obs.add_argument("file")
-    obs.add_argument("indices", type=int, nargs="+",
-                     help="source coordinates spanning E")
-    obs.add_argument("--json", action="store_true")
-    obs.set_defaults(func=cmd_map_obstruct)
-
-    pro = act.add_parser("prolong", help="null prolongation by psi and phi")
-    pro.add_argument("file")
-    pro.add_argument("psi", help="multiplier polynomial, text format")
-    pro.add_argument("phi", help="null component polynomial, text format")
-    pro.add_argument("-o", "--output", help="output path (default stdout)")
-    pro.set_defaults(func=cmd_map_prolong)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, (func, about, positionals, options) in _COMMANDS.items():
+        group = path[:-1]
+        if group not in groups:
+            dest, group_about = _GROUPS[group]
+            node = groups[group[:-1]].add_parser(group[-1], help=group_about)
+            groups[group] = node.add_subparsers(dest=dest, required=True)
+        # a help of None would still list the command, with no text
+        leaf = groups[group].add_parser(path[-1], **({} if about is None else {"help": about}))
+        for dest, kind, nargs, text in positionals:
+            leaf.add_argument(dest, type=kind, nargs=nargs, help=text)
+        for flags, dest, kind, default, text in options:
+            how = {"action": "store_true"} if kind is None else {"type": kind}
+            leaf.add_argument(*flags, dest=dest, default=default, help=text, **how)
+        leaf.set_defaults(func=func)
     return parser
 
 
@@ -434,85 +452,41 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# ---------------------------------------------------------------------------
-# fast argv path: plain command lines parsed from a table read off the
-# parser's own actions, so the grammar is declared once, in `build_parser`.
-# Every other command line goes to argparse, which stays the only path for
-# help, usage errors, abbreviations and negative numbers.
-
-# positional nargs -> (fewest, most) tokens; any other nargs goes to argparse
+# positional nargs -> (fewest, most) tokens
 _NARGS = {None: (1, 1), "?": (0, 1), "+": (1, sys.maxsize)}
 
 
-def _grammar_of(parser, base):
-    """The table that `_fast_args` reads for `parser`, when argparse enters
-    it with the namespace values `base`, or None if argparse must parse
-    every command line that reaches it.
-
-    A parser with sub-commands gives a dict from each name to the table of
-    its parser.  One without gives a leaf (values, options, positionals,
-    fewest, most): `values` is the namespace before any token is read;
-    `options` maps each exact option string to (dest, type), type None for
-    a store-true flag; `positionals` is (dest, takes a list, type, most,
-    fewest of the later ones) in order; `fewest` and `most` bound the
-    count of positional tokens.  A parser, or any of its actions, of a kind
-    not listed here makes this None.
-    """
-    if (parser.prefix_chars != "-" or parser.fromfile_prefix_chars is not None
-            or parser._mutually_exclusive_groups):
-        return None
-    values, options, positionals, commands = {}, {}, [], None
-    for action in parser._actions:
-        kind = type(action)
-        if kind is argparse._HelpAction:
-            continue
-        if (action.dest is argparse.SUPPRESS or action.default is argparse.SUPPRESS
-                or action.option_strings and action.required):
-            return None
-        # what argparse sets before it reads a token: the first default of
-        # each dest
-        values.setdefault(action.dest, action.default)
-        if kind is argparse._SubParsersAction and commands is None:
-            commands = action
-        elif kind is argparse._StoreTrueAction:
-            options.update(dict.fromkeys(action.option_strings, (action.dest, None)))
-        elif (kind is not argparse._StoreAction or action.choices is not None
-              # argparse converts a string default that it leaves in place
-              or isinstance(action.default, str) and action.type is not None):
-            return None
-        elif action.option_strings and action.nargs is None:
-            options.update(dict.fromkeys(action.option_strings,
-                                         (action.dest, action.type or str)))
-        elif not action.option_strings and action.nargs in _NARGS:
-            positionals.append((action.dest, action.nargs == "+", action.type or str,
-                                *_NARGS[action.nargs]))
-        else:
-            return None
-    for dest, value in parser._defaults.items():
-        values.setdefault(dest, value)
-    # a sub-command's namespace is merged over its parent's
-    values = {**base, **values}
-    if commands is None:
-        fewest = rest = sum(lo for *_, lo, _ in positionals)
-        spec = []
-        for dest, many, convert, lo, hi in positionals:
-            rest -= lo
-            spec.append((dest, many, convert, hi, rest))
-        return values, options, spec, fewest, sum(hi for *_, hi in positionals)
-    if options or positionals:
-        return None
+def _table():
+    """The nested dicts that `_fast_args` walks: each command name maps to
+    the names under it, down to a leaf (values, options, positionals,
+    fewest, most).  `values` is the namespace argparse fills in for the
+    leaf before it reads a token; `options` maps each exact option string
+    to (dest, type), type None for a store-true flag; `positionals` is
+    (dest, takes a list, type, most, fewest of the later ones) in order;
+    `fewest` and `most` bound the count of positional tokens."""
     table = {}
-    for name, sub in commands.choices.items():
-        entry = _grammar_of(sub, {**values, commands.dest: name})
-        if entry is not None:
-            table[name] = entry
+    for path, (func, _, positionals, options) in _COMMANDS.items():
+        dests = ["command"] + [_GROUPS[path[:i]][0] for i in range(1, len(path))]
+        values = dict(zip(dests, path))
+        values.update((dest, None) for dest, *_ in positionals)
+        values.update((dest, default) for _, dest, _, default, _ in options)
+        values["func"] = func
+        bounds = [_NARGS[nargs] for _, _, nargs, _ in positionals]
+        fewest = rest = sum(lo for lo, _ in bounds)
+        spec = []
+        for (dest, kind, nargs, _), (lo, hi) in zip(positionals, bounds):
+            rest -= lo
+            spec.append((dest, nargs == "+", kind, hi, rest))
+        node = table
+        for name in path[:-1]:
+            node = node.setdefault(name, {})
+        node[path[-1]] = (values, {flag: (dest, kind) for flags, dest, kind, _, _ in options
+                                   for flag in flags},
+                          spec, fewest, sum(hi for _, hi in bounds))
     return table
 
 
-@functools.lru_cache(maxsize=1)
-def _grammar(parser):
-    """The table of `parser`, read off it on first use."""
-    return _grammar_of(parser, {})
+_TABLE = _table()
 
 
 def _fast_args(argv):
@@ -521,7 +495,7 @@ def _fast_args(argv):
     but is not an exact option string, an option value that starts with
     "-", positionals that are not one contiguous run or whose count does
     not fit their nargs, and a type call that raises."""
-    node = _grammar(_parser())
+    node = _TABLE
     i = 0
     while isinstance(node, dict):
         if i == len(argv):

@@ -185,9 +185,7 @@ def _embed(p: Poly, total: int, offset: int) -> Poly:
         e = [0] * total
         e[offset:offset + len(exps)] = exps
         out[tuple(e)] = c
-    q = Poly.__new__(Poly)
-    q.n_vars, q.degree, q.coeffs = total, p.degree, out
-    return q
+    return Poly.unchecked(total, p.degree, out)
 
 
 def pairing_poly(f: SignedMap) -> Poly:
@@ -251,22 +249,15 @@ def _wt_slices(P: Poly, var: int) -> dict[int, Poly]:
         e = exps[var]
         rest = exps[:var] + (0,) + exps[var + 1:]
         slices.setdefault(e, {})[rest] = c
-    out = {}
-    for e, coeffs in slices.items():
-        q = Poly.__new__(Poly)
-        q.n_vars, q.degree, q.coeffs = P.n_vars, P.degree - e, coeffs
-        out[e] = q
-    return out
+    return {e: Poly.unchecked(P.n_vars, P.degree - e, coeffs)
+            for e, coeffs in slices.items()}
 
 
 def _from_pairs(n_vars: int, degree: int, pairs: dict, L: int) -> Poly:
     """The Poly pairs / L; inverse of `clear`."""
-    p = Poly.__new__(Poly)
-    p.n_vars, p.degree = n_vars, degree
-    p.coeffs = {
+    return Poly.unchecked(n_vars, degree, {
         e: GRat(Fraction(a, L), Fraction(b, L)) for e, (a, b) in pairs.items()
-    }
-    return p
+    })
 
 
 def _divide_exact(P: dict, Q: dict, keys: Packing) -> dict:

@@ -153,6 +153,15 @@ class Poly:
         self.degree = degree
         self.coeffs = clean
 
+    @staticmethod
+    def unchecked(n_vars: int, degree: int, coeffs: dict) -> "Poly":
+        """The Poly of these fields, taken as they are, for a `coeffs` that
+        its maker already knows to be nonzero GRats keyed by exponent tuples
+        of length n_vars and sum degree, as Poly arithmetic makes them."""
+        p = Poly.__new__(Poly)
+        p.n_vars, p.degree, p.coeffs = n_vars, degree, coeffs
+        return p
+
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -185,9 +194,7 @@ class Poly:
                 out[exps] = s
             else:
                 out.pop(exps, None)
-        p = Poly.__new__(Poly)
-        p.n_vars, p.degree, p.coeffs = self.n_vars, self.degree, out
-        return p
+        return Poly.unchecked(self.n_vars, self.degree, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -208,9 +215,7 @@ class Poly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        p = Poly.__new__(Poly)
-        p.n_vars, p.degree, p.coeffs = self.n_vars, self.degree + other.degree, out
-        return p
+        return Poly.unchecked(self.n_vars, self.degree + other.degree, out)
 
     __rmul__ = __mul__
 
@@ -218,15 +223,11 @@ class Poly:
         out = {}
         if c:
             out = {e: v * c for e, v in self.coeffs.items()}
-        p = Poly.__new__(Poly)
-        p.n_vars, p.degree, p.coeffs = self.n_vars, self.degree, out
-        return p
+        return Poly.unchecked(self.n_vars, self.degree, out)
 
     def conjugate_coeffs(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.n_vars, p.degree = self.n_vars, self.degree
-        p.coeffs = {e: c.conjugate() for e, c in self.coeffs.items()}
-        return p
+        return Poly.unchecked(self.n_vars, self.degree,
+                              {e: c.conjugate() for e, c in self.coeffs.items()})
 
     def evaluate(self, point) -> GRat:
         if len(point) != self.n_vars:

@@ -358,8 +358,8 @@ TABLE = [
         "one verify_gap_argument report per admissible triple, for the sweep "
         "that decides a block of b values from its two ends"),
     Row(cli, "_fast_args", no_fast_args,
-        "every command line parsed by argparse, for the table read off the "
-        "parser's actions; main runs the fast path in both modes, so without "
+        "every command line parsed by argparse, for the table made from the "
+        "declared grammar; main runs the fast path in both modes, so without "
         "this row the profile could not see it"),
 ]
 

@@ -10,9 +10,10 @@ bench/workloads.py expect, and so does every op of the seed-1 and seed-2
 `map-queries` plans (span, check-orth and obstruct on 96 generated maps).
 The seed-0 `map-queries` plan runs against its known answers, fast and in
 reference mode, in test_reference_mode.py.  Every op of the three seed-0
-plans must take the fast argv path of `macgap.cli`, and each command line
-of test_cli.PROCESS_SEQUENCE the side it is marked with, so a change to
-`build_parser` cannot send the traffic back through argparse unseen.  Every
+plans must take the fast argv path of `macgap.cli`, with no argparse parser
+ever built, and each command line of test_cli.PROCESS_SEQUENCE the side it
+is marked with, so a change to the command grammar cannot send the traffic
+back through argparse unseen.  Every
 (module, attribute) that bench/layers.py traces must resolve, since
 `Tracer.install` would raise AttributeError on a name that is gone.  Both
 modules are only imported, never changed.
@@ -89,13 +90,20 @@ def test_map_queries_known_answers(tmp_path, monkeypatch):
 
 
 def test_plans_take_the_fast_argv_path(tmp_path, monkeypatch):
-    declined = []
+    def no_argparse():
+        raise AssertionError("argparse built for a plain command line")
+
+    # the fast path must parse every op without argparse ever being built
+    monkeypatch.setattr(macgap.cli, "build_parser", no_argparse)
+    macgap.cli._parser.cache_clear()
+    ops, declined = 0, []
     for name in ("index-calc", "map-queries", "green-sweep"):
         workdir = tmp_path / name
         workdir.mkdir()
         plan = load_workloads(monkeypatch).build(name, 0, workdir)
+        ops += len(plan.ops)
         declined += [op.argv for op in plan.ops if macgap.cli._fast_args(op.argv) is None]
-    assert declined == []
+    assert (ops, declined) == (607, [])
     sides = [(argv, macgap.cli._fast_args(argv) is not None) for argv, _, _ in PROCESS_SEQUENCE]
     assert sides == [(argv, fast) for argv, _, fast in PROCESS_SEQUENCE]
 

@@ -913,11 +913,12 @@ PROCESS_SEQUENCE = [
 
 
 def test_one_parser_serves_a_whole_process(capsys, monkeypatch, tmp_path):
-    builds = []
+    builds, built_at = [], []
     real = macgap.cli.build_parser
 
     def counting():
         builds.append(1)
+        built_at.append(sys.argv[1:])
         return real()
 
     tried = []
@@ -946,6 +947,8 @@ def test_one_parser_serves_a_whole_process(capsys, monkeypatch, tmp_path):
         in_process.append((rc, captured.out, captured.err))
     macgap.cli._parser.cache_clear()
     assert builds == [1]
+    # plain lines never build argparse: the first line it has to parse does
+    assert built_at == [["verify", "nope"]]
     assert tried == [argv for argv, _ in sequence]
     for (argv, want_rc), (rc, out, err) in zip(sequence, in_process):
         fresh = subprocess.run([sys.executable, "-m", "macgap", *argv],

@@ -366,7 +366,7 @@ def test_the_table_misses_no_fast_path(tmp_path, monkeypatch):
     holders = reference_table.macgap_modules() + [row.owner for row in TABLE]
     with reference_mode():
         assert [attr for h in holders for attr, v in vars(h).items() if id(v) in fast_ids] == []
-    # the first call builds the parser that every later one shares
+    # a first call outside the profiles, for anything built on first use
     cli_stdout(["gap", "10"])
     out, fast = _profiled(lambda: run(contextlib.nullcontext), covered)
     ref_out, ref = _profiled(lambda: run(reference_mode))
