@@ -46,6 +46,11 @@ def clear(coeffs):
     return L, dict(zip(coeffs, pairs)) if isinstance(coeffs, dict) else pairs
 
 
+def field_bytes(degree: int) -> int:
+    """Bytes of one field of a `Packing` of entries at most `degree`."""
+    return degree.bit_length() // 8 + 1
+
+
 class Packing(FrozenRecord):
     """Exponent vectors of `n` entries, each at most `degree`, packed into
     one int each (Monagan and Pearce, CASC 2007): big-endian, in fields of
@@ -60,7 +65,7 @@ class Packing(FrozenRecord):
     __slots__ = ("n", "nb", "guard")
 
     def __init__(self, n: int, degree: int):
-        nb = degree.bit_length() // 8 + 1
+        nb = field_bytes(degree)
         self._freeze(n, nb, int.from_bytes(bytes([0x80] + [0] * (nb - 1)) * n, "big"))
 
     def pack(self, exps) -> int:

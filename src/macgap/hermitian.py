@@ -19,7 +19,7 @@ from operator import itemgetter
 
 from .binom_core import comb_upto
 from .gap_calc import classify_gap
-from .gaussint import Packing, clear, pairing, vanishes_at
+from .gaussint import Packing, clear, field_bytes, pairing, vanishes_at
 from .polyspace import (
     GRat,
     Poly,
@@ -51,6 +51,16 @@ MAX_MAP_MONOMIALS = 100_000
 # 14 792 products took 1.3 s on packed keys (2 vCPUs, Python 3.11), 84% of
 # it in the rescans, against 5.4 s on exponent tuples.
 MAX_PAIRING_TERMS = 15_000
+# Largest weight of the packed keys of `orthogonality_certificate`, in
+# bytes: (term products + r + s) keys, for P and Q, of 2 n_vars fields
+# each.  MAX_MAP_MONOMIALS allows 100 000 variables in degree 0 or 1, and
+# Q alone then takes r + s keys of 200 KB each: two constant components
+# over 20 000 variables, all but one positive (an 80 KB file), took 11.6 s
+# and 651 MB unbounded, and are refused in 0.1 s.  The slowest shape above
+# weighs 2.54 MB (14 794 keys of 172 bytes); spread over 101 variables
+# (202-byte keys, 2.99 MB, the widest accepted) it took 1.5-1.8 s against
+# 1.3 s (2 vCPUs, Python 3.11).
+MAX_PAIRING_KEY_BYTES = 3_000_000
 
 
 class Signature(FrozenRecord):
@@ -99,18 +109,18 @@ def classify_point(z, sig: Signature) -> str:
     return "null"
 
 
-class SignedMap:
+class SignedMap(Record):
     """Polynomial map with components in target-block order: r' positive,
     s' negative, t' null-weight.
 
     A map holds its components only as `cleared`: Gaussian-integer
     polynomials (L, {exps: (re, im)}) (`gaussint.clear`).  The span,
     obstruction and certificate kernels read only these; `components`
-    builds the `Poly`s from them on each call.
+    builds the `Poly`s from them on each call.  Equal maps have equal
+    fields: the cleared form is canonical, L is least.
     """
 
     __slots__ = ("source", "target", "degree", "cleared")
-    __hash__ = None
 
     def __init__(self, source: Signature, target: Signature, degree: int,
                  components: list[Poly]):
@@ -146,17 +156,6 @@ class SignedMap:
     def components(self) -> list[Poly]:
         nv = self.source.n_vars
         return [_from_pairs(nv, self.degree, P, L) for L, P in self.cleared]
-
-    def __eq__(self, other):
-        # the cleared form is canonical: L is least, so equal maps have
-        # equal (L, pairs) components
-        if not isinstance(other, SignedMap):
-            return NotImplemented
-        return (
-            (self.source, self.target, self.degree)
-            == (other.source, other.target, other.degree)
-            and self.cleared == other.cleared
-        )
 
     def __repr__(self):
         return (
@@ -445,8 +444,9 @@ def orthogonality_certificate(f: SignedMap, pivot: int = 0) -> OrthCertificate:
     multiplying it back by Q (a mismatch raises RuntimeError); a false
     verdict carries a witness pair of orthogonal points whose images pair to
     a nonzero value, sampled in the chart z_pivot != 0.  A map whose pairing
-    needs more than MAX_PAIRING_TERMS term products raises ValueError before
-    P is built.
+    needs more than MAX_PAIRING_TERMS term products, or more than
+    MAX_PAIRING_KEY_BYTES bytes of packed keys, raises ValueError before
+    anything is packed.
     """
     sig = f.source
     if sig.r + sig.s < 2:
@@ -458,6 +458,12 @@ def orthogonality_certificate(f: SignedMap, pivot: int = 0) -> OrthCertificate:
         raise ValueError(
             f"pairing polynomial needs {products} term products, above the "
             f"limit of {MAX_PAIRING_TERMS}"
+        )
+    weight = (products + sig.r + sig.s) * 2 * sig.n_vars * field_bytes(f.degree)
+    if weight > MAX_PAIRING_KEY_BYTES:
+        raise ValueError(
+            f"pairing polynomial needs {weight} bytes of packed keys, above "
+            f"the limit of {MAX_PAIRING_KEY_BYTES}"
         )
     # P has bidegree (d, d), so no exponent of P, Q or the quotient
     # exceeds the map degree d
@@ -653,59 +659,37 @@ def _getter(indices: list[int]):
     return itemgetter(*indices) if indices else lambda exps: ()
 
 
-def _restrict_to_coords(cleared, n_vars: int, keep: list[int]):
-    """Set the variables outside `keep` to zero in the cleared components
-    and reindex to len(keep) variables.  Returns the pairs dicts (L does not
-    change, and a rank does not need it), or None when every component
-    dies."""
-    pick, drop = _getter(keep), _getter(sorted(set(range(n_vars)) - set(keep)))
-    out = [
-        {pick(exps): c for exps, c in P.items() if not any(drop(exps))}
-        for _, P in cleared
-    ]
-    return out if any(out) else None
-
-
 def span_obstruction_check(f: SignedMap, e_indices) -> ObstructionRecord:
     """Span dimensions of the images of a coordinate subspace E and of its
     orthogonal complement; for an orthogonality-preserving map their sum
-    stays below the target's projective dimension."""
+    stays below the target's projective dimension.
+
+    A side restricts each cleared component to the terms without a dropped
+    variable and ranks them under their own exponent keys, since a rank
+    does not depend on column labels.  A side on which every component
+    vanishes is degenerate, reads -1 and demonstrates nothing."""
     if f.target.t != 0:
         raise ValueError("obstruction check needs a nondegenerate target form")
     nv = f.source.n_vars
-    e_set = sorted(set(e_indices))
+    e_set = set(e_indices)
     if not e_set or any(not 0 <= i < nv for i in e_set):
         raise ValueError("E must be a nonempty set of coordinate indices")
     # under the diagonal form the complement of a coordinate set is the
     # complementary coordinates, plus all null coordinates
-    perp = sorted(
-        set(range(nv)) - set(e_set) | set(range(f.source.r + f.source.s, nv))
-    )
+    perp = set(range(nv)) - e_set | set(range(f.source.r + f.source.s, nv))
     if not perp:
         raise ValueError("orthogonal complement has no coordinates")
+    dims = []
+    for keep in (e_set, perp):
+        drop = _getter(sorted(set(range(nv)) - keep))
+        rows = [{e: c for e, c in P.items() if not any(drop(e))} for _, P in f.cleared]
+        dims.append(cleared_span_dim(rows) if any(rows) else -1)
+    dim_e, dim_perp = dims
     bound = f.target.r + f.target.s - 2
-    sides = {}
-    for name, keep in (("E", e_set), ("E_perp", perp)):
-        restricted = _restrict_to_coords(f.cleared, nv, keep)
-        sides[name] = None if restricted is None else cleared_span_dim(restricted)
-    degenerate = None
-    if sides["E"] is None and sides["E_perp"] is None:
-        degenerate = "both"
-    elif sides["E"] is None:
-        degenerate = "E"
-    elif sides["E_perp"] is None:
-        degenerate = "E_perp"
-    if degenerate is None:
-        holds = sides["E"] + sides["E_perp"] <= bound
-    else:
-        holds = True  # a vanished side demonstrates nothing
-    return ObstructionRecord(
-        dim_e_span=-1 if sides["E"] is None else sides["E"],
-        dim_eperp_span=-1 if sides["E_perp"] is None else sides["E_perp"],
-        bound=bound,
-        degenerate=degenerate,
-        holds=holds,
-    )
+    degenerate = {(True, True): "both", (True, False): "E",
+                  (False, True): "E_perp"}.get((dim_e < 0, dim_perp < 0))
+    return ObstructionRecord(dim_e, dim_perp, bound, degenerate,
+                             degenerate is not None or dim_e + dim_perp <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -780,31 +764,32 @@ def format_map(f: SignedMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_header(lines, idx, key):
-    while idx < len(lines) and not lines[idx][1].strip():
-        idx += 1
-    if idx == len(lines):
+def _parse_header(lines, key):
+    """The integers of the next nonblank line of `lines`, an iterator of
+    (line number, text) pairs, which must be the header `key`."""
+    for line_no, text in lines:
+        tokens = text.split()
+        if tokens:
+            break
+    else:
         raise MapFormatError(f"missing '{key}' header line")
-    line_no, text = lines[idx]
-    tokens = text.split()
     if tokens[0] != key:
         raise MapFormatError(f"line {line_no}: expected '{key} ...', got {text!r}")
     want = 3 if key in ("source", "target") else 1
     if len(tokens) != want + 1:
         raise MapFormatError(f"line {line_no}: '{key}' takes {want} integers")
     try:
-        values = [int(t) for t in tokens[1:]]
+        return [int(t) for t in tokens[1:]]
     except ValueError:
         raise MapFormatError(f"line {line_no}: non-integer in '{key}'") from None
-    return idx + 1, values
 
 
 def parse_map(text: str) -> SignedMap:
     """Inverse of format_map; diagnostics carry 1-based line numbers."""
-    lines = [(i + 1, raw) for i, raw in enumerate(text.splitlines())]
-    idx, src = _parse_header(lines, 0, "source")
-    idx, tgt = _parse_header(lines, idx, "target")
-    idx, (degree,) = _parse_header(lines, idx, "degree")
+    lines = enumerate(text.splitlines(), 1)
+    src = _parse_header(lines, "source")
+    tgt = _parse_header(lines, "target")
+    (degree,) = _parse_header(lines, "degree")
     try:
         source = Signature(*src)
         target = Signature(*tgt)
@@ -820,7 +805,7 @@ def parse_map(text: str) -> SignedMap:
     block = None
     taken = 0
     block_iter = iter(expected)
-    for line_no, raw in lines[idx:]:
+    for line_no, raw in lines:
         stripped = raw.strip()
         if not stripped:
             continue

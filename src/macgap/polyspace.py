@@ -127,7 +127,7 @@ def format_grat(c: GRat) -> str:
 # ---------------------------------------------------------------------------
 # polynomials
 
-class Poly:
+class Poly(Record):
     """Homogeneous polynomial: exponent tuple -> nonzero GRat.
 
     The degree is stored explicitly so the zero polynomial of each degree
@@ -165,16 +165,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.n_vars == other.n_vars
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         return f"Poly({self.n_vars}, {self.degree}, {format_poly(self)!r})"

@@ -36,6 +36,7 @@ from macgap.gap_calc import (
 )
 from macgap.hermitian import (
     MAX_MAP_MONOMIALS,
+    MAX_PAIRING_KEY_BYTES,
     MAX_PAIRING_TERMS,
     MapFormatError,
     SharpnessSuiteReport,
@@ -801,6 +802,70 @@ class TestMapTooling:
         assert time.perf_counter() - start < 1
         assert rc == 2 and out == ""
         assert f"73008 term products, above the limit of {MAX_PAIRING_TERMS}" in err
+
+    @staticmethod
+    def _linear_pair_map(n_vars):
+        """The map z_0 g, z_1 g over source (1, 1, n_vars - 2), for g linear
+        in the last 86 variables with coefficients 1-9: orthogonal, with
+        2 * 86^2 = 14 792 term products, the slowest pairing accepted."""
+        g = [(1 + i % 9, n_vars - 86 + i) for i in range(86)]
+        comps = ["; ".join(f"{c} " + " ".join(str((j == v) + (j == k)) for j in range(n_vars))
+                           for c, v in g) for k in range(2)]
+        return "\n".join([f"source 1 1 {n_vars - 2}", "target 1 1 0", "degree 2",
+                          "%pos", comps[0], "%neg", comps[1], "%null", ""])
+
+    def test_key_width_limit_boundary(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "orth.map"
+        path.write_text(self._orthogonal_map(3))
+        # (3 * 6^2 products + 3 keys of Q) keys of 2 * 3 one-byte fields
+        weight = (3 * 6**2 + 3) * 2 * 3
+        for limit, code in ((weight, 0), (weight - 1, 2)):
+            monkeypatch.setattr(macgap.hermitian, "MAX_PAIRING_KEY_BYTES", limit)
+            rc, out, err = run(capsys, "map", "check-orth", str(path))
+            assert rc == code
+            if code:
+                assert out == "" and f"needs {weight} bytes of packed keys" in err
+            else:
+                assert out.startswith("orthogonal: yes")
+
+    def test_key_width_limit_at_its_value(self, capsys, tmp_path, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def pairing(*args):
+            raise Reached
+
+        monkeypatch.setattr(macgap.hermitian, "_pairing_pairs", pairing)
+        path = tmp_path / "wide.map"
+        # 14 794 keys of 2 * n_vars bytes: 86 variables weigh 2 544 568
+        # bytes, 101 weigh 2 988 388 and 102 weigh 3 017 976
+        for n_vars in (86, 101):
+            path.write_text(self._linear_pair_map(n_vars))
+            assert 14_794 * 2 * n_vars <= MAX_PAIRING_KEY_BYTES
+            with pytest.raises(Reached):
+                macgap.cli.main(["map", "check-orth", str(path)])
+        path.write_text(self._linear_pair_map(102))
+        rc, out, err = run(capsys, "map", "check-orth", str(path))
+        assert rc == 2 and out == ""
+        assert f"3017976 bytes of packed keys, above the limit of {MAX_PAIRING_KEY_BYTES}" in err
+
+    def test_wide_map_refused_before_packing(self, capsys, tmp_path, monkeypatch):
+        def packing(*args):
+            raise AssertionError("a key was packed above the limit")
+
+        monkeypatch.setattr(macgap.hermitian, "Packing", packing)
+        # two constants over 20 000 variables, all but one positive: an
+        # 80 KB file whose Q alone would take 19 999 + 1 keys of 40 KB
+        zeros = " 0" * 20_000
+        path = tmp_path / "wide.map"
+        path.write_text(f"source 19999 1 0\ntarget 1 1 0\ndegree 0\n"
+                        f"%pos\n1/1{zeros}\n%neg\n2/1{zeros}\n%null\n")
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "map", "check-orth", str(path))
+        assert time.perf_counter() - start < 1
+        assert rc == 2 and out == ""
+        assert err == ("error: pairing polynomial needs 800080000 bytes of packed keys, "
+                       f"above the limit of {MAX_PAIRING_KEY_BYTES}\n")
 
     def test_internal_check_failure(self, capsys, tmp_path, monkeypatch):
         def no_witness(*args):

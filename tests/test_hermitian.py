@@ -589,6 +589,62 @@ class TestNullProlongation:
             null_prolongation(f, mono(3, (1, 0, 0)), mono(3, (2, 0, 0)))
 
 
+@st.composite
+def obstruction_case(draw):
+    """(f, E, vanished): a map with a nondegenerate target and Gaussian
+    coefficients, a coordinate set E, and the side ("E", "E_perp", "both"
+    or None) whose every term was taken out of f, so that it vanishes."""
+    source = Signature(*draw(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+                             .filter(lambda rst: rst[0] + rst[1] >= 1)))
+    target = Signature(*draw(st.tuples(st.integers(0, 2), st.integers(0, 2))
+                             .filter(lambda rs: sum(rs) >= 1)))
+    nv, degree = source.n_vars, draw(st.integers(0, 2))
+    e_set = draw(st.sets(st.integers(0, nv - 1), min_size=1).filter(
+        lambda e: len(e) < nv or source.t))
+    perp = set(range(nv)) - e_set | set(range(source.r + source.s, nv))
+    vanished = draw(st.sampled_from([None, "E", "E_perp", "both"]))
+    gone = {None: [], "E": [e_set], "E_perp": [perp], "both": [e_set, perp]}[vanished]
+    coeff = st.builds(
+        GRat,
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    )
+    basis = [e for e in monomial_basis(nv, degree)
+             if not any(all(e[i] == 0 for i in range(nv) if i not in side) for side in gone)]
+    terms = st.lists(st.tuples(st.sampled_from(basis), coeff), max_size=3) if basis else st.just([])
+    comps = [Poly(nv, degree, dict(draw(terms))) for _ in range(target.n_vars)]
+    return SignedMap(source, target, degree, comps), sorted(e_set), vanished
+
+
+def _obstruction_by_reference(f, e_indices):
+    """`span_obstruction_check` with each side taken from `f.components`:
+    the coordinates outside it set to zero, the rest renumbered, and the
+    span ranked by `image_span_dim`."""
+    nv = f.source.n_vars
+    perp = set(range(nv)) - set(e_indices) | set(range(f.source.r + f.source.s, nv))
+    dims = []
+    for keep in (sorted(e_indices), sorted(perp)):
+        side = [
+            Poly(len(keep), f.degree, {
+                tuple(e[i] for i in keep): c for e, c in p.coeffs.items()
+                if all(e[i] == 0 for i in range(nv) if i not in keep)
+            })
+            for p in f.components
+        ]
+        dims.append(-1 if all(p.is_zero for p in side) else image_span_dim(side))
+    if dims == [-1, -1]:
+        degenerate = "both"
+    elif dims[0] == -1:
+        degenerate = "E"
+    elif dims[1] == -1:
+        degenerate = "E_perp"
+    else:
+        degenerate = None
+    bound = f.target.r + f.target.s - 2
+    holds = degenerate is not None or dims[0] + dims[1] <= bound
+    return ObstructionRecord(dims[0], dims[1], bound, degenerate, holds)
+
+
 class TestObstruction:
     def test_identity_small(self):
         rec = span_obstruction_check(identity_map(Signature(1, 1)), [0])
@@ -616,19 +672,13 @@ class TestObstruction:
                 rec = span_obstruction_check(f, list(range(cut)))
                 assert rec.holds
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 4), st.integers(0, 3), st.data())
-    def test_restrict_to_coords_matches_generators(self, nv, d, data):
-        # one kept coordinate, and none dropped, are drawn too
-        basis = st.sampled_from(monomial_basis(nv, d))
-        cleared = [(1, {e: (i + 1, -i) for i, e in enumerate(data.draw(st.lists(basis)))})
-                   for _ in range(data.draw(st.integers(1, 3)))]
-        keep = sorted(data.draw(st.sets(st.integers(0, nv - 1), min_size=1)))
-        dropped = [i for i in range(nv) if i not in keep]
-        want = [{tuple(e[i] for i in keep): c for e, c in P.items()
-                 if not any(e[i] for i in dropped)} for _, P in cleared]
-        got = hermitian._restrict_to_coords(cleared, nv, keep)
-        assert got == (want if any(want) else None)
+    @settings(max_examples=200, deadline=None)
+    @given(obstruction_case())
+    def test_matches_the_renumbered_reference(self, case):
+        f, e_indices, vanished = case
+        rec = span_obstruction_check(f, e_indices)
+        assert rec == _obstruction_by_reference(f, e_indices)
+        assert vanished is None or rec.degenerate in (vanished, "both")
 
     def test_validation(self):
         sig = Signature(1, 1, 1)
@@ -702,6 +752,33 @@ def _map_outcome(parse, text):
     except MapFormatError as exc:
         return "error", str(exc)
     return f.source, f.target, f.degree, [(L, list(P.items())) for L, P in f.cleared]
+
+
+# lines that hold only whitespace, before a header; "\x1c" and "\x85" also
+# end a line for `str.splitlines`, so each of them adds two empty lines
+MAP_FILLERS = {
+    "none": [], "blank": [""], "spaces": [" \t "], "fs": ["\x1c"], "nel": ["\x85"],
+    "ideo": ["\u3000"], "mixed": ["", "\x1c\x85", "\u3000 "],
+}
+# the line numbers, as `str.splitlines` counts them, of the source, target
+# and degree headers after each filler, and of a bad component with the
+# filler before every header, before %pos and before the components
+FILLER_HEADER_LINES = {
+    "none": (1, 2, 3), "blank": (2, 3, 4), "spaces": (2, 3, 4), "fs": (3, 4, 5),
+    "nel": (3, 4, 5), "ideo": (2, 3, 4), "mixed": (6, 7, 8),
+}
+FILLER_COMPONENT_LINE = {
+    "none": 6, "blank": 11, "spaces": 11, "fs": 16, "nel": 16, "ideo": 11, "mixed": 31,
+}
+MAP_HEADERS = [("source", "source 1 1 0", 3), ("target", "target 2 0 0", 3),
+               ("degree", "degree 1", 1)]
+# a bad header line and its message; None is the end of the text
+HEADER_FAULTS = {
+    "eof": (None, "missing '{key}' header line"),
+    "key": ("{other} 1 1 0", "line {n}: expected '{key} ...', got '{other} 1 1 0'"),
+    "arity": ("{key} 1 2 3 4", "line {n}: '{key}' takes {want} integers"),
+    "nonint": ("{key} {ints}x", "line {n}: non-integer in '{key}'"),
+}
 
 
 class TestMapFiles:
@@ -804,6 +881,31 @@ class TestMapFiles:
             parse_map("target 1 1 0\nsource 1 1 0\ndegree 1\n")
         with pytest.raises(MapFormatError, match="line 3"):
             parse_map("source 1 1 0\ntarget 1 1 0\ndegree x\n")
+
+    @pytest.mark.parametrize("fault", HEADER_FAULTS)
+    @pytest.mark.parametrize("at", range(3))
+    @pytest.mark.parametrize("filler", MAP_FILLERS)
+    def test_header_messages_keep_their_text_and_line(self, filler, at, fault):
+        key, _, want = MAP_HEADERS[at]
+        line, message = HEADER_FAULTS[fault]
+        other = "source" if key == "degree" else "degree"
+        lines = [text for _, text, _ in MAP_HEADERS[:at]] + MAP_FILLERS[filler]
+        if line is not None:
+            lines.append(line.format(key=key, other=other, ints="1 " * (want - 1)))
+        with pytest.raises(MapFormatError) as info:
+            parse_map("\n".join(lines))
+        n = FILLER_HEADER_LINES[filler][at]
+        assert str(info.value) == message.format(key=key, other=other, n=n, want=want)
+
+    @pytest.mark.parametrize("filler", MAP_FILLERS)
+    def test_component_lines_count_the_filler(self, filler):
+        fill = MAP_FILLERS[filler]
+        lines = [*fill, "source 1 1 0", *fill, "target 2 0 0", *fill, "degree 1",
+                 *fill, "%pos", *fill, "1/1 1 0", "1/1 1"]
+        with pytest.raises(MapFormatError) as info:
+            parse_map("\n".join(lines))
+        assert str(info.value) == (f"line {FILLER_COMPONENT_LINE[filler]}: "
+                                   "term '1/1 1' has 1 exponents, expected 2")
 
     def test_block_errors(self):
         header = "source 1 1 0\ntarget 1 1 0\ndegree 1\n"

@@ -2,7 +2,8 @@
 
 The records are plain slotted classes.  Equal fields compare equal, and an
 instance of another class never does.  The frozen ones hash by their fields
-and refuse assignment; the suite reports stay mutable and unhashable.
+and refuse assignment; the suite reports, `Poly` and `SignedMap` stay
+mutable and unhashable.
 Constructors refuse bad input with the same messages as always.
 """
 
@@ -33,6 +34,7 @@ from macgap.polyspace import (
     GreenSuiteReport,
     GRat,
     Hyperplane,
+    Poly,
     PolySubspace,
     RestrictionRecord,
 )
@@ -63,6 +65,8 @@ MUTABLE = {
     "OrthCertificate": lambda: OrthCertificate(False, witness_pairs=([(1, 0)], [(2, 0)], 1)),
     "SharpnessSuiteReport": lambda: SharpnessSuiteReport(maps=1),
     "PolySubspace": lambda: PolySubspace(3, 2, []),
+    "Poly": lambda: Poly(2, 1, {(1, 0): GRat(Fraction(1, 2), 3), (0, 1): GRat(-1)}),
+    "SignedMap": lambda: identity_map(Signature(1, 1)),
     "GreenSuiteReport": lambda: GreenSuiteReport(checks=6),
     "SuiteReport": lambda: SuiteReport(violations=[(1, 2, 3, 4)]),
 }
