@@ -20,7 +20,7 @@ or a < b; `binom` is the one place that applies it.  Every value comes from
 from __future__ import annotations
 
 import math
-import operator
+import sys
 from array import array
 
 from .record import FrozenRecord, SuiteReport
@@ -73,9 +73,12 @@ class MacaulayRep(FrozenRecord):
 
 
 def _largest_top(rem: int, level: int) -> int:
-    # Largest a with C(a, level) <= rem.  C(., level) is strictly increasing
-    # for a >= level and C(level, level) = 1 <= rem, so gallop up to a
-    # bracket with C(lo, level) <= rem < C(hi, level), then bisect it.
+    # Largest a with C(a, level) <= rem: rem itself at level 1, where
+    # C(a, 1) = a.  C(., level) is strictly increasing for a >= level and
+    # C(level, level) = 1 <= rem, so gallop up to a bracket with
+    # C(lo, level) <= rem < C(hi, level), then bisect it.
+    if level == 1:
+        return rem
     lo, step = level, 1
     while math.comb(lo + step, level) <= rem:
         lo += step
@@ -90,25 +93,51 @@ def _largest_top(rem: int, level: int) -> int:
     return lo
 
 
+def _top_below(rem: int, level: int, above: int) -> int:
+    # Largest a < above with C(a, level) <= rem, for rem >= 1 and
+    # C(above, level) > rem: rem at level 1, as in `_largest_top`, else
+    # gallop down from `above` to a bracket and bisect it.  Below the first
+    # level of a large representation the top lies just under the one
+    # before, so this gallop is short where one up from the level is long.
+    if level == 1:
+        return rem
+    hi, step = above, 1
+    while hi - step > level and math.comb(hi - step, level) > rem:
+        hi -= step
+        step *= 2
+    lo = hi - step if hi - step > level else level
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.comb(mid, level) <= rem:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def macaulay_rep(A: int, n: int, table=None) -> MacaulayRep:
     """Greedy construction of the level-n Macaulay representation of A >= 1.
 
     At each level pick the largest top whose binomial fits the remainder;
-    strict decrease of the tops is automatic.  ``table`` is accepted and
+    strict decrease of the tops is automatic.  The top of level n is
+    searched up from n; every later one down from the top before it,
+    since a remainder below C(top+1, level) - C(top, level) = C(top,
+    level-1) puts the next top below it.  ``table`` is accepted and
     ignored.
     """
     if A < 1:
         raise ValueError("Macaulay representation is defined for positive integers")
     if n < 1:
         raise ValueError("level must be positive")
-    terms = []
-    rem = A
     level = n
+    top = _largest_top(A, level)
+    terms = [(top, level)]
+    rem = A - math.comb(top, level)
     while rem > 0:
-        top = _largest_top(rem, level)
+        level -= 1
+        top = _top_below(rem, level, top)
         terms.append((top, level))
         rem -= math.comb(top, level)
-        level -= 1
     return MacaulayRep(level=n, terms=tuple(terms))
 
 
@@ -183,8 +212,40 @@ def lemma_checks_upto(m_max: int, k_max: int, cap: int) -> int | None:
 
 
 # Values per chunk when the sweep adds an offset to a prefix of a table or
-# adds two tables; bounds every temporary list and array copy.
+# adds two tables; bounds every temporary.
 _CHUNK = 1 << 12
+
+# The shift tables are int64 arrays, and the sweep adds a chunk of them as
+# packed lanes (SIMD within a register, Fisher and Dietz, LCPC 1998): the
+# chunk's bytes read as one big integer hold entry i in the i-th 64-bit
+# lane, so one integer sum adds every lane at once.  That is exact when no
+# lane carries into the next, which entries in [0, 2^62) guarantee: a sum
+# of two stays below 2^63.  `_lanes` checks the range of every entry it
+# reads by its most significant byte, which must be below 0x40.
+_LANE_BOUND = 1 << 62
+_LANE_BYTES = 8
+_SIGN_BYTES = slice(_LANE_BYTES - 1 if sys.byteorder == "little" else 0, None, _LANE_BYTES)
+_LANE_TOPS = bytes(range(0x40))
+
+
+def _lanes(chunk: array) -> int:
+    """The entries of `chunk` as one integer, one 64-bit lane each.
+
+    A chunk whose entries are not 8 bytes wide, or one with an entry
+    outside [0, 2^62), raises RuntimeError: its lanes could carry."""
+    if chunk.itemsize != _LANE_BYTES:
+        raise RuntimeError(f"shift table entries of {chunk.itemsize} bytes, not {_LANE_BYTES}")
+    data = chunk.tobytes()
+    if data[_SIGN_BYTES].translate(None, _LANE_TOPS):
+        raise RuntimeError("a shift table entry is outside [0, 2^62)")
+    return int.from_bytes(data, sys.byteorder)
+
+
+def _repeated(value: int, count: int) -> int:
+    """`value` in each of `count` lanes; RuntimeError outside [0, 2^62)."""
+    if not 0 <= value < _LANE_BOUND:
+        raise RuntimeError(f"lane value {value} is outside [0, 2^62)")
+    return int.from_bytes(value.to_bytes(_LANE_BYTES, sys.byteorder) * count, sys.byteorder)
 
 
 def _shift_levels(span: int, top: int, minus: bool):
@@ -198,8 +259,14 @@ def _shift_levels(span: int, top: int, minus: bool):
     X^-<j> = C(a-1, j-1) + R^-<j-1>, which is 0 at j = 1.  The X with top a
     are C(a, j) .. C(a+1, j) - 1, so the level-j table is [0] followed, for
     a = j .. span+j-1, by the first C(a, j-1) entries of level j-1 plus that
-    offset.  Both shifts never exceed their argument, so every entry fits.
+    offset, added a chunk at a time as packed lanes.
+
+    Both shifts never exceed their argument, so every entry is below
+    C(span+top, top).  A span and top where that bound passes 2^62 raise
+    ValueError before any table is built.
     """
+    if comb_upto(span + top, top, _LANE_BOUND) is None:
+        raise ValueError(f"shift tables of span {span} and top level {top} pass 2^62 entries")
     below = array("q", [0])  # level 0: R = 0 alone
     for j in range(1, top + 1):
         table = array("q", [0])
@@ -208,18 +275,29 @@ def _shift_levels(span: int, top: int, minus: bool):
             offset = binom(a - 1, j - 1) if minus else binom(a - 1, j)
             for lo in range(0, size, _CHUNK):
                 chunk = below[lo:min(lo + _CHUNK, size)]
-                table.extend(array("q", [v + offset for v in chunk]) if offset else chunk)
+                if offset:
+                    lanes = _lanes(chunk) + _repeated(offset, len(chunk))
+                    table.frombytes(lanes.to_bytes(len(chunk) * _LANE_BYTES, sys.byteorder))
+                else:
+                    table.extend(chunk)
         yield j, table
         below = table
 
 
 def _some_split_fails(minus: array, lower: array, total: int, target: int) -> bool:
-    """Whether minus[A] + lower[total - A] != target for some 0 <= A <= total."""
+    """Whether minus[A] + lower[total - A] != target for some 0 <= A <= total.
+
+    Decided a chunk of splits at a time: the chunk of `minus` and the
+    reversed chunk of `lower` it pairs with, added as packed lanes, against
+    `target` in every lane.  An entry that could carry raises RuntimeError
+    (`_lanes`), so a failing split is never hidden by a neighbouring lane.
+    """
     for lo in range(0, total + 1, _CHUNK):
         hi = min(lo + _CHUNK, total + 1)
         # B = total - A runs down from total - lo as A runs up from lo
-        sums = map(operator.add, minus[lo:hi], reversed(lower[total + 1 - hi : total + 1 - lo]))
-        if any(map(target.__ne__, sums)):
+        paired = lower[total + 1 - hi : total + 1 - lo]
+        paired.reverse()
+        if _lanes(minus[lo:hi]) + _lanes(paired) != _repeated(target, hi - lo):
             return True
     return False
 

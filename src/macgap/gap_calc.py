@@ -16,17 +16,26 @@ class NabForm(FrozenRecord):
     __slots__ = ("n", "a", "b")
 
     def __init__(self, n: int, a: int, b: int):
-        if n < 1 or a < 0 or b < 0:
-            raise ValueError(f"bad N-form parameters {(n, a, b)}")
-        if b > n - a - 1:
-            raise ValueError(f"inadmissible (a,b)=({a},{b}) at n={n}: need b <= n-a-1")
+        _check_nab(n, a, b)
         self._freeze(n, a, b)
 
 
-def nab_value(form: NabForm) -> int:
-    """The integer N(n;a,b) = (a+1)(n+1) - a(a+1)/2 + b."""
-    n, a, b = form.n, form.a, form.b
+def _check_nab(n: int, a: int, b: int) -> None:
+    """Raise ValueError unless n >= 1, a, b >= 0 and b <= n-a-1."""
+    if n < 1 or a < 0 or b < 0:
+        raise ValueError(f"bad N-form parameters {(n, a, b)}")
+    if b > n - a - 1:
+        raise ValueError(f"inadmissible (a,b)=({a},{b}) at n={n}: need b <= n-a-1")
+
+
+def _nab(n: int, a: int, b: int) -> int:
+    """N(n;a,b) = (a+1)(n+1) - a(a+1)/2 + b of plain integers."""
     return (a + 1) * (n + 1) - a * (a + 1) // 2 + b
+
+
+def nab_value(form: NabForm) -> int:
+    """The integer N(n;a,b) of `form`."""
+    return _nab(form.n, form.a, form.b)
 
 
 def nab_rep_terms(form: NabForm) -> tuple[tuple[int, int], ...]:
@@ -249,9 +258,10 @@ def gap_argument_sweep(max_n: int) -> GapSweepReport:
     admissible (n, a, b) with n <= max_n, as plain integer arithmetic.
 
     The halves are split once per n.  Once per (n, a) block of b values
-    the sweep checks that N(n;a,hi) is admissible (so is every smaller b)
-    and that n1 >= a+1 (so D_{n1} and D_{n2} are defined), and counts the
-    case I triples b <= n1-a-1 and the case II rest.
+    the sweep checks on plain integers, with no `NabForm` built, that
+    N(n;a,hi) is admissible (so is every smaller b; the same ValueError as
+    `NabForm`) and that n1 >= a+1 (so D_{n1} and D_{n2} are defined), and
+    counts the case I triples b <= n1-a-1 and the case II rest.
 
     Two comparisons then decide a block.  With D_m from `_dim_bound`, the
     helper that `dim_prop_bound` also ends in, the slack of the bound is
@@ -269,6 +279,7 @@ def gap_argument_sweep(max_n: int) -> GapSweepReport:
     adds one comparison per triple to the two per block.
     """
     report = GapSweepReport()
+    checks = case_i = 0
     for n in range(1, max_n + 1):
         n1, n2 = _halves(n)
         a = 0
@@ -276,11 +287,11 @@ def gap_argument_sweep(max_n: int) -> GapSweepReport:
             lo, hi = ineq1_b_range(n, a)
             if lo > hi:
                 break
-            NabForm(n, a, hi)
+            _check_nab(n, a, hi)
             if n1 < a + 1:
                 raise RuntimeError(f"half n1 = {n1} below a+1 = {a + 1} at n = {n}")
-            base = nab_value(NabForm(n, a, 0))
-            if min(_slack(a, lo, n1, n2, base), _slack(a, hi, n1, n2, base)) < 0:
+            base = _nab(n, a, 0)
+            if _slack(a, lo, n1, n2, base) < 0 or _slack(a, hi, n1, n2, base) < 0:
                 for b in range(lo, hi + 1):
                     if _slack(a, b, n1, n2, base) >= 0:
                         continue
@@ -291,11 +302,11 @@ def gap_argument_sweep(max_n: int) -> GapSweepReport:
                             f"and verify_gap_argument disagree"
                         )
                     report.violations.append(r)
-            case_i = max(0, min(hi, n1 - a - 1) - lo + 1)
-            report.checks += hi - lo + 1
-            report.case_i += case_i
-            report.case_ii += hi - lo + 1 - case_i
+            checks += hi - lo + 1
+            if lo <= n1 - a - 1:
+                case_i += min(hi, n1 - a - 1) - lo + 1
             a += 1
+    report.checks, report.case_i, report.case_ii = checks, case_i, checks - case_i
     return report
 
 

@@ -242,7 +242,11 @@ def witness_text(cert):
 
 
 # ---------------------------------------------------------------------------
-# `verify lemma3` and `verify gap-argument`
+# Macaulay representations, `verify lemma3` and `verify gap-argument`
+
+def top_below(rem, level, above):
+    return binom_core._largest_top(rem, level)
+
 
 def lemma_splits(m_max, k_max, table=None):
     checks, bad = 0, []
@@ -348,6 +352,9 @@ TABLE = [
         "for candidates drawn and tested on Gaussian-integer pairs"),
     Row(hermitian.OrthCertificate, "witness_text", witness_text,
         "format_grat of the witness GRats, for the text read off integers"),
+    Row(binom_core, "_top_below", top_below,
+        "_largest_top, the gallop up from the level that ignores the top of "
+        "the level above, for the gallop down from that top"),
     Row(binom_core, "verify_lemma_binom", lemma_splits,
         "every split shifted through op_minus and op_lower, for the sweep"),
     Row(gap_calc, "dim_prop_bound", descent,

@@ -1,5 +1,6 @@
 import math
-
+import random
+import sys
 from array import array
 
 import pytest
@@ -116,6 +117,26 @@ class TestMacaulayRep:
                 decomps = all_decompositions(A, n)
                 assert len(decomps) == 1, (A, n, decomps)
                 assert decomps[0] == macaulay_rep(A, n).terms
+
+    @settings(max_examples=300, deadline=None)
+    @given(rem=st.integers(1, 10**60), level=st.integers(1, 80), gap=st.integers(1, 10**4))
+    def test_search_down_matches_search_up(self, rem, level, gap):
+        # any top above the answer has a binomial past rem, so the search
+        # down from it must land where the search up from the level does
+        top = binom_core._largest_top(rem, level)
+        assert math.comb(top, level) <= rem < math.comb(top + 1, level)
+        assert binom_core._top_below(rem, level, top + gap) == top
+
+    @settings(max_examples=100, deadline=None)
+    @given(A=st.integers(1, 10**80), n=st.integers(1, 60))
+    def test_terms_match_search_up_at_every_level(self, A, n):
+        terms, rem, level = [], A, n
+        while rem:
+            top = binom_core._largest_top(rem, level)
+            terms.append((top, level))
+            rem -= math.comb(top, level)
+            level -= 1
+        assert macaulay_rep(A, n).terms == tuple(terms)
 
 
 def per_split_sweep(m_max, k_max):
@@ -292,6 +313,32 @@ class TestLemmaSweep:
         assert lemma_checks_upto(10**100, 1, 10**12) is None
         assert lemma_checks_upto(1, 1, 10**12) == lemma_checks(1, 1) == 2
 
+    def test_shift_tables_refuse_lanes_past_the_bound(self, monkeypatch):
+        # every entry is below C(span+top, top), which must stay at most
+        # 2^62; the refusal comes before any table is allocated
+        class Allocated(Exception):
+            pass
+
+        def allocate(*args):
+            raise Allocated
+
+        monkeypatch.setattr(binom_core, "array", allocate)
+        for top in (1, 2, 32):
+            # the largest span with C(span+top, top) <= 2^62, by bisection
+            span, past = 0, 2**62
+            while past - span > 1:
+                mid = (span + past) // 2
+                span, past = (mid, past) if math.comb(mid + top, top) <= 2**62 else (span, mid)
+            for minus in (False, True):
+                # at the bound the tables are started, one span past refused
+                with pytest.raises(Allocated):
+                    next(binom_core._shift_levels(span, top, minus))
+                with pytest.raises(ValueError, match="2\\^62"):
+                    next(binom_core._shift_levels(span + 1, top, minus))
+                # and the same with span and top swapped
+                with pytest.raises(ValueError, match="2\\^62"):
+                    next(binom_core._shift_levels(top, span + 1, minus))
+
     def test_table_entries_within_twice_checks(self, monkeypatch):
         # the lower tables are the row m = M of the sum `lemma_checks`
         # counts and the minus tables its column k = K, so the sweep's own
@@ -317,3 +364,95 @@ class TestLemmaSweep:
             built.append(0)
             assert verify_lemma_binom(*bounds).ok
             assert built[-1] == entries(*bounds) <= 2 * lemma_checks(*bounds)
+
+
+def elementwise_fails(minus, lower, total, target):
+    return any(minus[A] + lower[total - A] != target for A in range(total + 1))
+
+
+def passing_tables(total, target, rng):
+    """A pair of int64 tables, one entry past `total` in each, on which
+    every split of `total` meets `target`."""
+    lower = array("q", [rng.randint(0, target) for _ in range(total + 2)])
+    minus = array("q", [target - lower[total - A] for A in range(total + 1)] + [7])
+    return minus, lower
+
+
+class TestPackedLanes:
+    CHUNK = binom_core._CHUNK
+
+    @pytest.mark.parametrize("total", [0, 1, 5, CHUNK - 1, CHUNK, 2 * CHUNK + 5])
+    def test_planted_failing_split(self, total):
+        # a failing split in the first lane, in the middle, at either side
+        # of a chunk border, and in the last lane, one split at a time
+        rng = random.Random(total)
+        target = rng.randint(0, 2**61)
+        minus, lower = passing_tables(total, target, rng)
+        assert not binom_core._some_split_fails(minus, lower, total, target)
+        planted = {0, total // 2, total, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1}
+        for A in sorted(A for A in planted if A <= total):
+            for delta in (1, -1):
+                if minus[A] + delta < 0:
+                    continue
+                minus[A] += delta
+                assert binom_core._some_split_fails(minus, lower, total, target), (A, delta)
+                assert elementwise_fails(minus, lower, total, target)
+                minus[A] -= delta
+        assert not binom_core._some_split_fails(minus, lower, total, target)
+
+    @settings(max_examples=100, deadline=None)
+    @given(total=st.integers(0, 2 * CHUNK + 3), target=st.integers(0, 2**62 - 1),
+           seed=st.integers(0, 2**32), plants=st.lists(
+               st.tuples(st.floats(0, 1), st.integers(-3, 3)), max_size=3))
+    def test_drawn_tables_match_the_elementwise_check(self, total, target, seed, plants):
+        minus, lower = passing_tables(total, target, random.Random(seed))
+        for where, delta in plants:
+            A = round(where * total)
+            minus[A] = min(max(minus[A] + delta, 0), 2**62 - 1)
+        assert binom_core._some_split_fails(minus, lower, total, target) == elementwise_fails(
+            minus, lower, total, target)
+
+    def test_negative_entry_cannot_hide_a_failing_neighbour(self):
+        # minus[A] = -1 and lower[total - A] = target + 1 meet the target,
+        # but as unsigned lanes they carry 1 into the lane of the split that
+        # follows in memory order, where the failing sum target - 1 would
+        # then read as target: unchecked, the lane sum misses that split
+        total, target, A = 9, 1000, 4
+        rng = random.Random(0)
+        minus, lower = passing_tables(total, target, rng)
+        after = A + 1 if sys.byteorder == "little" else A - 1
+        minus[A], lower[total - A] = -1, target + 1
+        minus[after] -= 1
+        assert elementwise_fails(minus, lower, total, target)
+        reversed_lower = lower[:total + 1]
+        reversed_lower.reverse()
+        unchecked = (int.from_bytes(minus[:total + 1].tobytes(), sys.byteorder)
+                     + int.from_bytes(reversed_lower.tobytes(), sys.byteorder))
+        assert unchecked == binom_core._repeated(target, total + 1)
+        with pytest.raises(RuntimeError, match="outside"):
+            binom_core._some_split_fails(minus, lower, total, target)
+
+    @pytest.mark.parametrize("entry", [-1, -(2**63), 2**62, 2**63 - 1])
+    def test_out_of_range_entries_refused(self, entry):
+        for i in (0, 3, 6):
+            table = array("q", [5] * 7)
+            table[i] = entry
+            with pytest.raises(RuntimeError, match="outside"):
+                binom_core._lanes(table)
+
+    def test_lane_values_and_widths(self):
+        # entry i in the i-th lane in memory order
+        first, second = 2**62 - 1, 3
+        low, high = (first, second) if sys.byteorder == "little" else (second, first)
+        assert binom_core._lanes(array("q", [first, second])) == low + (high << 64)
+        assert binom_core._repeated(5, 2) == 5 + (5 << 64)
+        assert binom_core._repeated(0, 3) == 0
+        assert binom_core._repeated(2**62 - 1, 1) == 2**62 - 1
+        for value in (-1, 2**62):
+            with pytest.raises(RuntimeError, match="outside"):
+                binom_core._repeated(value, 2)
+        for code in ("i", "l", "h"):
+            table = array(code, [1, 2])
+            if table.itemsize != 8:
+                with pytest.raises(RuntimeError, match="bytes"):
+                    binom_core._lanes(table)

@@ -323,6 +323,21 @@ class TestGapArgument:
         with pytest.raises(RuntimeError, match="disagree"):
             gap_argument_sweep(12)
 
+    @pytest.mark.parametrize("block", [(1, 8), (-2, -1)])
+    def test_sweep_refuses_an_inadmissible_block(self, monkeypatch, block):
+        # the b range of (n, a) = (9, 1), really [1, 3], widened past
+        # n-a-1 = 7 or moved below 0: the sweep's integer check raises the
+        # ValueError that NabForm raises for the block's last triple
+        real = ineq1_b_range
+        monkeypatch.setattr(gap_calc, "ineq1_b_range",
+                            lambda n, a: block if (n, a) == (9, 1) else real(n, a))
+        with pytest.raises(ValueError) as expected:
+            NabForm(9, 1, block[1])
+        with pytest.raises(ValueError) as caught:
+            gap_argument_sweep(12)
+        assert str(caught.value) == str(expected.value)
+        assert gap_argument_sweep(8).checks == gap_argument_checks(8)
+
 
 # concave dips planted in D_m: real value minus a convex function of b
 DIPS = {
