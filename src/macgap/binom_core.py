@@ -174,17 +174,6 @@ def lemma_table(m_max: int, k_max: int) -> None:
     return None
 
 
-def lemma_checks(m_max: int, k_max: int) -> int:
-    """Number of splits `verify_lemma_binom` checks, in closed form.
-
-    Sum over 1 <= m <= m_max, 1 <= k <= k_max of C(m+k, k); summing the
-    hockey stick twice gives C(m_max+k_max+2, m_max+1) - m_max - k_max - 2.
-    """
-    if m_max < 1 or k_max < 1:
-        raise ValueError("sweep bounds must be positive")
-    return math.comb(m_max + k_max + 2, m_max + 1) - m_max - k_max - 2
-
-
 def comb_upto(n: int, r: int, cap: int) -> int | None:
     """C(n, r), 0 <= r <= n, if it is at most `cap`, else None.
 
@@ -202,8 +191,12 @@ def comb_upto(n: int, r: int, cap: int) -> int | None:
 
 
 def lemma_checks_upto(m_max: int, k_max: int, cap: int) -> int | None:
-    """`lemma_checks(m_max, k_max)` if it is at most `cap`, else None, in
-    O(log cap) steps at any bounds."""
+    """The number of splits `verify_lemma_binom(m_max, k_max)` checks, if
+    it is at most `cap`, else None, in O(log cap) steps at any bounds.
+
+    Sum over 1 <= m <= m_max, 1 <= k <= k_max of C(m+k, k); summing the
+    hockey stick twice gives C(m_max+k_max+2, m_max+1) - m_max - k_max - 2.
+    """
     if m_max < 1 or k_max < 1:
         raise ValueError("sweep bounds must be positive")
     extra = m_max + k_max + 2
@@ -312,7 +305,7 @@ def verify_lemma_binom(m_max: int, k_max: int, table=None) -> LemmaSweepReport:
     The shifts come from `_shift_levels`, by recurrence on the level with no
     Macaulay representation built: B_<k> for every B < C(m_max+k, k) up front,
     and A^-<m> for every A < C(m+k_max, k_max) one level m at a time.  These
-    are one row and one column of the sum that `lemma_checks` counts, so the
+    are one row and one column of the sum `lemma_checks_upto` counts, so the
     tables hold at most twice as many entries as there are checks.  Every
     split then compares two looked-up values; a (m, k) with no failing
     split is passed over at C speed, and only one that fails is walked split

@@ -66,17 +66,15 @@ _MACAULAY_VALUE_BOUND = 10**MAX_MACAULAY_DIGITS
 # a second).
 MAX_GAP_ROWS = 100_000
 # Largest `verify lemma3` sweep, in checked splits (m, k <= 10 is 705 410).
-# As whole processes, `--max-m 10 --max-k 10` takes 0.11 s (0.19 s before
-# the packed-lane tables and checks) and `--max-m 1 --max-k 1410` (996 165
-# checks) 0.11 s (0.15 s); medians of 9 runs, 2 vCPUs, Python 3.11.
+# As whole processes, `--max-m 10 --max-k 10` and `--max-m 1 --max-k 1410`
+# (996 165 checks) each take 0.11 s; medians of 9 runs, 2 vCPUs, Python 3.11.
 MAX_LEMMA_CHECKS = 10**6
 # Largest lemma3 check count that a refusal prints exactly; above it the
 # count is only bounded, so refusing costs O(log) steps at any bound.
 LEMMA_COUNT_CAP = 10**12
 # Largest `verify gap-argument` sweep, in checked triples (--max-n 441 is
 # 996 268, the largest within it).  As a whole process `--max-n 441` takes
-# 0.085 s (0.105 s with a `NabForm` built per block; median of 9 runs, 2
-# vCPUs, Python 3.11), most of it start-up.
+# 0.085 s (median of 9 runs, 2 vCPUs, Python 3.11), most of it start-up.
 MAX_GAP_ARGUMENT_CHECKS = 10**6
 # Largest `verify green` or `verify restriction` run, in `rank_work_upto`
 # steps (the default green run is 42 907 200).

@@ -1,5 +1,7 @@
-"""Canonical forms N(n;a,b), their descent rule, propagated dimension bounds,
-and the gap intervals J_k = [kn+k, (k+1)n-(k^2+1)]."""
+"""Canonical forms N(n;a,b), propagated dimension bounds, and the gap
+intervals J_k = [kn+k, (k+1)n-(k^2+1)].  The descent rule of the forms
+(`nab_minus`) is the reference for `dim_prop_bound`, in
+tests/reference_table.py."""
 
 from __future__ import annotations
 
@@ -36,42 +38,6 @@ def _nab(n: int, a: int, b: int) -> int:
 def nab_value(form: NabForm) -> int:
     """The integer N(n;a,b) of `form`."""
     return _nab(form.n, form.a, form.b)
-
-
-def nab_rep_terms(form: NabForm) -> tuple[tuple[int, int], ...]:
-    """The level-n Macaulay terms of N(n;a,b): a+1 leading binomials
-    C(n+1-j, n-j), then b singleton terms C(c,c) descending from n-a-1."""
-    n, a, b = form.n, form.a, form.b
-    terms = [(n + 1 - j, n - j) for j in range(a + 1)]
-    terms += [(n - a - 1 - i, n - a - 1 - i) for i in range(b)]
-    return tuple(terms)
-
-
-def nab_decompose(N: int, n: int) -> NabForm | None:
-    """Inverse of nab_value at level n; None when N is outside
-    [n+1, C(n+2,2)-1]."""
-    if n < 1:
-        raise ValueError("level must be positive")
-    if N < n + 1 or N > n * (n + 3) // 2:
-        return None
-    # consecutive a-blocks [S(a), S(a)+n-a-1] tile the range, so scan for
-    # the block containing N
-    a = 0
-    while (a + 2) * (n + 1) - (a + 1) * (a + 2) // 2 <= N:
-        a += 1
-    b = N - ((a + 1) * (n + 1) - a * (a + 1) // 2)
-    return NabForm(n, a, b)
-
-
-def nab_minus(form: NabForm) -> NabForm:
-    """Descent by one level: N(n-1;a,b) when n-a-b >= 2, else
-    N(n-1;a,b-1) when b >= 1; undefined in the remaining corner."""
-    n, a, b = form.n, form.a, form.b
-    if n - a - b >= 2:
-        return NabForm(n - 1, a, b)
-    if b >= 1:
-        return NabForm(n - 1, a, b - 1)
-    raise ValueError(f"descent undefined for (n,a,b)=({n},{a},{b})")
 
 
 def _dim_bound(a: int, b: int, m: int) -> int:

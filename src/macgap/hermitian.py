@@ -49,7 +49,7 @@ MAX_MAP_MONOMIALS = 100_000
 # accepted shape found is two components z_0 g, z_1 g over a source with
 # two non-null coordinates (Q of two terms), g linear in 86 variables:
 # 14 792 products took 1.3 s on packed keys (2 vCPUs, Python 3.11), 84% of
-# it in the rescans, against 5.4 s on exponent tuples.
+# it in the rescans.
 MAX_PAIRING_TERMS = 15_000
 # Largest weight of the packed keys of `orthogonality_certificate`, in
 # bytes: (term products + r + s) keys, for P and Q, of 2 n_vars fields
@@ -83,30 +83,6 @@ class Signature(FrozenRecord):
         if i < self.r + self.s:
             return -1
         return 0
-
-
-def inner_product(z, w, sig: Signature) -> GRat:
-    """Sum eps_i * z_i * conj(w_i); the last t coordinates are ignored."""
-    if len(z) != sig.n_vars or len(w) != sig.n_vars:
-        raise ValueError("coordinate length does not match signature")
-    total = GRat()
-    for i in range(sig.r + sig.s):
-        term = z[i] * w[i].conjugate()
-        total = total + term if sig.eps(i) == 1 else total - term
-    return total
-
-
-def classify_point(z, sig: Signature) -> str:
-    if not any(z):
-        raise ValueError("zero vector is not a projective point")
-    norm = inner_product(z, z, sig)
-    if norm.im:
-        raise RuntimeError(f"Hermitian norm {norm} of a point is not real")
-    if norm.re > 0:
-        return "positive"
-    if norm.re < 0:
-        return "negative"
-    return "null"
 
 
 class SignedMap(Record):
@@ -167,14 +143,6 @@ class SignedMap(Record):
         return [p.evaluate(z) for p in self.components]
 
 
-def identity_map(sig: Signature) -> SignedMap:
-    comps = [
-        mono(sig.n_vars, tuple(1 if j == i else 0 for j in range(sig.n_vars)))
-        for i in range(sig.n_vars)
-    ]
-    return SignedMap(sig, sig, 1, comps)
-
-
 # ---------------------------------------------------------------------------
 # the pairing polynomials
 
@@ -214,22 +182,10 @@ def _pairing_pairs(f: SignedMap, keys: Packing) -> tuple[int, dict]:
     ], keys)
 
 
-def source_form_poly(sig: Signature) -> Poly:
-    """Q(z, w~) = sum over non-null i of eps_i z_i w~_i.  The reference for
-    `_source_form_pairs`."""
-    nv = sig.n_vars
-    coeffs = {}
-    for i in range(sig.r + sig.s):
-        e = [0] * (2 * nv)
-        e[i] = 1
-        e[nv + i] = 1
-        coeffs[tuple(e)] = GRat(sig.eps(i))
-    return Poly(2 * nv, 2, coeffs)
-
-
 def _source_form_pairs(sig: Signature, keys: Packing) -> dict:
-    """Q of `source_form_poly` as packed key (`keys`) -> Gaussian-integer
-    pair: eps_i at z_i w~_i for each non-null i.  Its coefficients are +-1,
+    """Q = sum over non-null i of eps_i z_i w~_i as packed key (`keys`) ->
+    Gaussian-integer pair (its reference, `source_form_poly`, is in
+    tests/reference_table.py): eps_i at z_i w~_i for each non-null i.  Its coefficients are +-1,
     so this is Q cleared with L = 1."""
     nv = sig.n_vars
     pairs = {}
@@ -238,18 +194,6 @@ def _source_form_pairs(sig: Signature, keys: Packing) -> dict:
         e[i] = e[nv + i] = 1
         pairs[keys.pack(e)] = (sig.eps(i), 0)
     return pairs
-
-
-def _wt_slices(P: Poly, var: int) -> dict[int, Poly]:
-    """Coefficients of P as a polynomial in one variable: exponent -> poly
-    with that variable zeroed out."""
-    slices: dict[int, dict] = {}
-    for exps, c in P.coeffs.items():
-        e = exps[var]
-        rest = exps[:var] + (0,) + exps[var + 1:]
-        slices.setdefault(e, {})[rest] = c
-    return {e: Poly.unchecked(P.n_vars, P.degree - e, coeffs)
-            for e, coeffs in slices.items()}
 
 
 def _from_pairs(n_vars: int, degree: int, pairs: dict, L: int) -> Poly:
@@ -289,89 +233,6 @@ def _divide_exact(P: dict, Q: dict, keys: Packing) -> dict:
             else:
                 rem.pop(key, None)
     return quo
-
-
-def _pseudo_remainder_ref(P: Poly, sig: Signature, pivot: int) -> Poly:
-    """The w~_pivot pseudo-remainder of Q | P in GRat polynomial arithmetic:
-    with Q = eps_p z_p w~_p + R and P of w~_p-degree D, it is
-    sum_e P_e (-R)^e (eps_p z_p)^(D-e), zero iff Q divides P.  The reference
-    verdict for `_divide_exact`."""
-    nv = sig.n_vars
-    wp = nv + pivot
-    lc = mono(2 * nv, tuple(1 if i == pivot else 0 for i in range(2 * nv)),
-              GRat(sig.eps(pivot)))
-    neg_r = Poly(2 * nv, 2, {
-        e: -c for e, c in source_form_poly(sig).coeffs.items() if e[wp] == 0
-    })
-    slices = _wt_slices(P, wp)
-    D = max(slices)
-    lc_pow = [mono(2 * nv, (0,) * (2 * nv))]
-    for _ in range(D):
-        lc_pow.append(lc_pow[-1] * lc)
-    acc = slices[D]
-    for e in range(D - 1, -1, -1):
-        acc = acc * neg_r
-        if e in slices:
-            acc = acc + slices[e] * lc_pow[D - e]
-    return acc
-
-
-def _divide_exact_ref(P: Poly, Q: Poly) -> Poly:
-    """`_divide_exact` in GRat polynomial arithmetic, on exponent tuples;
-    the reference.
-    Quotient P/Q for known-divisible homogeneous P; leading terms in
-    lexicographic order.  Raises ArithmeticError if divisibility fails."""
-    if Q.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    quo = Poly(P.n_vars, P.degree - Q.degree, {})
-    rem = P
-    lt_q = max(Q.coeffs)
-    c_q = Q.coeffs[lt_q]
-    while not rem.is_zero:
-        lt_r = max(rem.coeffs)
-        diff = tuple(a - b for a, b in zip(lt_r, lt_q))
-        if any(d < 0 for d in diff):
-            raise ArithmeticError("leading term not divisible")
-        t = mono(P.n_vars, diff, rem.coeffs[lt_r] / c_q)
-        quo = quo + t
-        rem = rem - t * Q
-    return quo
-
-
-def _rand_grat(rng: random.Random) -> GRat:
-    im = rng.randint(-3, 3) if rng.random() < 0.4 else 0
-    return GRat(rng.randint(-5, 5), im)
-
-
-def _solve_chart(sig: Signature, z: list, wt: list, pivot: int) -> None:
-    """Overwrite wt[pivot] so that sum over non-null i of eps_i z_i wt_i is
-    zero, i.e. <z, conj(wt)> = 0: the solution chart z_pivot != 0."""
-    acc = GRat()
-    for i in range(sig.r + sig.s):
-        if i == pivot:
-            continue
-        term = z[i] * wt[i]
-        acc = acc + term if sig.eps(i) == 1 else acc - term
-    wt[pivot] = -acc / (GRat(sig.eps(pivot)) * z[pivot])
-
-
-def _witness_search_ref(f: SignedMap, P: dict, pivot: int):
-    """`_witness_search` in GRat arithmetic, each candidate tested with
-    `Poly.evaluate`; the reference."""
-    sig = f.source
-    nv = sig.n_vars
-    P = _from_pairs(2 * nv, 2 * f.degree, P, 1)
-    rng = rng_for(0, "witness")
-    for _ in range(500):
-        z = [_rand_grat(rng) for _ in range(nv)]
-        if not z[pivot]:
-            z[pivot] = GRat(1)
-        wt = [_rand_grat(rng) for _ in range(nv)]
-        _solve_chart(sig, z, wt, pivot)
-        if P.evaluate(z + wt):
-            w = [c.conjugate() for c in wt]
-            return tuple(z), tuple(w)
-    raise RuntimeError("no witness found in 500 samples")  # pragma: no cover
 
 
 def _grat_text(a: int, b: int, D: int) -> str:
@@ -492,7 +353,8 @@ def _witness_search(f: SignedMap, P: dict, pivot: int):
     integers, with w = conj(W) / D, as `OrthCertificate.witness_pairs`.
 
     Each candidate draws z and w~ as Gaussian-integer pairs (`_rand_pairs`),
-    with the rng calls of `_witness_search_ref` in the same order.  The chart
+    with the rng calls of `_witness_search_ref`, its GRat reference in
+    tests/reference_table.py, in the same order.  The chart
     solves w~_pivot = -eps_p acc / z_p with acc = sum over the other
     non-null i of eps_i z_i w~_i; scaled by |z_p|^2, all of w~ stays
     integral and w~_pivot = -eps_p acc conj(z_p).  P has bidegree (d, d),
@@ -526,7 +388,8 @@ def _witness_search(f: SignedMap, P: dict, pivot: int):
 
 def _rand_pairs(rng: random.Random, count: int) -> list[tuple[int, int]]:
     """`count` Gaussian integers as pairs: the values of as many
-    `_rand_grat`s, and the same rng state after.  As in
+    `_rand_grat`s of tests/reference_table.py, and the same rng state
+    after.  As in
     `polyspace._small_ints`, randint(-3, 3) is -3 plus getrandbits(3),
     drawn again while it is 7 or more, and randint(-5, 5) is -5 plus
     getrandbits(4), drawn again while it is 11 or more."""
@@ -544,21 +407,6 @@ def _rand_pairs(rng: random.Random, count: int) -> list[tuple[int, int]]:
             re = getrandbits(4)
         out.append((re - 5, im))
     return out
-
-
-def sample_orthogonal_pair(sig: Signature, rng: random.Random):
-    """Exact pair with <z, w> = 0, via the same solved-chart construction."""
-    if sig.r + sig.s < 1:
-        raise ValueError("no non-null coordinates to solve against")
-    nv = sig.n_vars
-    while True:
-        z = [_rand_grat(rng) for _ in range(nv)]
-        pivot = next((i for i in range(sig.r + sig.s) if z[i]), None)
-        if pivot is not None:
-            break
-    wt = [_rand_grat(rng) for _ in range(nv)]
-    _solve_chart(sig, z, wt, pivot)
-    return tuple(z), tuple(c.conjugate() for c in wt)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ to Gaussian-integer pairs first (`gaussint.clear`), so every rank and every
 span dimension computed here is an exact integer from integer elimination.
 A span is ranked by `gaussint.span_rank` on the sparse cleared members,
 which peels singleton columns and rows before eliminating what is left;
-`exact_rank` of the `support_rows` is its reference.  Hyperplane
+its reference, `exact_rank` of the `support_rows`, is in
+tests/reference_table.py with the other references.  Hyperplane
 genericity is handled by sampling: codimension claims take the best
 (minimum) value over sampled hyperplanes, span claims take the maximum.
 
@@ -22,8 +23,8 @@ hyperplane only fills in the products of its own coefficients, one
 multiplication per term.  The rows of M_W . R_H are formed one at a time and
 eliminated as they come (`gaussint._rank_int_rows`), which stops once the
 rank reaches the width.  The suites draw M_W and the hyperplanes as plain
-integers, with the same RNG draws as `random_subspace` and
-`random_hyperplane`, taken by `_small_ints` rather than `randint`.
+integers, with the same RNG draws as `random_hyperplane` and the reference
+`random_subspace`, taken by `_small_ints` rather than `randint`.
 Everything else, Gaussian input and the library verifiers included,
 restricts with the plain `GRat` substitution of `restrict` and ranks with
 `exact_rank`: the reference that the kernel and its draws must reproduce.
@@ -250,11 +251,6 @@ def monomial_basis(n_vars: int, d: int) -> list[tuple[int, ...]]:
         for rest in monomial_basis(n_vars - 1, d - e0):
             out.append((e0,) + rest)
     return out
-
-
-def veronese_components(n_vars: int, d: int) -> list[Poly]:
-    """The full degree-d monomial map."""
-    return [mono(n_vars, e) for e in monomial_basis(n_vars, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +606,7 @@ def _check_member(p: Poly, n_vars: int, degree: int) -> None:
 
 def coefficient_rows(polys, n_vars: int, degree: int) -> list[list[GRat]]:
     """Dense rows over all C(n_vars-1+degree, degree) monomials; the
-    reference for `support_rows`."""
+    `support_rows` of tests/reference_table.py keep only the used ones."""
     cols = monomial_basis(n_vars, degree)
     zero = GRat()
     rows = []
@@ -620,37 +616,8 @@ def coefficient_rows(polys, n_vars: int, degree: int) -> list[list[GRat]]:
     return rows
 
 
-def support_rows(polys: list[Poly]) -> list[list[GRat]]:
-    """Coefficient rows of a nonempty list of polynomials over the support
-    columns only: the monomials some member uses, in the descending order
-    of `monomial_basis`.  The columns left out are zero in every row, so the
-    rank is that of `coefficient_rows`, at a width independent of the
-    size of the monomial space."""
-    n_vars, degree = polys[0].n_vars, polys[0].degree
-    for p in polys:
-        _check_member(p, n_vars, degree)
-    cols = sorted({e for p in polys for e in p.coeffs}, reverse=True)
-    index = {e: j for j, e in enumerate(cols)}
-    zero = GRat()
-    rows = []
-    for p in polys:
-        row = [zero] * len(cols)
-        for e, c in p.coeffs.items():
-            row[index[e]] = c
-        rows.append(row)
-    return rows
-
-
 def subspace_rank(W: PolySubspace) -> int:
     return exact_rank(coefficient_rows(W.basis, W.n_vars, W.degree))
-
-
-def cleared_rows(polys, n_vars: int, degree: int) -> list[list[tuple[int, int]]]:
-    """The nonzero coefficient rows of `polys`, each scaled to Gaussian-integer
-    pairs.  For a real subspace their real parts are the integer rows M that
-    `_int_restricted_rank` multiplies by R_H (`_random_int_rows` draws them
-    directly)."""
-    return [clear(r)[1] for r in coefficient_rows(polys, n_vars, degree) if any(r)]
 
 
 def _int_restriction_rows(form: list[int], pivot: int, degree: int):
@@ -711,9 +678,10 @@ def _int_restricted_rank(
 
 
 def _random_int_rows(rng: random.Random, n_vars: int, degree: int) -> list[list[int]]:
-    """The M_W of `random_subspace`, from the same draws (`_small_ints`
-    for the entries): the basis drawn as integer coefficient rows, the
-    all-zero ones dropped as `cleared_rows` drops them."""
+    """The M_W of the reference `random_subspace` (tests/reference_table.py),
+    from the same draws (`_small_ints` for the entries): the basis drawn as
+    integer coefficient rows, the all-zero ones dropped as the reference
+    `cleared_rows` drops them."""
     size = math.comb(n_vars - 1 + degree, degree)
     count = rng.randint(1, size + 2)
     entries = _small_ints(rng, count * size)
@@ -724,7 +692,8 @@ def _random_int_rows(rng: random.Random, n_vars: int, degree: int) -> list[list[
 def image_span_dim(components: list[Poly]) -> int:
     """Projective dimension of the linear span of the component list, from
     the `span_rank` of their sparse cleared coefficients; the reference is
-    exact_rank(support_rows(components)) - 1."""
+    exact_rank(support_rows(components)) - 1, `support_rows` in
+    tests/reference_table.py."""
     for p in components:
         _check_member(p, components[0].n_vars, components[0].degree)
     return cleared_span_dim([clear(p.coeffs)[1] for p in components])
@@ -785,20 +754,6 @@ class GreenSuiteReport(SuiteReport):
         super().__init__(checks, violations)
         self.subspace_count = subspace_count
         self.records = [] if records is None else records
-
-
-def random_subspace(rng: random.Random, n_vars: int, degree: int) -> PolySubspace:
-    cols = monomial_basis(n_vars, degree)
-    count = rng.randint(1, len(cols) + 2)
-    basis = []
-    for _ in range(count):
-        coeffs = {}
-        for e in cols:
-            v = rng.randint(-9, 9)
-            if v:
-                coeffs[e] = GRat(v)
-        basis.append(Poly(n_vars, degree, coeffs))
-    return PolySubspace(n_vars, degree, basis)
 
 
 def _green_subspace(rng: random.Random, n: int, d: int,

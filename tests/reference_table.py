@@ -1,4 +1,8 @@
-"""The fast paths of macgap, each with the slow reference it replaces.
+"""The fast paths of macgap, each with the slow reference it replaces, and
+those references themselves.  A reference that the program also runs or
+the benchmark traces (`restrict`, `exact_rank`, `parse_poly`,
+`pairing_poly`, ...) stays in macgap; every other one is defined here, as
+tests/test_reachable.py keeps the package free of code only tests call.
 
 `TABLE` has one row per fast path: the module that defines it (the class,
 for a method), its name there, its reference, and why the reference is
@@ -31,14 +35,7 @@ import pytest
 
 from macgap import binom_core, cli, gap_calc, gaussint, hermitian, polyspace
 from macgap.binom_core import LemmaSweepReport, op_minus
-from macgap.gap_calc import (
-    GapSweepReport,
-    NabForm,
-    ineq1_b_range,
-    nab_minus,
-    nab_value,
-    verify_gap_argument,
-)
+from macgap.gap_calc import GapSweepReport, NabForm, ineq1_b_range, nab_value, verify_gap_argument
 from macgap.gaussint import clear
 from macgap.hermitian import Signature
 from macgap.polyspace import (
@@ -47,19 +44,16 @@ from macgap.polyspace import (
     Hyperplane,
     Poly,
     PolySubspace,
-    cleared_rows,
     coefficient_rows,
     exact_rank,
     format_grat,
+    mono,
     monomial_basis,
     parse_poly,
     random_hyperplane,
-    random_subspace,
     restrict,
     rng_for,
-    support_rows,
     verify_green,
-    veronese_components,
 )
 from macgap.record import SuiteReport
 
@@ -74,6 +68,55 @@ def _record(*entry):
 
 # ---------------------------------------------------------------------------
 # `verify green` and `verify restriction`
+
+def veronese_components(n_vars, d):
+    """The full degree-d monomial map."""
+    return [mono(n_vars, e) for e in monomial_basis(n_vars, d)]
+
+
+def random_subspace(rng, n_vars, degree):
+    """A subspace of count members, count = randint(1, size + 2), with
+    every coefficient drawn by randint(-9, 9) in `monomial_basis` order."""
+    cols = monomial_basis(n_vars, degree)
+    count = rng.randint(1, len(cols) + 2)
+    basis = []
+    for _ in range(count):
+        coeffs = {}
+        for e in cols:
+            v = rng.randint(-9, 9)
+            if v:
+                coeffs[e] = GRat(v)
+        basis.append(Poly(n_vars, degree, coeffs))
+    return PolySubspace(n_vars, degree, basis)
+
+
+def cleared_rows(polys, n_vars, degree):
+    """The nonzero coefficient rows of `polys`, each scaled to Gaussian-integer
+    pairs.  For a real subspace their real parts are the integer rows M that
+    `_int_restricted_rank` multiplies by R_H."""
+    return [clear(r)[1] for r in coefficient_rows(polys, n_vars, degree) if any(r)]
+
+
+def support_rows(polys):
+    """Coefficient rows of a nonempty list of polynomials over the support
+    columns only: the monomials some member uses, in the descending order
+    of `monomial_basis`.  The columns left out are zero in every row, so the
+    rank is that of `coefficient_rows`, at a width independent of the
+    size of the monomial space."""
+    n_vars, degree = polys[0].n_vars, polys[0].degree
+    for p in polys:
+        polyspace._check_member(p, n_vars, degree)
+    cols = sorted({e for p in polys for e in p.coeffs}, reverse=True)
+    index = {e: j for j, e in enumerate(cols)}
+    zero = GRat()
+    rows = []
+    for p in polys:
+        row = [zero] * len(cols)
+        for e, c in p.coeffs.items():
+            row[index[e]] = c
+        rows.append(row)
+    return rows
+
 
 def _int_form(H):
     return [int(c.re) for c in H.coeffs]
@@ -200,8 +243,20 @@ def pairing_pairs(f, keys):
     return L, packed(pairs, keys)
 
 
+def source_form_poly(sig):
+    """Q(z, w~) = sum over non-null i of eps_i z_i w~_i."""
+    nv = sig.n_vars
+    coeffs = {}
+    for i in range(sig.r + sig.s):
+        e = [0] * (2 * nv)
+        e[i] = 1
+        e[nv + i] = 1
+        coeffs[tuple(e)] = GRat(sig.eps(i))
+    return Poly(2 * nv, 2, coeffs)
+
+
 def source_form_pairs(sig, keys):
-    return packed(clear(hermitian.source_form_poly(sig).coeffs)[1], keys)
+    return packed(clear(source_form_poly(sig).coeffs)[1], keys)
 
 
 def source_form(Q, keys):
@@ -214,16 +269,73 @@ def source_form(Q, keys):
     return Q, Signature(eps.count(1), eps.count(-1), eps.count(0))
 
 
+def _wt_slices(P, var):
+    """Coefficients of P as a polynomial in one variable: exponent -> poly
+    with that variable zeroed out."""
+    slices = {}
+    for exps, c in P.coeffs.items():
+        e = exps[var]
+        rest = exps[:var] + (0,) + exps[var + 1:]
+        slices.setdefault(e, {})[rest] = c
+    return {e: Poly.unchecked(P.n_vars, P.degree - e, coeffs)
+            for e, coeffs in slices.items()}
+
+
+def _pseudo_remainder_ref(P, sig, pivot):
+    """The w~_pivot pseudo-remainder of Q | P in GRat polynomial arithmetic:
+    with Q = eps_p z_p w~_p + R and P of w~_p-degree D, it is
+    sum_e P_e (-R)^e (eps_p z_p)^(D-e), zero iff Q divides P."""
+    nv = sig.n_vars
+    wp = nv + pivot
+    lc = mono(2 * nv, tuple(1 if i == pivot else 0 for i in range(2 * nv)),
+              GRat(sig.eps(pivot)))
+    neg_r = Poly(2 * nv, 2, {
+        e: -c for e, c in source_form_poly(sig).coeffs.items() if e[wp] == 0
+    })
+    slices = _wt_slices(P, wp)
+    D = max(slices)
+    lc_pow = [mono(2 * nv, (0,) * (2 * nv))]
+    for _ in range(D):
+        lc_pow.append(lc_pow[-1] * lc)
+    acc = slices[D]
+    for e in range(D - 1, -1, -1):
+        acc = acc * neg_r
+        if e in slices:
+            acc = acc + slices[e] * lc_pow[D - e]
+    return acc
+
+
+def _divide_exact_ref(P, Q):
+    """Quotient P/Q in GRat polynomial arithmetic, on exponent tuples, for
+    known-divisible homogeneous P; leading terms in lexicographic order.
+    Raises ArithmeticError if divisibility fails."""
+    if Q.is_zero:
+        raise ZeroDivisionError("division by zero polynomial")
+    quo = Poly(P.n_vars, P.degree - Q.degree, {})
+    rem = P
+    lt_q = max(Q.coeffs)
+    c_q = Q.coeffs[lt_q]
+    while not rem.is_zero:
+        lt_r = max(rem.coeffs)
+        diff = tuple(a - b for a, b in zip(lt_r, lt_q))
+        if any(d < 0 for d in diff):
+            raise ArithmeticError("leading term not divisible")
+        t = mono(P.n_vars, diff, rem.coeffs[lt_r] / c_q)
+        quo = quo + t
+        rem = rem - t * Q
+    return quo
+
+
 def divide_exact(P, Q, keys):
     if not P:
         return {}
     Q, sig = source_form(Q, keys)
     P = poly(P, keys)
-    if not hermitian._pseudo_remainder_ref(P, sig, 0).is_zero:
+    if not _pseudo_remainder_ref(P, sig, 0).is_zero:
         raise ArithmeticError("the pseudo-remainder is not zero")
     # Q has leading coefficient +-1, so the quotient of integral P is
     # integral and clears with L = 1
-    return packed(clear(hermitian._divide_exact_ref(P, Q).coeffs)[1], keys)
+    return packed(clear(_divide_exact_ref(P, Q).coeffs)[1], keys)
 
 
 def check_quotient(P, Q, quo, keys):
@@ -231,8 +343,43 @@ def check_quotient(P, Q, quo, keys):
         raise RuntimeError("certificate quotient times Q is not the pairing polynomial")
 
 
+def _rand_grat(rng):
+    im = rng.randint(-3, 3) if rng.random() < 0.4 else 0
+    return GRat(rng.randint(-5, 5), im)
+
+
+def _solve_chart(sig, z, wt, pivot):
+    """Overwrite wt[pivot] so that sum over non-null i of eps_i z_i wt_i is
+    zero, i.e. <z, conj(wt)> = 0: the solution chart z_pivot != 0."""
+    acc = GRat()
+    for i in range(sig.r + sig.s):
+        if i == pivot:
+            continue
+        term = z[i] * wt[i]
+        acc = acc + term if sig.eps(i) == 1 else acc - term
+    wt[pivot] = -acc / (GRat(sig.eps(pivot)) * z[pivot])
+
+
+def _witness_search_ref(f, P, pivot):
+    """The witness (z, w) of `hermitian._witness_search` in GRat arithmetic,
+    each candidate tested with `Poly.evaluate`."""
+    sig = f.source
+    nv = sig.n_vars
+    P = hermitian._from_pairs(2 * nv, 2 * f.degree, P, 1)
+    rng = rng_for(0, "witness")
+    for _ in range(500):
+        z = [_rand_grat(rng) for _ in range(nv)]
+        if not z[pivot]:
+            z[pivot] = GRat(1)
+        wt = [_rand_grat(rng) for _ in range(nv)]
+        _solve_chart(sig, z, wt, pivot)
+        if P.evaluate(z + wt):
+            return tuple(z), tuple(c.conjugate() for c in wt)
+    raise RuntimeError("no witness found in 500 samples")  # pragma: no cover
+
+
 def witness_search(f, P, pivot):
-    z, w = hermitian._witness_search_ref(f, P, pivot)
+    z, w = _witness_search_ref(f, P, pivot)
     D, W = clear([c.conjugate() for c in w])
     return clear(z)[1], W, D
 
@@ -259,6 +406,17 @@ def lemma_splits(m_max, k_max, table=None):
                 if op_minus(A, m) + binom_core.op_lower(total - A, k) != target:
                     bad.append((m, k, A, total - A))
     return LemmaSweepReport(checks, bad)
+
+
+def nab_minus(form):
+    """Descent by one level: N(n-1;a,b) when n-a-b >= 2, else
+    N(n-1;a,b-1) when b >= 1; undefined in the remaining corner."""
+    n, a, b = form.n, form.a, form.b
+    if n - a - b >= 2:
+        return NabForm(n - 1, a, b)
+    if b >= 1:
+        return NabForm(n - 1, a, b - 1)
+    raise ValueError(f"descent undefined for (n,a,b)=({n},{a},{b})")
 
 
 def descent(n, a, b, m):

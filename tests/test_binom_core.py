@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from macgap import binom_core
 from macgap.binom_core import (
     binom,
-    lemma_checks,
     lemma_checks_upto,
     macaulay_rep,
     op_lower,
@@ -154,6 +153,11 @@ def per_split_sweep(m_max, k_max):
     return checks, bad
 
 
+def direct_checks(m_max, k_max):
+    """The splits the sweep checks, summed directly: C(m+k, k) per (m, k)."""
+    return sum(math.comb(m + k, k) for m in range(1, m_max + 1) for k in range(1, k_max + 1))
+
+
 class TestOps:
     @settings(max_examples=200, deadline=None)
     @given(A=st.integers(1, 10**40), n=st.integers(1, 30))
@@ -284,22 +288,18 @@ class TestLemmaSweep:
                     assert table.tolist() == [op(X, j) for X in range(len(table))]
 
     def test_check_count_closed_form(self):
+        # a cap above every count here, so the closed form is never cut
         for m_max in range(1, 8):
             for k_max in range(1, 8):
-                direct = sum(
-                    math.comb(m + k, k)
-                    for m in range(1, m_max + 1)
-                    for k in range(1, k_max + 1)
-                )
-                assert lemma_checks(m_max, k_max) == direct
-        assert lemma_checks(10, 10) == 705_410
+                assert lemma_checks_upto(m_max, k_max, 10**6) == direct_checks(m_max, k_max)
+        assert lemma_checks_upto(10, 10, 10**6) == 705_410
         with pytest.raises(ValueError):
-            lemma_checks(0, 3)
+            lemma_checks_upto(0, 3, 10**6)
 
     def test_capped_count_matches_exact(self):
         for m_max in range(1, 25):
             for k_max in range(1, 25):
-                exact = lemma_checks(m_max, k_max)
+                exact = direct_checks(m_max, k_max)
                 for cap in (0, 10, exact - 1, exact, exact + 1, 10**6):
                     got = lemma_checks_upto(m_max, k_max, cap)
                     assert got == (exact if exact <= cap else None)
@@ -311,7 +311,7 @@ class TestLemmaSweep:
         # bounded count gives up after a few dozen steps
         assert lemma_checks_upto(10**100, 10**100, 10**12) is None
         assert lemma_checks_upto(10**100, 1, 10**12) is None
-        assert lemma_checks_upto(1, 1, 10**12) == lemma_checks(1, 1) == 2
+        assert lemma_checks_upto(1, 1, 10**12) == direct_checks(1, 1) == 2
 
     def test_shift_tables_refuse_lanes_past_the_bound(self, monkeypatch):
         # every entry is below C(span+top, top), which must stay at most
@@ -340,7 +340,7 @@ class TestLemmaSweep:
                     next(binom_core._shift_levels(top, span + 1, minus))
 
     def test_table_entries_within_twice_checks(self, monkeypatch):
-        # the lower tables are the row m = M of the sum `lemma_checks`
+        # the lower tables are the row m = M of the sum `direct_checks`
         # counts and the minus tables its column k = K, so the sweep's own
         # work is bounded by its check count
         def entries(m_max, k_max):
@@ -350,7 +350,7 @@ class TestLemmaSweep:
 
         for m_max in range(1, 13):
             for k_max in range(1, 13):
-                assert entries(m_max, k_max) <= 2 * lemma_checks(m_max, k_max)
+                assert entries(m_max, k_max) <= 2 * direct_checks(m_max, k_max)
         built = []
         levels = binom_core._shift_levels
 
@@ -363,7 +363,7 @@ class TestLemmaSweep:
         for bounds in [(m, k) for m in range(1, 7) for k in range(1, 7)] + [(1, 1410)]:
             built.append(0)
             assert verify_lemma_binom(*bounds).ok
-            assert built[-1] == entries(*bounds) <= 2 * lemma_checks(*bounds)
+            assert built[-1] == entries(*bounds) <= 2 * direct_checks(*bounds)
 
 
 def elementwise_fails(minus, lower, total, target):

@@ -27,7 +27,7 @@ from macgap.cli import (
     MAX_RANK_WORK,
     main,
 )
-from macgap.binom_core import LemmaSweepReport, lemma_checks
+from macgap.binom_core import LemmaSweepReport, lemma_checks_upto
 from macgap.gap_calc import (
     GapArgumentReport,
     GapSweepReport,
@@ -244,7 +244,7 @@ class TestVerify:
         assert time.perf_counter() - start < 2
         assert rc == 0
         (rec,) = records(out)
-        assert rec["ok"] and rec["checks"] == lemma_checks(1, max_k)
+        assert rec["ok"] and rec["checks"] == lemma_checks_upto(1, max_k, MAX_LEMMA_CHECKS)
 
     def test_lemma3_past_old_terms_boundary_runs(self, capsys):
         # (1, 310) was the first sweep past the old representation-terms limit
@@ -253,7 +253,7 @@ class TestVerify:
     def test_lemma3_long_level_sweep_runs_at_once(self, capsys):
         # --max-m 1 sweeps as long as --max-k 1410 are only check-bounded:
         # the shift tables hold at most twice as many entries as the checks
-        assert lemma_checks(1, 1410) == 996_165 <= MAX_LEMMA_CHECKS
+        assert lemma_checks_upto(1, 1410, MAX_LEMMA_CHECKS) == 996_165
         self._lemma3_runs_with_closed_form_count(capsys, 1410)
 
     def test_lemma3_at_the_limit_size(self, capsys):
@@ -261,7 +261,7 @@ class TestVerify:
         assert rc == 0
         (rec,) = records(out)
         assert rec["ok"] and rec["violations"] == 0
-        assert rec["checks"] == lemma_checks(10, 10) == 705_410
+        assert rec["checks"] == lemma_checks_upto(10, 10, MAX_LEMMA_CHECKS) == 705_410
 
     def test_gap_argument(self, capsys):
         rc, out, _ = run(capsys, "verify", "gap-argument", "--max-n", "20", "--json")

@@ -18,16 +18,37 @@ from macgap.gap_calc import (
     gap_intervals,
     ineq1_b_range,
     interval_counts,
-    nab_decompose,
-    nab_minus,
-    nab_rep_terms,
     nab_value,
     plane_chain,
     plane_chain_closed_form,
     plane_step,
     verify_gap_argument,
 )
-from reference_table import descent, gap_walk
+from reference_table import descent, gap_walk, nab_minus
+
+
+def nab_rep_terms(form):
+    """The level-n Macaulay terms of N(n;a,b): a+1 leading binomials
+    C(n+1-j, n-j), then b singleton terms C(c,c) descending from n-a-1."""
+    n, a, b = form.n, form.a, form.b
+    terms = [(n + 1 - j, n - j) for j in range(a + 1)]
+    terms += [(n - a - 1 - i, n - a - 1 - i) for i in range(b)]
+    return tuple(terms)
+
+
+def nab_decompose(N, n):
+    """Inverse of nab_value at level n; None when N is outside
+    [n+1, C(n+2,2)-1]."""
+    if n < 1:
+        raise ValueError("level must be positive")
+    if N < n + 1 or N > n * (n + 3) // 2:
+        return None
+    # consecutive a-blocks [S(a), S(a)+n-a-1] tile the range, so scan for
+    # the block containing N
+    a = 0
+    while (a + 2) * (n + 1) - (a + 1) * (a + 2) // 2 <= N:
+        a += 1
+    return NabForm(n, a, N - ((a + 1) * (n + 1) - a * (a + 1) // 2))
 
 
 def admissible_forms(n):

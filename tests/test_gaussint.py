@@ -32,8 +32,8 @@ from macgap.polyspace import (
     exact_rank,
     image_span_dim,
     monomial_basis,
-    support_rows,
 )
+from reference_table import support_rows
 
 small = st.integers(-4, 4)
 frac_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)

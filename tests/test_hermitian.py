@@ -14,19 +14,14 @@ from macgap.hermitian import (
     ObstructionRecord,
     Signature,
     SignedMap,
-    classify_point,
     format_map,
-    identity_map,
-    inner_product,
     null_prolongation,
     orthogonality_certificate,
     pairing_poly,
     parse_map,
-    sample_orthogonal_pair,
     sharpness_map,
     sharpness_quotient,
     sharpness_suite,
-    source_form_poly,
     span_obstruction_check,
 )
 from macgap.polyspace import (
@@ -39,11 +34,65 @@ from macgap.polyspace import (
     verify_restriction_theorem,
 )
 import reference_table
+from reference_table import (
+    _divide_exact_ref,
+    _pseudo_remainder_ref,
+    _rand_grat,
+    _solve_chart,
+    _witness_search_ref,
+    source_form_poly,
+)
 from test_bench_smoke import load_workloads
 
 
 def g(*vals):
     return [GRat(v) for v in vals]
+
+
+def inner_product(z, w, sig):
+    """Sum eps_i * z_i * conj(w_i); the last t coordinates are ignored."""
+    if len(z) != sig.n_vars or len(w) != sig.n_vars:
+        raise ValueError("coordinate length does not match signature")
+    total = GRat()
+    for i in range(sig.r + sig.s):
+        term = z[i] * w[i].conjugate()
+        total = total + term if sig.eps(i) == 1 else total - term
+    return total
+
+
+def classify_point(z, sig):
+    if not any(z):
+        raise ValueError("zero vector is not a projective point")
+    norm = inner_product(z, z, sig)
+    if norm.im:
+        raise RuntimeError(f"Hermitian norm {norm} of a point is not real")
+    if norm.re > 0:
+        return "positive"
+    if norm.re < 0:
+        return "negative"
+    return "null"
+
+
+def identity_map(sig):
+    comps = [mono(sig.n_vars, tuple(int(j == i) for j in range(sig.n_vars)))
+             for i in range(sig.n_vars)]
+    return SignedMap(sig, sig, 1, comps)
+
+
+def sample_orthogonal_pair(sig, rng):
+    """Exact pair with <z, w> = 0, via the solved chart of the witness
+    search's reference."""
+    if sig.r + sig.s < 1:
+        raise ValueError("no non-null coordinates to solve against")
+    nv = sig.n_vars
+    while True:
+        z = [_rand_grat(rng) for _ in range(nv)]
+        pivot = next((i for i in range(sig.r + sig.s) if z[i]), None)
+        if pivot is not None:
+            break
+    wt = [_rand_grat(rng) for _ in range(nv)]
+    _solve_chart(sig, z, wt, pivot)
+    return tuple(z), tuple(c.conjugate() for c in wt)
 
 
 class TestSignature:
@@ -104,7 +153,7 @@ class TestClassifyPoint:
             classify_point(g(0, 0), Signature(1, 1))
 
     def test_non_real_norm_raises(self, monkeypatch):
-        monkeypatch.setattr(hermitian, "inner_product", lambda z, w, sig: GRat(1, 1))
+        monkeypatch.setitem(globals(), "inner_product", lambda z, w, sig: GRat(1, 1))
         with pytest.raises(RuntimeError):
             classify_point(g(1, 0), Signature(1, 1))
 
@@ -291,21 +340,21 @@ class TestIntegerPairCertificate:
     def test_matches_grat_reference(self, case):
         f, perturbed, pivot = case
         P = pairing_poly(f)
-        ref = hermitian._pseudo_remainder_ref(P, f.source, pivot)
+        ref = _pseudo_remainder_ref(P, f.source, pivot)
         assert ref.is_zero == (not perturbed)
         # the division's verdict is the pseudo-remainder's in every chart
         cert = orthogonality_certificate(f, pivot=pivot)
         assert cert.verdict == ref.is_zero
         if cert.verdict:
             Q = source_form_poly(f.source)
-            assert cert.quotient == hermitian._divide_exact_ref(P, Q)
+            assert cert.quotient == _divide_exact_ref(P, Q)
             assert cert.quotient == sharpness_quotient(f.source.r, f.source.n_vars - 1)
         else:
             z, w = cert.witness
             assert inner_product(z, w, f.source) == GRat()
             assert inner_product(f.evaluate(z), f.evaluate(w), f.target) != GRat()
             P = _tuple_pairing(f)
-            assert cert.witness == hermitian._witness_search_ref(f, P, pivot)
+            assert cert.witness == _witness_search_ref(f, P, pivot)
 
     def test_witness_with_a_null_source_coordinate(self):
         # z3 is null: the chart sum skips it, and only the pivot is solved
@@ -317,7 +366,7 @@ class TestIntegerPairCertificate:
         for pivot in range(3):
             cert = orthogonality_certificate(f, pivot=pivot)
             assert not cert.verdict
-            assert cert.witness == hermitian._witness_search_ref(f, P, pivot)
+            assert cert.witness == _witness_search_ref(f, P, pivot)
             z, w = cert.witness
             assert inner_product(z, w, sig) == GRat()
             assert inner_product(f.evaluate(z), f.evaluate(w), f.target) != GRat()
@@ -358,7 +407,7 @@ class TestIntegerPairCertificate:
             assert set(events) == {"test"}
             witness = cert.witness
             assert events.count("GRat") == 12
-            assert witness == hermitian._witness_search_ref(f, P, pivot)
+            assert witness == _witness_search_ref(f, P, pivot)
             assert text == tuple(" ".join(map(polyspace.format_grat, p)) for p in witness)
 
     def test_rational_coefficients_cleared(self):
@@ -372,7 +421,7 @@ class TestIntegerPairCertificate:
         P = pairing_poly(f)
         Q = source_form_poly(f.source)
         assert clear(P.coeffs)[0] == hermitian._pairing_pairs(f, _keys(f))[0] == 4
-        assert cert.quotient == hermitian._divide_exact_ref(P, Q)
+        assert cert.quotient == _divide_exact_ref(P, Q)
         want = Poly(4, 2, {(1, 0, 1, 0): GRat(Fraction(1, 4)),
                            (0, 1, 0, 1): GRat(Fraction(1, 4))})
         assert cert.quotient == want
@@ -446,16 +495,16 @@ class TestPackedDivision:
         assert L == 1
         Pk = {keys.pack(e): c for e, c in pairs.items()}
         Qk = hermitian._source_form_pairs(sig, keys)
-        divisible = P.is_zero or hermitian._pseudo_remainder_ref(P, sig, pivot).is_zero
+        divisible = P.is_zero or _pseudo_remainder_ref(P, sig, pivot).is_zero
         if not divisible:
             with pytest.raises(ArithmeticError):
                 hermitian._divide_exact(Pk, Qk, keys)
             with pytest.raises(ArithmeticError):
-                hermitian._divide_exact_ref(P, Q)
+                _divide_exact_ref(P, Q)
             return
         quo = hermitian._divide_exact(Pk, Qk, keys)
         # Q has leading coefficient +-1, so the quotient stays integral
-        L, ref = clear(hermitian._divide_exact_ref(P, Q).coeffs)
+        L, ref = clear(_divide_exact_ref(P, Q).coeffs)
         assert L == 1 and {keys.unpack(e): c for e, c in quo.items()} == ref
         hermitian._check_quotient(Pk, Qk, quo, keys)
         for e in quo:
@@ -473,7 +522,7 @@ class TestWitnessDraws:
         for seed in range(2000):
             fast, ref = random.Random(seed), random.Random(seed)
             k = 1 + seed % 23
-            want = [hermitian._rand_grat(ref) for _ in range(k)]
+            want = [_rand_grat(ref) for _ in range(k)]
             assert hermitian._rand_pairs(fast, k) == [(int(c.re), int(c.im)) for c in want]
             assert fast.getstate() == ref.getstate()
 

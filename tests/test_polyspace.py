@@ -15,7 +15,6 @@ from macgap.polyspace import (
     PolyFormatError,
     PolySubspace,
     cleared_parser,
-    cleared_rows,
     coefficient_rows,
     exact_rank,
     format_grat,
@@ -27,18 +26,21 @@ from macgap.polyspace import (
     parse_grat,
     parse_poly,
     random_hyperplane,
-    random_subspace,
     rank_work_upto,
     restrict,
     rng_for,
     subspace_rank,
-    support_rows,
     verify_green,
     verify_restriction_theorem,
-    veronese_components,
     veronese_suite,
 )
-from reference_table import parse_cleared
+from reference_table import (
+    cleared_rows,
+    parse_cleared,
+    random_subspace,
+    support_rows,
+    veronese_components,
+)
 
 
 def rank_by_division(rows):

@@ -27,7 +27,6 @@ from macgap.hermitian import (
     OrthCertificate,
     SharpnessSuiteReport,
     Signature,
-    identity_map,
 )
 from macgap.polyspace import (
     GreenRecord,
@@ -39,6 +38,7 @@ from macgap.polyspace import (
     RestrictionRecord,
 )
 from macgap.record import SuiteReport
+from test_hermitian import identity_map
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

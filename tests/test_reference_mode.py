@@ -348,6 +348,8 @@ def _where(code):
 def test_the_table_misses_no_fast_path(tmp_path, monkeypatch):
     fast_ids = {id(fast) for fast in FAST.values()}
     assert len(FAST) == len(TABLE) == len(fast_ids)
+    # the table module is the one home of the references
+    assert [r.name for r in TABLE if r.reference.__module__ != reference_table.__name__] == []
     fast_code = {inspect.unwrap(fast).__code__ for fast in FAST.values()}
     covered = {c for code in fast_code for c in _nested(code)}
     plan = load_workloads(monkeypatch).build("map-queries", 0, tmp_path)
