@@ -391,7 +391,8 @@ def _suite_options(options):
 # command path -> (handler, help or None, positionals, options), in the
 # order of the help text.  A positional is (dest, type, nargs, help) and an
 # option (flags, dest, type, default, help), type None for a store-true
-# flag.
+# flag.  Only a command's last positional may have nargs "?" or "+", which
+# the greedy split of `_fast_args` relies on.
 _COMMANDS = {
     ("macaulay",): (cmd_macaulay, "print the representation and index shifts",
                     [("A", int, None, "value to decompose"),
@@ -465,8 +466,8 @@ def _table():
     fewest, most).  `values` is the namespace argparse fills in for the
     leaf before it reads a token; `options` maps each exact option string
     to (dest, type), type None for a store-true flag; `positionals` is
-    (dest, takes a list, type, most, fewest of the later ones) in order;
-    `fewest` and `most` bound the count of positional tokens."""
+    (dest, takes a list, type, most) in order; `fewest` and `most` bound
+    the count of positional tokens."""
     table = {}
     for path, (func, _, positionals, options) in _COMMANDS.items():
         dests = ["command"] + [_GROUPS[path[:i]][0] for i in range(1, len(path))]
@@ -475,17 +476,14 @@ def _table():
         values.update((dest, default) for _, dest, _, default, _ in options)
         values["func"] = func
         bounds = [_NARGS[nargs] for _, _, nargs, _ in positionals]
-        fewest = rest = sum(lo for lo, _ in bounds)
-        spec = []
-        for (dest, kind, nargs, _), (lo, hi) in zip(positionals, bounds):
-            rest -= lo
-            spec.append((dest, nargs == "+", kind, hi, rest))
+        spec = [(dest, nargs == "+", kind, hi)
+                for (dest, kind, nargs, _), (_, hi) in zip(positionals, bounds)]
         node = table
         for name in path[:-1]:
             node = node.setdefault(name, {})
         node[path[-1]] = (values, {flag: (dest, kind) for flags, dest, kind, _, _ in options
                                    for flag in flags},
-                          spec, fewest, sum(hi for _, hi in bounds))
+                          spec, sum(lo for lo, _ in bounds), sum(hi for _, hi in bounds))
     return table
 
 
@@ -533,11 +531,12 @@ def _fast_args(argv):
                 i += 1
         if not fewest <= len(run) <= most:
             return None
-        # argparse's greedy match: each positional takes all it can and
-        # leaves the later ones their fewest
+        # argparse's greedy match: each positional takes all it can, and
+        # none leaves a later one short, since only a command's last
+        # positional is ever "?" or "+"
         start = 0
-        for dest, many, convert, hi, rest in positionals:
-            take = min(hi, len(run) - start - rest)
+        for dest, many, convert, hi in positionals:
+            take = min(hi, len(run) - start)
             if many:
                 values[dest] = [convert(token) for token in run[start:start + take]]
             elif take:

@@ -11,15 +11,16 @@ polynomial of a map from its cleared components on packed monomial keys
 Gaussian-integer pairs.
 
 The rank kernels are fraction-free (Bareiss 1968) on integer rows and on
-pair rows.  `_rank_int_rows` eliminates integer rows one at a time as they
-arrive and stops once the rank reaches the width, so a caller that forms
-its rows lazily never forms the rest; the column-oriented `_rank_int` is
-its reference, and ranks every matrix that is held whole.  `span_rank`
-ranks sparse rows: it first peels singleton columns and singleton rows,
-the first step of structured Gaussian elimination (LaMacchia-Odlyzko
-1990), and hands only the remaining core to `_rank_pairs`.  The pair
-products inside the elimination loops are written out inline, since a
-call per scalar product would dominate them.
+pair rows.  `_rank_int_rows` is the one integer kernel: it eliminates
+integer rows one at a time as they arrive, drops each pivot column once it
+is eliminated, and stops once the rank reaches the width, so a caller that
+forms its rows lazily never forms the rest.  Its reference, the
+column-oriented Bareiss on the whole matrix, is in tests/reference_table.py.
+`span_rank` ranks sparse rows: it first peels singleton columns and
+singleton rows, the first step of structured Gaussian elimination
+(LaMacchia-Odlyzko 1990), and hands only the remaining core to
+`_rank_pairs`.  The pair products inside the elimination loops are
+written out inline, since a call per scalar product would dominate them.
 """
 
 from __future__ import annotations
@@ -129,41 +130,16 @@ def vanishes_at(P: dict, point) -> bool:
     return ta == tb == 0
 
 
-def _rank_int(rows: list[list[int]]) -> int:
-    """Fraction-free elimination over the integers."""
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        pivot = next((i for i in range(rank, nrows) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rp = rows[rank]
-        for i in range(rank + 1, nrows):
-            ri = rows[i]
-            f = ri[col]
-            # every row below gets the update, even with f == 0: the
-            # division by the previous pivot is only exact on the full
-            # Sylvester form pv*x - f*y
-            for j in range(col + 1, ncols):
-                ri[j] = (pv * ri[j] - f * rp[j]) // prev
-            ri[col] = 0
-        prev = pv
-        rank += 1
-    return rank
-
-
 def _rank_int_rows(rows, ncols: int) -> int:
     """Rank of integer rows of width `ncols`, eliminated one row at a time
-    as `rows` yields them; `_rank_int` is its reference.
+    as `rows` yields them; the rows are not modified.
 
     Each new row x is reduced by every basis row (c_j, b_j) in order, as
     x <- (p_j*x - x[c_j]*b_j) // p_{j-1}, with p_j = b_j[c_j] and p_0 = 1;
     this is Bareiss on the rows kept so far, so every division is exact.
+    Entry c_j of x is then zero, and is deleted: b_{j+1} and every later
+    basis row were stored after the same deletions, so x and each of them
+    keep one column order, and every entry left is the one Bareiss gives.
     x joins the basis with its first nonzero entry as pivot, if it has one
     left.  The rank never exceeds `ncols`, so once the basis holds `ncols`
     rows the rest of `rows` is never drawn."""
@@ -178,6 +154,7 @@ def _rank_int_rows(rows, ncols: int) -> int:
                 x = [(p * u - f * v) // prev for u, v in zip(x, b)]
             else:
                 x = [p * u // prev for u in x]
+            del x[c]
             prev = p
         lead = next(filter(None, x), 0)
         if lead:
@@ -227,11 +204,12 @@ def _rank_gauss_int(rows: list[list[tuple[int, int]]]) -> int:
 
 def _rank_pairs(rows: list[list[tuple[int, int]]]) -> int:
     """Rank of Gaussian-integer pair rows, on the integer path when no entry
-    has an imaginary part.  May reorder and overwrite `rows`."""
+    has an imaginary part.  Only the Gaussian path, `_rank_gauss_int`, may
+    reorder and overwrite `rows`."""
     if not rows:
         return 0
     if all(b == 0 for row in rows for _, b in row):
-        return _rank_int([[a for a, _ in row] for row in rows])
+        return _rank_int_rows(([a for a, _ in row] for row in rows), len(rows[0]))
     return _rank_gauss_int(rows)
 
 

@@ -22,9 +22,11 @@ each term lands on and the term of the power below that each extends; a
 hyperplane only fills in the products of its own coefficients, one
 multiplication per term.  The rows of M_W . R_H are formed one at a time and
 eliminated as they come (`gaussint._rank_int_rows`), which stops once the
-rank reaches the width.  The suites draw M_W and the hyperplanes as plain
-integers, with the same RNG draws as `random_hyperplane` and the reference
-`random_subspace`, taken by `_small_ints` rather than `randint`.
+rank reaches the width.  That one integer kernel also ranks M_W itself, on
+its narrower side, and every real matrix that `exact_rank` is given.  The
+suites draw M_W and the hyperplanes as plain integers, with the same RNG
+draws as `random_hyperplane` and the reference `random_subspace`, taken by
+`_small_ints` rather than `randint`.
 Everything else, Gaussian input and the library verifiers included,
 restricts with the plain `GRat` substitution of `restrict` and ranks with
 `exact_rank`: the reference that the kernel and its draws must reproduce.
@@ -46,7 +48,7 @@ import re
 from fractions import Fraction
 
 from .binom_core import comb_upto, op_lower, op_minus
-from .gaussint import _rank_int, _rank_int_rows, _rank_pairs, clear, span_rank
+from .gaussint import _rank_int_rows, _rank_pairs, clear, span_rank
 from .record import FrozenRecord, Record, SuiteReport
 
 
@@ -763,7 +765,9 @@ def _green_subspace(rng: random.Random, n: int, d: int,
     a miss may be a special hyperplane, up to `trials` more until one meets
     the bound."""
     M = _random_int_rows(rng, n + 1, d)
-    c = math.comb(n + d, d) - (_rank_int([row[:] for row in M]) if M else 0)
+    size = math.comb(n + d, d)
+    # the rank of M or of its transpose, whichever is narrower
+    c = size - (_rank_int_rows(zip(*M), len(M)) if len(M) < size else _rank_int_rows(M, size))
     restricted_size = math.comb(n - 1 + d, d)
     rank = max(_int_restricted_rank(M, *_random_form(rng, n + 1), d) for _ in range(trials))
     best = _green_record(n, d, c, restricted_size - rank)

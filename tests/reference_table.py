@@ -67,6 +67,44 @@ def _record(*entry):
 
 
 # ---------------------------------------------------------------------------
+# integer rank
+
+def _rank_int(rows: list[list[int]]) -> int:
+    """Fraction-free elimination over the integers, column by column on
+    the whole matrix; reorders and overwrites `rows`."""
+    nrows, ncols = len(rows), len(rows[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        pivot = next((i for i in range(rank, nrows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        rp = rows[rank]
+        for i in range(rank + 1, nrows):
+            ri = rows[i]
+            f = ri[col]
+            # every row below gets the update, even with f == 0: the
+            # division by the previous pivot is only exact on the full
+            # Sylvester form pv*x - f*y
+            for j in range(col + 1, ncols):
+                ri[j] = (pv * ri[j] - f * rp[j]) // prev
+            ri[col] = 0
+        prev = pv
+        rank += 1
+    return rank
+
+
+def rank_int_rows(rows, ncols):
+    """`_rank_int` of a copy of every row `rows` yields; 0 for no rows."""
+    rows = [list(row) for row in rows]
+    return _rank_int(rows) if rows else 0
+
+
+# ---------------------------------------------------------------------------
 # `verify green` and `verify restriction`
 
 def veronese_components(n_vars, d):
@@ -492,6 +530,11 @@ TABLE = [
     Row(polyspace, "cleared_parser", cleared_parser,
         "parse_poly cleared by clear, for text read straight to integers with "
         "each distinct coefficient token read once per map"),
+    Row(gaussint, "_rank_int_rows", rank_int_rows,
+        "_rank_int, the column-oriented Bareiss on the whole matrix, for rows "
+        "eliminated as they arrive with each pivot column dropped; _rank_pairs "
+        "runs in both modes, so without this row its integer path would be "
+        "compared only with itself"),
     Row(gaussint, "span_rank", span_rank,
         "exact_rank of the support_rows, dense elimination with no singleton "
         "peeling"),

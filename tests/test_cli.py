@@ -1104,6 +1104,13 @@ def test_fast_args_is_argparse_or_declines(argv):
     assert fast is None or vars(fast) == vars(expected), argv
 
 
+def test_only_a_last_positional_is_optional_or_variadic():
+    # `_fast_args` splits positionals greedily, which is argparse's split
+    # only while no "?" or "+" positional has another after it
+    for path, (_, _, positionals, _) in macgap.cli._COMMANDS.items():
+        assert all(nargs is None for _, _, nargs, _ in positionals[:-1]), path
+
+
 # Each suite's library call replaced by one that returns a report with
 # planted violations: pins the records and text lines the CLI builds from a
 # report, which a clean run never shows.

@@ -1,6 +1,7 @@
 """The Gaussian-integer kernel against its GRat references.
 
-- the row-by-row integer rank `_rank_int_rows` against `_rank_int`;
+- the row-by-row integer rank `_rank_int_rows` against the column-oriented
+  reference `rank_int_rows`, on rows and on their transpose;
 - `span_rank` on sparse cleared rows against `exact_rank` of the dense
   coefficient rows;
 - packed monomial keys against exponent tuples: round trip, order, and the
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from macgap import hermitian
 from macgap.gaussint import (
     Packing,
-    _rank_int,
     _rank_int_rows,
     clear,
     span_rank,
@@ -33,7 +33,7 @@ from macgap.polyspace import (
     image_span_dim,
     monomial_basis,
 )
-from reference_table import support_rows
+from reference_table import rank_int_rows, support_rows
 
 small = st.integers(-4, 4)
 frac_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -75,28 +75,55 @@ def sparse_rows_st(draw):
     return ncols, rows
 
 
+@st.composite
+def int_rows_st(draw):
+    """Integer rows over up to 12 columns, up to four more rows than
+    columns: small entries, or entries up to 10**12 in size, where an
+    inexact division would show; sparse or dense, with all-zero rows and
+    planted dependencies."""
+    ncols = draw(st.integers(1, 12), label="columns")
+    bound = draw(st.sampled_from([4, 10**12]), label="bound")
+    entry = st.integers(-bound, bound)
+    if draw(st.booleans(), label="sparse"):
+        entry = st.just(0) | entry
+    row_st = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row_st, max_size=ncols + 4), label="rows")
+    # a planted dependency: an integer combination of two rows
+    for _ in range(draw(st.integers(0, 3), label="dependencies") if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        u, v = draw(small), draw(small)
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [u * a + v * b for a, b in zip(rows[i], rows[j])])
+    return ncols, rows
+
+
 class TestRankIntRows:
     @settings(max_examples=300, deadline=None)
-    @given(sparse_rows_st())
+    @given(int_rows_st())
     def test_matches_rank_int(self, case):
-        # the real parts of the sparse rows, laid out densely: small entries
-        # next to large pivots are where an inexact division shows
         ncols, rows = case
-        dense = [[row.get(c, (0, 0))[0] for c in range(ncols)] for row in rows]
+        before = [row[:] for row in rows]
         drawn = []
-        rank = _rank_int_rows((drawn.append(row) or row for row in dense), ncols)
-        assert rank == _rank_int([row[:] for row in dense])
+        rank = _rank_int_rows((drawn.append(row) or row for row in rows), ncols)
+        # the rows are not modified, so one M serves its own rank and
+        # every restricted rank
+        assert rows == before
+        assert rank == rank_int_rows(rows, ncols)
+        # the transpose has the same rank
+        assert _rank_int_rows(zip(*rows), len(rows)) == rank
         if rank == ncols:
             # the rows past the one that reached the width are never drawn
-            assert _rank_int([row[:] for row in drawn[:-1]] or [[0]]) < ncols
+            assert rank_int_rows(drawn[:-1], ncols) < ncols
 
     def test_edge_cases(self):
         # the third row has a zero in the first pivot column; scaled by that
         # pivot anyway it stays exact and independent, left as it is the
         # division by -3 floors it to zero
         rows = [[0, 0, 0, -3], [0, -2, -1, 0], [0, -1, 0, 0]]
-        assert _rank_int_rows(rows, 4) == _rank_int([row[:] for row in rows]) == 3
+        assert _rank_int_rows(rows, 4) == rank_int_rows(rows, 4) == 3
         assert _rank_int_rows([], 3) == 0
+        # the transpose of no rows, as green ranks an empty M
+        assert _rank_int_rows(zip(*[]), 0) == 0
         assert _rank_int_rows([[0, 0], [0, 0]], 2) == 0
 
         def identity_then_refuse():

@@ -38,6 +38,7 @@ from reference_table import (
     cleared_rows,
     parse_cleared,
     random_subspace,
+    rank_int_rows,
     support_rows,
     veronese_components,
 )
@@ -758,8 +759,9 @@ class TestRestrictedRank:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_row_kernel_matches_references(self, data):
-        # the row-by-row kernel against the column-oriented `_rank_int`, on
-        # M and on M . R_H, and the restricted rank against `restrict`
+        # the row-by-row kernel against the column-oriented reference, on
+        # M, its transpose and M . R_H, and the restricted rank against
+        # `restrict`
         nv = data.draw(st.integers(2, 5), label="n_vars")
         d = data.draw(st.integers(0, 3), label="degree")
         H = data.draw(int_hyperplane_st(nv), label="H")
@@ -787,9 +789,8 @@ class TestRestrictedRank:
         for _ in range(data.draw(st.integers(0, 2), label="zero rows")):
             M.insert(data.draw(st.integers(0, len(M)), label="at"), [0] * size)
 
-        assert gaussint._rank_int_rows(M, size) == (
-            gaussint._rank_int([row[:] for row in M]) if M else 0
-        )
+        assert gaussint._rank_int_rows(M, size) == rank_int_rows(M, size)
+        assert gaussint._rank_int_rows(zip(*M), len(M)) == rank_int_rows(M, size)
         form = [int(c.re) for c in H.coeffs]
         ncols, R = polyspace._int_restriction_rows(form, H.pivot, d)
         product = []
@@ -800,7 +801,7 @@ class TestRestrictedRank:
                     out[col] += v * r
             product.append(out)
         rank = gaussint._rank_int_rows(product, ncols)
-        assert rank == (gaussint._rank_int([row[:] for row in product]) if product else 0)
+        assert rank == rank_int_rows(product, ncols)
         basis = monomial_basis(nv, d)
         polys = [Poly(nv, d, {e: GRat(v) for e, v in zip(basis, row) if v}) for row in M]
         got = polyspace._int_restricted_rank(M, form, H.pivot, d)

@@ -7,11 +7,13 @@ name) must be reached from one of four roots: `cli.main`, the names of
 package, and the attributes that bench/layers.py traces (`TRACED`, loaded,
 never changed).  A definition reaches every name that its body, decorators,
 defaults and annotations mention, and a module's other top-level
-statements, which run on import, reach what they mention.  A reference
-that the tests compare a fast path against lives in
-tests/reference_table.py, and a test-only helper in the test module that
-uses it.  Both checks read source text, so each self-test injects a fault
-into a copy of it.
+statements, which run on import, reach what they mention.  Methods are
+outside the walk: a class of `macgap.__all__` is public API with every
+method it has, such as `GRat.is_real` and `SignedMap.evaluate`, whether
+or not the package itself calls them.  A reference that the tests compare
+a fast path against lives in tests/reference_table.py, and a test-only
+helper in the test module that uses it.  Both checks read source text, so
+each self-test injects a fault into a copy of it.
 """
 
 import ast
