@@ -180,7 +180,9 @@ def comb_upto(n: int, r: int, cap: int) -> int | None:
     Built as the product C(n-r'+i, i), i = 1..r', with r' = min(r, n-r);
     each factor (n-r'+i)/i is at least 2, so the product passes `cap` after
     about log2(cap) steps and stops there, without computing a large
-    binomial."""
+    binomial.  An r outside 0..n raises ValueError."""
+    if not 0 <= r <= n:
+        raise ValueError(f"comb_upto needs 0 <= r <= n, got n = {n}, r = {r}")
     r = min(r, n - r)
     count = 1
     for i in range(1, r + 1):
@@ -208,42 +210,81 @@ def lemma_checks_upto(m_max: int, k_max: int, cap: int) -> int | None:
 # adds two tables; bounds every temporary.
 _CHUNK = 1 << 12
 
-# The shift tables are int64 arrays, and the sweep adds a chunk of them as
-# packed lanes (SIMD within a register, Fisher and Dietz, LCPC 1998): the
-# chunk's bytes read as one big integer hold entry i in the i-th 64-bit
-# lane, so one integer sum adds every lane at once.  That is exact when no
-# lane carries into the next, which entries in [0, 2^62) guarantee: a sum
-# of two stays below 2^63.  `_lanes` checks the range of every entry it
-# reads by its most significant byte, which must be below 0x40.
+# The shift tables are arrays of signed 2, 4 or 8-byte entries, and the
+# sweep adds a chunk of them as packed lanes (SIMD within a register, Fisher
+# and Dietz, LCPC 1998): the bytes of a chunk of w-byte entries, read as one
+# big integer, hold entry i in the i-th w-byte lane, so one integer sum adds
+# every lane at once.  That is exact when no lane carries into the next,
+# which entries in [0, 2^(8w-2)) guarantee: a sum of two stays below
+# 2^(8w-1).  `_lanes` checks the range of every entry it reads by its most
+# significant byte, which must be below 0x40.  Every entry of one sweep is
+# below C(m_max+k_max, k_max), so `_shift_levels` builds its tables at the
+# narrowest width whose lane bound is at least that, and 2^62, the bound of
+# the widest, caps the sweep.
 _LANE_BOUND = 1 << 62
-_LANE_BYTES = 8
-_SIGN_BYTES = slice(_LANE_BYTES - 1 if sys.byteorder == "little" else 0, None, _LANE_BYTES)
+_LANE_WIDTHS = (2, 4, 8)
+# the signed array typecode of each lane width
+_TYPECODES = {
+    width: next(code for code in "hilq" if array(code).itemsize == width)
+    for width in _LANE_WIDTHS
+}
+_LITTLE = sys.byteorder == "little"
+_TOP_BYTES = {width: slice(width - 1 if _LITTLE else 0, None, width) for width in _LANE_WIDTHS}
 _LANE_TOPS = bytes(range(0x40))
 
 
 def _lanes(chunk: array) -> int:
-    """The entries of `chunk` as one integer, one 64-bit lane each.
+    """The entries of `chunk` as one integer, one lane of `chunk.itemsize`
+    bytes each.
 
-    A chunk whose entries are not 8 bytes wide, or one with an entry
-    outside [0, 2^62), raises RuntimeError: its lanes could carry."""
-    if chunk.itemsize != _LANE_BYTES:
-        raise RuntimeError(f"shift table entries of {chunk.itemsize} bytes, not {_LANE_BYTES}")
+    A chunk whose entries are not 2, 4 or 8 bytes wide, or one with an entry
+    outside [0, 2^(8w-2)) at width w, raises RuntimeError: its lanes could
+    carry."""
+    width = chunk.itemsize
+    if width not in _TOP_BYTES:
+        raise RuntimeError(f"shift table entries of {width} bytes, not 2, 4 or 8")
     data = chunk.tobytes()
-    if data[_SIGN_BYTES].translate(None, _LANE_TOPS):
-        raise RuntimeError("a shift table entry is outside [0, 2^62)")
+    if data[_TOP_BYTES[width]].translate(None, _LANE_TOPS):
+        raise RuntimeError(f"a shift table entry is outside [0, 2^{8 * width - 2})")
     return int.from_bytes(data, sys.byteorder)
 
 
-def _repeated(value: int, count: int) -> int:
-    """`value` in each of `count` lanes; RuntimeError outside [0, 2^62)."""
-    if not 0 <= value < _LANE_BOUND:
-        raise RuntimeError(f"lane value {value} is outside [0, 2^62)")
-    return int.from_bytes(value.to_bytes(_LANE_BYTES, sys.byteorder) * count, sys.byteorder)
+def _repeated(value: int, count: int, width: int) -> int:
+    """`value` in each of `count` lanes of `width` bytes; RuntimeError at a
+    width other than 2, 4 or 8, or for a value outside [0, 2^(8 width - 2))."""
+    if width not in _TOP_BYTES:
+        raise RuntimeError(f"lanes of {width} bytes, not 2, 4 or 8")
+    if not 0 <= value < 1 << (8 * width - 2):
+        raise RuntimeError(f"lane value {value} is outside [0, 2^{8 * width - 2})")
+    return int.from_bytes(value.to_bytes(width, sys.byteorder) * count, sys.byteorder)
+
+
+def _chunk_lanes(table: array) -> list[int]:
+    """`_lanes` of each _CHUNK-entry chunk of `table`, in order, the last one
+    read as if zeros filled it up to _CHUNK entries (a no-op in little-endian
+    order), so that `_prefix` cuts every chunk alike."""
+    chunks = []
+    for lo in range(0, len(table), _CHUNK):
+        chunk = table[lo:lo + _CHUNK]
+        lanes = _lanes(chunk)
+        if not _LITTLE:
+            lanes <<= 8 * table.itemsize * (_CHUNK - len(chunk))
+        chunks.append(lanes)
+    return chunks
+
+
+def _prefix(lanes: int, count: int, width: int) -> int:
+    """The first `count` lanes, in memory order, of a full chunk of `lanes`
+    (`_chunk_lanes`) of `width` bytes each."""
+    if _LITTLE:
+        return lanes & ((1 << 8 * width * count) - 1)
+    return lanes >> 8 * width * (_CHUNK - count)
 
 
 def _shift_levels(span: int, top: int, minus: bool):
     """Yield (j, table) for j = 1..top: table[X] is X^-<j> if `minus`, else
-    X_<j>, for every X < C(span+j, j), as an int64 array.
+    X_<j>, for every X < C(span+j, j), as an array of signed 2, 4 or 8-byte
+    entries.
 
     Level j follows from level j-1 (the combinatorial number system read
     level by level, Knuth, TAOCP 7.2.1.3).  Take X whose level-j top is a:
@@ -255,42 +296,59 @@ def _shift_levels(span: int, top: int, minus: bool):
     offset, added a chunk at a time as packed lanes.
 
     Both shifts never exceed their argument, so every entry is below
-    C(span+top, top).  A span and top where that bound passes 2^62 raise
-    ValueError before any table is built.
+    C(span+top, top) = C(span+top, span), the same for (span, top) and
+    (top, span).  Every level is built at the narrowest lane width w whose
+    bound 2^(8w-2) is at least that number.  A span and top where it
+    passes 2^62 raise ValueError before any table is built.
     """
-    if comb_upto(span + top, top, _LANE_BOUND) is None:
+    bound = comb_upto(span + top, top, _LANE_BOUND)
+    if bound is None:
         raise ValueError(f"shift tables of span {span} and top level {top} pass 2^62 entries")
-    below = array("q", [0])  # level 0: R = 0 alone
+    width = next(width for width in _LANE_WIDTHS if bound <= 1 << (8 * width - 2))
+    code = _TYPECODES[width]
+    below = array(code, [0])  # level 0: R = 0 alone
     for j in range(1, top + 1):
-        table = array("q", [0])
+        table = array(code, [0])
         for a in range(j, span + j):
             size = math.comb(a, j - 1)
             offset = binom(a - 1, j - 1) if minus else binom(a - 1, j)
             for lo in range(0, size, _CHUNK):
                 chunk = below[lo:min(lo + _CHUNK, size)]
                 if offset:
-                    lanes = _lanes(chunk) + _repeated(offset, len(chunk))
-                    table.frombytes(lanes.to_bytes(len(chunk) * _LANE_BYTES, sys.byteorder))
+                    lanes = _lanes(chunk) + _repeated(offset, len(chunk), width)
+                    table.frombytes(lanes.to_bytes(len(chunk) * width, sys.byteorder))
                 else:
                     table.extend(chunk)
         yield j, table
         below = table
 
 
-def _some_split_fails(minus: array, lower: array, total: int, target: int) -> bool:
+def _some_split_fails(minus: list[int], width: int, reversed_lower: array,
+                      total: int, target: int) -> bool:
     """Whether minus[A] + lower[total - A] != target for some 0 <= A <= total.
 
-    Decided a chunk of splits at a time: the chunk of `minus` and the
-    reversed chunk of `lower` it pairs with, added as packed lanes, against
-    `target` in every lane.  An entry that could carry raises RuntimeError
-    (`_lanes`), so a failing split is never hidden by a neighbouring lane.
+    `minus` is the minus table as `_chunk_lanes`, of `width`-byte lanes,
+    read once for every total it is checked against; `reversed_lower` is
+    the lower table reversed, so the B = total - A that pair with a run of
+    A form a forward slice of it.  Decided a chunk of splits at a time: the
+    prefix of minus' chunk that the splits reach, plus the lanes of the
+    slice of `reversed_lower` they pair with, against `target` in every
+    lane.  A lower table of another width raises RuntimeError, and so does
+    an entry that could carry (`_lanes`), so a failing split is never hidden
+    by a neighbouring lane.
     """
+    if reversed_lower.itemsize != width:
+        raise RuntimeError(
+            f"minus lanes of {width} bytes against lower entries of {reversed_lower.itemsize}")
+    # reversed_lower[start + A] = lower[total - A]
+    start = len(reversed_lower) - 1 - total
     for lo in range(0, total + 1, _CHUNK):
-        hi = min(lo + _CHUNK, total + 1)
-        # B = total - A runs down from total - lo as A runs up from lo
-        paired = lower[total + 1 - hi : total + 1 - lo]
-        paired.reverse()
-        if _lanes(minus[lo:hi]) + _lanes(paired) != _repeated(target, hi - lo):
+        count = min(_CHUNK, total + 1 - lo)
+        lanes = minus[lo // _CHUNK]
+        if count < _CHUNK:
+            lanes = _prefix(lanes, count, width)
+        lanes += _lanes(reversed_lower[start + lo:start + lo + count])
+        if lanes != _repeated(target, count, width):
             return True
     return False
 
@@ -306,24 +364,28 @@ def verify_lemma_binom(m_max: int, k_max: int, table=None) -> LemmaSweepReport:
     Macaulay representation built: B_<k> for every B < C(m_max+k, k) up front,
     and A^-<m> for every A < C(m+k_max, k_max) one level m at a time.  These
     are one row and one column of the sum `lemma_checks_upto` counts, so the
-    tables hold at most twice as many entries as there are checks.  Every
-    split then compares two looked-up values; a (m, k) with no failing
-    split is passed over at C speed, and only one that fails is walked split
-    by split.
+    tables hold at most twice as many entries as there are checks.  Both
+    families share one lane width, the narrowest that holds C(m_max+k_max,
+    k_max).  Each lower table is reversed once, and each minus table read as
+    lanes once, for all the split checks it takes part in.  Every split then
+    compares two looked-up values; a (m, k) with no failing split is passed
+    over at C speed, and only one that fails is walked split by split.
     """
     if m_max < 1 or k_max < 1:
         raise ValueError("sweep bounds must be positive")
     checks = 0
     bad: list[tuple[int, int, int, int]] = []
-    lowers = dict(_shift_levels(m_max, k_max, minus=False))
+    lowers = {k: lower[::-1] for k, lower in _shift_levels(m_max, k_max, minus=False)}
     for m, minus in _shift_levels(k_max, m_max, minus=True):
+        lanes = _chunk_lanes(minus)
         for k in range(1, k_max + 1):
             total = math.comb(m + k, k) - 1
             target = math.comb(m + k - 1, k) - 1
             lower = lowers[k]
-            if _some_split_fails(minus, lower, total, target):
+            if _some_split_fails(lanes, minus.itemsize, lower, total, target):
+                start = len(lower) - 1 - total
                 for A in range(total + 1):
-                    if minus[A] + lower[total - A] != target:
+                    if minus[A] + lower[start + A] != target:
                         bad.append((m, k, A, total - A))
             checks += total + 1
     return LemmaSweepReport(checks, bad)

@@ -67,7 +67,7 @@ _MACAULAY_VALUE_BOUND = 10**MAX_MACAULAY_DIGITS
 MAX_GAP_ROWS = 100_000
 # Largest `verify lemma3` sweep, in checked splits (m, k <= 10 is 705 410).
 # As whole processes, `--max-m 10 --max-k 10` and `--max-m 1 --max-k 1410`
-# (996 165 checks) each take 0.11 s; medians of 9 runs, 2 vCPUs, Python 3.11.
+# (996 165 checks) each take 0.10 s; medians of 9 runs, 2 vCPUs, Python 3.11.
 MAX_LEMMA_CHECKS = 10**6
 # Largest lemma3 check count that a refusal prints exactly; above it the
 # count is only bounded, so refusing costs O(log) steps at any bound.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from macgap import binom_core
 from macgap.binom_core import (
     binom,
+    comb_upto,
     lemma_checks_upto,
     macaulay_rep,
     op_lower,
@@ -252,6 +253,25 @@ class TestLemmaSweep:
             assert (report.checks, report.counterexamples) == per_split_sweep(m_max, k_max)
             assert report.ok
 
+    @staticmethod
+    def _corrupt_three_minus_two(monkeypatch):
+        """Gives the sweep a level-2 minus table that holds 3^-<2> + 1 at
+        A = 3, in a copy of the table's own typecode; returns the list of
+        entry widths of every table the sweep is then given."""
+        levels = binom_core._shift_levels
+        widths = []
+
+        def corrupted(span, top, minus):
+            for j, table in levels(span, top, minus):
+                widths.append(table.itemsize)
+                if minus and j == 2:
+                    table = array(table.typecode, table)
+                    table[3] += 1
+                yield j, table
+
+        monkeypatch.setattr(binom_core, "_shift_levels", corrupted)
+        return widths
+
     def test_wrong_shift_is_recorded(self, monkeypatch):
         # the same wrong value of 3^-<2> in the sweep's minus table and in
         # the reference's op_minus
@@ -259,16 +279,7 @@ class TestLemmaSweep:
         monkeypatch.setattr(
             binom_core, "op_minus", lambda A, m: right(A, m) + (m == 2 and A == 3)
         )
-        levels = binom_core._shift_levels
-
-        def corrupted(span, top, minus):
-            for j, table in levels(span, top, minus):
-                if minus and j == 2:
-                    table = array("q", table)
-                    table[3] += 1
-                yield j, table
-
-        monkeypatch.setattr(binom_core, "_shift_levels", corrupted)
+        self._corrupt_three_minus_two(monkeypatch)
         report = verify_lemma_binom(4, 3)
         checks, bad = per_split_sweep(4, 3)
         assert (report.checks, report.counterexamples) == (checks, bad)
@@ -276,16 +287,61 @@ class TestLemmaSweep:
         assert bad == [(2, k, 3, math.comb(2 + k, k) - 4) for k in (2, 3)]
         assert not report.ok
 
+    @pytest.mark.parametrize("m_max, k_max, width", [(5, 15, 2), (5, 16, 4), (16, 5, 4)])
+    def test_wrong_shift_is_recorded_at_each_width(self, monkeypatch, m_max, k_max, width):
+        # C(20, 5) = 15 504 fits 2-byte lanes (bound 2^14 = 16 384), and
+        # C(21, 5) = 20 349 needs 4 bytes, with the bounds either way round
+        assert (math.comb(m_max + k_max, k_max) <= 2**14) == (width == 2)
+        widths = self._corrupt_three_minus_two(monkeypatch)
+        report = verify_lemma_binom(m_max, k_max)
+        assert widths == [width] * (m_max + k_max)
+        assert report.checks == direct_checks(m_max, k_max)
+        assert report.counterexamples == [
+            (2, k, 3, math.comb(2 + k, k) - 4) for k in range(2, k_max + 1)]
+
     def test_shift_tables_match_ops(self):
-        # every X at every level up to 8, for every span up to 8: the
-        # recurrence against the representation-based shifts
-        for span in range(9):
+        # every X at every level up to the top, for every span up to 8 at
+        # top 8 (2-byte entries) and at span 16, top 5 (4-byte entries,
+        # since C(21, 5) = 20 349 passes 2^14): the recurrence against the
+        # representation-based shifts
+        shapes = [(span, 8, 2) for span in range(9)] + [(16, 5, 4)]
+        for span, top, width in shapes:
             for minus, op in ((False, op_lower), (True, op_minus)):
-                levels = list(binom_core._shift_levels(span, 8, minus))
-                assert [j for j, _ in levels] == list(range(1, 9))
+                levels = list(binom_core._shift_levels(span, top, minus))
+                assert [j for j, _ in levels] == list(range(1, top + 1))
                 for j, table in levels:
+                    assert table.itemsize == width
                     assert len(table) == math.comb(span + j, j)
                     assert table.tolist() == [op(X, j) for X in range(len(table))]
+
+    def test_shift_tables_take_the_narrowest_lanes(self, monkeypatch):
+        # C(span+top, top) at most 2^14 takes 2-byte entries, at most 2^30
+        # 4-byte ones and at most 2^62 8-byte ones; one span past each bound
+        # takes the next width.  Only the typecode of the first array is
+        # read, so no table is built.
+        class Allocated(Exception):
+            pass
+
+        def allocate(code, *args):
+            raise Allocated(array(code).itemsize)
+
+        monkeypatch.setattr(binom_core, "array", allocate)
+        for top in (1, 2, 5, 32):
+            for width, bound in ((2, 2**14), (4, 2**30), (8, 2**62)):
+                span, past = 0, bound
+                while past - span > 1:
+                    mid = (span + past) // 2
+                    span, past = (mid, past) if math.comb(mid + top, top) <= bound else (span, mid)
+                for minus in (False, True):
+                    for shape, want in (((span, top), width), ((span + 1, top), 2 * width)):
+                        for s, t in (shape, shape[::-1]):
+                            if want > 8:
+                                with pytest.raises(ValueError, match="2\\^62"):
+                                    next(binom_core._shift_levels(s, t, minus))
+                                continue
+                            with pytest.raises(Allocated) as allocated:
+                                next(binom_core._shift_levels(s, t, minus))
+                            assert allocated.value.args == (want,)
 
     def test_check_count_closed_form(self):
         # a cap above every count here, so the closed form is never cut
@@ -305,6 +361,16 @@ class TestLemmaSweep:
                     assert got == (exact if exact <= cap else None)
         with pytest.raises(ValueError):
             lemma_checks_upto(3, 0, 10)
+
+    def test_comb_upto_refuses_r_outside_zero_to_n(self):
+        # C(3, 5) = 0, so 1 would be wrong; the refusal names the domain
+        for n, r in ((3, 5), (3, -1), (-2, 1), (0, 1), (-1, -1)):
+            with pytest.raises(ValueError, match="0 <= r <= n"):
+                comb_upto(n, r, 100)
+        for n in range(12):
+            for r in range(n + 1):
+                exact = math.comb(n, r)
+                assert comb_upto(n, r, 100) == (exact if exact <= 100 else None)
 
     def test_capped_count_stops_early(self):
         # C(2*10^100 + 2, 10^100 + 1) has about 6 * 10^99 digits; the
@@ -370,12 +436,29 @@ def elementwise_fails(minus, lower, total, target):
     return any(minus[A] + lower[total - A] != target for A in range(total + 1))
 
 
-def passing_tables(total, target, rng):
-    """A pair of int64 tables, one entry past `total` in each, on which
-    every split of `total` meets `target`."""
-    lower = array("q", [rng.randint(0, target) for _ in range(total + 2)])
-    minus = array("q", [target - lower[total - A] for A in range(total + 1)] + [7])
+def split_fails(minus, lower, total, target):
+    """`_some_split_fails` on a plain minus and lower table, each read the
+    way the sweep reads it: minus as chunk lanes, lower reversed."""
+    return binom_core._some_split_fails(
+        binom_core._chunk_lanes(minus), minus.itemsize, lower[::-1], total, target)
+
+
+def passing_tables(total, target, rng, width):
+    """A pair of tables of `width`-byte entries, one entry past `total` in
+    each, on which every split of `total` meets `target`."""
+    code = binom_core._TYPECODES[width]
+    lower = array(code, [rng.randint(0, target) for _ in range(total + 2)])
+    minus = array(code, [target - lower[total - A] for A in range(total + 1)] + [7])
     return minus, lower
+
+
+# every test below runs at each lane width, inside the test, so that its
+# id stays the one it had when the tables were int64 alone
+WIDTHS = binom_core._LANE_WIDTHS
+
+
+def lane_bound(width):
+    return 2 ** (8 * width - 2)
 
 
 class TestPackedLanes:
@@ -385,31 +468,47 @@ class TestPackedLanes:
     def test_planted_failing_split(self, total):
         # a failing split in the first lane, in the middle, at either side
         # of a chunk border, and in the last lane, one split at a time
-        rng = random.Random(total)
-        target = rng.randint(0, 2**61)
-        minus, lower = passing_tables(total, target, rng)
-        assert not binom_core._some_split_fails(minus, lower, total, target)
-        planted = {0, total // 2, total, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1}
-        for A in sorted(A for A in planted if A <= total):
-            for delta in (1, -1):
-                if minus[A] + delta < 0:
-                    continue
-                minus[A] += delta
-                assert binom_core._some_split_fails(minus, lower, total, target), (A, delta)
-                assert elementwise_fails(minus, lower, total, target)
-                minus[A] -= delta
-        assert not binom_core._some_split_fails(minus, lower, total, target)
+        for width in WIDTHS:
+            rng = random.Random(total)
+            target = rng.randint(0, lane_bound(width) // 2)
+            minus, lower = passing_tables(total, target, rng, width)
+            assert not split_fails(minus, lower, total, target)
+            planted = {0, total // 2, total, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1}
+            for A in sorted(A for A in planted if A <= total):
+                for delta in (1, -1):
+                    if minus[A] + delta < 0:
+                        continue
+                    minus[A] += delta
+                    assert split_fails(minus, lower, total, target), (width, A, delta)
+                    assert elementwise_fails(minus, lower, total, target)
+                    minus[A] -= delta
+            assert not split_fails(minus, lower, total, target)
 
-    @settings(max_examples=100, deadline=None)
-    @given(total=st.integers(0, 2 * CHUNK + 3), target=st.integers(0, 2**62 - 1),
-           seed=st.integers(0, 2**32), plants=st.lists(
+    @pytest.mark.parametrize("total", [0, 5, CHUNK - 2, CHUNK, 2 * CHUNK + 5])
+    def test_entries_past_the_splits_are_not_read(self, total):
+        # the minus lanes hold the whole table, of which the prefix up to
+        # `total` is compared, and the reversed lower table is read from its
+        # entry `total` down; the entries past those never count
+        for width in WIDTHS:
+            rng = random.Random(total)
+            target = rng.randint(0, lane_bound(width) // 2)
+            minus, lower = passing_tables(total, target, rng, width)
+            for extra in (0, 1, lane_bound(width) - 1):
+                minus[total + 1] = lower[total + 1] = extra
+                assert not split_fails(minus, lower, total, target), (width, extra)
+
+    @settings(max_examples=150, deadline=None)
+    @given(width=st.sampled_from(WIDTHS), total=st.integers(0, 2 * CHUNK + 3),
+           target=st.integers(0, 2**62 - 1), seed=st.integers(0, 2**32), plants=st.lists(
                st.tuples(st.floats(0, 1), st.integers(-3, 3)), max_size=3))
-    def test_drawn_tables_match_the_elementwise_check(self, total, target, seed, plants):
-        minus, lower = passing_tables(total, target, random.Random(seed))
+    def test_drawn_tables_match_the_elementwise_check(self, width, total, target, seed, plants):
+        # the drawn target scaled down to this width's bound
+        target >>= 64 - 8 * width
+        minus, lower = passing_tables(total, target, random.Random(seed), width)
         for where, delta in plants:
             A = round(where * total)
-            minus[A] = min(max(minus[A] + delta, 0), 2**62 - 1)
-        assert binom_core._some_split_fails(minus, lower, total, target) == elementwise_fails(
+            minus[A] = min(max(minus[A] + delta, 0), lane_bound(width) - 1)
+        assert split_fails(minus, lower, total, target) == elementwise_fails(
             minus, lower, total, target)
 
     def test_negative_entry_cannot_hide_a_failing_neighbour(self):
@@ -418,41 +517,79 @@ class TestPackedLanes:
         # follows in memory order, where the failing sum target - 1 would
         # then read as target: unchecked, the lane sum misses that split
         total, target, A = 9, 1000, 4
-        rng = random.Random(0)
-        minus, lower = passing_tables(total, target, rng)
-        after = A + 1 if sys.byteorder == "little" else A - 1
-        minus[A], lower[total - A] = -1, target + 1
-        minus[after] -= 1
-        assert elementwise_fails(minus, lower, total, target)
-        reversed_lower = lower[:total + 1]
-        reversed_lower.reverse()
-        unchecked = (int.from_bytes(minus[:total + 1].tobytes(), sys.byteorder)
-                     + int.from_bytes(reversed_lower.tobytes(), sys.byteorder))
-        assert unchecked == binom_core._repeated(target, total + 1)
-        with pytest.raises(RuntimeError, match="outside"):
-            binom_core._some_split_fails(minus, lower, total, target)
+        for width in WIDTHS:
+            rng = random.Random(0)
+            minus, lower = passing_tables(total, target, rng, width)
+            after = A + 1 if sys.byteorder == "little" else A - 1
+            minus[A], lower[total - A] = -1, target + 1
+            minus[after] -= 1
+            assert elementwise_fails(minus, lower, total, target)
+            reversed_lower = lower[:total + 1]
+            reversed_lower.reverse()
+            unchecked = (int.from_bytes(minus[:total + 1].tobytes(), sys.byteorder)
+                         + int.from_bytes(reversed_lower.tobytes(), sys.byteorder))
+            assert unchecked == binom_core._repeated(target, total + 1, width)
+            with pytest.raises(RuntimeError, match="outside"):
+                split_fails(minus, lower, total, target)
 
+    # the entries named for 8-byte lanes; at width w each is shifted right
+    # by 64 - 8w bits, giving -1, -2^(8w-1), 2^(8w-2) and 2^(8w-1) - 1
     @pytest.mark.parametrize("entry", [-1, -(2**63), 2**62, 2**63 - 1])
     def test_out_of_range_entries_refused(self, entry):
-        for i in (0, 3, 6):
-            table = array("q", [5] * 7)
-            table[i] = entry
-            with pytest.raises(RuntimeError, match="outside"):
-                binom_core._lanes(table)
+        for width in WIDTHS:
+            for i in (0, 3, 6):
+                table = array(binom_core._TYPECODES[width], [5] * 7)
+                table[i] = entry >> (64 - 8 * width)
+                with pytest.raises(RuntimeError, match="outside"):
+                    binom_core._lanes(table)
+                with pytest.raises(RuntimeError, match="outside"):
+                    binom_core._chunk_lanes(table)
 
     def test_lane_values_and_widths(self):
-        # entry i in the i-th lane in memory order
-        first, second = 2**62 - 1, 3
-        low, high = (first, second) if sys.byteorder == "little" else (second, first)
-        assert binom_core._lanes(array("q", [first, second])) == low + (high << 64)
-        assert binom_core._repeated(5, 2) == 5 + (5 << 64)
-        assert binom_core._repeated(0, 3) == 0
-        assert binom_core._repeated(2**62 - 1, 1) == 2**62 - 1
-        for value in (-1, 2**62):
-            with pytest.raises(RuntimeError, match="outside"):
-                binom_core._repeated(value, 2)
-        for code in ("i", "l", "h"):
-            table = array(code, [1, 2])
-            if table.itemsize != 8:
-                with pytest.raises(RuntimeError, match="bytes"):
-                    binom_core._lanes(table)
+        # entry i in the i-th lane in memory order, with the largest entry
+        # a lane takes, at 2, 4 and 8 bytes; 1-byte entries have no lanes
+        for width in WIDTHS:
+            code, bits = binom_core._TYPECODES[width], 8 * width
+            first, second = lane_bound(width) - 1, 3
+            low, high = (first, second) if sys.byteorder == "little" else (second, first)
+            assert binom_core._lanes(array(code, [first, second])) == low + (high << bits)
+            assert binom_core._repeated(5, 2, width) == 5 + (5 << bits)
+            assert binom_core._repeated(0, 3, width) == 0
+            assert binom_core._repeated(lane_bound(width) - 1, 1, width) == lane_bound(width) - 1
+            for value in (-1, lane_bound(width)):
+                with pytest.raises(RuntimeError, match="outside"):
+                    binom_core._repeated(value, 2, width)
+        for code in ("b", "B"):
+            with pytest.raises(RuntimeError, match="bytes"):
+                binom_core._lanes(array(code, [1, 2]))
+        for width in (1, 3):
+            with pytest.raises(RuntimeError, match="bytes"):
+                binom_core._repeated(1, 2, width)
+
+    def test_prefix_keeps_the_first_lanes(self):
+        # a full chunk cut to its first lanes, and the short last chunk,
+        # read as if zeros filled it, cut to the entries it holds
+        for width in WIDTHS:
+            table = array(binom_core._TYPECODES[width], range(1, self.CHUNK + 7))
+            lanes = binom_core._chunk_lanes(table)
+            assert len(lanes) == 2
+            for count in (1, 2, self.CHUNK - 1):
+                assert binom_core._prefix(lanes[0], count, width) == binom_core._lanes(
+                    table[:count])
+            assert binom_core._prefix(lanes[0], self.CHUNK, width) == lanes[0]
+            for count in (1, 6):
+                assert binom_core._prefix(lanes[1], count, width) == binom_core._lanes(
+                    table[self.CHUNK:self.CHUNK + count])
+
+    def test_mismatched_widths_refused(self):
+        # minus and lower tables of different entry widths, or minus lanes
+        # said to be of another width than the lower entries
+        total, target = 5, 100
+        for minus_width, lower_width in ((2, 4), (4, 2), (4, 8), (8, 2)):
+            minus, _ = passing_tables(total, target, random.Random(0), minus_width)
+            _, lower = passing_tables(total, target, random.Random(0), lower_width)
+            with pytest.raises(RuntimeError, match="bytes"):
+                split_fails(minus, lower, total, target)
+            with pytest.raises(RuntimeError, match="bytes"):
+                binom_core._some_split_fails(
+                    binom_core._chunk_lanes(minus), lower_width, minus[::-1], total, target)

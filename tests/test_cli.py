@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -262,6 +263,21 @@ class TestVerify:
         (rec,) = records(out)
         assert rec["ok"] and rec["violations"] == 0
         assert rec["checks"] == lemma_checks_upto(10, 10, MAX_LEMMA_CHECKS) == 705_410
+
+    # sha256 of `verify lemma3 --json` stdout at bounds whose shift tables
+    # take 2-byte entries (C(16, 8) = 12 870 and C(1411, 1) = 1 411) and
+    # 4-byte ones (C(20, 10) = 184 756).  Their per-split references would
+    # take too long here, so these pin the fast path alone.
+    @pytest.mark.parametrize("max_m, max_k, digest", [
+        (8, 8, "a24dc64ddf2f2f0c6a03e9d300fe0c73d1c806806a9cda5e7ec3f41b7a49ce78"),
+        (10, 10, "e7ec7fa558dc013d0341057dc753dc96eeabb09d4ec8ea7cab5ea5ab4e8fb9a4"),
+        (1, 1410, "239c367adc68b0cc333d9b5e128fb0c09b88574019c1b995db45e686558dd016"),
+    ])
+    def test_lemma3_stdout_is_pinned(self, capsys, max_m, max_k, digest):
+        rc, out, _ = run(capsys, "verify", "lemma3", "--json",
+                         "--max-m", str(max_m), "--max-k", str(max_k))
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_gap_argument(self, capsys):
         rc, out, _ = run(capsys, "verify", "gap-argument", "--max-n", "20", "--json")
