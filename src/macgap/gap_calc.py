@@ -124,7 +124,8 @@ def classify_gap(n: int, N: int) -> GapVerdict:
     """Locate N in some nonempty J_k, or report that it misses them all.
 
     J_k = [k(n+1), (k+1)n - (k^2+1)] lies below (k+1)(n+1), so the only
-    candidate is k = N // (n+1); `gap_intervals` is the scanning reference.
+    candidate is k = N // (n+1).  Its reference, a scan of `gap_intervals`,
+    is in tests/reference_table.py.
     """
     if n < 2:
         raise ValueError("need n >= 2")

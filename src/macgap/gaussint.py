@@ -165,7 +165,9 @@ def _rank_int_rows(rows, ncols: int) -> int:
 
 
 def _rank_gauss_int(rows: list[list[tuple[int, int]]]) -> int:
-    """Fraction-free elimination over the Gaussian integers (pairs)."""
+    """Fraction-free elimination over the Gaussian integers (pairs);
+    reorders and overwrites `rows`.  Its reference, half the integer rank
+    of the realified rows, is in tests/reference_table.py."""
     nrows, ncols = len(rows), len(rows[0])
     rank = 0
     prev = (1, 0)

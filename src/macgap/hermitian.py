@@ -146,34 +146,20 @@ class SignedMap(Record):
 # ---------------------------------------------------------------------------
 # the pairing polynomials
 
-def _embed(p: Poly, total: int, offset: int) -> Poly:
-    out = {}
-    for exps, c in p.coeffs.items():
-        e = [0] * total
-        e[offset:offset + len(exps)] = exps
-        out[tuple(e)] = c
-    return Poly.unchecked(total, p.degree, out)
-
-
 def pairing_poly(f: SignedMap) -> Poly:
     """P(z, w~) = sum eps'_j f_j(z) * conj-coeffs(f_j)(w~), in 2*n_vars
-    variables (z block first, w~ block second).  The reference for
-    `_pairing_pairs`."""
-    nv = f.source.n_vars
-    total = Poly(2 * nv, 2 * f.degree, {})
-    for j, p in enumerate(f.components):
-        e = f.target.eps(j)
-        if e == 0 or p.is_zero:
-            continue
-        prod = _embed(p, 2 * nv, 0) * _embed(p.conjugate_coeffs(), 2 * nv, nv)
-        total = total + prod if e == 1 else total - prod
-    return total
+    variables (z block first, w~ block second): the pairing that
+    `_pairing_pairs` builds for the certificate, as a `Poly`.  Its GRat
+    reference is in tests/reference_table.py."""
+    keys = Packing(2 * f.source.n_vars, f.degree)
+    L, P = _pairing_pairs(f, keys)
+    return _from_pairs(keys.n, 2 * f.degree, {keys.unpack(e): c for e, c in P.items()}, L)
 
 
 def _pairing_pairs(f: SignedMap, keys: Packing) -> tuple[int, dict]:
-    """(L, L * P) for P = pairing_poly(f), built on Gaussian-integer pairs
-    from the cleared components and keyed by `keys`, and L is the lcm of
-    the squares of their denominators."""
+    """(L, L * P) for the pairing polynomial P of f, built on
+    Gaussian-integer pairs from the cleared components and keyed by
+    `keys`, and L is the lcm of the squares of their denominators."""
     pack = keys.pack
     return pairing([
         (f.target.eps(j), L, {pack(e): c for e, c in P.items()})

@@ -356,20 +356,21 @@ _DIGIT_VALUES = bytes(b - 48 if 48 <= b <= 57 else 255 for b in range(256))
 
 
 def cleared_parser():
-    """A parser parse(text, n_vars=None, degree=None) that gives
-    clear(parse_poly(text, n_vars, degree).coeffs) without a Fraction or a
-    GRat for a plain coefficient: (L, {exps: (re, im)}) with L the least
-    positive integer that makes every coefficient a Gaussian integer, and
-    the terms in the order `parse_poly` keeps them.  Same accepted text
-    and same messages as `parse_poly`.  It reads each distinct coefficient
-    token once over all its calls; `parse_map` takes one per map, whose
-    components share most of their tokens.  A token that is refused is not
-    kept, so it is refused again with the same message.
+    """A parser parse(text, n_vars, degree), for n_vars >= 1 and degree >=
+    0, that gives clear(parse_poly(text, n_vars, degree).coeffs) without a
+    Fraction or a GRat for a plain coefficient: (L, {exps: (re, im)}) with
+    L the least positive integer that makes every coefficient a Gaussian
+    integer, and the terms in the order `parse_poly` keeps them.  Same
+    accepted text and same messages as `parse_poly`; text of unknown shape
+    is `parse_poly`'s alone.  It reads each distinct coefficient token once
+    over all its calls; `parse_map` takes one per map, whose components
+    share most of their tokens.  A token that is refused is not kept, so it
+    is refused again with the same message.
 
     A canonical line, as `format_poly` writes it, is read by fixed offsets
-    (`canonical_terms`) when n_vars and a degree of at most 9 are given:
-    ASCII text, terms joined by "; ", each a coefficient token and
-    n_vars one-digit exponents after single spaces.  Every other text goes
+    (`canonical_terms`) when the degree is at most 9: ASCII text, terms
+    joined by "; ", each a coefficient token and n_vars one-digit
+    exponents after single spaces.  Every other text goes
     through `_parse_terms`, and so is read and refused as `parse_poly`
     reads and refuses it."""
     seen: dict[str, tuple[int, int, int, int]] = {}
@@ -419,10 +420,8 @@ def cleared_parser():
             terms.append((exps, r))
         return terms
 
-    def parse(text: str, n_vars: int | None = None, degree: int | None = None):
-        terms = None
-        if n_vars is not None and n_vars > 0 and degree is not None and degree <= 9:
-            terms = canonical_terms(text, n_vars, degree)
+    def parse(text: str, n_vars: int, degree: int):
+        terms = canonical_terms(text, n_vars, degree) if degree <= 9 else None
         if terms is None:
             _, _, terms = _parse_terms(text, n_vars, degree, ratios)
         acc = dict(terms)
@@ -746,16 +745,14 @@ def verify_green(W: PolySubspace, H: Hyperplane) -> GreenRecord:
 class GreenSuiteReport(SuiteReport):
     """Counts of a `green_suite` run.  `violations` holds a (subspace index,
     GreenRecord) pair per violating subspace, where the index i is that of
-    its stream `rng_for(seed, f"green|n{n}|d{d}|s{i}")`; `records` holds
-    the GreenRecord of every subspace when the run keeps them."""
+    its stream `rng_for(seed, f"green|n{n}|d{d}|s{i}")`."""
 
-    __slots__ = ("subspace_count", "records")
+    __slots__ = ("subspace_count",)
 
     def __init__(self, checks: int = 0, violations: list | None = None,
-                 subspace_count: int = 0, records: list | None = None):
+                 subspace_count: int = 0):
         super().__init__(checks, violations)
         self.subspace_count = subspace_count
-        self.records = [] if records is None else records
 
 
 def _green_subspace(rng: random.Random, n: int, d: int,
@@ -779,8 +776,7 @@ def _green_subspace(rng: random.Random, n: int, d: int,
     return best, drawn
 
 
-def green_suite(ns, ds, subspaces: int, trials: int, seed: int,
-                keep_records: bool = False) -> GreenSuiteReport:
+def green_suite(ns, ds, subspaces: int, trials: int, seed: int) -> GreenSuiteReport:
     """Sampled check of the restriction codimension bound: for each random
     subspace, min over its hyperplanes (`_green_subspace`) of c_h must not
     exceed c_<d>.  `checks` counts every hyperplane drawn."""
@@ -792,8 +788,6 @@ def green_suite(ns, ds, subspaces: int, trials: int, seed: int,
                 best, drawn = _green_subspace(rng, n, d, trials)
                 report.subspace_count += 1
                 report.checks += drawn
-                if keep_records:
-                    report.records.append(best)
                 if not best.holds:
                     report.violations.append((i, best))
     return report

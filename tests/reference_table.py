@@ -1,8 +1,11 @@
 """The fast paths of macgap, each with the slow reference it replaces, and
 those references themselves.  A reference that the program also runs or
-the benchmark traces (`restrict`, `exact_rank`, `parse_poly`,
-`pairing_poly`, ...) stays in macgap; every other one is defined here, as
+that is public API (`restrict`, `exact_rank`, `parse_poly`, `verify_green`,
+...) stays in macgap; every other one is defined here, as
 tests/test_reachable.py keeps the package free of code only tests call.
+The GRat pairing `grat_pairing` is one of them: `hermitian.pairing_poly`
+is only the `Poly` view of the fast `_pairing_pairs`, so a test that took
+it as the oracle would compare the fast path with itself.
 
 `TABLE` has one row per fast path: the module that defines it (the class,
 for a method), its name there, its reference, and why the reference is
@@ -35,7 +38,15 @@ import pytest
 
 from macgap import binom_core, cli, gap_calc, gaussint, hermitian, polyspace
 from macgap.binom_core import LemmaSweepReport, op_minus
-from macgap.gap_calc import GapSweepReport, NabForm, ineq1_b_range, nab_value, verify_gap_argument
+from macgap.gap_calc import (
+    GapSweepReport,
+    GapVerdict,
+    NabForm,
+    gap_intervals,
+    ineq1_b_range,
+    nab_value,
+    verify_gap_argument,
+)
 from macgap.gaussint import clear
 from macgap.hermitian import Signature
 from macgap.polyspace import (
@@ -102,6 +113,17 @@ def rank_int_rows(rows, ncols):
     """`_rank_int` of a copy of every row `rows` yields; 0 for no rows."""
     rows = [list(row) for row in rows]
     return _rank_int(rows) if rows else 0
+
+
+def rank_gauss_int(rows):
+    """Half the rank of the realified rows: a row of pairs (a, b), for
+    a + b i, gives the integer rows [a | b] and [-b | a], itself and i times
+    itself over the reals; the rows are not modified."""
+    real = []
+    for row in rows:
+        real.append([a for a, _ in row] + [b for _, b in row])
+        real.append([-b for _, b in row] + [a for a, _ in row])
+    return rank_int_rows(real, 2 * len(rows[0])) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -177,35 +199,40 @@ def int_restricted_rank(M, form, pivot, degree):
     return rank
 
 
-def green_suite(ns, ds, subspaces, trials, seed, keep_records=False):
+def green_subspace(rng, n, d, trials):
+    """(the GreenRecord of least c_h, hyperplanes drawn) of the next
+    subspace of `rng`, as `polyspace._green_subspace` gives them: each
+    hyperplane drawn with random_hyperplane and checked by verify_green,
+    and up to `trials` more drawn while none meets the bound."""
+    basis = monomial_basis(n + 1, d)
+    # by module name, which reference mode binds to `_int_rows`: the
+    # members of random_subspace as integer rows, all-zero ones dropped,
+    # which changes no rank
+    rows = polyspace._random_int_rows(rng, n + 1, d)
+    W = PolySubspace(n + 1, d, [
+        Poly(n + 1, d, dict(zip(basis, map(GRat, row)))) for row in rows
+    ])
+
+    def check(H):
+        rec = verify_green(W, H)
+        rank = math.comb(n - 1 + d, d) - rec.c_h
+        _record(rows, _int_form(H), H.pivot, d, rank)
+        return rec
+
+    recs = [check(random_hyperplane(rng, n + 1)) for _ in range(trials)]
+    while not any(r.holds for r in recs) and len(recs) < 2 * trials:
+        recs.append(check(random_hyperplane(rng, n + 1)))
+    return min(recs, key=lambda r: r.c_h), len(recs)
+
+
+def green_suite(ns, ds, subspaces, trials, seed):
     report = GreenSuiteReport()
     for n in ns:
         for d in ds:
-            basis = monomial_basis(n + 1, d)
             for i in range(subspaces):
-                rng = rng_for(seed, f"green|n{n}|d{d}|s{i}")
-                # by module name, which reference mode binds to `_int_rows`:
-                # the members of random_subspace as integer rows, all-zero
-                # ones dropped, which changes no rank
-                rows = polyspace._random_int_rows(rng, n + 1, d)
-                W = PolySubspace(n + 1, d, [
-                    Poly(n + 1, d, dict(zip(basis, map(GRat, row)))) for row in rows
-                ])
-
-                def check(H):
-                    rec = verify_green(W, H)
-                    rank = math.comb(n - 1 + d, d) - rec.c_h
-                    _record(rows, _int_form(H), H.pivot, d, rank)
-                    return rec
-
-                recs = [check(random_hyperplane(rng, n + 1)) for _ in range(trials)]
-                while not any(r.holds for r in recs) and len(recs) < 2 * trials:
-                    recs.append(check(random_hyperplane(rng, n + 1)))
-                best = min(recs, key=lambda r: r.c_h)
+                best, drawn = green_subspace(rng_for(seed, f"green|n{n}|d{d}|s{i}"), n, d, trials)
                 report.subspace_count += 1
-                report.checks += len(recs)
-                if keep_records:
-                    report.records.append(best)
+                report.checks += drawn
                 if not best.holds:
                     report.violations.append((i, best))
     return report
@@ -248,7 +275,7 @@ def _no_template(*args):
 # ---------------------------------------------------------------------------
 # the map commands and `verify sharpness`
 
-def parse_cleared(text, n_vars=None, degree=None):
+def parse_cleared(text, n_vars, degree):
     return clear(parse_poly(text, n_vars, degree).coeffs)
 
 
@@ -276,8 +303,33 @@ def poly(pairs, keys):
     return hermitian._from_pairs(keys.n, degree, pairs, 1)
 
 
+def embed(p, total, offset):
+    """p in `total` variables, its own ones from index `offset` on."""
+    out = {}
+    for exps, c in p.coeffs.items():
+        e = [0] * total
+        e[offset:offset + len(exps)] = exps
+        out[tuple(e)] = c
+    return Poly.unchecked(total, p.degree, out)
+
+
+def grat_pairing(f):
+    """P(z, w~) = sum eps'_j f_j(z) * conj-coeffs(f_j)(w~) in GRat
+    polynomial arithmetic, in 2*n_vars variables (z block first, w~ block
+    second)."""
+    nv = f.source.n_vars
+    total = Poly(2 * nv, 2 * f.degree, {})
+    for j, p in enumerate(f.components):
+        e = f.target.eps(j)
+        if e == 0 or p.is_zero:
+            continue
+        prod = embed(p, 2 * nv, 0) * embed(p.conjugate_coeffs(), 2 * nv, nv)
+        total = total + prod if e == 1 else total - prod
+    return total
+
+
 def pairing_pairs(f, keys):
-    L, pairs = clear(hermitian.pairing_poly(f).coeffs)
+    L, pairs = clear(grat_pairing(f).coeffs)
     return L, packed(pairs, keys)
 
 
@@ -427,7 +479,8 @@ def witness_text(cert):
 
 
 # ---------------------------------------------------------------------------
-# Macaulay representations, `verify lemma3` and `verify gap-argument`
+# Macaulay representations, gap intervals, `verify lemma3` and
+# `verify gap-argument`
 
 def top_below(rem, level, above):
     return binom_core._largest_top(rem, level)
@@ -444,6 +497,14 @@ def lemma_splits(m_max, k_max, table=None):
                 if op_minus(A, m) + binom_core.op_lower(total - A, k) != target:
                     bad.append((m, k, A, total - A))
     return LemmaSweepReport(checks, bad)
+
+
+def gap_scan(n, N):
+    """The first J_k of `gap_intervals` that holds N, if any."""
+    for iv in gap_intervals(n):
+        if iv.lo <= N <= iv.hi:
+            return GapVerdict(True, iv.k)
+    return GapVerdict(False)
 
 
 def nab_minus(form):
@@ -535,12 +596,17 @@ TABLE = [
         "eliminated as they arrive with each pivot column dropped; _rank_pairs "
         "runs in both modes, so without this row its integer path would be "
         "compared only with itself"),
+    Row(gaussint, "_rank_gauss_int", rank_gauss_int,
+        "half the rank_int_rows of the realified rows, for fraction-free "
+        "elimination on Gaussian-integer pairs; exact_rank reaches it in both "
+        "modes through _rank_pairs, so without this row it would be compared "
+        "only with itself"),
     Row(gaussint, "span_rank", span_rank,
         "exact_rank of the support_rows, dense elimination with no singleton "
         "peeling"),
     Row(hermitian, "_pairing_pairs", pairing_pairs,
-        "pairing_poly in GRat arithmetic, cleared, for the pairing built on "
-        "pairs and packed keys"),
+        "grat_pairing, the pairing in GRat polynomial arithmetic, cleared, for "
+        "the pairing built on pairs and packed keys"),
     Row(hermitian, "_source_form_pairs", source_form_pairs,
         "source_form_poly cleared, for Q built on packed keys"),
     Row(hermitian, "_divide_exact", divide_exact,
@@ -558,6 +624,10 @@ TABLE = [
         "the level above, for the gallop down from that top"),
     Row(binom_core, "verify_lemma_binom", lemma_splits,
         "every split shifted through op_minus and op_lower, for the sweep"),
+    Row(gap_calc, "classify_gap", gap_scan,
+        "the first J_k of gap_intervals that holds N, for the one candidate "
+        "k = N // (n+1); gap and verify sharpness run the closed form in both "
+        "modes, so without this row it would be compared only with itself"),
     Row(gap_calc, "dim_prop_bound", descent,
         "iterated descent; the fast sweep and verify_gap_argument both end in "
         "_dim_bound, so without this row a wrong _dim_bound would pass both "

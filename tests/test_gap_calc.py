@@ -24,7 +24,7 @@ from macgap.gap_calc import (
     plane_step,
     verify_gap_argument,
 )
-from reference_table import descent, gap_walk, nab_minus
+from reference_table import descent, gap_scan, gap_walk, nab_minus
 
 
 def nab_rep_terms(form):
@@ -255,9 +255,30 @@ class TestClassify:
         verdict = classify_gap(n, N)
         assert (verdict.in_gap, verdict.k) == ((True, hits[0]) if hits else (False, None))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 400), st.sampled_from(["in", "between", "nonpositive"]), st.data())
+    def test_matches_gap_scan(self, n, where, data):
+        # N in a J_k, in a stretch between two of them (below J_1 and past
+        # the last one included), or N <= 0
+        ivs = gap_intervals(n)
+        if where == "in" and ivs:
+            iv = data.draw(st.sampled_from(ivs), label="J_k")
+            N = data.draw(st.integers(iv.lo, iv.hi), label="N")
+        elif where == "nonpositive":
+            N = data.draw(st.integers(-3 * n, 0), label="N")
+        else:
+            ends = [0] + [x for iv in ivs for x in (iv.lo, iv.hi)] + [(len(ivs) + 2) * (n + 1)]
+            i = 2 * data.draw(st.integers(0, len(ivs)), label="stretch")
+            N = data.draw(st.integers(ends[i] + 1, ends[i + 1] - 1), label="N")
+        verdict = classify_gap(n, N)
+        assert verdict == gap_scan(n, N)
+        assert verdict.in_gap == (where == "in" and bool(ivs))
+
     def test_tiny_n(self):
         with pytest.raises(ValueError):
             classify_gap(1, 5)
+        with pytest.raises(ValueError):
+            gap_scan(1, 5)
         assert not classify_gap(2, 3).in_gap
 
 

@@ -2,13 +2,15 @@
 
 - the row-by-row integer rank `_rank_int_rows` against the column-oriented
   reference `rank_int_rows`, on rows and on their transpose;
+- the Gaussian rank `_rank_gauss_int` against half the rank of the
+  realified integer rows, `rank_gauss_int`;
 - `span_rank` on sparse cleared rows against `exact_rank` of the dense
   coefficient rows;
 - packed monomial keys against exponent tuples: round trip, order, and the
   guard-bit divisibility test against a componentwise >=, on one-byte and
   two-byte fields;
-- the pairing built on pairs and packed keys, over its L, against
-  `pairing_poly`;
+- the pairing built on pairs and packed keys, over its L, and its `Poly`
+  view `pairing_poly`, against the GRat pairing `grat_pairing`;
 - the zero test at a rational point scaled to Gaussian-integer pairs
   against `Poly.evaluate`.
 """
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from macgap import hermitian
 from macgap.gaussint import (
     Packing,
+    _rank_gauss_int,
     _rank_int_rows,
     clear,
     span_rank,
@@ -33,7 +36,7 @@ from macgap.polyspace import (
     image_span_dim,
     monomial_basis,
 )
-from reference_table import rank_int_rows, support_rows
+from reference_table import grat_pairing, rank_gauss_int, rank_int_rows, support_rows
 
 small = st.integers(-4, 4)
 frac_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -133,6 +136,44 @@ class TestRankIntRows:
         assert _rank_int_rows(identity_then_refuse(), 3) == 3
 
 
+@st.composite
+def gauss_rows_st(draw):
+    """Gaussian-integer pair rows over up to 7 columns: a product A B of
+    drawn inner size, so often of low rank, with rows that are i times
+    another row, all-imaginary rows and zero rows put in."""
+    ncols = draw(st.integers(1, 7), label="columns")
+    inner = draw(st.integers(1, 7), label="inner")
+    entry = st.tuples(small, small)
+    A = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=1, max_size=7))
+    B = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                      min_size=inner, max_size=inner))
+    rows = [[(sum(a * c - b * d for (a, b), (c, d) in zip(arow, col)),
+              sum(a * d + b * c for (a, b), (c, d) in zip(arow, col)))
+             for col in zip(*B)] for arow in A]
+    for _ in range(draw(st.integers(0, 3), label="special rows")):
+        kind = draw(st.sampled_from(["times i", "imaginary", "zero"]))
+        if kind == "times i":
+            row = [(-b, a) for a, b in rows[draw(st.integers(0, len(rows) - 1))]]
+        elif kind == "imaginary":
+            row = [(0, draw(small)) for _ in range(ncols)]
+        else:
+            row = [(0, 0)] * ncols
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+class TestRankGaussInt:
+    @settings(max_examples=300, deadline=None)
+    @given(gauss_rows_st())
+    def test_matches_realified_rank(self, rows):
+        before = [row[:] for row in rows]
+        want = rank_gauss_int(rows)
+        assert rows == before
+        # the kernel reorders and overwrites its rows, so it gets a copy
+        assert _rank_gauss_int([row[:] for row in rows]) == want
+        assert want <= min(len(rows), len(rows[0]))
+
+
 class TestSpanRank:
     @settings(max_examples=300, deadline=None)
     @given(sparse_rows_st())
@@ -193,13 +234,14 @@ class TestSpanRank:
 
 @st.composite
 def signed_map_st(draw):
-    """Small maps with rational Gaussian coefficients whose components have
-    different denominators, and null weights on both sides."""
+    """Small maps of degree 0 to 2 with rational Gaussian coefficients
+    whose components have different denominators, zero components, and
+    null weights on both sides."""
     r, s, t = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 1))
     source = Signature(r, s, t)
     target = Signature(draw(st.integers(1, 3)), draw(st.integers(0, 2)),
                        draw(st.integers(0, 1)))
-    d = draw(st.integers(1, 2))
+    d = draw(st.integers(0, 2))
     basis = monomial_basis(source.n_vars, d)
     comps = [
         Poly(source.n_vars, d,
@@ -256,7 +298,7 @@ class TestPacking:
         ])
         keys = Packing(4, 128)
         L, pairs = hermitian._pairing_pairs(f, keys)
-        assert {keys.unpack(e): c for e, c in pairs.items()} == clear(pairing_poly(f).coeffs)[1]
+        assert {keys.unpack(e): c for e, c in pairs.items()} == clear(grat_pairing(f).coeffs)[1]
         assert keys.nb == 2 and max(pairs) == 128 << 48 | 128 << 16
 
 
@@ -264,13 +306,14 @@ class TestPairing:
     @settings(max_examples=80, deadline=None)
     @given(signed_map_st())
     def test_matches_pairing_poly(self, f):
-        P = pairing_poly(f)
+        P = grat_pairing(f)
         keys = Packing(2 * f.source.n_vars, f.degree)
         L, pairs = hermitian._pairing_pairs(f, keys)
         assert L >= 1
         unpacked = {keys.unpack(e): c for e, c in pairs.items()}
         assert hermitian._from_pairs(P.n_vars, P.degree, unpacked, L) == P
         assert (0, 0) not in pairs.values()
+        assert pairing_poly(f) == P
 
     def test_denominators_squared(self):
         # (1/2) z0 and (1/3) z1, both positive: P = z0 w~0 / 4 + z1 w~1 / 9

@@ -40,6 +40,8 @@ from reference_table import (
     _rand_grat,
     _solve_chart,
     _witness_search_ref,
+    embed,
+    grat_pairing,
     source_form_poly,
 )
 from test_bench_smoke import load_workloads
@@ -219,7 +221,7 @@ class TestCertificate:
             f = sharpness_map(k, n)
             cert = orthogonality_certificate(f)
             assert cert.verdict
-            assert source_form_poly(f.source) * cert.quotient == pairing_poly(f)
+            assert source_form_poly(f.source) * cert.quotient == grat_pairing(f)
 
     def test_refuted_map_carries_witness(self):
         f = SignedMap(
@@ -339,7 +341,7 @@ class TestIntegerPairCertificate:
     @given(disguised_sharpness_st())
     def test_matches_grat_reference(self, case):
         f, perturbed, pivot = case
-        P = pairing_poly(f)
+        P = grat_pairing(f)
         ref = _pseudo_remainder_ref(P, f.source, pivot)
         assert ref.is_zero == (not perturbed)
         # the division's verdict is the pseudo-remainder's in every chart
@@ -418,7 +420,7 @@ class TestIntegerPairCertificate:
              mono(2, (0, 2), GRat(Fraction(1, 2)))],
         )
         cert = orthogonality_certificate(f)
-        P = pairing_poly(f)
+        P = grat_pairing(f)
         Q = source_form_poly(f.source)
         assert clear(P.coeffs)[0] == hermitian._pairing_pairs(f, _keys(f))[0] == 4
         assert cert.quotient == _divide_exact_ref(P, Q)
@@ -608,9 +610,7 @@ class TestNullProlongation:
         psi = mono(3, (0, 1, 0))
         phi = mono(3, (0, 2, 2))
         F = null_prolongation(f, psi, phi)
-        from macgap.hermitian import _embed
-
-        lift = _embed(psi, 6, 0) * _embed(psi.conjugate_coeffs(), 6, 3)
+        lift = embed(psi, 6, 0) * embed(psi.conjugate_coeffs(), 6, 3)
         assert pairing_poly(F) == lift * pairing_poly(f)
 
     def test_degree_mismatch(self):

@@ -259,14 +259,19 @@ class TestPolyText:
     @settings(max_examples=300, deadline=None)
     @given(
         st.one_of(st.text(), st.lists(st.sampled_from(POLY_FUZZ_TOKENS), max_size=24).map("".join)),
-        st.none() | st.integers(1, 4),
-        st.none() | st.integers(0, 3),
+        st.integers(1, 4),
+        st.integers(0, 3),
+        st.booleans(),
+        st.booleans(),
     )
-    def test_arbitrary_text_raises_only_format_errors(self, text, n_vars, degree):
-        # cleared_parser gives the same result or the same message
+    def test_arbitrary_text_raises_only_format_errors(self, text, n_vars, degree,
+                                                      with_n_vars, with_degree):
+        # cleared_parser, which always gets the shape, gives the same
+        # result or the same message; parse_poly also reads shape-less text
         assert_parsers_agree(text, n_vars, degree)
         try:
-            p = parse_poly(text, n_vars=n_vars, degree=degree)
+            p = parse_poly(text, n_vars=n_vars if with_n_vars else None,
+                           degree=degree if with_degree else None)
         except PolyFormatError:
             return
         assert parse_poly(format_poly(p), n_vars=p.n_vars, degree=p.degree) == p
@@ -287,7 +292,7 @@ def _outcome(parse, text, n_vars, degree):
     return L, list(pairs.items())
 
 
-def assert_parsers_agree(text, n_vars=None, degree=None):
+def assert_parsers_agree(text, n_vars, degree):
     want = _outcome(parse_cleared, text, n_vars, degree)
     assert _outcome(cleared_parser(), text, n_vars, degree) == want
     return want
@@ -405,7 +410,7 @@ class TestParseCleared:
 
     @pytest.mark.parametrize("token", POLY_FUZZ_TOKENS + ["9" * 5000 + ",1", "1,1/" + "9" * 5000])
     def test_hostile_coefficients(self, token):
-        assert_parsers_agree(f"{token} 1 0")
+        assert_parsers_agree(f"{token} 1 0", 2, 1)
         assert_parsers_agree(f"1/1 1 0; {token} 0 1", 2, 1)
 
     @settings(max_examples=400, deadline=None)
@@ -989,11 +994,17 @@ class TestGreen:
         assert report.checks == 48
 
     def test_suite_deterministic(self):
-        a = green_suite(ns=(2,), ds=(3,), subspaces=4, trials=5, seed=9,
-                        keep_records=True)
-        b = green_suite(ns=(2,), ds=(3,), subspaces=4, trials=5, seed=9,
-                        keep_records=True)
-        assert a.records == b.records
+        a = green_suite(ns=(2,), ds=(3,), subspaces=4, trials=5, seed=9)
+        b = green_suite(ns=(2,), ds=(3,), subspaces=4, trials=5, seed=9)
+        assert a == b
+        # each subspace's best record and hyperplane count replay from its
+        # stream
+        records = [
+            [polyspace._green_subspace(rng_for(9, f"green|n2|d3|s{i}"), 2, 3, 5)
+             for i in range(4)]
+            for _ in range(2)
+        ]
+        assert records[0] == records[1]
 
     def test_violations_name_their_subspace(self, monkeypatch):
         # with every bound forced below zero each subspace violates after

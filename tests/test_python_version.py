@@ -1,11 +1,21 @@
 """The sources must parse under the oldest Python that pyproject.toml
-declares in `requires-python`."""
+declares in `requires-python`, and a few commands must print there what
+they print under the running interpreter.  The commands run only where
+`python3.10` (the declared minimum) is on PATH and reports that version;
+elsewhere that test is skipped."""
 
 import ast
+import os
 import pathlib
+import random
 import re
+import shutil
+import subprocess
+import sys
 
 import pytest
+
+from test_bench_smoke import load_workloads
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "macgap").glob("*.py"))
@@ -29,3 +39,44 @@ def test_parses_at_declared_minimum(path):
         filename=str(path),
         feature_version=declared_minimum(),
     )
+
+
+def minimum_interpreter():
+    """The `pythonX.Y` of the declared minimum on PATH if it runs and
+    reports that version, else None."""
+    version = declared_minimum()
+    exe = shutil.which("python%d.%d" % version)
+    if exe is None:
+        return None
+    try:
+        run = subprocess.run([exe, "-c", "import sys; print(tuple(sys.version_info[:2]))"],
+                             capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return exe if run.returncode == 0 and run.stdout.strip() == str(version) else None
+
+
+def cli_run(exe, argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([exe, "-m", "macgap", *argv], capture_output=True, text=True,
+                         env=env, timeout=300)
+    return run.returncode, run.stdout
+
+
+def test_commands_print_the_same_at_declared_minimum(tmp_path, monkeypatch):
+    exe = minimum_interpreter()
+    if exe is None:
+        pytest.skip("no python%d.%d on PATH" % declared_minimum())
+    sharp, refused = tmp_path / "sharp.map", tmp_path / "refused.map"
+    assert cli_run(sys.executable, ["map", "gen-sharpness", "2", "7", "-o", str(sharp)])[0] == 0
+    workloads = load_workloads(monkeypatch)
+    refused.write_text(workloads.gen_map(random.Random(5), 2, 6, True, True).text())
+    commands = [
+        ["verify", "lemma3", "--json"],
+        ["verify", "green", "--json", "--subspaces", "2", "--trials", "2"],
+        ["macaulay", "1000000", "2"],
+        ["gap", "13", "42"],
+    ] + [[*action, str(path)] for path in (sharp, refused)
+         for action in (["map", "span"], ["map", "check-orth", "--json"])]
+    for argv in commands:
+        assert cli_run(exe, argv) == cli_run(sys.executable, argv), argv

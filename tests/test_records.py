@@ -129,7 +129,7 @@ def test_report_defaults_are_fresh_lists():
     a, b = GapSweepReport(), GapSweepReport()
     a.violations.append(1)
     assert b.violations == []
-    assert GreenSuiteReport().records == [] == GreenSuiteReport().violations
+    assert GreenSuiteReport().violations == []
     assert SuiteReport().violations == []
     assert SharpnessSuiteReport().violations == []
     assert OrthCertificate(True) == OrthCertificate(True, None, None)
@@ -173,7 +173,7 @@ def test_reprs_keep_their_text():
         "target=Signature(r=1, s=1, t=0), degree=1, components=")
     # a report lists the fields of SuiteReport first
     assert repr(GreenSuiteReport(checks=6, subspace_count=2)) == (
-        "GreenSuiteReport(checks=6, violations=[], subspace_count=2, records=[])")
+        "GreenSuiteReport(checks=6, violations=[], subspace_count=2)")
     assert repr(LemmaSweepReport(10, [(1, 2, 3, 4)])) == (
         "LemmaSweepReport(checks=10, violations=[(1, 2, 3, 4)])")
 

@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 
 import macgap.cli
 from macgap import polyspace
+from macgap.polyspace import rng_for
 import reference_table
 from reference_table import FAST, TABLE, recorded, reference_mode, swap
 from test_bench_smoke import load_workloads
@@ -89,16 +90,19 @@ COMMANDS = [
 
 
 def test_suites_match_their_references():
-    def run(mode):
-        with mode(), recorded() as ranks:
-            report = polyspace.green_suite(
-                ns=(2, 3), ds=(1, 2, 3), subspaces=10, trials=4, seed=6, keep_records=True
-            )
-            outputs = [cli_stdout(argv) for argv in COMMANDS]
-        return outputs, report.records, ranks
+    cells = [(n, d, i) for n in (2, 3) for d in (1, 2, 3) for i in range(10)]
 
-    fast = run(contextlib.nullcontext)
-    assert run(reference_mode) == fast
+    def run(mode, subspace):
+        # each subspace's best record and hyperplane count, from its own
+        # stream, fast and by the reference that the reference suite uses
+        with mode(), recorded() as ranks:
+            records = [subspace(rng_for(6, f"green|n{n}|d{d}|s{i}"), n, d, 4)
+                       for n, d, i in cells]
+            outputs = [cli_stdout(argv) for argv in COMMANDS]
+        return outputs, records, ranks
+
+    fast = run(contextlib.nullcontext, polyspace._green_subspace)
+    assert run(reference_mode, reference_table.green_subspace) == fast
     outputs, records, ranks = fast
     assert all(code == 0 for code, _ in outputs)
     for argv, (_, out) in zip(COMMANDS, outputs, strict=True):
@@ -288,8 +292,8 @@ def test_drawn_gap_argument_matches_its_reference(max_n):
     assert code == 0
 
 
-# The guard: a small plan of every suite and of the map commands, profiled
-# fast and in reference mode.
+# The guard: a small plan of every suite, of `gap` and of the map commands,
+# profiled fast and in reference mode.
 
 SRC = str(Path(macgap.cli.__file__).parent)
 
@@ -299,6 +303,7 @@ GUARD_COMMANDS = [
     ["verify", "lemma3", "--json", "--max-m", "3", "--max-k", "3"],
     ["verify", "gap-argument", "--json", "--max-n", "12"],
     ["verify", "sharpness", "--json", "--max-k", "2", "--max-n", "8"],
+    ["gap", "13", "42"],
 ]
 
 
