@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macgap import gaussint, polyspace
-from macgap.binom_core import op_lower
+from macgap.binom_core import op_lower, op_minus
 from macgap.polyspace import (
     GRat,
     Hyperplane,
@@ -1030,6 +1030,58 @@ class TestGreen:
         W = random_subspace(rng, 3, 2)
         replay = [verify_green(W, random_hyperplane(rng, 3)) for _ in range(2)]
         assert [(r.c_h, r.holds) for r in replay] == [(2, False), (1, True)]
+
+
+# Hyperplanes drawn per cell of the lex-segment oracle.  A lex segment W is
+# strongly stable: with z^e in W and i < j, z^e z_i / z_j is earlier in
+# descending lex order, so also in W.  Hence the substitution z_n -> z_n +
+# sum_{i<n} a_i z_i maps W onto itself, and it carries the ideal (z_n) onto
+# that of any form with a nonzero z_n coefficient: every such hyperplane
+# restricts W with the rank of z_n = 0, the general rank, which is the
+# number of members z^e with e_n = 0.  Only a form whose z_n coefficient is
+# 0 can be special, and a drawn coefficient is 0 with probability below
+# 1/19.  The same forms serve every k of a cell, so the best of LEX_DRAWS
+# misses the general rank in some cell with probability below
+# 16 / 19**LEX_DRAWS < 2e-4.
+LEX_DRAWS = 4
+
+
+class TestLexSegments:
+    """Both restriction bounds are equalities on lex segments: W spanned by
+    the first k monomials of monomial_basis(n+1, d), for every k in every
+    cell with n, d <= 4.  With c = C(n+d, d) - k, a general hyperplane
+    restricts W to codimension exactly op_lower(c, d), and to a span of
+    dimension exactly op_minus(k - 1, n).  Green proved the first (c_h <=
+    c_<d>, attained by lex segments: "Restrictions of linear series to
+    hyperplanes", LNM 1389, 1989).  The second, the paper's span bound met
+    with equality, is only observed, in these cells.  Unlike the suites,
+    which check inequalities and compare the fast kernel with its
+    reference, this sees a fault they share, or one in `monomial_basis`,
+    `op_lower` or `op_minus`: a rank overstated by one passes every suite
+    but not this."""
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_both_bounds_are_equalities(self, n, d):
+        basis = monomial_basis(n + 1, d)
+        size, width = len(basis), math.comb(n - 1 + d, d)
+        rng = rng_for(0, f"lex|n{n}|d{d}")
+        forms = [polyspace._random_form(rng, n + 1) for _ in range(LEX_DRAWS)]
+        # each monomial restricted once per hyperplane; W is a prefix
+        restricted = [
+            [restrict(mono(n + 1, e), Hyperplane(tuple(map(GRat, form)), pivot))
+             for e in basis]
+            for form, pivot in forms
+        ]
+        identity = [[int(i == j) for j in range(size)] for i in range(size)]
+        for k in range(1, size + 1):
+            fast = max(polyspace._int_restricted_rank(identity[:k], form, pivot, d)
+                       for form, pivot in forms)
+            ref = max(exact_rank(coefficient_rows(polys[:k], n, d)) for polys in restricted)
+            expected = (op_lower(size - k, d), op_minus(k - 1, n))
+            assert (width - fast, fast - 1) == expected, (n, d, k, "fast")
+            assert (width - ref, ref - 1) == expected, (n, d, k, "reference")
+            assert fast == sum(not e[-1] for e in basis[:k]), (n, d, k)
 
 
 class TestRankWork:
