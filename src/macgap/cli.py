@@ -193,9 +193,11 @@ def _check_rank_work(run: str, lo: int, max_n: int, max_degree: int,
 
 def _green(opts):
     seed, subspaces, trials = opts["seed"], opts["subspaces"], opts["trials"]
-    # each subspace ranks its M once and once per hyperplane; one whose
-    # trials all miss draws up to `trials` more, so the uncounted worst
-    # case is subspaces * (2 * trials + 1) ranks, at most twice the count
+    # each subspace ranks M . R_H once per hyperplane and M at most once
+    # (not when a restriction has full width), so trials + 1 ranks bound
+    # it; one whose trials all miss draws up to `trials` more, so the
+    # uncounted worst case is subspaces * (2 * trials + 1) ranks, at most
+    # twice the count
     _check_rank_work(f"green run --subspaces {subspaces} --trials {trials}",
                      2, opts["max_n"], opts["max_degree"], subspaces * (trials + 1))
     records = []

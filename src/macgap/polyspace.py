@@ -24,9 +24,12 @@ multiplication per term.  The rows of M_W . R_H are formed one at a time and
 eliminated as they come (`gaussint._rank_int_rows`), which stops once the
 rank reaches the width.  That one integer kernel also ranks M_W itself, on
 its narrower side, and every real matrix that `exact_rank` is given.  The
-suites draw M_W and the hyperplanes as plain integers, with the same RNG
-draws as `random_hyperplane` and the reference `random_subspace`, taken by
-`_small_ints` rather than `randint`.
+green suite ranks M_W at most once per subspace, and not at all once a
+restriction has full width: c_h = 0 then meets Green's bound whatever c
+is.  The suites draw M_W and the hyperplanes as plain integers, with the
+same RNG draws as the references `random_subspace` and `random_form`
+(tests/reference_table.py), taken by `_small_ints` rather than `randint`;
+`random_hyperplane` wraps the same integer draws in `GRat`s.
 Everything else, Gaussian input and the library verifiers included,
 restricts with the plain `GRat` substitution of `restrict` and ranks with
 `exact_rank`: the reference that the kernel and its draws must reproduce.
@@ -552,24 +555,20 @@ def _small_ints(rng: random.Random, k: int) -> list[int]:
     return out
 
 
-def random_hyperplane(rng: random.Random, n_vars: int) -> Hyperplane:
-    """Small-integer coefficients in [-9, 9], resampled while identically
-    zero; pivot = first nonzero coefficient."""
-    while True:
-        ints = [rng.randint(-9, 9) for _ in range(n_vars)]
-        if any(ints):
-            break
-    pivot = next(i for i, v in enumerate(ints) if v)
-    return Hyperplane(tuple(GRat(v) for v in ints), pivot)
-
-
 def _random_form(rng: random.Random, n_vars: int) -> tuple[list[int], int]:
-    """The integer coefficients and the pivot of `random_hyperplane`, from
-    the same draws (`_small_ints`), without building the `Hyperplane`."""
+    """Small-integer coefficients in [-9, 9] (`_small_ints`), resampled
+    while identically zero, and the pivot, the first nonzero coefficient:
+    the hyperplane of `random_hyperplane` without building it."""
     while True:
         ints = _small_ints(rng, n_vars)
         if any(ints):
             return ints, next(i for i, v in enumerate(ints) if v)
+
+
+def random_hyperplane(rng: random.Random, n_vars: int) -> Hyperplane:
+    """The hyperplane of the form `_random_form` draws."""
+    ints, pivot = _random_form(rng, n_vars)
+    return Hyperplane(tuple(map(GRat, ints)), pivot)
 
 
 def rng_for(seed: int, label: str) -> random.Random:
@@ -756,17 +755,21 @@ class GreenSuiteReport(SuiteReport):
 
 
 def _green_subspace(rng: random.Random, n: int, d: int,
-                    trials: int) -> tuple[GreenRecord, int]:
+                    trials: int) -> tuple[GreenRecord | None, int]:
     """The GreenRecord of the next subspace of `rng` (P^n, degree d) at its
     minimum c_h, and how many hyperplanes were drawn: `trials`, then, since
     a miss may be a special hyperplane, up to `trials` more until one meets
-    the bound."""
+    the bound.  The record is None when one of the first `trials`
+    restrictions has full width: then c_h = 0 <= c_<d> for every c >= 0,
+    so the bound holds and M is not ranked."""
     M = _random_int_rows(rng, n + 1, d)
+    restricted_size = math.comb(n - 1 + d, d)
+    rank = max(_int_restricted_rank(M, *_random_form(rng, n + 1), d) for _ in range(trials))
+    if rank == restricted_size:
+        return None, trials
     size = math.comb(n + d, d)
     # the rank of M or of its transpose, whichever is narrower
     c = size - (_rank_int_rows(zip(*M), len(M)) if len(M) < size else _rank_int_rows(M, size))
-    restricted_size = math.comb(n - 1 + d, d)
-    rank = max(_int_restricted_rank(M, *_random_form(rng, n + 1), d) for _ in range(trials))
     best = _green_record(n, d, c, restricted_size - rank)
     drawn = trials
     while not best.holds and drawn < 2 * trials:
@@ -779,7 +782,8 @@ def _green_subspace(rng: random.Random, n: int, d: int,
 def green_suite(ns, ds, subspaces: int, trials: int, seed: int) -> GreenSuiteReport:
     """Sampled check of the restriction codimension bound: for each random
     subspace, min over its hyperplanes (`_green_subspace`) of c_h must not
-    exceed c_<d>.  `checks` counts every hyperplane drawn."""
+    exceed c_<d>.  `checks` counts every hyperplane drawn; a subspace whose
+    best restriction has full width holds without a record."""
     report = GreenSuiteReport()
     for n in ns:
         for d in ds:
@@ -788,7 +792,7 @@ def green_suite(ns, ds, subspaces: int, trials: int, seed: int) -> GreenSuiteRep
                 best, drawn = _green_subspace(rng, n, d, trials)
                 report.subspace_count += 1
                 report.checks += drawn
-                if not best.holds:
+                if best is not None and not best.holds:
                     report.violations.append((i, best))
     return report
 

@@ -203,7 +203,9 @@ def green_subspace(rng, n, d, trials):
     """(the GreenRecord of least c_h, hyperplanes drawn) of the next
     subspace of `rng`, as `polyspace._green_subspace` gives them: each
     hyperplane drawn with random_hyperplane and checked by verify_green,
-    and up to `trials` more drawn while none meets the bound."""
+    and up to `trials` more drawn while none meets the bound.  The record
+    is None when the least c_h of the first `trials` is 0, a bound that
+    holds whatever c is."""
     basis = monomial_basis(n + 1, d)
     # by module name, which reference mode binds to `_int_rows`: the
     # members of random_subspace as integer rows, all-zero ones dropped,
@@ -220,6 +222,8 @@ def green_subspace(rng, n, d, trials):
         return rec
 
     recs = [check(random_hyperplane(rng, n + 1)) for _ in range(trials)]
+    if not min(r.c_h for r in recs):
+        return None, trials
     while not any(r.holds for r in recs) and len(recs) < 2 * trials:
         recs.append(check(random_hyperplane(rng, n + 1)))
     return min(recs, key=lambda r: r.c_h), len(recs)
@@ -233,7 +237,7 @@ def green_suite(ns, ds, subspaces, trials, seed):
                 best, drawn = green_subspace(rng_for(seed, f"green|n{n}|d{d}|s{i}"), n, d, trials)
                 report.subspace_count += 1
                 report.checks += drawn
-                if not best.holds:
+                if best is not None and not best.holds:
                     report.violations.append((i, best))
     return report
 
@@ -249,8 +253,9 @@ def veronese_suite(max_n, max_degree, trials, seed):
             rng = rng_for(seed, f"veronese|n{n}|d{d}")
             M = [[a for a, _ in row] for row in cleared_rows(comps, n + 1, d)]
             for _ in range(trials):
-                # by module name, which reference mode binds to `_form` and
-                # `int_restricted_rank`, so a swap left out runs a fast path
+                # by module name, which reference mode binds to
+                # `random_form` and `int_restricted_rank`, so a swap left
+                # out runs a fast path
                 rank = polyspace._int_restricted_rank(M, *polyspace._random_form(rng, n + 1), d)
                 report.checks += 1
                 if rank - 1 != expected:
@@ -263,9 +268,15 @@ def _int_rows(rng, n_vars, degree):
     return [[a for a, _ in row] for row in cleared_rows(W.basis, n_vars, degree)]
 
 
-def _form(rng, n_vars):
-    H = random_hyperplane(rng, n_vars)
-    return _int_form(H), H.pivot
+def random_form(rng, n_vars):
+    """Each coefficient drawn by randint(-9, 9), all drawn again while they
+    are all zero, and the first nonzero one's index as the pivot.  It draws
+    for itself: `random_hyperplane` calls `_random_form` by module name,
+    which reference mode binds to this."""
+    while True:
+        ints = [rng.randint(-9, 9) for _ in range(n_vars)]
+        if any(ints):
+            return ints, next(i for i, v in enumerate(ints) if v)
 
 
 def _no_template(*args):
@@ -579,9 +590,9 @@ TABLE = [
     Row(polyspace, "_random_int_rows", _int_rows,
         "random_subspace + cleared_rows, which draw each entry with randint, "
         "for the same draws taken by _small_ints"),
-    Row(polyspace, "_random_form", _form,
-        "random_hyperplane, which draws with randint, for the same draws taken "
-        "by _small_ints"),
+    Row(polyspace, "_random_form", random_form,
+        "the coefficients drawn with randint, for the same draws taken by "
+        "_small_ints"),
     Row(polyspace, "_int_restricted_rank", int_restricted_rank,
         "each member restricted by restrict, a plain GRat substitution, and the "
         "restrictions ranked by exact_rank, for M . R_H eliminated row by row"),

@@ -37,6 +37,7 @@ from macgap.polyspace import (
 from reference_table import (
     cleared_rows,
     parse_cleared,
+    random_form,
     random_subspace,
     rank_int_rows,
     support_rows,
@@ -948,13 +949,16 @@ class TestIntegerDraws:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32), nv=st.integers(1, 5))
     def test_form_matches_random_hyperplane(self, seed, nv):
-        fast, ref = rng_for(seed, "form"), rng_for(seed, "form")
+        # the fast draws against the randint reference, and the hyperplane
+        # built on them
+        fast, ref, plane = (rng_for(seed, "form") for _ in range(3))
         draws = [polyspace._random_form(fast, nv) for _ in range(5)]
-        want = [random_hyperplane(ref, nv) for _ in range(5)]
+        assert draws == [random_form(ref, nv) for _ in range(5)]
+        want = [random_hyperplane(plane, nv) for _ in range(5)]
         assert [(tuple(GRat(v) for v in form), pivot) for form, pivot in draws] == [
             (H.coeffs, H.pivot) for H in want
         ]
-        assert fast.getstate() == ref.getstate()
+        assert fast.getstate() == ref.getstate() == plane.getstate()
 
 
 class TestGreen:
@@ -1007,18 +1011,54 @@ class TestGreen:
         assert records[0] == records[1]
 
     def test_violations_name_their_subspace(self, monkeypatch):
-        # with every bound forced below zero each subspace violates after
-        # drawing twice its trials, and each violation replays from the
-        # stream of the index it carries
+        # with every bound forced below zero, a subspace whose least c_h
+        # over its trials is positive violates after drawing twice its
+        # trials, and each violation replays from the stream of the index
+        # it carries; one whose least c_h is 0 holds whatever its c, and
+        # draws no more
         monkeypatch.setattr(polyspace, "op_lower", lambda c, d: -1)
-        report = green_suite(ns=(2,), ds=(2,), subspaces=4, trials=3, seed=7)
-        assert [i for i, _ in report.violations] == [0, 1, 2, 3]
-        assert report.checks == 4 * 6
-        for i, rec in report.violations:
+        report = green_suite(ns=(2,), ds=(2,), subspaces=12, trials=3, seed=7)
+        violations, checks = [], 0
+        for i in range(12):
             rng = rng_for(7, f"green|n2|d2|s{i}")
             W = random_subspace(rng, 3, 2)
-            replay = [verify_green(W, random_hyperplane(rng, 3)) for _ in range(6)]
-            assert (rec.c, rec.c_h) == (replay[0].c, min(r.c_h for r in replay))
+            replay = [verify_green(W, random_hyperplane(rng, 3)) for _ in range(3)]
+            if min(r.c_h for r in replay):
+                replay += [verify_green(W, random_hyperplane(rng, 3)) for _ in range(3)]
+                violations.append((i, replay[0].c, min(r.c_h for r in replay)))
+            checks += len(replay)
+        assert [(i, rec.c, rec.c_h) for i, rec in report.violations] == violations
+        assert [i for i, *_ in violations] == [7, 9, 10]
+        assert report.checks == checks == 12 * 3 + 3 * 3
+
+    def test_full_width_skips_the_rank_of_m(self, monkeypatch):
+        # M is ranked, once, exactly for a subspace whose least c_h over its
+        # trials is positive: every rank taken but the restricted ones
+        ranks, restricted = [], []
+        int_rows, int_restricted = polyspace._rank_int_rows, polyspace._int_restricted_rank
+
+        def rank_spy(*args):
+            ranks.append(args)
+            return int_rows(*args)
+
+        def restricted_spy(*args):
+            restricted.append(int_restricted(*args))
+            return restricted[-1]
+
+        monkeypatch.setattr(polyspace, "_rank_int_rows", rank_spy)
+        monkeypatch.setattr(polyspace, "_int_restricted_rank", restricted_spy)
+        kinds = set()
+        for i in range(12):
+            ranks.clear()
+            restricted.clear()
+            rng = rng_for(7, f"green|n2|d2|s{i}")
+            rec, drawn = polyspace._green_subspace(rng, 2, 2, 3)
+            least_c_h = math.comb(3, 2) - max(restricted[:3])
+            assert len(restricted) == drawn
+            assert len(ranks) - drawn == (least_c_h > 0)
+            assert (rec is None) == (least_c_h == 0)
+            kinds.add(least_c_h > 0)
+        assert kinds == {True, False}
 
     def test_special_hyperplane_is_redrawn(self):
         # the first hyperplane of this subspace is special (c_h = 2 against

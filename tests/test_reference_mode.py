@@ -108,6 +108,9 @@ def test_suites_match_their_references():
     for argv, (_, out) in zip(COMMANDS, outputs, strict=True):
         assert_pinned(argv, out)
     assert len(records) == 60
+    # subspaces with no record (a restriction of full width, M not ranked)
+    # and with one (M ranked) both ran both ways
+    assert {rec is None for rec, _ in records} == {True, False}
     # 60 subspaces * 4 hyperplanes, the two green commands (4 cells * 8 * 5
     # and 3 cells * 3 * 3) and the two restriction ones (16 cells * 4)
     assert len(ranks) == 240 + 160 + 27 + 2 * 64
