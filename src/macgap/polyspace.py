@@ -26,8 +26,11 @@ rank reaches the width.  That one integer kernel also ranks M_W itself, on
 its narrower side, and every real matrix that `exact_rank` is given.  The
 green suite ranks M_W at most once per subspace, and not at all once a
 restriction has full width: c_h = 0 then meets Green's bound whatever c
-is.  The suites draw M_W and the hyperplanes as plain integers, with the
-same RNG draws as the references `random_subspace` and `random_form`
+is.  It stops drawing a subspace's hyperplanes once a restricted rank
+reaches len(M_W), which no restriction can exceed, so its `checks` are a
+budget of hyperplanes, not a count of those drawn.  The suites draw M_W
+and the hyperplanes as plain integers, with the same RNG draws as the
+references `random_subspace` and `random_form`
 (tests/reference_table.py), taken by `_small_ints` rather than `randint`;
 `random_hyperplane` wraps the same integer draws in `GRat`s.
 Everything else, Gaussian input and the library verifiers included,
@@ -742,9 +745,11 @@ def verify_green(W: PolySubspace, H: Hyperplane) -> GreenRecord:
 
 
 class GreenSuiteReport(SuiteReport):
-    """Counts of a `green_suite` run.  `violations` holds a (subspace index,
-    GreenRecord) pair per violating subspace, where the index i is that of
-    its stream `rng_for(seed, f"green|n{n}|d{d}|s{i}")`."""
+    """Counts of a `green_suite` run.  `checks` sums the hyperplane budgets
+    of its subspaces (`_green_subspace`), which bound the hyperplanes drawn.
+    `violations` holds a (subspace index, GreenRecord) pair per violating
+    subspace, where the index i is that of its stream
+    `rng_for(seed, f"green|n{n}|d{d}|s{i}")`."""
 
     __slots__ = ("subspace_count",)
 
@@ -757,14 +762,21 @@ class GreenSuiteReport(SuiteReport):
 def _green_subspace(rng: random.Random, n: int, d: int,
                     trials: int) -> tuple[GreenRecord | None, int]:
     """The GreenRecord of the next subspace of `rng` (P^n, degree d) at its
-    minimum c_h, and how many hyperplanes were drawn: `trials`, then, since
-    a miss may be a special hyperplane, up to `trials` more until one meets
-    the bound.  The record is None when one of the first `trials`
-    restrictions has full width: then c_h = 0 <= c_<d> for every c >= 0,
-    so the bound holds and M is not ranked."""
+    minimum c_h, and its hyperplane budget: `trials`, then, since a miss
+    may be a special hyperplane, up to `trials` more until one meets the
+    bound.  The budget counts the hyperplanes that would be drawn, not the
+    ones that are: rank(M . R_H) <= rank M <= len(M), so once a restricted
+    rank reaches len(M) no later hyperplane can lower c_h, and the rest of
+    the budget is counted but not drawn.  The record is None when one of
+    the first `trials` restrictions has full width: then c_h = 0 <= c_<d>
+    for every c >= 0, so the bound holds and M is not ranked."""
     M = _random_int_rows(rng, n + 1, d)
     restricted_size = math.comb(n - 1 + d, d)
-    rank = max(_int_restricted_rank(M, *_random_form(rng, n + 1), d) for _ in range(trials))
+    rank = 0
+    for _ in range(trials):
+        rank = max(rank, _int_restricted_rank(M, *_random_form(rng, n + 1), d))
+        if rank == len(M):
+            break
     if rank == restricted_size:
         return None, trials
     size = math.comb(n + d, d)
@@ -773,17 +785,19 @@ def _green_subspace(rng: random.Random, n: int, d: int,
     best = _green_record(n, d, c, restricted_size - rank)
     drawn = trials
     while not best.holds and drawn < 2 * trials:
-        rank = max(rank, _int_restricted_rank(M, *_random_form(rng, n + 1), d))
         drawn += 1
-        best = _green_record(n, d, c, restricted_size - rank)
+        if rank < len(M):
+            rank = max(rank, _int_restricted_rank(M, *_random_form(rng, n + 1), d))
+            best = _green_record(n, d, c, restricted_size - rank)
     return best, drawn
 
 
 def green_suite(ns, ds, subspaces: int, trials: int, seed: int) -> GreenSuiteReport:
     """Sampled check of the restriction codimension bound: for each random
     subspace, min over its hyperplanes (`_green_subspace`) of c_h must not
-    exceed c_<d>.  `checks` counts every hyperplane drawn; a subspace whose
-    best restriction has full width holds without a record."""
+    exceed c_<d>.  `checks` sums the subspaces' hyperplane budgets, not
+    the hyperplanes drawn; a subspace whose best restriction has full width
+    holds without a record."""
     report = GreenSuiteReport()
     for n in ns:
         for d in ds:

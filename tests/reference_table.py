@@ -22,9 +22,11 @@ The suite references reach the `_random_int_rows`, `_random_form` and
 mode runs a fast path there, which the profile sees.
 
 `recorded` is the spy: it yields one entry per restricted rank, (M, form,
-pivot, degree, rank), and per span rank, (rows, rank).  Fast, it wraps
-the two kernels; in reference mode the references record the same entries
-themselves, so the two lists can be compared call by call.
+pivot, degree, rank), and per span rank, (rows, rank), and it marks the
+start of each green subspace with (SUBSPACE, M) when M is drawn, so that
+two subspaces with equal M stay apart.  Fast, it wraps the two kernels and
+`_random_int_rows`; in reference mode the references record the same
+entries themselves, so the two lists can be compared call by call.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ from macgap.record import SuiteReport
 
 # the call lists of the `recorded` blocks that are open, innermost last
 _OPEN = []
+
+# the first item of the entry that `recorded` lists where a green subspace
+# draws its M
+SUBSPACE = "subspace"
 
 
 def _record(*entry):
@@ -201,8 +207,9 @@ def int_restricted_rank(M, form, pivot, degree):
 
 def green_subspace(rng, n, d, trials):
     """(the GreenRecord of least c_h, hyperplanes drawn) of the next
-    subspace of `rng`, as `polyspace._green_subspace` gives them: each
-    hyperplane drawn with random_hyperplane and checked by verify_green,
+    subspace of `rng`, as `polyspace._green_subspace` gives them (its count
+    is a budget, which this draws in full): each hyperplane drawn with
+    random_hyperplane and checked by verify_green, all `trials` of them,
     and up to `trials` more drawn while none meets the bound.  The record
     is None when the least c_h of the first `trials` is 0, a bound that
     holds whatever c is."""
@@ -265,7 +272,9 @@ def veronese_suite(max_n, max_degree, trials, seed):
 
 def _int_rows(rng, n_vars, degree):
     W = random_subspace(rng, n_vars, degree)
-    return [[a for a, _ in row] for row in cleared_rows(W.basis, n_vars, degree)]
+    rows = [[a for a, _ in row] for row in cleared_rows(W.basis, n_vars, degree)]
+    _record(SUBSPACE, rows)
+    return rows
 
 
 def random_form(rng, n_vars):
@@ -581,9 +590,10 @@ class Row(NamedTuple):
 TABLE = [
     Row(polyspace, "green_suite", green_suite,
         "plain loops as the suite is specified: each hyperplane drawn with "
-        "random_hyperplane and checked one at a time by verify_green; a "
-        "subspace whose trials all miss the bound draws up to trials more, "
-        "stopping at the first that meets it"),
+        "random_hyperplane and checked one at a time by verify_green, every "
+        "trial drawn; a subspace whose trials all miss the bound draws up to "
+        "trials more, stopping at the first that meets it, for trials that "
+        "stop once a restricted rank reaches len(M)"),
     Row(polyspace, "veronese_suite", veronese_suite,
         "the expected dimension from the rank of the monomial map's own "
         "components, not the closed form C(n+d, d) - 1"),
@@ -694,7 +704,8 @@ def reference_mode():
 @contextlib.contextmanager
 def recorded():
     """Yields a list that gets one entry per restricted rank and per span
-    rank computed inside the block."""
+    rank computed inside the block, and one (SUBSPACE, M) per green
+    subspace, where it draws M."""
     calls = []
 
     def spy(fast):
@@ -704,11 +715,17 @@ def recorded():
             return result
         return recording
 
+    def marking(*args):
+        rows = FAST["_random_int_rows"](*args)
+        calls.append((SUBSPACE, rows))
+        return rows
+
     _OPEN.append(calls)
     try:
         with pytest.MonkeyPatch.context() as mp:
             for name in SPIED:
                 swap(mp, FAST[name], spy(FAST[name]))
+            swap(mp, FAST["_random_int_rows"], marking)
             yield calls
     finally:
         _OPEN.pop()

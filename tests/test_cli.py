@@ -238,6 +238,22 @@ class TestVerify:
             assert f"more than {LEMMA_COUNT_CAP} checks" in err
             assert f"limit of {MAX_LEMMA_CHECKS}" in err
 
+    def test_lemma3_limit_is_inclusive(self, capsys, monkeypatch):
+        # with the limit at exactly the closed-form count of --max-m 3
+        # --max-k 3, that sweep runs, and one level more either way is
+        # refused
+        assert lemma_checks_upto(3, 3, MAX_LEMMA_CHECKS) == 62
+        monkeypatch.setattr(macgap.cli, "MAX_LEMMA_CHECKS", 62)
+        rc, out, _ = run(capsys, "verify", "lemma3", "--json", "--max-m", "3", "--max-k", "3")
+        assert rc == 0
+        assert records(out)[0]["checks"] == 62
+        for max_m, max_k in (("4", "3"), ("3", "4")):
+            rc, out, err = run(capsys, "verify", "lemma3", "--json",
+                               "--max-m", max_m, "--max-k", max_k)
+            assert rc == 2
+            assert out == ""
+            assert "117 checks, above the limit of 62" in err
+
     def _lemma3_runs_with_closed_form_count(self, capsys, max_k):
         start = time.perf_counter()
         rc, out, _ = run(capsys, "verify", "lemma3", "--json",
@@ -305,6 +321,19 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", "gap-argument", "--max-n", "441", "--json")
         assert rc == 0 and ran == [441]
         assert records(out)[0]["max_n"] == 441
+
+    def test_gap_argument_limit_is_inclusive(self, capsys, monkeypatch):
+        # with the limit at exactly the closed-form count of --max-n 30,
+        # that sweep runs, and --max-n 31 is refused
+        assert gap_argument_checks(30) == 932
+        monkeypatch.setattr(macgap.cli, "MAX_GAP_ARGUMENT_CHECKS", 932)
+        rc, out, _ = run(capsys, "verify", "gap-argument", "--json", "--max-n", "30")
+        assert rc == 0
+        assert records(out)[0]["checks"] == 932
+        rc, out, err = run(capsys, "verify", "gap-argument", "--json", "--max-n", "31")
+        assert rc == 2
+        assert out == ""
+        assert "limit of 932" in err
 
     def test_gap_argument_at_the_limit_size(self, capsys):
         rc, out, _ = run(capsys, "verify", "gap-argument", "--json", "--max-n", "441")

@@ -34,12 +34,14 @@ from macgap.polyspace import (
     verify_restriction_theorem,
     veronese_suite,
 )
+import reference_table
 from reference_table import (
     cleared_rows,
     parse_cleared,
     random_form,
     random_subspace,
     rank_int_rows,
+    recorded,
     support_rows,
     veronese_components,
 )
@@ -961,6 +963,19 @@ class TestIntegerDraws:
         assert fast.getstate() == ref.getstate() == plane.getstate()
 
 
+def spied_restricted_ranks(monkeypatch):
+    """A list that gets every restricted rank taken from here on."""
+    ranks = []
+    int_restricted = polyspace._int_restricted_rank
+
+    def restricted_spy(*args):
+        ranks.append(int_restricted(*args))
+        return ranks[-1]
+
+    monkeypatch.setattr(polyspace, "_int_restricted_rank", restricted_spy)
+    return ranks
+
+
 class TestGreen:
     def test_full_space_trivial(self):
         W = PolySubspace(3, 2, veronese_components(3, 2))
@@ -1033,7 +1048,17 @@ class TestGreen:
 
     def test_full_width_skips_the_rank_of_m(self, monkeypatch):
         # M is ranked, once, exactly for a subspace whose least c_h over its
-        # trials is positive: every rank taken but the restricted ones
+        # trials is positive: every rank taken but the restricted ones.
+        # Those are the reference's, every trial drawn, cut right after the
+        # first that equals len(M)
+        references = []
+        for i in range(12):
+            with recorded() as calls:
+                reference_table.green_subspace(rng_for(7, f"green|n2|d2|s{i}"), 2, 2, 3)
+            (_, M), *entries = calls
+            ranks = [entry[-1] for entry in entries]
+            references.append(entries[:ranks.index(len(M)) + 1] if len(M) in ranks
+                              else entries)
         ranks, restricted = [], []
         int_rows, int_restricted = polyspace._rank_int_rows, polyspace._int_restricted_rank
 
@@ -1042,23 +1067,56 @@ class TestGreen:
             return int_rows(*args)
 
         def restricted_spy(*args):
-            restricted.append(int_restricted(*args))
-            return restricted[-1]
+            restricted.append((*args, int_restricted(*args)))
+            return restricted[-1][-1]
 
         monkeypatch.setattr(polyspace, "_rank_int_rows", rank_spy)
         monkeypatch.setattr(polyspace, "_int_restricted_rank", restricted_spy)
-        kinds = set()
-        for i in range(12):
+        kinds, cut = set(), set()
+        for i, reference in enumerate(references):
             ranks.clear()
             restricted.clear()
             rng = rng_for(7, f"green|n2|d2|s{i}")
             rec, drawn = polyspace._green_subspace(rng, 2, 2, 3)
-            least_c_h = math.comb(3, 2) - max(restricted[:3])
-            assert len(restricted) == drawn
-            assert len(ranks) - drawn == (least_c_h > 0)
+            least_c_h = math.comb(3, 2) - max(entry[-1] for entry in restricted)
+            assert restricted == reference
+            assert drawn == 3
+            assert len(ranks) - len(restricted) == (least_c_h > 0)
             assert (rec is None) == (least_c_h == 0)
             kinds.add(least_c_h > 0)
-        assert kinds == {True, False}
+            cut.add(len(restricted) < drawn)
+        assert kinds == cut == {True, False}
+
+    @pytest.mark.parametrize("trials", [3, 5])
+    @pytest.mark.parametrize("tight", [False, True])
+    def test_trials_stop_at_the_number_of_polynomials(self, monkeypatch, trials, tight):
+        # the subspace of test_special_hyperplane_is_redrawn has two
+        # polynomials and restricted ranks 1, then 2: no hyperplane can do
+        # better, so no third is drawn, and the budget is still `trials`.
+        # With every bound forced below zero it misses, and its `trials`
+        # redraws are counted in the budget but not drawn either
+        if tight:
+            monkeypatch.setattr(polyspace, "op_lower", lambda c, d: -1)
+        label = "green|n2|d2|s142628"
+        assert len(polyspace._random_int_rows(rng_for(0, label), 3, 2)) == 2
+        reference = reference_table.green_subspace(rng_for(0, label), 2, 2, trials)
+        ranks = spied_restricted_ranks(monkeypatch)
+        rec, drawn = polyspace._green_subspace(rng_for(0, label), 2, 2, trials)
+        assert ranks == [1, 2]
+        assert drawn == (2 if tight else 1) * trials
+        assert (rec.c_h, rec.holds) == (1, not tight)
+        assert (rec, drawn) == reference
+
+    def test_trials_run_out_when_m_is_wider_than_the_restriction(self, monkeypatch):
+        # four polynomials restricted to a 3-dimensional space: no rank can
+        # reach len(M), so every trial is ranked
+        label = "green|n2|d2|s0"
+        assert len(polyspace._random_int_rows(rng_for(7, label), 3, 2)) == 4 > math.comb(3, 2)
+        ranks = spied_restricted_ranks(monkeypatch)
+        for trials in (1, 3, 5):
+            ranks.clear()
+            _, drawn = polyspace._green_subspace(rng_for(7, label), 2, 2, trials)
+            assert len(ranks) == drawn == trials
 
     def test_special_hyperplane_is_redrawn(self):
         # the first hyperplane of this subspace is special (c_h = 2 against

@@ -3,7 +3,9 @@
 Each test runs the same commands fast and in reference mode, where every
 fast path is swapped for its reference (the table gives each one's reason),
 and requires the same stdout, byte for byte.  The restricted ranks and span
-ranks are also compared call by call (`reference_table.recorded`): a suite
+ranks are also compared call by call (`reference_table.recorded`), the
+reference's ranks of each green subspace cut where the fast path stops
+(`cut_at_len_m`): a suite
 reports only the best hyperplane of a subspace, and almost every hyperplane
 is general, so that is what sees a wrong wiring between pieces that are each
 correct on their own, such as hyperplanes drawn from the wrong stream.  Both
@@ -36,7 +38,7 @@ import macgap.cli
 from macgap import polyspace
 from macgap.polyspace import rng_for
 import reference_table
-from reference_table import FAST, TABLE, recorded, reference_mode, swap
+from reference_table import FAST, SUBSPACE, TABLE, recorded, reference_mode, swap
 from test_bench_smoke import load_workloads
 
 
@@ -89,6 +91,31 @@ COMMANDS = [
 ]
 
 
+def cut_at_len_m(calls):
+    """`recorded` calls with each green subspace's restricted ranks cut
+    right after the first that equals len(M), the number of its
+    polynomials: rank(M . R_H) <= rank M <= len(M), so no later hyperplane
+    can lower c_h, and `_green_subspace` draws none, where the reference
+    draws them all.  A subspace's ranks follow its (SUBSPACE, M) entry and
+    carry that M; every other call is kept."""
+    out, m, full = [], None, False
+    for entry in calls:
+        if entry[0] == SUBSPACE:
+            m, full = entry[1], False
+        elif entry[0] is not m:
+            m = None
+        elif full:
+            continue
+        else:
+            full = entry[-1] == len(m)
+        out.append(entry)
+    return out
+
+
+def _ranks(calls):
+    return [entry for entry in calls if entry[0] != SUBSPACE]
+
+
 def test_suites_match_their_references():
     cells = [(n, d, i) for n in (2, 3) for d in (1, 2, 3) for i in range(10)]
 
@@ -102,8 +129,10 @@ def test_suites_match_their_references():
         return outputs, records, ranks
 
     fast = run(contextlib.nullcontext, polyspace._green_subspace)
-    assert run(reference_mode, reference_table.green_subspace) == fast
+    ref_outputs, ref_records, ref_ranks = run(reference_mode, reference_table.green_subspace)
     outputs, records, ranks = fast
+    assert (ref_outputs, ref_records) == (outputs, records)
+    assert ranks == cut_at_len_m(ref_ranks)
     assert all(code == 0 for code, _ in outputs)
     for argv, (_, out) in zip(COMMANDS, outputs, strict=True):
         assert_pinned(argv, out)
@@ -111,9 +140,16 @@ def test_suites_match_their_references():
     # subspaces with no record (a restriction of full width, M not ranked)
     # and with one (M ranked) both ran both ways
     assert {rec is None for rec, _ in records} == {True, False}
-    # 60 subspaces * 4 hyperplanes, the two green commands (4 cells * 8 * 5
-    # and 3 cells * 3 * 3) and the two restriction ones (16 cells * 4)
-    assert len(ranks) == 240 + 160 + 27 + 2 * 64
+    # each subspace is marked once in both lists: the 60 above, then the
+    # 4 cells * 8 and 3 cells * 3 of the two green commands
+    assert [e[0] for e in ref_ranks].count(SUBSPACE) == 60 + 32 + 9 == \
+        [e[0] for e in ranks].count(SUBSPACE)
+    # the reference ranks 60 subspaces * 4 hyperplanes, the two green
+    # commands (4 cells * 8 * 5 and 3 cells * 3 * 3) and the two
+    # restriction ones (16 cells * 4); fast, 156 of the 240 and 129 of the
+    # 187 green ones are left after the cut
+    assert len(_ranks(ref_ranks)) == 240 + 160 + 27 + 2 * 64
+    assert len(_ranks(ranks)) == 156 + 129 + 2 * 64
 
 
 def _fraction_text(x: Fraction) -> str:
@@ -249,7 +285,7 @@ def _both_ways(suite, **drawn):
         fast = cli_stdout(argv)
     with reference_mode(), recorded() as ref_ranks:
         assert cli_stdout(argv) == fast
-    assert ref_ranks == fast_ranks
+    assert fast_ranks == cut_at_len_m(ref_ranks)
     assert bool(fast_ranks) == (suite in ("green", "restriction"))
     return fast
 
@@ -364,13 +400,14 @@ def test_the_table_misses_no_fast_path(tmp_path, monkeypatch):
     ops = [(argv, None) for argv in GUARD_COMMANDS] + [(op.argv, op.kind) for op in plan.ops[::10]]
 
     def run(mode):
+        # each op's stdout and its `recorded` calls
         with mode(), recorded() as ranks:
-            outputs, counts = [], []
+            outputs, calls = [], []
             for argv, _ in ops:
                 before = len(ranks)
                 outputs.append(cli_stdout(argv))
-                counts.append(len(ranks) - before)
-        return outputs, counts, ranks
+                calls.append(ranks[before:])
+        return outputs, calls
 
     # in reference mode no module, and no class of a row, holds a fast path
     holders = reference_table.macgap_modules() + [row.owner for row in TABLE]
@@ -378,9 +415,10 @@ def test_the_table_misses_no_fast_path(tmp_path, monkeypatch):
         assert [attr for h in holders for attr, v in vars(h).items() if id(v) in fast_ids] == []
     # a first call outside the profiles, for anything built on first use
     cli_stdout(["gap", "10"])
-    out, fast = _profiled(lambda: run(contextlib.nullcontext), covered)
-    ref_out, ref = _profiled(lambda: run(reference_mode))
-    assert ref_out == out
+    (outputs, calls), fast = _profiled(lambda: run(contextlib.nullcontext), covered)
+    (ref_outputs, ref_calls), ref = _profiled(lambda: run(reference_mode))
+    assert ref_outputs == outputs
+    assert calls == [cut_at_len_m(c) for c in ref_calls]
     in_src = {c for c in fast.keys() | ref.keys() if c.co_filename.startswith(SRC)}
     # a function that runs only fast is a fast path or part of one
     assert sorted(_where(c) for c in in_src if c in fast and c not in ref
@@ -399,10 +437,9 @@ def test_the_table_misses_no_fast_path(tmp_path, monkeypatch):
     # every span a map command computes goes through the `span_rank` row,
     # so reference mode compares it: one per `map span`, one per side of
     # `map obstruct` that does not vanish, none for `map check-orth`
-    outputs, counts, _ = out
-    for (argv, kind), (_, text), count in zip(ops, outputs, counts, strict=True):
+    for (argv, kind), (_, text), spans in zip(ops, outputs, calls, strict=True):
         if kind == "obstruct":
             record = json.loads(text)
-            assert count == (record["dim_e"] >= 0) + (record["dim_eperp"] >= 0), argv
+            assert len(spans) == (record["dim_e"] >= 0) + (record["dim_eperp"] >= 0), argv
         elif kind is not None:
-            assert count == (kind == "span"), argv
+            assert len(spans) == (kind == "span"), argv
